@@ -1,11 +1,13 @@
 //! Criterion microbenches of the core components: SECDED, parity
-//! reconstruction, rotation layout, IRLP accounting, and the generators.
+//! reconstruction, the scheduler's data-only storage peek, rotation
+//! layout, IRLP accounting, and the generators.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pcmap_core::Layout;
 use pcmap_ctrl::IrlpTracker;
+use pcmap_device::PcmRank;
 use pcmap_ecc::{hamming, LineCodec};
-use pcmap_types::{BankId, CacheLine, Cycle, LineAddr};
+use pcmap_types::{BankId, CacheLine, Cycle, LineAddr, MemOrg, PhysAddr, LINE_BYTES};
 use pcmap_workloads::{catalog, CoreStream};
 use std::hint::black_box;
 
@@ -15,6 +17,9 @@ fn bench_hamming(c: &mut Criterion) {
             let cw = hamming::encode(black_box(0xdead_beef_cafe_f00d));
             hamming::decode(cw)
         })
+    });
+    c.bench_function("secded_check_byte", |b| {
+        b.iter(|| hamming::check_byte_of(black_box(0xdead_beef_cafe_f00d)))
     });
 }
 
@@ -28,9 +33,28 @@ fn bench_line_codec(c: &mut Criterion) {
     c.bench_function("line_verify_clean", |b| {
         b.iter(|| codec.verify(black_box(&line), ecc))
     });
+    let mut flipped = line;
+    flipped.set_word(5, line.word(5) ^ 1 << 40);
+    c.bench_function("line_verify_one_flip", |b| {
+        b.iter(|| codec.verify(black_box(&flipped), ecc))
+    });
     let pcc = codec.pcc_word(&line);
     c.bench_function("line_reconstruct", |b| {
         b.iter(|| codec.reconstruct(black_box(&line), 3, pcc))
+    });
+}
+
+fn bench_rank_peek(c: &mut Criterion) {
+    // Never-written lines: the peek returns pristine data, no ECC.
+    let org = MemOrg::paper_default();
+    let rank = PcmRank::new(org);
+    let mut line = 0u64;
+    c.bench_function("rank_peek_pristine", |b| {
+        b.iter(|| {
+            line += 1;
+            let loc = org.decode(PhysAddr::new(black_box(line * LINE_BYTES as u64)));
+            rank.peek_data(loc.bank, loc.row, loc.col)
+        })
     });
 }
 
@@ -70,6 +94,6 @@ fn bench_generator(c: &mut Criterion) {
 criterion_group! {
     name = components;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_secs(1)).measurement_time(std::time::Duration::from_secs(3));
-    targets = bench_hamming, bench_line_codec, bench_layout, bench_irlp, bench_generator
+    targets = bench_hamming, bench_line_codec, bench_rank_peek, bench_layout, bench_irlp, bench_generator
 }
 criterion_main!(components);

@@ -27,6 +27,10 @@
 //! word set of a queued write at scheduling time (as the paper's scheduler
 //! implicitly assumes when it "selects write requests that can be
 //! parallelized"); the per-overlap `Status` poll cost is still charged.
+//! The set comes from [`PcmRank::peek_data`], which every scheduling pass
+//! runs on every candidate write: only the data words are diffed, so the
+//! peek computes no ECC or PCC. Those are computed when the write stores
+//! its words and when a read verifies the line.
 
 use crate::config::SystemKind;
 use crate::layout::Layout;
@@ -256,9 +260,10 @@ impl PcmapController {
                 continue;
             };
 
-            // Peek the essential set without mutating storage.
-            let stored = self.core.rank.read_line(bank, req.loc.row, req.loc.col);
-            let mask = stored.data.diff_words(&data);
+            // Peek the essential set without mutating storage. Only data
+            // words are diffed, so the peek computes no ECC or PCC.
+            let old = self.core.rank.peek_data(bank, req.loc.row, req.loc.col);
+            let mask = old.diff_words(&data);
 
             if mask.is_empty() {
                 // Silent store — or the tail of a split write whose words
@@ -1601,6 +1606,68 @@ mod tests {
         assert_eq!(out[0].done, Cycle(TimingParams::paper_default().array_read));
         assert_eq!(c.stats().silent_writes, 1);
         let _ = CacheLine::zeroed();
+    }
+
+    #[test]
+    fn essential_histogram_on_mixed_pristine_and_rewritten_lines() {
+        // Rounds of writes to distinct lines, each flipping a seeded subset
+        // of words (possibly none: a silent store) against the model's
+        // current contents. The first write to a line diffs against its
+        // pristine data, later ones against what the controller stored.
+        let mut c = ctrl(SystemKind::RwowRde);
+        let org = MemOrg::tiny();
+        let mut rng = pcmap_types::Xoshiro256::new(0xE55E);
+        let mut model = std::collections::BTreeMap::new();
+        let mut expected = [0u64; 9];
+        let mut id = 0;
+        for round in 0..20u64 {
+            let mut now = Cycle(round * 10_000);
+            for slot in 0..4u64 {
+                let addr = ((round * 3 + slot) % 10) * 64 * org.channels as u64;
+                let loc = org.decode(PhysAddr::new(addr));
+                let old = *model
+                    .entry(addr)
+                    .or_insert_with(|| c.rank().read_line(loc.bank, loc.row, loc.col).data);
+                let flips = if rng.next_below(4) == 0 {
+                    WordMask::empty()
+                } else {
+                    WordMask::from_bits((rng.next_u64() & 0xff) as u16)
+                };
+                let mut data = old;
+                for w in flips.iter() {
+                    data.set_word(w, old.word(w) ^ (rng.next_u64() | 1));
+                }
+                expected[old.diff_words(&data).count()] += 1;
+                model.insert(addr, data);
+                id += 1;
+                let req = MemRequest {
+                    id: ReqId(id),
+                    kind: ReqKind::Write { data },
+                    line: PhysAddr::new(addr).line(),
+                    loc,
+                    core: CoreId(0),
+                    arrival: now,
+                };
+                c.enqueue_write(req, now).unwrap();
+            }
+            now = run_to_idle(&mut c, now)
+                .iter()
+                .map(|done| done.done)
+                .max()
+                .unwrap_or(now);
+            assert!(
+                now.0 < (round + 1) * 10_000,
+                "round {round} finished in time"
+            );
+        }
+        for (&addr, data) in &model {
+            let loc = org.decode(PhysAddr::new(addr));
+            assert_eq!(c.rank().read_line(loc.bank, loc.row, loc.col).data, *data);
+        }
+        assert_eq!(c.stats().essential_histogram, expected);
+        assert_eq!(c.stats().silent_writes, expected[0]);
+        // The oracle's own answer for this trace, pinned.
+        assert_eq!(expected, [23, 2, 4, 15, 19, 9, 6, 2, 0]);
     }
 
     #[test]

@@ -105,6 +105,13 @@ impl PcmRank {
         ReadOut { data, ecc, pcc }
     }
 
+    /// The stored data words of a line, without its ECC and PCC words —
+    /// what a scheduler diffs a queued write against. Never-written lines
+    /// cost no ECC computation.
+    pub fn peek_data(&self, bank: BankId, row: RowAddr, col: ColAddr) -> CacheLine {
+        self.storage.load_data(bank, row, col)
+    }
+
     /// Performs a differential write of `new` over the stored line,
     /// returning which words were essential and how hard each was to
     /// program. Storage (including ECC and PCC words) is updated.
@@ -115,8 +122,8 @@ impl PcmRank {
         col: ColAddr,
         new: CacheLine,
     ) -> WriteOutcome {
-        let stored = self.storage.load(bank, row, col);
-        self.write_words(bank, row, col, new, stored.data.diff_words(&new))
+        let old = self.storage.load_data(bank, row, col);
+        self.write_words(bank, row, col, new, old.diff_words(&new))
     }
 
     /// Writes only the words selected by `mask` from `new`, leaving other

@@ -61,8 +61,13 @@ impl RankStorage {
             + col.0 as u64
     }
 
+    /// The data a never-written line holds.
+    fn pristine_data(&self, key: u64) -> CacheLine {
+        CacheLine::from_seed(key ^ self.seed.rotate_left(32) ^ 0x5bd1_e995_9d1c_a3e5)
+    }
+
     fn pristine(&self, key: u64) -> StoredLine {
-        let data = CacheLine::from_seed(key ^ self.seed.rotate_left(32) ^ 0x5bd1_e995_9d1c_a3e5);
+        let data = self.pristine_data(key);
         StoredLine {
             data,
             ecc: self.codec.ecc_word(&data),
@@ -78,6 +83,15 @@ impl RankStorage {
             .get(&key)
             .copied()
             .unwrap_or_else(|| self.pristine(key))
+    }
+
+    /// The data words [`Self::load`] would return, without computing the
+    /// ECC and PCC words of a never-written line.
+    pub fn load_data(&self, bank: BankId, row: RowAddr, col: ColAddr) -> CacheLine {
+        let key = self.key(bank, row, col);
+        self.lines
+            .get(&key)
+            .map_or_else(|| self.pristine_data(key), |stored| stored.data)
     }
 
     /// Overwrites the line and its ECC/PCC words. Stuck-at cells keep
@@ -244,6 +258,38 @@ mod tests {
         s.stick_bit(b, r, c, 0, 0);
         s.stick_bit(b, r, c, 0, 1);
         assert_eq!(s.stuck_cells(), 2);
+    }
+
+    #[test]
+    fn load_data_matches_load() {
+        let mut s = RankStorage::new(MemOrg::tiny());
+        let pristine = (BankId(0), RowAddr(1), ColAddr(2));
+        let stored = (BankId(1), RowAddr(2), ColAddr(3));
+        let stuck = (BankId(2), RowAddr(3), ColAddr(4));
+        let flipped = (BankId(3), RowAddr(4), ColAddr(5));
+        let rewrite = |s: &mut RankStorage, (b, r, c): (BankId, RowAddr, ColAddr)| {
+            let mut line = s.load(b, r, c);
+            line.data.set_word(2, !line.data.word(2));
+            line.ecc = s.codec().ecc_word(&line.data);
+            line.pcc = s.codec().pcc_word(&line.data);
+            s.store(b, r, c, line);
+        };
+        rewrite(&mut s, stored);
+        s.stick_bit(stuck.0, stuck.1, stuck.2, 2, 9);
+        rewrite(&mut s, stuck);
+        s.inject_bit_error(flipped.0, flipped.1, flipped.2, 4, 17);
+        assert_eq!(s.touched_lines(), 3);
+        for (b, r, c) in [pristine, stored, stuck, flipped] {
+            assert_eq!(
+                s.load_data(b, r, c),
+                s.load(b, r, c).data,
+                "{b:?} {r:?} {c:?}"
+            );
+        }
+        // The frozen cell kept its value against the rewrite.
+        let (b, r, c) = stuck;
+        let frozen = s.load_data(b, r, c);
+        assert!(!s.codec().verify(&frozen, s.load(b, r, c).ecc).is_clean());
     }
 
     #[test]

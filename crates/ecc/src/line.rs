@@ -74,8 +74,7 @@ impl LineCodec {
         let _span = pcmap_prof::span(pcmap_prof::SpanId::EccEncode);
         let mut out = 0u64;
         for i in 0..WORDS_PER_LINE {
-            let byte = hamming::check_byte(hamming::encode(line.word(i)));
-            out |= (byte as u64) << (i * 8);
+            out |= (hamming::check_byte_of(line.word(i)) as u64) << (i * 8);
         }
         out
     }
@@ -92,15 +91,16 @@ impl LineCodec {
         let _span = pcmap_prof::span(pcmap_prof::SpanId::EccEncode);
         let mut out = old_ecc;
         for i in mask.iter() {
-            let byte = hamming::check_byte(hamming::encode(line.word(i)));
             out &= !(0xffu64 << (i * 8));
-            out |= (byte as u64) << (i * 8);
+            out |= (hamming::check_byte_of(line.word(i)) as u64) << (i * 8);
         }
         out
     }
 
     /// Verifies `line` against a stored ECC word, correcting single-bit
-    /// errors per word.
+    /// errors per word. Each word's syndrome is its stored check byte XOR
+    /// the one recomputed from its data, so a clean word costs one
+    /// [`hamming::check_byte_of`].
     pub fn verify(&self, line: &CacheLine, ecc_word: u64) -> LineCheck {
         let _span = pcmap_prof::span(pcmap_prof::SpanId::EccDecode);
         let mut corrected = *line;
@@ -108,8 +108,7 @@ impl LineCodec {
         let mut dead = WordMask::empty();
         for i in 0..WORDS_PER_LINE {
             let check = ((ecc_word >> (i * 8)) & 0xff) as u8;
-            let cw = hamming::assemble(line.word(i), check);
-            match hamming::decode(cw) {
+            match hamming::decode_stored(line.word(i), check) {
                 hamming::Decoded::Clean { .. } => {}
                 hamming::Decoded::Corrected { data, .. } => {
                     corrected.set_word(i, data);
@@ -150,6 +149,7 @@ impl LineCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hamming::reference;
     use proptest::prelude::*;
 
     #[test]
@@ -258,6 +258,73 @@ mod tests {
         }
     }
 
+    /// `verify` by the bit-loop reference decoder, one codeword per word.
+    fn reference_verify(line: &CacheLine, ecc_word: u64) -> LineCheck {
+        let mut corrected = *line;
+        let mut fixed = WordMask::empty();
+        let mut dead = WordMask::empty();
+        for i in 0..WORDS_PER_LINE {
+            let check = (ecc_word >> (i * 8)) as u8;
+            match reference::decode(reference::assemble(line.word(i), check)) {
+                hamming::Decoded::Clean { .. } => {}
+                hamming::Decoded::Corrected { data, .. } => {
+                    corrected.set_word(i, data);
+                    fixed.insert(i);
+                }
+                hamming::Decoded::DoubleError => dead.insert(i),
+            }
+        }
+        if !dead.is_empty() {
+            LineCheck::Uncorrectable { words: dead }
+        } else if !fixed.is_empty() {
+            LineCheck::Corrected {
+                line: corrected,
+                words: fixed,
+            }
+        } else {
+            LineCheck::Clean
+        }
+    }
+
+    #[test]
+    fn verify_matches_reference_on_every_single_and_double_flip() {
+        let codec = LineCodec::new();
+        let line = CacheLine::from_seed(18);
+        let ecc = codec.ecc_word(&line);
+        // Flips land on data bits (the line) and check bits (the ECC
+        // byte) alike: corrupt the word's codeword and split it back.
+        let corrupt = |w: usize, flips: u128| {
+            let cw = hamming::assemble(line.word(w), (ecc >> (w * 8)) as u8) ^ flips;
+            let mut bad = line;
+            bad.set_word(w, hamming::extract_data(cw));
+            let bad_ecc = ecc & !(0xff << (w * 8)) | (hamming::check_byte(cw) as u64) << (w * 8);
+            (bad, bad_ecc)
+        };
+        for w in 0..WORDS_PER_LINE {
+            for b1 in 0..hamming::CODEWORD_BITS {
+                let (bad, bad_ecc) = corrupt(w, 1u128 << b1);
+                let got = codec.verify(&bad, bad_ecc);
+                assert_eq!(got, reference_verify(&bad, bad_ecc), "word {w} bit {b1}");
+                assert_eq!(got.recovered(&bad), Some(line), "word {w} bit {b1}");
+                for b2 in (b1 + 1)..hamming::CODEWORD_BITS {
+                    let (bad, bad_ecc) = corrupt(w, 1u128 << b1 | 1u128 << b2);
+                    let got = codec.verify(&bad, bad_ecc);
+                    assert_eq!(
+                        got,
+                        reference_verify(&bad, bad_ecc),
+                        "word {w} bits {b1},{b2}"
+                    );
+                    assert_eq!(
+                        got,
+                        LineCheck::Uncorrectable {
+                            words: WordMask::single(w)
+                        }
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn reconstruct_restores_missing_word() {
         let codec = LineCodec::new();
@@ -286,6 +353,16 @@ mod tests {
             let mut bad = line;
             bad.set_word(w, bad.word(w) ^ (1u64 << bit));
             prop_assert_eq!(codec.verify(&bad, ecc).recovered(&bad), Some(line));
+        }
+
+        #[test]
+        fn prop_verify_matches_reference(seed: u64, w in 0usize..8, flips: u64, ecc_flips: u8) {
+            let codec = LineCodec::new();
+            let line = CacheLine::from_seed(seed);
+            let mut bad = line;
+            bad.set_word(w, line.word(w) ^ flips);
+            let ecc = codec.ecc_word(&line) ^ (ecc_flips as u64) << (w * 8);
+            prop_assert_eq!(codec.verify(&bad, ecc), reference_verify(&bad, ecc));
         }
 
         #[test]

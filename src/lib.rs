@@ -5,7 +5,7 @@
 //! ISCA 2016). This facade crate re-exports the whole workspace:
 //!
 //! - [`types`] — addresses, cache lines, word/chip sets, time, configuration.
-//! - [`ecc`] — bit-level SECDED(72,64) and XOR parity (PCC) reconstruction.
+//! - [`ecc`] — mask-parity SECDED(72,64) and XOR parity (PCC) reconstruction.
 //! - [`device`] — PCM chips, banks, 10-chip ranks, DIMM status registers.
 //! - [`ctrl`] — memory-controller substrate: queues, drain policy, FR-FCFS,
 //!   DDR3-style timing.
