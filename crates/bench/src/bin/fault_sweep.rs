@@ -201,7 +201,6 @@ fn sweep_table(rates: &[f64], reports: &[RunReport]) -> TableBuilder {
 }
 
 fn main() {
-    let _prof = pcmap_bench::prof_env();
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

@@ -11,7 +11,6 @@ use pcmap_core::SystemKind;
 use pcmap_obs::Value;
 
 fn main() {
-    let _prof = pcmap_bench::prof_env();
     let mut runner = runner_from_args();
     let rows = matrix_with_averages(scale_from_args(), &mut runner);
     println!("Figure 8 — IRLP during writes (max 8.0)");

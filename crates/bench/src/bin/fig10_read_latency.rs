@@ -12,7 +12,6 @@ use pcmap_core::SystemKind;
 use pcmap_obs::Value;
 
 fn main() {
-    let _prof = pcmap_bench::prof_env();
     let mut runner = runner_from_args();
     let rows = matrix_with_averages(scale_from_args(), &mut runner);
     println!("Figure 10 — effective read latency, normalized to baseline (lower is better)");

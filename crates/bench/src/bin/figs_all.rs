@@ -15,7 +15,6 @@ use pcmap_obs::Value;
 use pcmap_sim::TableBuilder;
 
 fn main() {
-    let _prof = pcmap_bench::prof_env();
     let mut runner = runner_from_args();
     let rows = matrix_with_averages(scale_from_args(), &mut runner);
     let kinds = SystemKind::all();

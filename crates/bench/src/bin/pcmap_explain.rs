@@ -14,7 +14,8 @@
 //!
 //! `--diff KIND2` runs a second system on the identical request stream
 //! and attributes the latency delta cause by cause — e.g. baseline vs
-//! `rwow-rde`, or (via `--fault-rate`) faults-off vs storm.
+//! `rwow-rde`, or (via `--fault-rate`) faults-off vs storm. With
+//! `--jobs 2` or more the two runs proceed concurrently.
 //!
 //! `--smoke` is the CI gate: it verifies the conservation invariant —
 //! every traced timeline partitions `[arrival, retire)` exactly — and
@@ -24,9 +25,7 @@
 //! The tracer is determinism-neutral: the RunReport JSON is
 //! byte-identical with tracing on or off and at any `--jobs N`. The full
 //! timeline report travels out-of-band (`--json` sidecar), never inside
-//! the RunReport. When `PCMAP_TRACE` requests a Chrome trace, the top-K
-//! request lifetimes are also emitted as async trace events
-//! (1 simulated cycle = 1 µs, category `pcmap-req`).
+//! the RunReport.
 
 use pcmap_bench::parse_system;
 use pcmap_core::SystemKind;
@@ -141,8 +140,7 @@ fn run_traced(args: &Args, kind: SystemKind, wl: &catalog::Workload) -> RunRepor
     }
     let mut sys = System::new(cfg, wl.clone());
     sys.enable_lifecycle_tracing();
-    let mut runner = SweepRunner::new(args.jobs);
-    sys.run_parallel(runner.pool())
+    sys.run()
 }
 
 /// Per-request read/write tag for rendering.
@@ -328,22 +326,7 @@ fn sidecar(r: &RunReport, lc: &LifecycleReport, top: usize) -> Value {
     o
 }
 
-fn emit_trace_spans(lc: &LifecycleReport, top: usize) {
-    if !pcmap_prof::trace_enabled() {
-        return;
-    }
-    for (ch, t) in lc.top_k(top) {
-        pcmap_prof::record_request_span(
-            &format!("req {} {} ch{}", t.req, rw(t.is_write), ch),
-            t.req,
-            t.arrival.0,
-            t.retire.0,
-        );
-    }
-}
-
 fn main() {
-    let _prof = pcmap_bench::prof_env();
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
@@ -356,18 +339,18 @@ fn main() {
         std::process::exit(2);
     });
 
-    let r = run_traced(&args, args.system, &wl);
+    let kinds: Vec<SystemKind> = std::iter::once(args.system).chain(args.diff).collect();
+    let mut reports = SweepRunner::new(args.jobs).map(kinds, |kind| run_traced(&args, kind, &wl));
+    let r = reports.remove(0);
     let lc = r.lifecycle.clone().expect("tracing was enabled");
     pcmap_bench::warn_on_observability_drops(&r);
-    emit_trace_spans(&lc, args.top);
 
     let mut violations = 0u64;
     if args.smoke {
         violations += verify_run(&r, &lc);
     }
 
-    if let Some(other) = args.diff {
-        let r2 = run_traced(&args, other, &wl);
+    if let Some(r2) = reports.pop() {
         let lc2 = r2.lifecycle.clone().expect("tracing was enabled");
         pcmap_bench::warn_on_observability_drops(&r2);
         if args.smoke {

@@ -14,20 +14,18 @@
 //! windowed series) as a JSON array; `--csv PATH` writes the comparison
 //! table as CSV.
 //!
-//! `--jobs N` (default 1, or `PCMAP_JOBS`) enables the deterministic
-//! parallel engine: with `--all` the six independent system runs are
-//! farmed to N pool workers; a single run instead advances its four
-//! channel controllers concurrently (epoch lockstep, DESIGN.md §9).
-//! Every table, JSON, and CSV byte is identical at any `N`.
+//! `--jobs N` (default 1, or `PCMAP_JOBS`) farms the independent system
+//! runs of `--all` to N pool workers (DESIGN.md §9). Every table, JSON,
+//! and CSV byte is identical at any `N`.
 //!
 //! `--fault-rate R` (with optional `--fault-seed S`, or the `PCMAP_FAULTS`
 //! env variable as `RATE[:SEED]`) runs under a deterministic fault storm
 //! (DESIGN.md §11). The default rate of 0 leaves every fault hook inert.
 //!
-//! `--engine cycle|event` (or `PCMAP_ENGINE`) selects the execution
-//! engine (DESIGN.md §14). Both produce byte-identical reports; `event`
-//! (the default) jumps a binary heap of component horizons instead of
-//! scanning every component at every wake.
+//! `--engine cycle|event` selects the execution engine (DESIGN.md §14).
+//! Both produce byte-identical reports; `event` (the default) jumps a
+//! binary heap of component horizons instead of scanning every component
+//! at every wake.
 
 use pcmap_core::{RollbackMode, SystemKind};
 use pcmap_obs::Value;
@@ -53,6 +51,11 @@ struct Args {
 
 use pcmap_bench::parse_system;
 
+const USAGE: &str = "usage: pcmap_run [--workload NAME] [--system KIND] [--requests N] \
+                     [--ratio R] [--seed S] [--rollback faulty|clean] [--all] \
+                     [--jobs N] [--json PATH] [--csv PATH] \
+                     [--fault-rate R] [--fault-seed S] [--engine cycle|event]";
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workload: "canneal".to_owned(),
@@ -67,7 +70,7 @@ fn parse_args() -> Result<Args, String> {
         csv: None,
         fault_rate: 0.0,
         fault_seed: pcmap_bench::DEFAULT_FAULT_SEED,
-        engine: Engine::from_env(),
+        engine: Engine::Event,
     };
     // `PCMAP_FAULTS=RATE[:SEED]` seeds the defaults; explicit flags win.
     if let Some(f) = pcmap_bench::faults_from_env() {
@@ -128,12 +131,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--engine" => args.engine = value("--engine")?.parse()?,
             "--help" | "-h" => {
-                println!(
-                    "usage: pcmap_run [--workload NAME] [--system KIND] [--requests N] \
-                     [--ratio R] [--seed S] [--rollback faulty|clean] [--all] \
-                     [--jobs N] [--json PATH] [--csv PATH] \
-                     [--fault-rate R] [--fault-seed S] [--engine cycle|event]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag '{other}'")),
@@ -163,11 +161,10 @@ fn build(args: &Args, kind: SystemKind, wl: &catalog::Workload) -> System {
 }
 
 fn main() {
-    let _prof = pcmap_bench::prof_env();
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2);
         }
     };
@@ -185,17 +182,11 @@ fn main() {
         vec![args.system]
     };
 
-    // Deterministic parallelism (--jobs N): a multi-system sweep farms
-    // whole runs to the pool; a single run parallelizes across its four
-    // channels instead. Both emit byte-identical reports at any N.
-    let mut runner = SweepRunner::new(args.jobs);
-    let reports: Vec<RunReport> = if kinds.len() > 1 {
-        runner.map(kinds.clone(), |kind| {
-            build(&args, kind, &wl).run_with_engine(args.engine)
-        })
-    } else {
-        vec![build(&args, kinds[0], &wl).run_parallel_with_engine(runner.pool(), args.engine)]
-    };
+    // Deterministic parallelism (--jobs N): whole runs are farmed to the
+    // pool and come back in input order, byte-identical at any N.
+    let reports: Vec<RunReport> = SweepRunner::new(args.jobs).map(kinds, |kind| {
+        build(&args, kind, &wl).run_with_engine(args.engine)
+    });
 
     let mut t = TableBuilder::new(&[
         "system",

@@ -338,7 +338,6 @@ fn run_soak(cfg: &ServeConfig, soak_path: &str) -> i32 {
 }
 
 fn main() {
-    let _prof = pcmap_bench::prof_env();
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

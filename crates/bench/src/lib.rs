@@ -48,27 +48,6 @@ pub fn runner_from_args() -> SweepRunner {
     SweepRunner::new(jobs_from_args())
 }
 
-/// RAII profiling hookup for experiment binaries: reads the `PCMAP_PROF`
-/// / `PCMAP_PROF_JSON` / `PCMAP_TRACE` environment on creation and, when
-/// dropped (any exit path of `main`), writes whatever reports were
-/// requested. Inert — one atomic load per hot-path probe — when none of
-/// those variables are set.
-pub struct ProfEnv(());
-
-impl Drop for ProfEnv {
-    fn drop(&mut self) {
-        pcmap_prof::finish_from_env();
-    }
-}
-
-/// Creates the [`ProfEnv`] guard; call first in `main` and keep it alive
-/// for the whole run.
-#[must_use]
-pub fn prof_env() -> ProfEnv {
-    pcmap_prof::init_from_env();
-    ProfEnv(())
-}
-
 /// Default seed for fault-injection runs that don't pass `--fault-seed`.
 pub const DEFAULT_FAULT_SEED: u64 = 0xFA11;
 

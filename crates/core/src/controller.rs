@@ -187,8 +187,6 @@ impl PcmapController {
     /// Attempts to issue one write (fine-grained, all phases committed).
     /// Returns `true` on issue.
     fn try_issue_write(&mut self, now: Cycle, out: &mut Vec<Completion>) -> bool {
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlSchedule);
-        pcmap_prof::bump(pcmap_prof::Counter::QueueScans);
         let degraded = self.rank_degraded(now);
         // Gather candidates across bank queues, oldest first per bank.
         let mut candidates: Vec<MemRequest> = Vec::new();
@@ -203,7 +201,6 @@ impl PcmapController {
             if skipped_lines.contains(&req.line) {
                 continue;
             }
-            pcmap_prof::bump(pcmap_prof::Counter::ConstraintChecks);
             let id = req.id;
             let bank = req.loc.bank;
             // Writes issue while the bus is in write mode (any drain
@@ -430,7 +427,6 @@ impl PcmapController {
         split_of: Option<usize>,
         out: &mut Vec<Completion>,
     ) {
-        pcmap_prof::bump(pcmap_prof::Counter::CommandsIssued);
         let ReqKind::Write { data } = req.kind else {
             unreachable!("checked by caller")
         };
@@ -635,12 +631,9 @@ impl PcmapController {
         plain_allowed: bool,
         overlap_everywhere: bool,
     ) -> Option<Completion> {
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlSchedule);
-        pcmap_prof::bump(pcmap_prof::Counter::QueueScans);
         let degraded = self.rank_degraded(now);
         let ids: Vec<ReqId> = self.core.read_q.iter().map(|r| r.id).collect();
         for id in ids {
-            pcmap_prof::bump(pcmap_prof::Counter::ConstraintChecks);
             let req = *self
                 .core
                 .read_q
@@ -874,7 +867,6 @@ impl PcmapController {
         deferred_ecc: Option<ChipId>,
         reconstructed: Option<ChipId>,
     ) -> Completion {
-        pcmap_prof::bump(pcmap_prof::Counter::CommandsIssued);
         self.core.read_q.remove(req.id).expect("read still queued");
         let bank = req.loc.bank;
         self.core.events.record(Event {
@@ -1105,7 +1097,6 @@ impl Controller for PcmapController {
             // what lets the event engine skip it entirely.
             return Vec::new();
         }
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlStep);
         let mut out = Vec::new();
         let banks = self.core.org.banks;
         self.core.service_watchdogs(now);

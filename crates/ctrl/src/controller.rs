@@ -83,9 +83,8 @@ impl ReadResolution {
 /// payload is intentional (`clippy::result_large_err` is waived).
 ///
 /// `Send` is a supertrait: a channel's whole state (queues, bus, rank,
-/// wear, RNG stream, event log) is channel-private, which is what lets
-/// the parallel engine advance each controller on its own worker thread
-/// between CPU↔memory barriers.
+/// wear, RNG stream, event log) is channel-private, so a whole system
+/// can be built and run on any sweep worker thread.
 #[allow(clippy::result_large_err)]
 pub trait Controller: Send {
     /// Offers a read request at time `now`.
@@ -517,8 +516,6 @@ impl CtrlCore {
     /// first, then oldest, among reads whose chips are free. While any
     /// bank drains, the bus is in write mode and no read issues at all.
     pub fn pick_coarse_read(&mut self, now: Cycle) -> Option<ReqId> {
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlSchedule);
-        pcmap_prof::bump(pcmap_prof::Counter::QueueScans);
         if self.any_draining() {
             if self.lifetrace.enabled() {
                 for req in self.read_q.iter() {
@@ -536,7 +533,6 @@ impl CtrlCore {
         let mut best: Option<(bool, u64, ReqId)> = None; // (row_hit, age_key, id)
         for (age, req) in self.read_q.iter().enumerate() {
             let bank = req.loc.bank;
-            pcmap_prof::bump(pcmap_prof::Counter::ConstraintChecks);
             let chips_free = self.rank.timing().free_at(bank, set, now);
             if chips_free > now {
                 // Event horizon: this read becomes issueable once every
@@ -583,7 +579,6 @@ impl CtrlCore {
     /// Issues a coarse read at `now`. The chips must be free (checked by
     /// [`Self::pick_coarse_read`]).
     pub fn issue_coarse_read(&mut self, id: ReqId, now: Cycle) -> Completion {
-        pcmap_prof::bump(pcmap_prof::Counter::CommandsIssued);
         let req = self.read_q.remove(id).expect("picked read must be queued");
         let bank = req.loc.bank;
         let set = Self::coarse_read_set();
@@ -693,15 +688,12 @@ impl CtrlCore {
     /// same-address write order (a newer write to a line may not jump an
     /// older blocked one).
     pub fn pick_baseline_write(&mut self, bank: BankId, now: Cycle) -> Option<ReqId> {
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlSchedule);
-        pcmap_prof::bump(pcmap_prof::Counter::QueueScans);
         let set = Self::baseline_write_set();
         let mut skipped: Vec<pcmap_types::LineAddr> = Vec::new();
         for req in self.write_qs[bank.index()].iter() {
             if skipped.contains(&req.line) {
                 continue;
             }
-            pcmap_prof::bump(pcmap_prof::Counter::ConstraintChecks);
             let chips_free = self.rank.timing().free_at(req.loc.bank, set, now);
             if chips_free <= now {
                 return Some(req.id);
@@ -730,7 +722,6 @@ impl CtrlCore {
     /// Issues a baseline (whole-rank) write at `now`: every chip of the
     /// bank is reserved until the slowest essential chip finishes.
     pub fn issue_baseline_write(&mut self, id: ReqId, now: Cycle) -> Completion {
-        pcmap_prof::bump(pcmap_prof::Counter::CommandsIssued);
         let bank0 = self
             .write_qs
             .iter()
@@ -898,7 +889,6 @@ impl CtrlCore {
         now: Cycle,
         deferred: bool,
     ) -> ReadResolution {
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlResolve);
         let stored = self.rank.read_line(bank, row, col);
         let codec = self.rank.storage().codec();
         let Some(plan) = self.faults.as_mut() else {
@@ -1028,7 +1018,6 @@ impl CtrlCore {
         let Some(plan) = self.faults.as_mut() else {
             return;
         };
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::FaultInject);
         if let Some(bit) = plan.on_word_write() {
             let word = plan.pick(pcmap_types::WORDS_PER_LINE as u64) as usize;
             self.rank.storage_mut().stick_bit(bank, row, col, word, bit);
@@ -1060,7 +1049,6 @@ impl CtrlCore {
         let Some(plan) = self.faults.as_mut() else {
             return expected_end;
         };
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::FaultInject);
         let outcome = plan.on_chip_op();
         if matches!(outcome, ChipFault::None) {
             return expected_end;
@@ -1185,7 +1173,6 @@ impl Controller for BaselineController {
             // what lets the event engine skip it entirely.
             return Vec::new();
         }
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::CtrlStep);
         let mut out = Vec::new();
         let banks = self.core.org.banks;
         self.core.service_watchdogs(now);

@@ -86,22 +86,17 @@ impl ChipBankState {
 
     /// Cancels all occupancy at or after `from`: future reservations are
     /// dropped and an active one is truncated to end at `from`. The
-    /// rank watchdog uses this to free a stuck-busy chip. Returns the
-    /// total cycles of occupancy removed (profiler book-keeping).
-    fn release_from(&mut self, from: Cycle) -> u64 {
-        let mut removed = 0u64;
+    /// rank watchdog uses this to free a stuck-busy chip.
+    fn release_from(&mut self, from: Cycle) {
         self.res.retain_mut(|(s, e)| {
             if *s >= from {
-                removed += e.0 - s.0;
                 return false;
             }
             if *e > from {
-                removed += e.0 - from.0;
                 *e = from;
             }
             *e > *s
         });
-        removed
     }
 }
 
@@ -232,14 +227,6 @@ impl RankTiming {
         for chip in set.chips() {
             self.chip_mut(bank, chip).insert(start, until);
         }
-        // Occupancy book-keeping (observer only; inert when profiling is
-        // off).
-        if pcmap_prof::enabled() {
-            pcmap_prof::bump(pcmap_prof::Counter::Reservations);
-            for chip in set.chips() {
-                pcmap_prof::note_busy(bank.index(), chip.index(), until.0 - start.0);
-            }
-        }
         ReservedWindow {
             bank,
             set,
@@ -272,10 +259,7 @@ impl RankTiming {
     /// action for a stuck-busy chip: its hung reservation is cut short
     /// and anything it had queued later is cancelled.
     pub fn force_free(&mut self, bank: BankId, chip: ChipId, from: Cycle) {
-        let removed = self.chip_mut(bank, chip).release_from(from);
-        if removed > 0 {
-            pcmap_prof::note_unbusy(bank.index(), chip.index(), removed);
-        }
+        self.chip_mut(bank, chip).release_from(from);
     }
 
     /// The earliest reservation boundary strictly after `now` across the
@@ -315,7 +299,6 @@ impl RankTiming {
 
     /// Drops reservations that ended at or before `now`.
     pub fn prune(&mut self, now: Cycle) {
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::DeviceAdvance);
         for s in &mut self.state {
             s.prune(now);
         }

@@ -71,7 +71,6 @@ impl LineCodec {
 
     /// The 64-bit ECC word for `line`: check byte of word *i* in byte *i*.
     pub fn ecc_word(&self, line: &CacheLine) -> u64 {
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::EccEncode);
         let mut out = 0u64;
         for i in 0..WORDS_PER_LINE {
             out |= (hamming::check_byte_of(line.word(i)) as u64) << (i * 8);
@@ -88,7 +87,6 @@ impl LineCodec {
     /// an existing ECC word — the fine-grained ECC update performed when a
     /// write touches only some words.
     pub fn update_ecc_word(&self, old_ecc: u64, line: &CacheLine, mask: WordMask) -> u64 {
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::EccEncode);
         let mut out = old_ecc;
         for i in mask.iter() {
             out &= !(0xffu64 << (i * 8));
@@ -102,7 +100,6 @@ impl LineCodec {
     /// the one recomputed from its data, so a clean word costs one
     /// [`hamming::check_byte_of`].
     pub fn verify(&self, line: &CacheLine, ecc_word: u64) -> LineCheck {
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::EccDecode);
         let mut corrected = *line;
         let mut fixed = WordMask::empty();
         let mut dead = WordMask::empty();
@@ -136,7 +133,6 @@ impl LineCodec {
     ///
     /// Panics if `missing >= 8`.
     pub fn reconstruct(&self, partial: &CacheLine, missing: usize, pcc_word: u64) -> CacheLine {
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::EccDecode);
         let mut out = *partial;
         out.set_word(
             missing,

@@ -211,7 +211,6 @@ impl FaultPlan {
 
     /// Draws the transient-flip outcome for one line read.
     pub fn on_line_read(&mut self) -> ReadFault {
-        pcmap_prof::bump(pcmap_prof::Counter::FaultDraws);
         if !self.rng.chance(self.cfg.rate) {
             return ReadFault::None;
         }
@@ -230,7 +229,6 @@ impl FaultPlan {
     /// Draws the wear outcome for one word write: `Some(bit)` sticks
     /// that cell of the word at its current value.
     pub fn on_word_write(&mut self) -> Option<u32> {
-        pcmap_prof::bump(pcmap_prof::Counter::FaultDraws);
         if self.rng.chance(self.cfg.stuck_cell_rate) {
             Some((self.rng.next_below(64)) as u32)
         } else {
@@ -240,7 +238,6 @@ impl FaultPlan {
 
     /// Draws the occupancy outcome for one chip array operation.
     pub fn on_chip_op(&mut self) -> ChipFault {
-        pcmap_prof::bump(pcmap_prof::Counter::FaultDraws);
         if self.rng.chance(self.cfg.chip_stuck_rate) {
             ChipFault::StuckBusy
         } else if self.rng.chance(self.cfg.chip_slow_rate) {
@@ -253,7 +250,6 @@ impl FaultPlan {
     /// Draws whether an overlapped-issue Status poll is corrupted and
     /// must be repeated.
     pub fn on_status_poll(&mut self) -> bool {
-        pcmap_prof::bump(pcmap_prof::Counter::FaultDraws);
         self.rng.chance(self.cfg.status_corrupt_rate)
     }
 

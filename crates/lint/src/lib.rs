@@ -9,8 +9,8 @@
 //! | rule                 | what it bans                                         |
 //! |----------------------|------------------------------------------------------|
 //! | `hash-collections`   | `HashMap`/`HashSet` (randomized iteration order)     |
-//! | `wall-clock`         | `Instant`/`SystemTime`/`thread_rng` outside the      |
-//! |                      | profiling crates (`crates/prof`, `crates/xtask`)     |
+//! | `wall-clock`         | `Instant`/`SystemTime`/`thread_rng` anywhere but the |
+//! |                      | vendored shims (host time is `perfbench/`'s job)     |
 //! | `as-narrowing`       | `as u8/u16/u32/...` on cycle/address-typed values    |
 //! | `float-accumulation` | `+=` on floats in per-cycle stats paths              |
 //! | `manual-time-advance`| `now += 1` / `now = Cycle(now.0 + 1)` clock bumps    |
@@ -41,12 +41,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The only crates allowed to read the host wall clock
-/// ([`CrateScope::Profiling`]): the profiler itself and the perf
-/// harness that times child processes.
-const PROFILING_CRATES: [&str; 2] = ["prof", "xtask"];
 /// Crates linted at reduced ([`CrateScope::Tooling`]) strength.
-const TOOLING_CRATES: [&str; 2] = ["bench", "lint"];
+const TOOLING_CRATES: [&str; 3] = ["bench", "lint", "xtask"];
 /// Vendored dependency shims, exempt from linting.
 const VENDORED_CRATES: [&str; 2] = ["criterion", "proptest"];
 
@@ -124,9 +120,6 @@ pub fn scope_for(rel: &Path) -> CrateScope {
         if let Some(krate) = comps.next() {
             if VENDORED_CRATES.iter().any(|v| *v == krate) {
                 return CrateScope::Vendored;
-            }
-            if PROFILING_CRATES.iter().any(|p| *p == krate) {
-                return CrateScope::Profiling;
             }
             if TOOLING_CRATES.iter().any(|t| *t == krate) {
                 return CrateScope::Tooling;
@@ -216,11 +209,7 @@ mod tests {
         );
         assert_eq!(
             scope_for(Path::new("crates/xtask/src/main.rs")),
-            CrateScope::Profiling
-        );
-        assert_eq!(
-            scope_for(Path::new("crates/prof/src/span.rs")),
-            CrateScope::Profiling
+            CrateScope::Tooling
         );
         assert_eq!(
             scope_for(Path::new("crates/bench/src/lib.rs")),

@@ -99,16 +99,10 @@ pub enum CrateScope {
     /// Simulation-facing code: all rules. Determinism here is
     /// load-bearing for `par_equiv` and the golden anchors.
     SimFacing,
-    /// The profiling layer (`prof`) and the perf harness (`xtask`):
-    /// everything except the wall-clock ban. These are the only crates
-    /// that may time the host — that is their whole job — but they must
-    /// still keep deterministic ordering and numeric hygiene, because
-    /// their output lands in committed JSON artifacts.
-    Profiling,
-    /// Repo tooling (bench driver, the linter itself): only the
-    /// ordering and suppression rules — tooling may not feed unordered
-    /// maps into reports. Wall-clock reads are banned here too: host
-    /// timing belongs in the [`CrateScope::Profiling`] crates.
+    /// Repo tooling (bench driver, the linter itself, `xtask`): only the
+    /// ordering, wall-clock and suppression rules — tooling may not feed
+    /// unordered maps into reports, and host timing belongs in the
+    /// standalone `perfbench/` package, outside the workspace.
     Tooling,
     /// Vendored dependency shims (`criterion`, `proptest`): exempt.
     /// criterion *must* read the wall clock to bench; proptest routes
@@ -125,12 +119,6 @@ impl CrateScope {
                 Rule::AsNarrowing,
                 Rule::FloatAccumulation,
                 Rule::ManualTimeAdvance,
-                Rule::BadSuppression,
-            ],
-            CrateScope::Profiling => &[
-                Rule::HashCollections,
-                Rule::AsNarrowing,
-                Rule::FloatAccumulation,
                 Rule::BadSuppression,
             ],
             CrateScope::Tooling => &[Rule::HashCollections, Rule::WallClock, Rule::BadSuppression],
@@ -155,9 +143,7 @@ impl CrateScope {
                 Rule::UndocumentedUnsafe,
                 Rule::DeadAllow,
             ],
-            CrateScope::Profiling | CrateScope::Tooling => {
-                &[Rule::UndocumentedUnsafe, Rule::DeadAllow]
-            }
+            CrateScope::Tooling => &[Rule::UndocumentedUnsafe, Rule::DeadAllow],
             CrateScope::Vendored => &[],
         }
     }
@@ -165,7 +151,6 @@ impl CrateScope {
     pub fn name(self) -> &'static str {
         match self {
             CrateScope::SimFacing => "sim-facing",
-            CrateScope::Profiling => "profiling",
             CrateScope::Tooling => "tooling",
             CrateScope::Vendored => "vendored",
         }

@@ -380,15 +380,13 @@ fn stripped_safety_comment_is_flagged() {
 }
 
 #[test]
-fn unsafe_pass_covers_profiling_and_tooling_scopes_too() {
-    for scope in [CrateScope::Profiling, CrateScope::Tooling] {
-        let d = analyze_sources("fixture", &[("fixture/src/lib.rs", UNSAFE_STRIPPED)], scope);
-        assert_eq!(
-            rule_lines(&d, Rule::UndocumentedUnsafe),
-            vec![3],
-            "{scope:?}"
-        );
-    }
+fn unsafe_pass_covers_tooling_scope_too() {
+    let d = analyze_sources(
+        "fixture",
+        &[("fixture/src/lib.rs", UNSAFE_STRIPPED)],
+        CrateScope::Tooling,
+    );
+    assert_eq!(rule_lines(&d, Rule::UndocumentedUnsafe), vec![3], "{d:?}");
 }
 
 // ---------------------------------------------------------- dead-allow --

@@ -73,12 +73,11 @@ fn manual_time_advance_fixture_triggers() {
 
 #[test]
 fn manual_time_advance_is_sim_facing_only() {
-    // The bench drivers and profiling harness keep their own little run
-    // loops; the clock-advance ban guards the simulation crates where
-    // the event heap's horizon contract is load-bearing.
+    // The bench drivers keep their own little run loops; the
+    // clock-advance ban guards the simulation crates where the event
+    // heap's horizon contract is load-bearing.
     let src = include_str!("fixtures/manual_time_advance.rs.fixture");
     assert!(lint_source("tool.rs", src, CrateScope::Tooling).is_empty());
-    assert!(lint_source("prof.rs", src, CrateScope::Profiling).is_empty());
 }
 
 #[test]
@@ -162,8 +161,9 @@ fn vendored_scope_ignores_everything() {
 
 #[test]
 fn tooling_scope_bans_wall_clock_but_not_narrowing() {
-    // Host timing belongs in the profiling crates; plain tooling reading
-    // the clock is a smell (untimed reports drifting into artifacts).
+    // Host timing belongs in the standalone perfbench package; tooling
+    // reading the clock is a smell (untimed reports drifting into
+    // artifacts).
     let clock = include_str!("fixtures/wall_clock.rs.fixture");
     let diags = lint_source("tool.rs", clock, CrateScope::Tooling);
     assert_eq!(lines_for(&diags, Rule::WallClock), vec![2, 3, 6, 7, 8]);
@@ -176,30 +176,22 @@ fn tooling_scope_bans_wall_clock_but_not_narrowing() {
 }
 
 #[test]
-fn profiling_scope_allows_wall_clock_and_nothing_else() {
-    // `crates/prof` and `crates/xtask` time the host by design — the
-    // wall-clock rule is scoped out for them and only for them.
-    let clock = include_str!("fixtures/wall_clock.rs.fixture");
-    assert!(
-        lint_source("prof.rs", clock, CrateScope::Profiling).is_empty(),
-        "profiling crates may read Instant/SystemTime"
-    );
-    // Every other determinism rule still fires at full strength.
-    let hash = include_str!("fixtures/hash_collections.rs.fixture");
-    let diags = lint_source("prof.rs", hash, CrateScope::Profiling);
-    assert_eq!(lines_for(&diags, Rule::HashCollections), vec![3, 4, 7, 8]);
-    let narrow = include_str!("fixtures/as_narrowing.rs.fixture");
-    let diags = lint_source("prof.rs", narrow, CrateScope::Profiling);
-    assert_eq!(lines_for(&diags, Rule::AsNarrowing), vec![4, 5, 6]);
-    let float = include_str!("fixtures/float_accumulation.rs.fixture");
-    let diags = lint_source("prof.rs", float, CrateScope::Profiling);
-    assert_eq!(lines_for(&diags, Rule::FloatAccumulation), vec![4, 5]);
+fn xtask_is_tooling_and_may_not_read_the_wall_clock() {
+    // The workspace has no wall-clock exemption: `cargo xtask` is plain
+    // tooling, so an `Instant::now()` in its driver is flagged.
+    use std::path::Path;
+    let path = "crates/xtask/src/main.rs";
+    let scope = pcmap_lint::scope_for(Path::new(path));
+    assert_eq!(scope, CrateScope::Tooling);
+    let src = "fn main() {\n    let t0 = std::time::Instant::now();\n    let _ = t0;\n}\n";
+    let diags = lint_source(path, src, scope);
+    assert_eq!(lines_for(&diags, Rule::WallClock), vec![2], "{diags:?}");
 }
 
 #[test]
 fn sim_crates_stay_wall_clock_banned() {
-    // The profiling exemption must not leak: a sim-facing file with the
-    // same clock reads is still rejected.
+    // A sim-facing file with the wall-clock fixture's reads is
+    // rejected.
     let clock = include_str!("fixtures/wall_clock.rs.fixture");
     let diags = lint_source("crates/sim/src/system.rs", clock, CrateScope::SimFacing);
     assert_eq!(lines_for(&diags, Rule::WallClock), vec![2, 3, 6, 7, 8]);

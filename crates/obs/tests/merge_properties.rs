@@ -96,8 +96,8 @@ proptest! {
 
     /// Associativity: the stream re-chunked at any granularity — and the
     /// chunk snapshots merged in any tree shape — equals the single-stream
-    /// snapshot. This is what makes an epoch-merged parallel run agree
-    /// with a serial one regardless of how work was partitioned.
+    /// snapshot. This is what makes per-channel snapshots merge to the
+    /// same totals regardless of how work was partitioned.
     #[test]
     fn prop_merge_is_associative_under_rechunking(
         vs in proptest::collection::vec(1u64..1_000_000, 3..160),

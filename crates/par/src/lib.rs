@@ -2,8 +2,8 @@
 //!
 //! A vendored scoped thread pool (the build environment has no crates.io
 //! access; same offline pattern as the `proptest` and `criterion` shims,
-//! modeled on the `scoped_threadpool` crate's API; its only workspace
-//! dependency is the inert-when-disabled `pcmap-prof` observer). Two
+//! modeled on the `scoped_threadpool` crate's API; it has no workspace
+//! dependencies). Two
 //! properties matter more than raw throughput here:
 //!
 //! 1. **A fixed worker count** chosen up front ([`Pool::new`]), so a run's
@@ -69,8 +69,7 @@ impl ScopeState {
 /// A fixed-size scoped thread pool.
 ///
 /// Workers are spawned once in [`Pool::new`] and live until the pool is
-/// dropped, so per-epoch dispatch inside the simulator's event loop does
-/// not pay thread-spawn costs. Closures handed to [`Scope::execute`] may
+/// dropped, so repeated dispatch does not pay thread-spawn costs. Closures handed to [`Scope::execute`] may
 /// borrow from the caller's stack; [`Pool::scoped`] joins every spawned
 /// closure before it returns, which is what makes those borrows sound.
 pub struct Pool {
@@ -228,7 +227,6 @@ impl<'scope> Scope<'_, 'scope> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        pcmap_prof::bump(pcmap_prof::Counter::PoolJobs);
         if self.inline {
             f();
             return;
@@ -263,9 +261,6 @@ impl<'scope> Scope<'_, 'scope> {
 
 impl Drop for Scope<'_, '_> {
     fn drop(&mut self) {
-        // The join below is the epoch barrier: the span measures how long
-        // the scoping thread waits for its slowest worker.
-        let _span = pcmap_prof::span(pcmap_prof::SpanId::ParBarrier);
         let mut pending = self.state.pending.lock().expect("scope lock");
         while *pending > 0 {
             pending = self.state.all_done.wait(pending).expect("scope lock");

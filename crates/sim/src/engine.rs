@@ -32,19 +32,6 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Engine selected by the `PCMAP_ENGINE` environment variable
-    /// (`cycle` or `event`); unset or empty means [`Engine::Event`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        // pcmap-lint: allow(nondet-taint, reason = "PCMAP_ENGINE selects between the two engines whose equivalence the pardiff/differential suites prove; either choice yields byte-identical results")
-        match std::env::var("PCMAP_ENGINE") {
-            Ok(s) if !s.is_empty() => s
-                .parse()
-                .unwrap_or_else(|e: String| panic!("PCMAP_ENGINE: {e}")),
-            _ => Self::Event,
-        }
-    }
-
     /// Stable label (flag value / report field).
     #[must_use]
     pub fn label(self) -> &'static str {

@@ -66,12 +66,6 @@ impl SweepRunner {
         self.pool.jobs()
     }
 
-    /// The underlying pool (for the intra-run channel engine,
-    /// [`System::run_parallel`]).
-    pub fn pool(&mut self) -> &mut Pool {
-        &mut self.pool
-    }
-
     /// Ordered parallel map over arbitrary sweep items: `out[i] =
     /// f(items[i])` regardless of which worker finished first.
     pub fn map<T, R, F>(&mut self, items: Vec<T>, f: F) -> Vec<R>

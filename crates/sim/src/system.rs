@@ -12,7 +12,6 @@ use pcmap_obs::{
     CounterId, Event, EventKind, EventLog, EventSink, LifecycleReport, MetricRegistry,
     MetricsSnapshot, StallBreakdown, Value, WindowedSeries, NO_REQ,
 };
-use pcmap_par::Pool;
 use pcmap_types::{
     BankId, CoreId, CpuParams, Cycle, FaultConfig, MemOrg, QueueParams, ServeSummary, TimingParams,
     Xoshiro256,
@@ -581,42 +580,14 @@ impl System {
         &mut self.ctrls
     }
 
-    /// Runs to completion serially and produces the report. The engine
-    /// comes from `PCMAP_ENGINE` ([`Engine::from_env`], default event).
+    /// Runs to completion under the event engine and produces the report.
     pub fn run(self) -> RunReport {
-        self.run_engine(None, Engine::from_env())
+        self.run_with_engine(Engine::Event)
     }
 
-    /// Runs serially under an explicit [`Engine`] (differential testing).
-    pub fn run_with_engine(self, engine: Engine) -> RunReport {
-        self.run_engine(None, engine)
-    }
-
-    /// Runs to completion with intra-run channel parallelism: each memory
-    /// channel (controller + DIMM/rank/wear state, all channel-private)
-    /// advances on its own pool worker between CPU↔memory barriers.
-    ///
-    /// The engine is epoch-based lockstep. One event-loop iteration is one
-    /// epoch: deliveries and core polling (the only cross-channel
-    /// interaction points) run on the driving thread and form the barrier;
-    /// the per-channel `step` calls inside the epoch are independent and
-    /// run concurrently. Completions are merged back in channel-index
-    /// order — the exact insertion sequence the serial engine produces —
-    /// so the resulting [`RunReport`] is byte-identical to [`System::run`]
-    /// (`crates/sim/tests/par_equiv.rs` proves this; DESIGN.md §9 states
-    /// the determinism contract).
-    ///
-    /// With a serial pool (`--jobs 1`) this takes exactly the serial path.
-    pub fn run_parallel(self, pool: &mut Pool) -> RunReport {
-        self.run_engine(Some(pool), Engine::from_env())
-    }
-
-    /// Runs with channel parallelism under an explicit [`Engine`].
-    pub fn run_parallel_with_engine(self, pool: &mut Pool, engine: Engine) -> RunReport {
-        self.run_engine(Some(pool), engine)
-    }
-
-    fn run_engine(mut self, mut pool: Option<&mut Pool>, engine: Engine) -> RunReport {
+    /// Runs to completion under an explicit [`Engine`] (differential
+    /// testing; both engines yield byte-identical reports).
+    pub fn run_with_engine(mut self, engine: Engine) -> RunReport {
         let mut now = Cycle(0);
         // Event engine: heap of cached component horizons. Channel
         // horizons come from `Controller::next_tick`, core horizons from
@@ -624,65 +595,23 @@ impl System {
         // every epoch, so the two engines jump to identical cycles.
         let mut heap =
             (engine == Engine::Event).then(|| EventHeap::new(self.ctrls.len(), self.cores.len()));
-        // Scratch completion buffers, one per channel, reused each epoch.
-        let mut epoch_out: Vec<Vec<Completion>> = Vec::new();
-        epoch_out.resize_with(self.ctrls.len(), Vec::new);
         loop {
-            pcmap_prof::bump(pcmap_prof::Counter::Epochs);
             // 1. Deliver due completions to cores.
-            {
-                let _span = pcmap_prof::span(pcmap_prof::SpanId::SimDeliver);
-                while let Some(Reverse(d)) = self.deliveries.peek().copied() {
-                    if d.when > now {
-                        break;
-                    }
-                    self.deliveries.pop();
-                    self.deliver(d, now);
+            while let Some(Reverse(d)) = self.deliveries.peek().copied() {
+                if d.when > now {
+                    break;
                 }
+                self.deliveries.pop();
+                self.deliver(d, now);
             }
 
             // 2. Let cores act and enqueue requests.
-            {
-                let _span = pcmap_prof::span(pcmap_prof::SpanId::SimPoll);
-                self.poll_cores(now);
-            }
+            self.poll_cores(now);
 
-            // 3. Step controllers — the epoch body. Channels share no
-            // state with each other, only with the CPU side (steps 1-2
-            // above, the barrier), so they may advance concurrently; the
-            // completion merge below is in channel-index order either
-            // way, keeping the delivery heap's insertion sequence — and
-            // therefore everything downstream — identical to the serial
-            // engine's.
-            let par = match pool.as_deref_mut() {
-                Some(p) if !p.is_serial() && self.channels_due(now) >= 2 => Some(p),
-                _ => None,
-            };
-            let _step_span = pcmap_prof::span(pcmap_prof::SpanId::SimStep);
-            if let Some(p) = par {
-                pcmap_prof::bump(pcmap_prof::Counter::EpochsParallel);
-                p.scoped(|scope| {
-                    for (ch, (ctrl, out)) in
-                        self.ctrls.iter_mut().zip(epoch_out.iter_mut()).enumerate()
-                    {
-                        scope.execute(move || {
-                            // Tag this worker so occupancy recorded inside
-                            // `ctrl.step` lands in the right channel bucket.
-                            pcmap_prof::set_channel(ch);
-                            *out = ctrl.step(now);
-                        });
-                    }
-                });
-            } else {
-                for (ch, (ctrl, out)) in self.ctrls.iter_mut().zip(epoch_out.iter_mut()).enumerate()
-                {
-                    pcmap_prof::set_channel(ch);
-                    *out = ctrl.step(now);
-                }
-            }
-            drop(_step_span);
-            for (ch, out) in epoch_out.iter_mut().enumerate() {
-                for comp in std::mem::take(out) {
+            // 3. Step controllers in channel order; completions enter the
+            // delivery heap in that order.
+            for ch in 0..self.ctrls.len() {
+                for comp in self.ctrls[ch].step(now) {
                     self.push_completion(ch, comp);
                 }
             }
@@ -754,11 +683,9 @@ impl System {
             }
         }
 
-        for (ch, ctrl) in self.ctrls.iter_mut().enumerate() {
-            pcmap_prof::set_channel(ch);
+        for ctrl in &mut self.ctrls {
             ctrl.settle(Cycle::MAX);
         }
-        pcmap_prof::note_run_cycles(now.0);
         self.report(now)
     }
 
@@ -951,9 +878,6 @@ impl System {
             arrival: now,
         };
 
-        // Enqueue may reserve chip occupancy (forwarded reads issue
-        // inline), so the channel context must be current here too.
-        pcmap_prof::set_channel(ch);
         let outcome = if is_read {
             self.ctrls[ch].enqueue_read(req, now).map(|fwd| {
                 self.cores[i].read_issued();
@@ -999,16 +923,6 @@ impl System {
                 false
             }
         }
-    }
-
-    /// Channels that can make progress at exactly `now` — the epoch only
-    /// pays pool-dispatch overhead when at least two have work (dispatch
-    /// choice never changes state: every channel is stepped either way).
-    fn channels_due(&self, now: Cycle) -> usize {
-        self.ctrls
-            .iter()
-            .filter(|c| c.next_tick().is_some_and(|w| w <= now))
-            .count()
     }
 
     fn finished(&self, _now: Cycle) -> bool {
@@ -1275,39 +1189,6 @@ mod tests {
         assert_eq!(off.essential_histogram, on.essential_histogram);
         assert_eq!(off.reads_via_row, on.reads_via_row);
         assert_eq!(off.rollbacks, on.rollbacks);
-    }
-
-    #[test]
-    fn profiling_does_not_change_simulation() {
-        // The determinism contract for pcmap-prof (ISSUE 6 / DESIGN.md
-        // §12): enabling spans, counters, occupancy, and trace capture
-        // must leave the RunReport byte-identical — the profiler observes
-        // wall time and occupancy, never simulated state.
-        let wl = catalog::by_name("streamcluster").unwrap();
-        let cfg = SimConfig::paper_default(SystemKind::RwowRde).with_requests(600);
-        let off = System::new(cfg.clone(), wl.clone()).run();
-        pcmap_prof::enable();
-        pcmap_prof::enable_trace();
-        let on = System::new(cfg.clone(), wl.clone()).run();
-        // Parallel engine under profiling too: same bytes again.
-        let mut pool = Pool::new(4);
-        let on_par = System::new(cfg, wl).run_parallel(&mut pool);
-        pcmap_prof::disable_trace();
-        pcmap_prof::disable();
-        assert_eq!(
-            off.to_json().to_json_string(),
-            on.to_json().to_json_string(),
-            "profiling must be determinism-neutral (serial engine)"
-        );
-        assert_eq!(
-            off.to_json().to_json_string(),
-            on_par.to_json().to_json_string(),
-            "profiling must be determinism-neutral (parallel engine)"
-        );
-        // And it actually observed the runs: occupancy was recorded.
-        let (runs, cycles) = pcmap_prof::run_totals();
-        assert!(runs >= 2, "profiler saw {runs} runs");
-        assert!(cycles > 0);
     }
 
     #[test]

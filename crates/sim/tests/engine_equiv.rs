@@ -1,7 +1,7 @@
 //! Differential battery for the two execution engines (DESIGN.md §14).
 //!
 //! The equivalence contract: for every golden scenario (fig08 / fig10 /
-//! tab04), fault regime, tracing configuration, and jobs count, the
+//! tab04), fault regime, and tracing configuration, the
 //! discrete-event engine ([`pcmap_sim::Engine::Event`]) must reproduce
 //! the cycle engine's ([`pcmap_sim::Engine::Cycle`]) `RunReport` JSON
 //! **byte-for-byte**. Both engines run the same guarded component model
@@ -11,7 +11,6 @@
 //! first-byte diff.
 
 use pcmap_core::{RollbackMode, SystemKind};
-use pcmap_par::Pool;
 use pcmap_sim::{Engine, SimConfig, System};
 use pcmap_types::FaultConfig;
 use pcmap_workloads::catalog;
@@ -28,36 +27,13 @@ fn engine_json(c: &SimConfig, workload: &str, engine: Engine) -> String {
         .to_json_string()
 }
 
-fn engine_json_jobs(c: &SimConfig, workload: &str, engine: Engine, jobs: usize) -> String {
-    let wl = catalog::by_name(workload).expect("catalog workload");
-    let mut pool = Pool::new(jobs);
-    System::new(c.clone(), wl)
-        .run_parallel_with_engine(&mut pool, engine)
-        .to_json()
-        .to_json_string()
-}
-
-/// Asserts the full engine × jobs matrix for one configuration: event
-/// serial, event jobs-1, event jobs-4, and cycle jobs-4 must all equal
-/// cycle serial byte-for-byte.
+/// Asserts that the event engine reproduces the cycle engine's report
+/// for one configuration byte-for-byte.
 fn assert_engines_agree(c: &SimConfig, workload: &str, label: &str) {
-    let reference = engine_json(c, workload, Engine::Cycle);
     assert_eq!(
-        reference,
+        engine_json(c, workload, Engine::Cycle),
         engine_json(c, workload, Engine::Event),
-        "event != cycle (serial) for {label}"
-    );
-    for jobs in [1usize, 4] {
-        assert_eq!(
-            reference,
-            engine_json_jobs(c, workload, Engine::Event, jobs),
-            "event@jobs{jobs} != cycle for {label}"
-        );
-    }
-    assert_eq!(
-        reference,
-        engine_json_jobs(c, workload, Engine::Cycle, 4),
-        "cycle@jobs4 != cycle for {label}"
+        "event != cycle for {label}"
     );
 }
 
@@ -143,11 +119,10 @@ fn engines_agree_with_lifecycle_tracing_on() {
     assert_eq!(la.merged.requests, lb.merged.requests);
 }
 
-/// `PCMAP_ENGINE` unset must default to the event engine and `run()`
-/// must agree with the explicit-engine entry points.
+/// `run()` uses the event engine and agrees with the explicit-engine
+/// entry points.
 #[test]
 fn default_engine_is_event_and_run_agrees() {
-    assert_eq!(Engine::from_env(), Engine::Event);
     let c = cfg(SystemKind::RwowRde, 400);
     let wl = catalog::by_name("streamcluster").expect("catalog workload");
     let via_run = System::new(c.clone(), wl.clone())

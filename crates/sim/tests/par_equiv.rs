@@ -1,12 +1,12 @@
-//! Equivalence harness for the parallel engines (DESIGN.md §9).
+//! Equivalence harness for sweep-level parallelism (DESIGN.md §9).
 //!
 //! The determinism contract: for every workload, system kind, scale, and
-//! rollback mode, the parallel channel engine ([`System::run_parallel`])
-//! and the sweep pool ([`SweepRunner`]) must produce `RunReport`s whose
+//! rollback mode, the sweep pool ([`SweepRunner`]) must produce
+//! `RunReport`s whose
 //! [`RunReport::to_json`](pcmap_sim::RunReport::to_json) rendering is
-//! **byte-identical** to the serial engine's — merged latency histograms,
-//! windowed IRLP/throughput series, per-channel snapshots and all. Any
-//! scheduling leak (heap insertion order, RNG stream sharing, snapshot
+//! **byte-identical** at every job count and in input order — merged
+//! latency histograms, windowed IRLP/throughput series, per-channel
+//! snapshots and all. Any scheduling leak (RNG stream sharing, snapshot
 //! merge order) shows up here as a first-byte diff.
 
 use pcmap_core::{RollbackMode, SystemKind};
@@ -23,56 +23,13 @@ fn serial_json(c: &SimConfig, workload: &str) -> String {
     System::new(c.clone(), wl).run().to_json().to_json_string()
 }
 
-fn parallel_json(c: &SimConfig, workload: &str, jobs: usize) -> String {
-    let wl = catalog::by_name(workload).expect("catalog workload");
-    let mut pool = Pool::new(jobs);
-    System::new(c.clone(), wl)
-        .run_parallel(&mut pool)
-        .to_json()
-        .to_json_string()
-}
-
-/// The headline matrix: {baseline, PCMap} × {2 workloads} × {2 scales},
-/// parallel channel engine at 4 workers vs the serial engine.
-#[test]
-fn channel_engine_json_is_byte_identical_to_serial() {
-    for kind in [SystemKind::Baseline, SystemKind::RwowRde] {
-        for workload in ["streamcluster", "canneal"] {
-            for requests in [400u64, 1500] {
-                let c = cfg(kind, requests);
-                let serial = serial_json(&c, workload);
-                let par = parallel_json(&c, workload, 4);
-                assert_eq!(
-                    serial, par,
-                    "parallel != serial for {kind:?}/{workload}/{requests}"
-                );
-            }
-        }
-    }
-}
-
-/// Rollback accounting runs its own per-core RNG streams; the always-
-/// faulty mode must stay on them regardless of which worker steps the
-/// channel.
-#[test]
-fn channel_engine_matches_serial_under_rollback_accounting() {
-    let c = cfg(SystemKind::RwowNr, 1200).with_rollback(RollbackMode::AlwaysFaulty);
-    assert_eq!(serial_json(&c, "canneal"), parallel_json(&c, "canneal", 4));
-}
-
-/// Worker count must not matter — only `1` takes the threadless path, but
-/// 2, 4, and 8 workers must all agree with it bit-for-bit.
-#[test]
-fn channel_engine_is_worker_count_invariant() {
-    let c = cfg(SystemKind::RwowRde, 800);
-    let serial = serial_json(&c, "streamcluster");
-    for jobs in [1usize, 2, 4, 8] {
-        assert_eq!(
-            serial,
-            parallel_json(&c, "streamcluster", jobs),
-            "jobs = {jobs}"
-        );
-    }
+/// Renders every point's report through a sweep pool of `jobs` workers.
+fn sweep_json(points: Vec<SweepPoint>, jobs: usize) -> Vec<String> {
+    SweepRunner::new(jobs)
+        .run_points(points)
+        .iter()
+        .map(|r| r.to_json().to_json_string())
+        .collect()
 }
 
 /// A `--jobs 1` pool must be the serial path (no worker threads at all),
@@ -86,11 +43,12 @@ fn jobs_one_pool_is_threadless() {
 
 /// Sweep-level parallelism: farming (workload × kind) `run_one` points to
 /// 4 workers must reproduce the serial sweep byte-for-byte, in input
-/// order.
+/// order. The always-faulty rollback point keeps the per-core rollback
+/// RNG streams under the same check.
 #[test]
 fn sweep_runner_json_is_byte_identical_and_input_ordered() {
     let points = || -> Vec<SweepPoint> {
-        ["streamcluster", "canneal"]
+        let mut points: Vec<SweepPoint> = ["streamcluster", "canneal"]
             .iter()
             .flat_map(|w| {
                 let wl = catalog::by_name(w).expect("catalog workload");
@@ -105,85 +63,54 @@ fn sweep_runner_json_is_byte_identical_and_input_ordered() {
                     workload: wl.clone(),
                 })
             })
-            .collect()
+            .collect();
+        points.push(SweepPoint {
+            cfg: cfg(SystemKind::RwowNr, 1200).with_rollback(RollbackMode::AlwaysFaulty),
+            workload: catalog::by_name("canneal").expect("catalog workload"),
+        });
+        points
     };
-    let serial: Vec<String> = SweepRunner::new(1)
-        .run_points(points())
-        .iter()
-        .map(|r| r.to_json().to_json_string())
-        .collect();
-    let par: Vec<String> = SweepRunner::new(4)
-        .run_points(points())
-        .iter()
-        .map(|r| r.to_json().to_json_string())
-        .collect();
-    assert_eq!(serial, par);
+    assert_eq!(sweep_json(points(), 1), sweep_json(points(), 4));
 }
 
-/// Profiling is a pure observer: a serial profiler-off run and a
-/// parallel profiler-on run (spans, counters, occupancy, trace capture
-/// all live) must still be byte-identical. This is the cross-engine
-/// variant of `profiling_does_not_change_simulation` and the acceptance
-/// gate for pcmap-prof's determinism-neutrality contract.
+/// The lifecycle tracer (ISSUE 7) is a pure observer: a traced run must
+/// render byte-identical RunReport JSON to an untraced one. The full
+/// timeline report is carried out-of-band (`RunReport::lifecycle`,
+/// excluded from `to_json`), so the only JSON-visible tracer output is
+/// the `lifetrace_dropped` counter — which must be 0 here.
 #[test]
-fn profiled_parallel_run_is_byte_identical_to_unprofiled_serial() {
-    let c = cfg(SystemKind::RwowRde, 1200);
-    let baseline = serial_json(&c, "canneal");
-    pcmap_prof::enable();
-    pcmap_prof::enable_trace();
-    let profiled = parallel_json(&c, "canneal", 4);
-    pcmap_prof::disable_trace();
-    pcmap_prof::disable();
-    assert_eq!(
-        baseline, profiled,
-        "profiling leaked into the simulation state"
-    );
-}
-
-/// The lifecycle tracer (ISSUE 7) is a pure observer too: a serial
-/// untraced run and parallel traced runs at several worker counts must
-/// all render byte-identical RunReport JSON. The full timeline report is
-/// carried out-of-band (`RunReport::lifecycle`, excluded from
-/// `to_json`), so the only JSON-visible tracer output is the
-/// `lifetrace_dropped` counter — which must be 0 here.
-#[test]
-fn lifetraced_parallel_run_is_byte_identical_to_untraced_serial() {
+fn lifetraced_run_is_byte_identical_to_untraced() {
     let c = cfg(SystemKind::RwowRde, 1200);
     let baseline = serial_json(&c, "canneal");
     let wl = catalog::by_name("canneal").expect("catalog workload");
-    for jobs in [1usize, 4] {
-        let mut pool = Pool::new(jobs);
-        let mut sys = System::new(c.clone(), wl.clone());
-        sys.enable_lifecycle_tracing();
-        let r = sys.run_parallel(&mut pool);
-        assert_eq!(r.lifetrace_dropped, 0);
-        let lc = r.lifecycle.as_ref().expect("tracing was on");
-        assert_eq!(lc.merged.violations, 0, "jobs = {jobs}");
-        assert_eq!(
-            baseline,
-            r.to_json().to_json_string(),
-            "lifecycle tracing leaked into the simulation at jobs = {jobs}"
-        );
-    }
+    let mut sys = System::new(c, wl);
+    sys.enable_lifecycle_tracing();
+    let r = sys.run();
+    assert_eq!(r.lifetrace_dropped, 0);
+    let lc = r.lifecycle.as_ref().expect("tracing was on");
+    assert_eq!(lc.merged.violations, 0);
+    assert_eq!(
+        baseline,
+        r.to_json().to_json_string(),
+        "lifecycle tracing leaked into the simulation"
+    );
 }
 
-/// Fault injection must not weaken the contract: each channel's
-/// `FaultPlan` is channel-private state stepped in the same order by both
-/// engines, so a seeded fault storm must stay byte-identical across
-/// worker counts — recovery retries, watchdog trips, degradation windows,
-/// corruption rollbacks and all.
+/// Fault injection must not weaken the contract: each run's `FaultPlan`s
+/// are run-private state, so a seeded fault storm must stay byte-identical
+/// between a serial sweep and a 4-worker one — recovery retries, watchdog
+/// trips, degradation windows, corruption rollbacks and all.
 #[test]
-fn fault_storm_json_is_byte_identical_across_engines() {
+fn fault_storm_json_is_byte_identical_across_job_counts() {
     use pcmap_types::FaultConfig;
-    for kind in [SystemKind::Baseline, SystemKind::RwowRde] {
-        let c = cfg(kind, 1000).with_faults(FaultConfig::storm(0.04, 0xFEED));
-        let serial = serial_json(&c, "canneal");
-        for jobs in [2usize, 4] {
-            assert_eq!(
-                serial,
-                parallel_json(&c, "canneal", jobs),
-                "faulty run diverged for {kind:?} at jobs = {jobs}"
-            );
-        }
-    }
+    let points = || -> Vec<SweepPoint> {
+        [SystemKind::Baseline, SystemKind::RwowRde]
+            .into_iter()
+            .map(|kind| SweepPoint {
+                cfg: cfg(kind, 1000).with_faults(FaultConfig::storm(0.04, 0xFEED)),
+                workload: catalog::by_name("canneal").expect("catalog workload"),
+            })
+            .collect()
+    };
+    assert_eq!(sweep_json(points(), 1), sweep_json(points(), 4));
 }

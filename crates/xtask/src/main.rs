@@ -2,20 +2,17 @@
 //! workspace binary that shells out to cargo).
 //!
 //! ```text
-//! cargo xtask ci       # fmt --check, lint, analyze, clippy -D warnings, test, check, pardiff, soak, explain, perf --smoke
+//! cargo xtask ci       # fmt --check, lint, analyze, clippy -D warnings, test, check, pardiff, soak, explain, perfbench -> results/perfbench.txt
 //! cargo xtask fmt      # rustfmt the whole tree
 //! cargo xtask lint     # pcmap-lint determinism/hygiene pass -> results/lint.json
 //! cargo xtask analyze  # pcmap-analyze semantic passes -> results/analyze.json
 //! cargo xtask clippy   # clippy -D warnings only
 //! cargo xtask check    # PCMAP_CHECK=1 release experiment runs (protocol invariants)
-//! cargo xtask pardiff  # serial vs parallel JSON byte-diff gate
+//! cargo xtask pardiff  # --jobs 1 vs 4 and cycle vs event JSON byte-diff gate
 //! cargo xtask soak     # seeded fault-storm recovery gate -> results/soak.json
 //! cargo xtask serve-soak # overload-safe ingestion gate -> results/serve_soak.json
 //! cargo xtask explain  # lifecycle conservation gate -> results/explain.json
-//! cargo xtask perf     # performance trajectory -> BENCH_<n>.json (--smoke, --alloc)
 //! ```
-
-mod perf;
 
 use std::env;
 use std::fs;
@@ -135,12 +132,10 @@ fn check() -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the simulator serially and in parallel and byte-compares the
-/// exported JSON — the end-to-end determinism gate behind `--jobs N`
-/// (DESIGN.md §9). Exercises both parallel modes: the sweep pool
-/// (`--all` farms six system runs to workers) and the channel mode (a
-/// single run steps its four controllers concurrently). Ends with the
-/// execution-engine differential ([`engine_diff`], DESIGN.md §14).
+/// Runs a six-system sweep (`--all`) at `--jobs 1` and `--jobs 4` and
+/// byte-compares the exported JSON — the end-to-end determinism gate
+/// behind `--jobs N` (DESIGN.md §9). Ends with the execution-engine
+/// differential ([`engine_diff`], DESIGN.md §14).
 fn pardiff() -> Result<(), String> {
     step(
         "pardiff-build",
@@ -155,26 +150,13 @@ fn pardiff() -> Result<(), String> {
     )?;
     let dir = env::temp_dir().join("pcmap-pardiff");
     fs::create_dir_all(&dir).map_err(|e| format!("pardiff: mkdir: {e}"))?;
-    let pairs: &[(&str, &[&str])] = &[
-        ("sweep", &["--all", "--requests", "1500"]),
-        (
-            "channel",
+    let mut outputs = Vec::new();
+    for jobs in ["1", "4"] {
+        let path = dir.join(format!("sweep-jobs{jobs}.json"));
+        let path_str = path.to_string_lossy().into_owned();
+        step(
+            &format!("pardiff-sweep-jobs{jobs}"),
             &[
-                "--workload",
-                "canneal",
-                "--system",
-                "rwow-rde",
-                "--requests",
-                "1500",
-            ],
-        ),
-    ];
-    for (label, base) in pairs {
-        let mut outputs = Vec::new();
-        for jobs in ["1", "4"] {
-            let path = dir.join(format!("{label}-jobs{jobs}.json"));
-            let path_str = path.to_string_lossy().into_owned();
-            let mut args: Vec<&str> = vec![
                 "run",
                 "--release",
                 "-q",
@@ -183,24 +165,27 @@ fn pardiff() -> Result<(), String> {
                 "--bin",
                 "pcmap_run",
                 "--",
-            ];
-            args.extend_from_slice(base);
-            args.extend_from_slice(&["--jobs", jobs, "--json", &path_str]);
-            step(&format!("pardiff-{label}-jobs{jobs}"), &args)?;
-            outputs.push(fs::read(&path).map_err(|e| format!("pardiff: read {path_str}: {e}"))?);
-        }
-        if outputs[0] != outputs[1] {
-            return Err(format!(
-                "pardiff: {label}: --jobs 4 JSON differs from --jobs 1 \
-                 (artifacts in {})",
-                dir.display()
-            ));
-        }
-        println!(
-            "xtask: pardiff {label}: --jobs 1 == --jobs 4 ({} bytes)",
-            outputs[0].len()
-        );
+                "--all",
+                "--requests",
+                "1500",
+                "--jobs",
+                jobs,
+                "--json",
+                &path_str,
+            ],
+        )?;
+        outputs.push(fs::read(&path).map_err(|e| format!("pardiff: read {path_str}: {e}"))?);
     }
+    if outputs[0] != outputs[1] {
+        return Err(format!(
+            "pardiff: sweep: --jobs 4 JSON differs from --jobs 1 (artifacts in {})",
+            dir.display()
+        ));
+    }
+    println!(
+        "xtask: pardiff sweep: --jobs 1 == --jobs 4 ({} bytes)",
+        outputs[0].len()
+    );
     engine_diff(&dir)
 }
 
@@ -217,8 +202,6 @@ fn engine_diff(dir: &std::path::Path) -> Result<(), String> {
         "rwow-rde",
         "--requests",
         "1500",
-        "--jobs",
-        "4",
     ];
     let mut outputs = Vec::new();
     for engine in ["cycle", "event"] {
@@ -244,7 +227,7 @@ fn engine_diff(dir: &std::path::Path) -> Result<(), String> {
     report.set("tool", Value::Str("pcmap-engine-diff".to_owned()));
     report.set(
         "scenario",
-        Value::Str("canneal/rwow-rde/1500 requests/jobs 4".to_owned()),
+        Value::Str("canneal/rwow-rde/1500 requests".to_owned()),
     );
     report.set(
         "engines",
@@ -348,9 +331,46 @@ fn explain() -> Result<(), String> {
     )
 }
 
+/// The host-speed benchmark (`perfbench/`, its own package): its
+/// fidelity tests pin the simulator API it drives, then one short pass
+/// over every workload lands in `results/perfbench.txt`.
+fn perfbench() -> Result<(), String> {
+    step(
+        "perfbench-test",
+        &[
+            "test",
+            "--release",
+            "--manifest-path",
+            "perfbench/Cargo.toml",
+        ],
+    )?;
+    let args = [
+        "perfbench/run.py",
+        "--workload",
+        "all",
+        "--seed",
+        "1",
+        "--seconds",
+        "1",
+    ];
+    println!("xtask: python3 {} > results/perfbench.txt", args.join(" "));
+    fs::create_dir_all("results").map_err(|e| format!("perfbench: mkdir: {e}"))?;
+    let out = fs::File::create("results/perfbench.txt")
+        .map_err(|e| format!("perfbench: create results/perfbench.txt: {e}"))?;
+    let status = Command::new("python3")
+        .args(args)
+        .stdout(out)
+        .status()
+        .map_err(|e| format!("perfbench: {e}"))?;
+    if status.success() {
+        Ok(())
+    } else {
+        Err("perfbench".to_owned())
+    }
+}
+
 fn main() -> ExitCode {
     let task = env::args().nth(1).unwrap_or_default();
-    let rest: Vec<String> = env::args().skip(2).collect();
     let result = match task.as_str() {
         "ci" => fmt_check()
             .and_then(|()| lint())
@@ -362,7 +382,7 @@ fn main() -> ExitCode {
             .and_then(|()| soak())
             .and_then(|()| serve_soak())
             .and_then(|()| explain())
-            .and_then(|()| perf::perf(true, false)),
+            .and_then(|()| perfbench()),
         "fmt" => step("fmt", &["fmt", "--all"]),
         "lint" => lint(),
         "analyze" => analyze(),
@@ -373,13 +393,9 @@ fn main() -> ExitCode {
         "soak" => soak(),
         "serve-soak" => serve_soak(),
         "explain" => explain(),
-        "perf" => perf::perf(
-            rest.iter().any(|a| a == "--smoke"),
-            rest.iter().any(|a| a == "--alloc"),
-        ),
         _ => {
             eprintln!(
-                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|check|pardiff|soak|serve-soak|explain|perf [--smoke] [--alloc]>"
+                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|check|pardiff|soak|serve-soak|explain>"
             );
             return ExitCode::from(2);
         }
