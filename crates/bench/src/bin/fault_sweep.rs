@@ -59,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
         csv: None,
         soak: None,
     };
-    if let Some(f) = pcmap_bench::faults_from_env() {
+    if let Some(f) = pcmap_bench::faults_from_env()? {
         args.rates = vec![f.rate];
         args.fault_seed = f.seed;
     }

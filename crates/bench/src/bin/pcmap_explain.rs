@@ -62,7 +62,7 @@ fn parse_args() -> Result<Args, String> {
         fault_seed: pcmap_bench::DEFAULT_FAULT_SEED,
         smoke: false,
     };
-    if let Some(f) = pcmap_bench::faults_from_env() {
+    if let Some(f) = pcmap_bench::faults_from_env()? {
         args.fault_rate = f.rate;
         args.fault_seed = f.seed;
     }

@@ -73,7 +73,7 @@ fn parse_args() -> Result<Args, String> {
         engine: Engine::Event,
     };
     // `PCMAP_FAULTS=RATE[:SEED]` seeds the defaults; explicit flags win.
-    if let Some(f) = pcmap_bench::faults_from_env() {
+    if let Some(f) = pcmap_bench::faults_from_env()? {
         args.fault_rate = f.rate;
         args.fault_seed = f.seed;
     }

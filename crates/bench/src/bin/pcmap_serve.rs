@@ -42,7 +42,7 @@ fn parse_args() -> Result<Args, String> {
         json: None,
         soak: None,
     };
-    if let Some(f) = pcmap_bench::faults_from_env() {
+    if let Some(f) = pcmap_bench::faults_from_env()? {
         args.cfg.faults = f;
     }
     let mut soak = false;

@@ -118,10 +118,21 @@ pub fn parse_fault_spec(spec: &str) -> Option<pcmap_types::FaultConfig> {
 }
 
 /// Fault configuration from the `PCMAP_FAULTS` environment variable
-/// (`RATE` or `RATE:SEED`), if set and well-formed. Lets any experiment
-/// binary run under a fault storm without new flags.
-pub fn faults_from_env() -> Option<pcmap_types::FaultConfig> {
-    parse_fault_spec(&std::env::var("PCMAP_FAULTS").ok()?)
+/// (`RATE` or `RATE:SEED`), or `None` when it is unset or empty. Lets any
+/// experiment binary run under a fault storm without new flags.
+///
+/// # Errors
+///
+/// Returns a message naming the variable when it is set but malformed.
+pub fn faults_from_env() -> Result<Option<pcmap_types::FaultConfig>, String> {
+    match std::env::var("PCMAP_FAULTS") {
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Ok(spec) if spec.is_empty() => Ok(None),
+        Ok(spec) => parse_fault_spec(&spec).map(Some).ok_or_else(|| {
+            format!("PCMAP_FAULTS wants RATE or RATE:SEED (rate in [0, 1]), got '{spec}'")
+        }),
+        Err(e) => Err(format!("PCMAP_FAULTS: {e}")),
+    }
 }
 
 /// Runs the Figures 8–11 evaluation matrix on `runner` and appends the

@@ -31,11 +31,17 @@
 //! runs on every candidate write: only the data words are diffed, so the
 //! peek computes no ECC or PCC. Those are computed when the write stores
 //! its words and when a read verifies the line.
+//!
+//! The write pass decides the write-mode gate once, merges the per-bank
+//! queues oldest first in place, and skips a write while an older write
+//! to its line is queued. Blocked verdicts are never cached: each
+//! evaluation shows in the report (DESIGN.md §4b item 7).
 
 use crate::config::SystemKind;
 use crate::layout::Layout;
 use pcmap_ctrl::controller::{Controller, CtrlCore};
 use pcmap_ctrl::op;
+use pcmap_ctrl::queues::RequestQueue;
 use pcmap_ctrl::request::{Completion, MemRequest, ReqId, ReqKind};
 use pcmap_ctrl::stats::CtrlStats;
 use pcmap_ctrl::BusDir;
@@ -56,6 +62,20 @@ struct InflightWrite {
     /// Request id of the write (blocker attribution for the lifecycle
     /// tracer).
     req: u64,
+}
+
+/// The bank whose next unvisited write (at `cursor[bank]`) is oldest in
+/// `(arrival, id)` order, lowest bank first on a tie; `None` once every
+/// queue is exhausted. Each queue is already in that order, so repeated
+/// calls merge the queues without sorting.
+fn oldest_unvisited(qs: &[RequestQueue], cursor: &[usize]) -> Option<usize> {
+    qs.iter()
+        .zip(cursor)
+        .enumerate()
+        .filter(|&(_, (q, &pos))| pos < q.len())
+        .map(|(b, (q, &pos))| ((q[pos].arrival, q[pos].id), b))
+        .min()
+        .map(|(_, b)| b)
 }
 
 /// The PCMap controller for one channel.
@@ -138,18 +158,12 @@ impl PcmapController {
         self.layout
     }
 
-    fn has_inflight(&self, bank: BankId, now: Cycle) -> bool {
-        self.inflight
-            .iter()
-            .any(|w| w.bank == bank && w.data_end > now)
-    }
-
     fn prune_inflight(&mut self, now: Cycle) {
         self.inflight.retain(|w| w.data_end > now);
     }
 
-    /// Request id of the write currently occupying `bank`, if any
-    /// (lifecycle blocker attribution).
+    /// Request id of the write currently occupying `bank`, if any (overlap
+    /// detection and lifecycle blocker attribution).
     fn inflight_blocker(&self, bank: BankId, now: Cycle) -> Option<u64> {
         self.inflight
             .iter()
@@ -188,36 +202,37 @@ impl PcmapController {
     /// Returns `true` on issue.
     fn try_issue_write(&mut self, now: Cycle, out: &mut Vec<Completion>) -> bool {
         let degraded = self.rank_degraded(now);
-        // Gather candidates across bank queues, oldest first per bank.
-        let mut candidates: Vec<MemRequest> = Vec::new();
-        for q in &self.core.write_qs {
-            candidates.extend(q.iter().copied());
+        // Writes issue while the bus is in write mode (any drain active)
+        // or opportunistically after a read-idle window. The verdict holds
+        // for the whole pass; under read priority only the lifecycle
+        // tracer has anything to record.
+        let write_mode = self.core.any_draining() || self.core.read_idle(now);
+        if !write_mode && !self.core.lifetrace.enabled() {
+            return false;
         }
-        candidates.sort_by_key(|r| (r.arrival, r.id));
-        // Same-address write order must be preserved: once an older write
-        // to a line is skipped, newer writes to that line may not jump it.
-        let mut skipped_lines: Vec<pcmap_types::LineAddr> = Vec::new();
-        for req in candidates {
-            if skipped_lines.contains(&req.line) {
+        // Visit candidates oldest first across the bank queues by merging
+        // their heads in place (one cursor per bank a `u8` can name).
+        let mut cursor = [0usize; 1 << u8::BITS];
+        while let Some(b) = oldest_unvisited(&self.core.write_qs, &cursor) {
+            let pos = cursor[b];
+            cursor[b] += 1;
+            // Same-address write order must be preserved: a newer write to
+            // a line may not jump an older one this pass passed over.
+            if self.core.write_qs[b].older_to_same_line(pos) {
                 continue;
             }
-            let id = req.id;
-            let bank = req.loc.bank;
-            // Writes issue while the bus is in write mode (any drain
-            // active) or opportunistically after a read-idle window.
-            if !self.core.any_draining() && !self.core.read_idle(now) {
-                if self.core.lifetrace.enabled() {
-                    self.core.lifetrace.blocked(
-                        id.0,
-                        now,
-                        WaitCause::ReadPriority,
-                        Some(Resource::bank(bank)),
-                    );
-                }
-                skipped_lines.push(req.line);
+            let MemRequest { id, line, loc, .. } = self.core.write_qs[b][pos];
+            let bank = loc.bank;
+            if !write_mode {
+                self.core.lifetrace.blocked(
+                    id.0,
+                    now,
+                    WaitCause::ReadPriority,
+                    Some(Resource::bank(bank)),
+                );
                 continue;
             }
-            let overlapping = self.has_inflight(bank, now);
+            let overlapping = self.inflight_blocker(bank, now).is_some();
             // A degraded rank loses WoW speculation: overlapped writes
             // wait for the in-flight write like the baseline would.
             if overlapping && (!self.kind.wow_enabled() || degraded) {
@@ -244,7 +259,6 @@ impl PcmapController {
                     }
                     self.core.lifetrace.blocked(id.0, now, cause, Some(r));
                 }
-                skipped_lines.push(req.line);
                 continue;
             }
             let polls = if overlapping { self.poll_count() } else { 1 };
@@ -253,14 +267,14 @@ impl PcmapController {
             } else {
                 now
             };
-            let ReqKind::Write { data } = req.kind else {
-                continue;
-            };
 
             // Peek the essential set without mutating storage. Only data
             // words are diffed, so the peek computes no ECC or PCC.
-            let old = self.core.rank.peek_data(bank, req.loc.row, req.loc.col);
-            let mask = old.diff_words(&data);
+            let old = self.core.rank.peek_data(bank, loc.row, loc.col);
+            let ReqKind::Write { data } = &self.core.write_qs[b][pos].kind else {
+                unreachable!("write queue held a read")
+            };
+            let mask = old.diff_words(data);
 
             if mask.is_empty() {
                 // Silent store — or the tail of a split write whose words
@@ -268,12 +282,13 @@ impl PcmapController {
                 self.core
                     .checker
                     .status_poll_n(bank, now, start, overlapping, polls);
-                self.core.write_qs[bank.index()]
-                    .remove(id)
-                    .expect("still queued");
+                let req = self.core.write_qs[b].remove(id).expect("still queued");
+                let ReqKind::Write { data } = req.kind else {
+                    unreachable!("write queue held a read")
+                };
                 self.core
                     .rank
-                    .write_words(bank, req.loc.row, req.loc.col, data, mask);
+                    .write_words(bank, loc.row, loc.col, data, mask);
                 if let Some(pos) = self.split_in_progress.iter().position(|&r| r == id) {
                     self.split_in_progress.swap_remove(pos);
                 } else {
@@ -308,18 +323,10 @@ impl PcmapController {
             // right after the data phase (step 2). Per-word SET/RESET
             // variation is bounded by the worst case.
             let timing = self.core.rank.timing();
-            let data_chips = self.layout.chips_of_mask(req.line, mask);
+            let data_chips = self.layout.chips_of_mask(line, mask);
             if !timing.set_free_during(bank, data_chips, start, worst_end) {
                 self.core.stats.wr_blocked_data += 1;
-                // Event horizon: the window [start, worst_end) shifts
-                // rigidly with `now`, so the conflict clears once `start`
-                // reaches the last conflicting reservation end.
-                if let Some(e) = timing.blocked_until(bank, data_chips, start, worst_end) {
-                    self.core.retry_hint = Some(match self.core.retry_hint {
-                        Some(h) => h.min(Cycle(e.0 - (start.0 - now.0))),
-                        None => Cycle(e.0 - (start.0 - now.0)),
-                    });
-                }
+                let until = timing.blocked_until(bank, data_chips, start, worst_end);
                 if self.core.lifetrace.enabled() {
                     // Diagnose the first busy chip of the conflicting set.
                     let busy = data_chips
@@ -336,19 +343,21 @@ impl PcmapController {
                         .lifetrace
                         .blocked(id.0, now, WaitCause::WowSetConflict, Some(r));
                 }
-                skipped_lines.push(req.line);
+                // Event horizon: the window [start, worst_end) shifts
+                // rigidly with `now`, so the conflict clears once `start`
+                // reaches the last conflicting reservation end.
+                if let Some(e) = until {
+                    self.core.note_hint(Cycle(e.0 - (start.0 - now.0)));
+                }
                 continue;
             }
-            let ecc_chip = self.layout.ecc_chip(req.line);
+            let ecc_chip = self.layout.ecc_chip(line);
             let ecc_end = start + upd;
             if !timing.chip(bank, ecc_chip).is_free_during(start, ecc_end) {
                 self.core.stats.wr_blocked_ecc += 1;
                 // Event horizon: ECC update window shifts rigidly with now.
                 if let Some(e) = timing.chip(bank, ecc_chip).blocked_until(start, ecc_end) {
-                    self.core.retry_hint = Some(match self.core.retry_hint {
-                        Some(h) => h.min(Cycle(e.0 - (start.0 - now.0))),
-                        None => Cycle(e.0 - (start.0 - now.0)),
-                    });
+                    self.core.note_hint(Cycle(e.0 - (start.0 - now.0)));
                 }
                 if self.core.lifetrace.enabled() {
                     let mut r = Resource::chip(bank, ecc_chip);
@@ -359,10 +368,9 @@ impl PcmapController {
                         .lifetrace
                         .blocked(id.0, now, WaitCause::EccBusy, Some(r));
                 }
-                skipped_lines.push(req.line);
                 continue;
             }
-            let pcc_chip = self.layout.pcc_chip(req.line);
+            let pcc_chip = self.layout.pcc_chip(line);
             if !timing
                 .chip(bank, pcc_chip)
                 .is_free_during(worst_end, worst_end + upd)
@@ -374,10 +382,7 @@ impl PcmapController {
                     .chip(bank, pcc_chip)
                     .blocked_until(worst_end, worst_end + upd)
                 {
-                    self.core.retry_hint = Some(match self.core.retry_hint {
-                        Some(h) => h.min(Cycle(e.0 - (worst_end.0 - now.0))),
-                        None => Cycle(e.0 - (worst_end.0 - now.0)),
-                    });
+                    self.core.note_hint(Cycle(e.0 - (worst_end.0 - now.0)));
                 }
                 if self.core.lifetrace.enabled() {
                     let mut r = Resource::chip(bank, pcc_chip);
@@ -388,7 +393,6 @@ impl PcmapController {
                         .lifetrace
                         .blocked(id.0, now, WaitCause::PccBusy, Some(r));
                 }
-                skipped_lines.push(req.line);
                 continue;
             }
 
@@ -401,7 +405,7 @@ impl PcmapController {
                     .speculative_on_degraded(bank, start, degraded, "WoW write");
             }
             self.issue_fine_write(
-                req,
+                self.core.write_qs[b][pos],
                 now,
                 mask,
                 start,
@@ -632,17 +636,12 @@ impl PcmapController {
         overlap_everywhere: bool,
     ) -> Option<Completion> {
         let degraded = self.rank_degraded(now);
-        let ids: Vec<ReqId> = self.core.read_q.iter().map(|r| r.id).collect();
-        for id in ids {
-            let req = *self
-                .core
-                .read_q
-                .iter()
-                .find(|r| r.id == id)
-                .expect("still queued");
+        let bus_write_mode = self.core.any_draining();
+        // The queue only changes on issue, which ends the pass.
+        for pos in 0..self.core.read_q.len() {
+            let req = self.core.read_q[pos];
             let bank = req.loc.bank;
-            let bus_write_mode = self.core.any_draining();
-            let overlapping = self.has_inflight(bank, now);
+            let overlapping = self.inflight_blocker(bank, now).is_some();
             // Plain reads need the bus in read mode; overlap (RoW) reads
             // ride the sub-ranked lanes and work either way — during
             // drains they are the only way a read gets served (rule 1).
@@ -775,10 +774,7 @@ impl PcmapController {
                     // Event horizon: reconstruction waits on the PCC chip;
                     // its read window shifts rigidly with now.
                     if let Some(e) = timing.chip(bank, pcc_chip).blocked_until(start, data_ready) {
-                        self.core.retry_hint = Some(match self.core.retry_hint {
-                            Some(h) => h.min(Cycle(e.0 - (start.0 - now.0))),
-                            None => Cycle(e.0 - (start.0 - now.0)),
-                        });
+                        self.core.note_hint(Cycle(e.0 - (start.0 - now.0)));
                     }
                     if self.core.lifetrace.enabled() {
                         let mut r = Resource::chip(bank, pcc_chip);
@@ -804,10 +800,7 @@ impl PcmapController {
                             .min()
                     };
                     if let Some(e) = hint {
-                        self.core.retry_hint = Some(match self.core.retry_hint {
-                            Some(h) => h.min(Cycle(e.0 - (start.0 - now.0))),
-                            None => Cycle(e.0 - (start.0 - now.0)),
-                        });
+                        self.core.note_hint(Cycle(e.0 - (start.0 - now.0)));
                     }
                     if n >= 2 && self.kind.row_enabled() {
                         self.core.stats.row_blocked_multi_busy += 1;
@@ -1718,5 +1711,140 @@ mod tests {
         let nr = run(SystemKind::WowNr);
         let rde = run(SystemKind::RwowRde);
         assert!(rde < nr, "RDE drain end {rde:?} must beat NR {nr:?}");
+    }
+
+    #[test]
+    fn blocked_older_write_keeps_younger_same_line_write_queued() {
+        // A write in flight busies data chip `busy[0]`. An older queued
+        // write to line L needs that chip; a younger write to L needs only
+        // free chips, yet it may not jump the older one.
+        let run = |with_older: bool| -> (PcmapController, Vec<Completion>, MemRequest) {
+            let mut c = ctrl(SystemKind::RwowRde);
+            let a = write_req(&c, 1, 0, &[0], Cycle(0));
+            let l = c.layout();
+            let busy = [
+                l.chip_of_word(a.line, 0),
+                l.ecc_chip(a.line),
+                l.pcc_chip(a.line),
+            ];
+            c.enqueue_write(a, Cycle(0)).unwrap();
+            c.step(Cycle(0));
+            let org = MemOrg::tiny();
+            let free = |chip: ChipId| !busy.contains(&chip);
+            let (addr, w_old, w_young) = (1..400u64)
+                .find_map(|k| {
+                    let addr = k * 64 * org.channels as u64;
+                    let line = PhysAddr::new(addr).line();
+                    if org.decode(PhysAddr::new(addr)).bank != a.loc.bank
+                        || !free(l.ecc_chip(line))
+                        || !free(l.pcc_chip(line))
+                    {
+                        return None;
+                    }
+                    let w_old = (0..8).find(|&w| l.chip_of_word(line, w) == busy[0])?;
+                    let w_young = (0..8).find(|&w| free(l.chip_of_word(line, w)))?;
+                    Some((addr, w_old, w_young))
+                })
+                .expect("rotation yields such a line");
+            let young = write_req(&c, 3, addr, &[w_young], Cycle(1));
+            if with_older {
+                let older = write_req(&c, 2, addr, &[w_old], Cycle(1));
+                c.enqueue_write(older, Cycle(1)).unwrap();
+            }
+            c.enqueue_write(young, Cycle(1)).unwrap();
+            let out = c.step(Cycle(1));
+            (c, out, young)
+        };
+        // Alone, the younger write's chips are free: it overlaps at once.
+        let (c, out, _) = run(false);
+        assert_eq!(out.len(), 1);
+        assert_eq!(c.stats().wow_overlaps, 1);
+
+        let (mut c, out, young) = run(true);
+        assert!(out.is_empty(), "the younger write jumped the older one");
+        assert_eq!(c.write_q_len(), 2);
+        assert_eq!(
+            c.stats().wr_blocked_data,
+            1,
+            "only the older write is evaluated"
+        );
+        // Both land in arrival order: the line ends with the younger data.
+        let done = run_to_idle(&mut c, Cycle(1));
+        assert_eq!(done.iter().map(|d| d.id.0).collect::<Vec<_>>(), [2, 3]);
+        let ReqKind::Write { data } = young.kind else {
+            unreachable!()
+        };
+        let stored = c
+            .rank()
+            .read_line(young.loc.bank, young.loc.row, young.loc.col);
+        assert_eq!(stored.data, data);
+    }
+
+    #[test]
+    fn write_pass_merges_bank_queues_oldest_first() {
+        // Bank 1 holds the older write: the pass issues in (arrival, id)
+        // order, not bank order.
+        let mut c = ctrl(SystemKind::RwowRde);
+        let org = MemOrg::tiny();
+        let bank1 = (1..64u64)
+            .map(|k| k * 64 * org.channels as u64)
+            .find(|&x| org.decode(PhysAddr::new(x)).bank == BankId(1))
+            .expect("tiny org has two banks");
+        for (id, addr) in [(1, bank1), (2, 0)] {
+            let w = write_req(&c, id, addr, &[2], Cycle(id));
+            c.enqueue_write(w, Cycle(id)).unwrap();
+        }
+        let out = c.step(Cycle(2));
+        assert_eq!(out.iter().map(|d| d.id.0).collect::<Vec<_>>(), [1, 2]);
+    }
+
+    /// Read priority: a queued read and no drain. Writes go to lines
+    /// A, B, A, B, with A and B in different banks.
+    fn read_priority_scene(traced: bool) -> PcmapController {
+        let mut c = ctrl(SystemKind::RwowRde);
+        c.set_lifetrace(traced);
+        let org = MemOrg::tiny();
+        let bank_of = |addr: u64| org.decode(PhysAddr::new(addr)).bank;
+        let b = (1..64u64)
+            .map(|k| k * 64 * org.channels as u64)
+            .find(|&x| bank_of(x) != bank_of(0))
+            .expect("tiny org has two banks");
+        for (id, (addr, word)) in [(0, 1), (b, 2), (0, 3), (b, 4)].into_iter().enumerate() {
+            let w = write_req(&c, id as u64 + 1, addr, &[word], Cycle(0));
+            c.enqueue_write(w, Cycle(0)).unwrap();
+        }
+        let r = read_req(10, 16 * 64 * org.channels as u64, Cycle(0));
+        c.enqueue_read(r, Cycle(0)).unwrap();
+        assert_eq!(c.read_q_len(), 1, "the read must queue, not forward");
+        c
+    }
+
+    #[test]
+    fn read_priority_traces_one_attempt_per_line_head_per_pass() {
+        let mut c = read_priority_scene(true);
+        let mut out = Vec::new();
+        for pass in 1..=2u64 {
+            assert!(!c.try_issue_write(Cycle(pass), &mut out));
+            // Writes 1 (line A) and 2 (line B) head their lines; the
+            // younger same-line writes 3 and 4 record nothing.
+            assert_eq!(
+                c.lifetrace().write_attempts(WaitCause::ReadPriority),
+                2 * pass
+            );
+        }
+        assert!(out.is_empty());
+        assert_eq!(c.write_q_len(), 4);
+    }
+
+    #[test]
+    fn read_priority_untraced_pass_issues_nothing_and_notes_no_hint() {
+        let mut c = read_priority_scene(false);
+        let mut out = Vec::new();
+        c.core.begin_pass();
+        assert!(!c.try_issue_write(Cycle(1), &mut out));
+        assert!(out.is_empty());
+        assert_eq!(c.write_q_len(), 4);
+        assert_eq!(c.core.retry_hint, None);
+        assert_eq!(c.lifetrace().write_attempts(WaitCause::ReadPriority), 0);
     }
 }

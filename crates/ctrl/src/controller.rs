@@ -475,7 +475,15 @@ impl CtrlCore {
     #[allow(clippy::result_large_err)] // request handed back by value on a full queue
     pub fn enqueue_write_common(&mut self, req: MemRequest) -> Result<(), MemRequest> {
         let (at, id, bank) = (req.arrival, req.id.0, req.loc.bank);
-        self.write_qs[req.loc.bank.index()].push(req)?;
+        let q = &mut self.write_qs[bank.index()];
+        // The PCMap write pass merges the bank queues without sorting, so
+        // each must stay in (arrival, id) order.
+        let ordered = q
+            .iter()
+            .last()
+            .is_none_or(|n| (n.arrival, n.id) <= (at, req.id));
+        debug_assert!(ordered, "write {id} enqueued out of (arrival, id) order");
+        q.push(req)?;
         // Fresh work: mark the controller due immediately so the next
         // step body runs and recomputes the event horizon.
         self.wake = Some(Cycle::ZERO);
@@ -530,19 +538,17 @@ impl CtrlCore {
             return None;
         }
         let set = Self::coarse_read_set();
-        let mut best: Option<(bool, u64, ReqId)> = None; // (row_hit, age_key, id)
-        for (age, req) in self.read_q.iter().enumerate() {
-            let bank = req.loc.bank;
+        // The queue is in age order, so a younger read displaces the pick
+        // only as the first row hit.
+        let mut best: Option<(bool, ReqId)> = None; // (row_hit, id)
+        for pos in 0..self.read_q.len() {
+            let req = &self.read_q[pos];
+            let (id, bank, row) = (req.id, req.loc.bank, req.loc.row);
             let chips_free = self.rank.timing().free_at(bank, set, now);
             if chips_free > now {
                 // Event horizon: this read becomes issueable once every
                 // chip of the coarse set has drained its reservations.
-                // (Direct field update: `self.read_q` is borrowed by the
-                // iteration, so the `note_hint` method can't be called.)
-                self.retry_hint = Some(match self.retry_hint {
-                    Some(h) => h.min(chips_free),
-                    None => chips_free,
-                });
+                self.note_hint(chips_free);
                 if self.lifetrace.enabled() {
                     // Attribute the busy window: a write still programming
                     // the bank, or (otherwise) another read on its chips.
@@ -552,28 +558,20 @@ impl CtrlCore {
                         WaitCause::MultiBusy
                     };
                     self.lifetrace
-                        .blocked(req.id.0, now, cause, Some(Resource::bank(bank)));
+                        .blocked(id.0, now, cause, Some(Resource::bank(bank)));
                 }
                 continue;
             }
             let hit = self
                 .rank
                 .timing()
-                .chips_needing_activate(bank, set, req.loc.row)
+                .chips_needing_activate(bank, set, row)
                 .is_empty();
-            let key = (hit, age as u64, req.id);
-            best = match best {
-                None => Some(key),
-                Some((bhit, bage, bid)) => {
-                    if (hit && !bhit) || (hit == bhit && (age as u64) < bage) {
-                        Some(key)
-                    } else {
-                        Some((bhit, bage, bid))
-                    }
-                }
-            };
+            if best.is_none_or(|(best_hit, _)| hit && !best_hit) {
+                best = Some((hit, id));
+            }
         }
-        best.map(|(_, _, id)| id)
+        best.map(|(_, id)| id)
     }
 
     /// Issues a coarse read at `now`. The chips must be free (checked by
@@ -689,32 +687,27 @@ impl CtrlCore {
     /// older blocked one).
     pub fn pick_baseline_write(&mut self, bank: BankId, now: Cycle) -> Option<ReqId> {
         let set = Self::baseline_write_set();
-        let mut skipped: Vec<pcmap_types::LineAddr> = Vec::new();
-        for req in self.write_qs[bank.index()].iter() {
-            if skipped.contains(&req.line) {
+        for pos in 0..self.write_qs[bank.index()].len() {
+            let q = &self.write_qs[bank.index()];
+            if q.older_to_same_line(pos) {
                 continue;
             }
-            let chips_free = self.rank.timing().free_at(req.loc.bank, set, now);
+            let id = q[pos].id;
+            let chips_free = self.rank.timing().free_at(bank, set, now);
             if chips_free <= now {
-                return Some(req.id);
+                return Some(id);
             }
             // Event horizon: the write becomes issueable once its bank's
             // chips drain (the bus never blocks issue, only shifts start).
-            // (Direct field update: `self.write_qs` is borrowed by the
-            // iteration, so the `note_hint` method can't be called.)
-            self.retry_hint = Some(match self.retry_hint {
-                Some(h) => h.min(chips_free),
-                None => chips_free,
-            });
+            self.note_hint(chips_free);
             if self.lifetrace.enabled() {
                 self.lifetrace.blocked(
-                    req.id.0,
+                    id.0,
                     now,
                     WaitCause::WriteInFlight,
                     Some(Resource::bank(bank)),
                 );
             }
-            skipped.push(req.line);
         }
         None
     }
@@ -1348,6 +1341,17 @@ mod tests {
             core: CoreId(0),
             arrival: now,
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "enqueued out of (arrival, id) order")]
+    fn out_of_order_write_enqueue_is_caught() {
+        let mut c = ctrl();
+        let newer = write_req(&c, 2, 0, &[1], Cycle(5));
+        let older = write_req(&c, 1, 0, &[2], Cycle(5));
+        c.enqueue_write(newer, Cycle(5)).unwrap();
+        let _ = c.enqueue_write(older, Cycle(5));
     }
 
     #[test]

@@ -65,6 +65,14 @@ impl RequestQueue {
         self.entries.iter()
     }
 
+    /// `true` if a request ahead of position `pos` targets the same line:
+    /// a pass that stops at its first issue has passed it over, and a
+    /// newer write to a line never jumps an older one.
+    pub fn older_to_same_line(&self, pos: usize) -> bool {
+        let line = self.entries[pos].line;
+        self.entries[..pos].iter().any(|r| r.line == line)
+    }
+
     /// Removes and returns the request with `id`.
     pub fn remove(&mut self, id: ReqId) -> Option<MemRequest> {
         let pos = self.entries.iter().position(|r| r.id == id)?;
@@ -79,6 +87,15 @@ impl RequestQueue {
     /// The newest write to `line`, if any — used for read forwarding.
     pub fn newest_to_line(&self, line: pcmap_types::LineAddr) -> Option<&MemRequest> {
         self.entries.iter().rev().find(|r| r.line == line)
+    }
+}
+
+/// Queue position `pos` (0 is the oldest entry).
+impl std::ops::Index<usize> for RequestQueue {
+    type Output = MemRequest;
+
+    fn index(&self, pos: usize) -> &MemRequest {
+        &self.entries[pos]
     }
 }
 
@@ -203,6 +220,23 @@ mod tests {
             ReqId(2)
         );
         assert!(q.newest_to_line(PhysAddr::new(4096).line()).is_none());
+    }
+
+    #[test]
+    fn older_to_same_line_sees_only_entries_ahead() {
+        let mut q = RequestQueue::new(4);
+        q.push(req(1, 0)).unwrap();
+        q.push(req(2, 64)).unwrap();
+        q.push(req(3, 0)).unwrap(); // same line as id 1
+        q.push(req(4, 64)).unwrap(); // same line as id 2
+        let hits: Vec<_> = (0..q.len()).map(|p| q.older_to_same_line(p)).collect();
+        assert_eq!(hits, vec![false, false, true, true]);
+        assert_eq!(q[2].id, ReqId(3));
+        // Once the older write leaves, the newer one heads its line.
+        q.remove(ReqId(1));
+        assert_eq!(q[1].id, ReqId(3));
+        assert!(!q.older_to_same_line(1));
+        assert!(q.older_to_same_line(2));
     }
 
     #[test]

@@ -73,27 +73,37 @@ fn sweep_runner_json_is_byte_identical_and_input_ordered() {
     assert_eq!(sweep_json(points(), 1), sweep_json(points(), 4));
 }
 
-/// The lifecycle tracer (ISSUE 7) is a pure observer: a traced run must
-/// render byte-identical RunReport JSON to an untraced one. The full
-/// timeline report is carried out-of-band (`RunReport::lifecycle`,
-/// excluded from `to_json`), so the only JSON-visible tracer output is
-/// the `lifetrace_dropped` counter — which must be 0 here.
+/// The lifecycle tracer is a pure observer: a traced run must render
+/// byte-identical RunReport JSON to an untraced one, for every PCMap kind
+/// with and without a fault storm (the write pass takes a different path
+/// under read priority when tracing is on). The full timeline report is
+/// carried out-of-band (`RunReport::lifecycle`, excluded from `to_json`),
+/// so the only JSON-visible tracer output is the `lifetrace_dropped`
+/// counter — which must be 0 here.
 #[test]
 fn lifetraced_run_is_byte_identical_to_untraced() {
-    let c = cfg(SystemKind::RwowRde, 1200);
-    let baseline = serial_json(&c, "canneal");
-    let wl = catalog::by_name("canneal").expect("catalog workload");
-    let mut sys = System::new(c, wl);
-    sys.enable_lifecycle_tracing();
-    let r = sys.run();
-    assert_eq!(r.lifetrace_dropped, 0);
-    let lc = r.lifecycle.as_ref().expect("tracing was on");
-    assert_eq!(lc.merged.violations, 0);
-    assert_eq!(
-        baseline,
-        r.to_json().to_json_string(),
-        "lifecycle tracing leaked into the simulation"
-    );
+    use pcmap_types::FaultConfig;
+    for kind in SystemKind::pcmap_variants() {
+        for storm in [false, true] {
+            let mut c = cfg(kind, 1200);
+            if storm {
+                c = c.with_faults(FaultConfig::storm(0.04, 0xFEED));
+            }
+            let baseline = serial_json(&c, "canneal");
+            let wl = catalog::by_name("canneal").expect("catalog workload");
+            let mut sys = System::new(c, wl);
+            sys.enable_lifecycle_tracing();
+            let r = sys.run();
+            assert_eq!(r.lifetrace_dropped, 0, "{kind:?} storm={storm}");
+            let lc = r.lifecycle.as_ref().expect("tracing was on");
+            assert_eq!(lc.merged.violations, 0, "{kind:?} storm={storm}");
+            assert_eq!(
+                baseline,
+                r.to_json().to_json_string(),
+                "lifecycle tracing leaked into the simulation: {kind:?} storm={storm}"
+            );
+        }
+    }
 }
 
 /// Fault injection must not weaken the contract: each run's `FaultPlan`s
