@@ -2,9 +2,9 @@
 //! status-poll cost, drain watermarks, queue depths, and rotation under
 //! correlated vs uncorrelated write offsets.
 
-use pcmap_bench::jobs_from_args;
+use pcmap_bench::runner_from_args;
 use pcmap_core::{RollbackMode, SystemKind};
-use pcmap_sim::{SimConfig, SweepRunner, System, TableBuilder};
+use pcmap_sim::{SimConfig, System, TableBuilder};
 use pcmap_workloads::catalog;
 
 fn run(cfg: SimConfig, wl: &catalog::Workload) -> f64 {
@@ -13,7 +13,7 @@ fn run(cfg: SimConfig, wl: &catalog::Workload) -> f64 {
 
 fn main() {
     // First positional integer is the request budget; `--jobs N` (and its
-    // value) is handled by `jobs_from_args`.
+    // value) is handled by `runner_from_args`.
     let mut requests: u64 = 12_000;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -23,7 +23,7 @@ fn main() {
             requests = n;
         }
     }
-    let mut runner = SweepRunner::new(jobs_from_args());
+    let mut runner = runner_from_args();
     let wl = catalog::by_name("canneal").expect("catalog workload");
 
     println!("Ablations (canneal, {requests} requests, RWoW-RDE unless noted)\n");

@@ -54,7 +54,7 @@ fn parse_args() -> Result<Args, String> {
         requests: 4_000,
         rates: DEFAULT_RATES.to_vec(),
         fault_seed: pcmap_bench::DEFAULT_FAULT_SEED,
-        jobs: pcmap_bench::jobs_from_args(),
+        jobs: pcmap_bench::jobs_from_args()?,
         json: None,
         csv: None,
         soak: None,
@@ -105,12 +105,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad fault seed: {e}"))?;
             }
-            "--jobs" | "-j" => {
-                args.jobs = value("--jobs")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad job count: {e}"))?
-                    .max(1);
-            }
+            "--jobs" | "-j" => args.jobs = pcmap_par::parse_jobs("--jobs", &value("--jobs")?)?,
             "--json" => args.json = Some(value("--json")?),
             "--csv" => args.csv = Some(value("--csv")?),
             "--soak" => {

@@ -54,7 +54,7 @@ fn parse_args() -> Result<Args, String> {
         system: SystemKind::RwowRde,
         requests: None,
         seed: 0xC0FFEE,
-        jobs: pcmap_bench::jobs_from_args(),
+        jobs: pcmap_bench::jobs_from_args()?,
         top: 5,
         json: None,
         diff: None,
@@ -87,12 +87,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
-            "--jobs" | "-j" => {
-                args.jobs = value("--jobs")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad job count: {e}"))?
-                    .max(1);
-            }
+            "--jobs" | "-j" => args.jobs = pcmap_par::parse_jobs("--jobs", &value("--jobs")?)?,
             "--top" | "-k" => {
                 args.top = value("--top")?
                     .parse()

@@ -4,7 +4,7 @@
 //! pcmap_run [--workload NAME] [--system KIND] [--requests N]
 //!           [--ratio R] [--seed S] [--rollback faulty|clean] [--all]
 //!           [--jobs N] [--json PATH] [--csv PATH]
-//!           [--fault-rate R] [--fault-seed S] [--engine cycle|event]
+//!           [--fault-rate R] [--fault-seed S]
 //! ```
 //!
 //! `KIND` is one of `baseline`, `row-nr`, `wow-nr`, `rwow-nr`, `rwow-rd`,
@@ -21,15 +21,10 @@
 //! `--fault-rate R` (with optional `--fault-seed S`, or the `PCMAP_FAULTS`
 //! env variable as `RATE[:SEED]`) runs under a deterministic fault storm
 //! (DESIGN.md §11). The default rate of 0 leaves every fault hook inert.
-//!
-//! `--engine cycle|event` selects the execution engine (DESIGN.md §14).
-//! Both produce byte-identical reports; `event` (the default) jumps a
-//! binary heap of component horizons instead of scanning every component
-//! at every wake.
 
 use pcmap_core::{RollbackMode, SystemKind};
 use pcmap_obs::Value;
-use pcmap_sim::{Engine, RunReport, SimConfig, SweepRunner, System, TableBuilder};
+use pcmap_sim::{RunReport, SimConfig, SweepRunner, System, TableBuilder};
 use pcmap_types::{FaultConfig, TimingParams};
 use pcmap_workloads::catalog;
 
@@ -46,7 +41,6 @@ struct Args {
     csv: Option<String>,
     fault_rate: f64,
     fault_seed: u64,
-    engine: Engine,
 }
 
 use pcmap_bench::parse_system;
@@ -54,7 +48,7 @@ use pcmap_bench::parse_system;
 const USAGE: &str = "usage: pcmap_run [--workload NAME] [--system KIND] [--requests N] \
                      [--ratio R] [--seed S] [--rollback faulty|clean] [--all] \
                      [--jobs N] [--json PATH] [--csv PATH] \
-                     [--fault-rate R] [--fault-seed S] [--engine cycle|event]";
+                     [--fault-rate R] [--fault-seed S]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -65,12 +59,11 @@ fn parse_args() -> Result<Args, String> {
         seed: 0xC0FFEE,
         rollback: RollbackMode::NeverFaulty,
         all: false,
-        jobs: pcmap_bench::jobs_from_args(),
+        jobs: pcmap_bench::jobs_from_args()?,
         json: None,
         csv: None,
         fault_rate: 0.0,
         fault_seed: pcmap_bench::DEFAULT_FAULT_SEED,
-        engine: Engine::Event,
     };
     // `PCMAP_FAULTS=RATE[:SEED]` seeds the defaults; explicit flags win.
     if let Some(f) = pcmap_bench::faults_from_env()? {
@@ -111,12 +104,7 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--all" | "-a" => args.all = true,
-            "--jobs" | "-j" => {
-                args.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("bad job count: {e}"))?;
-                args.jobs = args.jobs.max(1);
-            }
+            "--jobs" | "-j" => args.jobs = pcmap_par::parse_jobs("--jobs", &value("--jobs")?)?,
             "--json" => args.json = Some(value("--json")?),
             "--csv" => args.csv = Some(value("--csv")?),
             "--fault-rate" => {
@@ -129,7 +117,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad fault seed: {e}"))?;
             }
-            "--engine" => args.engine = value("--engine")?.parse()?,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -184,9 +171,8 @@ fn main() {
 
     // Deterministic parallelism (--jobs N): whole runs are farmed to the
     // pool and come back in input order, byte-identical at any N.
-    let reports: Vec<RunReport> = SweepRunner::new(args.jobs).map(kinds, |kind| {
-        build(&args, kind, &wl).run_with_engine(args.engine)
-    });
+    let reports: Vec<RunReport> =
+        SweepRunner::new(args.jobs).map(kinds, |kind| build(&args, kind, &wl).run());
 
     let mut t = TableBuilder::new(&[
         "system",

@@ -38,7 +38,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         cfg: ServeConfig::paper_default(),
-        jobs: pcmap_bench::jobs_from_args(),
+        jobs: pcmap_bench::jobs_from_args()?,
         json: None,
         soak: None,
     };
@@ -121,12 +121,7 @@ fn parse_args() -> Result<Args, String> {
                 args.cfg.faults = pcmap_bench::parse_fault_spec(&v)
                     .ok_or(format!("bad fault spec '{v}' (RATE or RATE:SEED)"))?;
             }
-            "--jobs" | "-j" => {
-                args.jobs = value("--jobs")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad job count: {e}"))?
-                    .max(1);
-            }
+            "--jobs" | "-j" => args.jobs = pcmap_par::parse_jobs("--jobs", &value("--jobs")?)?,
             "--json" => args.json = Some(value("--json")?),
             "--soak" => soak = true,
             "--soak-path" => {

@@ -32,20 +32,34 @@ pub fn scale_from_args() -> EvalScale {
 
 /// Parses the common `--jobs N` (or `-j N`) flag, falling back to the
 /// `PCMAP_JOBS` environment variable, then to 1 (serial).
-pub fn jobs_from_args() -> usize {
+///
+/// # Errors
+///
+/// Returns a message naming the flag or variable when either is set to
+/// anything but a positive count.
+pub fn jobs_from_args() -> Result<usize, String> {
+    let env = pcmap_par::env_jobs()?;
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--jobs" || a == "-j")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .or_else(pcmap_par::env_jobs)
-        .unwrap_or(1)
+    match args.iter().position(|a| a == "--jobs" || a == "-j") {
+        Some(i) => {
+            let v = args.get(i + 1).ok_or("--jobs needs a value")?;
+            pcmap_par::parse_jobs("--jobs", v)
+        }
+        None => Ok(env.unwrap_or(1)),
+    }
 }
 
-/// A sweep runner sized by [`jobs_from_args`].
+/// A sweep runner sized by [`jobs_from_args`]. A malformed count is a
+/// usage error: the message goes to stderr and the process exits with
+/// status 2.
 pub fn runner_from_args() -> SweepRunner {
-    SweepRunner::new(jobs_from_args())
+    match jobs_from_args() {
+        Ok(jobs) => SweepRunner::new(jobs),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Default seed for fault-injection runs that don't pass `--fault-seed`.

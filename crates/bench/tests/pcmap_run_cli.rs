@@ -3,16 +3,69 @@
 
 use std::process::Command;
 
+/// The run loop has no alternative to select: `--engine` is an unknown
+/// flag like any other.
 #[test]
-fn unknown_engine_is_a_usage_error() {
+fn engine_flag_is_an_unknown_flag() {
     let out = Command::new(env!("CARGO_BIN_EXE_pcmap_run"))
-        .args(["--engine", "turbo"])
+        .args(["--engine", "event"])
         .output()
         .expect("pcmap_run starts");
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown engine \"turbo\""), "{stderr}");
+    assert!(stderr.contains("unknown flag '--engine'"), "{stderr}");
     assert!(stderr.contains("usage: pcmap_run"), "{stderr}");
+}
+
+/// A malformed or zero `--jobs`, or a malformed `PCMAP_JOBS`, is a usage
+/// error in every binary that reads a job count, never a silent serial
+/// run or a clamp.
+#[test]
+fn malformed_job_count_is_a_usage_error() {
+    let bins = [
+        env!("CARGO_BIN_EXE_pcmap_run"),
+        env!("CARGO_BIN_EXE_pcmap_explain"),
+        env!("CARGO_BIN_EXE_pcmap_serve"),
+        env!("CARGO_BIN_EXE_fault_sweep"),
+        env!("CARGO_BIN_EXE_ablations"),
+        env!("CARGO_BIN_EXE_figs_all"),
+        env!("CARGO_BIN_EXE_fig08_irlp"),
+        env!("CARGO_BIN_EXE_fig09_write_throughput"),
+        env!("CARGO_BIN_EXE_fig10_read_latency"),
+        env!("CARGO_BIN_EXE_fig11_ipc"),
+        env!("CARGO_BIN_EXE_tab03_latency_ratio"),
+        env!("CARGO_BIN_EXE_tab04_rollback"),
+    ];
+    let cases: [(&[&str], Option<&str>, &str); 3] = [
+        (
+            &["--jobs", "x"],
+            None,
+            "--jobs wants a positive count, got 'x'",
+        ),
+        (
+            &["--jobs", "0"],
+            None,
+            "--jobs wants a positive count, got '0'",
+        ),
+        (
+            &[],
+            Some("abc"),
+            "PCMAP_JOBS wants a positive count, got 'abc'",
+        ),
+    ];
+    for bin in bins {
+        for (args, env, want) in cases {
+            let mut cmd = Command::new(bin);
+            cmd.args(args).env_remove("PCMAP_JOBS");
+            if let Some(v) = env {
+                cmd.env("PCMAP_JOBS", v);
+            }
+            let out = cmd.output().expect("binary starts");
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(want), "{bin} {args:?}: {stderr}");
+        }
+    }
 }
 
 /// A set but malformed `PCMAP_FAULTS` is an error in every binary that

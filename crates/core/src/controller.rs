@@ -92,10 +92,6 @@ pub struct PcmapController {
     /// Extra cycles charged before any overlapped issue (`Status` command);
     /// settable to 0 for the status-poll ablation.
     status_poll: Duration,
-    /// Serve RoW-style overlap reads outside drains too (default on:
-    /// §IV-B applies RoW to any read arriving during an ongoing write;
-    /// disable to restrict to the paper's drain-mode rule 1 only).
-    overlap_reads_in_normal: bool,
     /// §IV-B4 extension (ablation, default off): when reads are waiting,
     /// break multi-word writes into serial single-word partial writes so
     /// every phase stays RoW-compatible — at the cost of write latency.
@@ -124,7 +120,6 @@ impl PcmapController {
             layout: kind.layout(),
             inflight: Vec::new(),
             status_poll,
-            overlap_reads_in_normal: true,
             split_writes_for_row: false,
             split_in_progress: Vec::new(),
         }
@@ -134,11 +129,6 @@ impl PcmapController {
     pub fn set_status_poll_cost(&mut self, cycles: u64) {
         self.status_poll = Duration(cycles);
         self.core.checker.set_expected_status_poll(cycles);
-    }
-
-    /// Enables or disables overlap (RoW-style) reads outside drain mode.
-    pub fn set_overlap_reads_in_normal(&mut self, enabled: bool) {
-        self.overlap_reads_in_normal = enabled;
     }
 
     /// Enables the §IV-B4 extension: split multi-word writes into serial
@@ -624,17 +614,12 @@ impl PcmapController {
 
     /// Attempts to issue one read.
     ///
-    /// Per-bank gating: plain fully-checked reads issue to banks that are
-    /// not draining; RoW-style overlap reads (PCC reconstruction or
-    /// deferred verification — the paper's scheduler rule 1) issue to
-    /// draining banks with an in-flight write. `plain_allowed` and
-    /// `overlap_everywhere` are ablation hooks.
-    fn try_issue_read(
-        &mut self,
-        now: Cycle,
-        plain_allowed: bool,
-        overlap_everywhere: bool,
-    ) -> Option<Completion> {
+    /// Plain fully-checked reads issue while the bus is in read mode;
+    /// RoW-style overlap reads (PCC reconstruction or deferred
+    /// verification) issue to any bank with an in-flight write, in either
+    /// mode: §IV-B applies RoW to any read arriving during an ongoing
+    /// write, and during drains it is the paper's scheduler rule 1.
+    fn try_issue_read(&mut self, now: Cycle) -> Option<Completion> {
         let degraded = self.rank_degraded(now);
         let bus_write_mode = self.core.any_draining();
         // The queue only changes on issue, which ends the pass.
@@ -645,10 +630,8 @@ impl PcmapController {
             // Plain reads need the bus in read mode; overlap (RoW) reads
             // ride the sub-ranked lanes and work either way — during
             // drains they are the only way a read gets served (rule 1).
-            let plain_ok = plain_allowed && !bus_write_mode;
-            let overlap_ok = (bus_write_mode || overlap_everywhere) && overlapping;
-            if !plain_ok && !overlap_ok {
-                if bus_write_mode && self.core.lifetrace.enabled() {
+            if bus_write_mode && !overlapping {
+                if self.core.lifetrace.enabled() {
                     // Drain episode holds the bus in write mode and no
                     // in-flight write offers an overlap lane.
                     self.core.lifetrace.blocked(
@@ -702,7 +685,7 @@ impl PcmapController {
                 .is_free_during(start, data_ready);
 
             match busy_words.len() {
-                0 if ecc_free && (plain_ok || overlap_ok) => {
+                0 if ecc_free => {
                     let mut set = word_chips;
                     set.insert_chip(ecc_chip);
                     self.core
@@ -710,7 +693,7 @@ impl PcmapController {
                         .status_poll_n(bank, now, start, overlapping, polls);
                     return Some(self.issue_read(req, now, start, data_ready, set, None, None));
                 }
-                0 if self.kind.row_enabled() && !degraded && (plain_ok || overlap_ok) => {
+                0 if self.kind.row_enabled() && !degraded => {
                     self.core.stats.reads_deferred_only += 1;
                     // Words readable but only the ECC chip is busy: read
                     // now, defer the SECDED check. Profitable in every
@@ -734,7 +717,7 @@ impl PcmapController {
                         None,
                     ));
                 }
-                1 if self.kind.row_enabled() && !degraded && overlap_ok && pcc_free => {
+                1 if self.kind.row_enabled() && !degraded && overlapping && pcc_free => {
                     let missing = busy_words[0];
                     let mut set = word_chips;
                     set.remove(missing.index());
@@ -769,7 +752,7 @@ impl PcmapController {
                         Some(missing),
                     ));
                 }
-                1 if self.kind.row_enabled() && !degraded && overlap_ok => {
+                1 if self.kind.row_enabled() && !degraded && overlapping => {
                     self.core.stats.row_blocked_pcc_busy += 1;
                     // Event horizon: reconstruction waits on the PCC chip;
                     // its read window shifts rigidly with now.
@@ -1087,7 +1070,7 @@ impl Controller for PcmapController {
     fn step(&mut self, now: Cycle) -> Vec<Completion> {
         if !self.core.step_due(now) {
             // Not due yet: a step here is defined to be a no-op, which is
-            // what lets the event engine skip it entirely.
+            // what lets the run loop skip it entirely.
             return Vec::new();
         }
         let mut out = Vec::new();
@@ -1100,9 +1083,9 @@ impl Controller for PcmapController {
             for b in 0..banks {
                 self.core.update_drain(BankId(b), now);
             }
-            // Reads: plain to non-draining banks; overlap (rule 1) to
-            // draining banks; optionally overlap everywhere (ablation).
-            if let Some(c) = self.try_issue_read(now, true, self.overlap_reads_in_normal) {
+            // Reads: plain in read mode; overlap to any bank with an
+            // in-flight write.
+            if let Some(c) = self.try_issue_read(now) {
                 out.push(c);
                 issued = true;
             }
@@ -1200,16 +1183,13 @@ mod tests {
     use pcmap_types::{CacheLine, CoreId, PhysAddr};
 
     fn ctrl(kind: SystemKind) -> PcmapController {
-        let mut c = PcmapController::new(
+        PcmapController::new(
             kind,
             MemOrg::tiny(),
             TimingParams::paper_default(),
             QueueParams::paper_default(),
             3,
-        );
-        // Small scenarios exercise the overlap paths outside drains.
-        c.set_overlap_reads_in_normal(true);
-        c
+        )
     }
 
     fn read_req(id: u64, addr: u64, now: Cycle) -> MemRequest {
@@ -1486,27 +1466,6 @@ mod tests {
         // It overlapped the write's step 1.
         let t = TimingParams::paper_default();
         assert!(rc[0].done.0 < t.t_wl + t.burst + t.array_set);
-    }
-
-    #[test]
-    fn overlap_reads_outside_drains_can_be_disabled() {
-        let mut c = PcmapController::new(
-            SystemKind::RowNr,
-            MemOrg::tiny(),
-            TimingParams::paper_default(),
-            QueueParams::paper_default(),
-            3,
-        );
-        c.set_overlap_reads_in_normal(false);
-        let w = write_req(&c, 1, 0, &[3], Cycle(0));
-        c.enqueue_write(w, Cycle(0)).unwrap();
-        c.step(Cycle(0));
-        c.enqueue_read(read_req(2, 64, Cycle(4)), Cycle(4)).unwrap();
-        let out = c.step(Cycle(4));
-        assert!(
-            out.iter().all(|x| !x.is_read),
-            "rule 1 applies during drains only"
-        );
     }
 
     #[test]

@@ -22,7 +22,6 @@ fn soup(kind: SystemKind, seed: u64, ops: usize) {
         QueueParams::paper_default(),
         seed,
     );
-    ctrl.set_overlap_reads_in_normal(seed.is_multiple_of(2));
     ctrl.set_split_writes_for_row(seed.is_multiple_of(3));
     let mut rng = Xoshiro256::new(seed);
     let mut now = Cycle(0);

@@ -7,7 +7,7 @@
 //!    what `next_tick()` reads) every field its mutator roots
 //!    (`step`/`schedule`/`resolve`) both write *and* consult. Readiness
 //!    state outside the horizon can change without rescheduling a wake,
-//!    silently diverging `Engine::Event` from `Engine::Cycle`
+//!    and the run loop then skips a cycle where the component had work
 //!    (DESIGN.md §14).
 //! 2. **merge-completeness** — every snapshot struct with a
 //!    `merge(&mut self, other)` must touch every declared field in both
@@ -37,7 +37,7 @@ use crate::suppress::DirectiveSet;
 use crate::Report;
 
 /// Method names treated as mutator roots for the missed-wake pass: the
-/// entry points through which the engines drive a component.
+/// entry points through which the run loop drives a component.
 const MUTATOR_ROOTS: [&str; 3] = ["step", "schedule", "resolve"];
 
 /// One loaded source file plus everything the passes need from it.

@@ -25,9 +25,9 @@ pub enum Rule {
     /// results.
     FloatAccumulation,
     /// `now += 1` / `now = Cycle(now.0 + 1)` style manual advancement of
-    /// a simulated clock. Time must move via the scheduler's horizon
-    /// jumps (`next_tick`); ad-hoc increments outside the two engine
-    /// loops silently desynchronize the event heap (DESIGN.md §14).
+    /// a simulated clock. Time must move via the run loop's horizon
+    /// jumps (`next_tick`); ad-hoc increments outside it silently
+    /// desynchronize the cached horizons (DESIGN.md §14).
     ManualTimeAdvance,
     /// A `pcmap-lint:` directive that is malformed, names an unknown
     /// rule, or lacks a non-empty `reason = "..."`.
@@ -35,8 +35,8 @@ pub enum Rule {
     /// Semantic pass (pcmap-analyze): a field mutated *and* read on the
     /// `step()`/`schedule()`/`resolve()` paths of a type exposing a
     /// `next_tick()` horizon, yet absent from the horizon computation —
-    /// a readiness change through it can miss its wake and silently
-    /// diverge `Engine::Event` from `Engine::Cycle` (DESIGN.md §14).
+    /// a readiness change through it can miss its wake, and the run loop
+    /// then skips a cycle where the component had work (DESIGN.md §14).
     MissedWake,
     /// Semantic pass (pcmap-analyze): a field of a mergeable snapshot
     /// struct that `merge()` or `to_json()` drops — data silently lost
@@ -278,7 +278,7 @@ pub fn content_diags(
                     message: format!(
                         "`{chain}` is advanced by hand; simulated time must move via the \
                          scheduler's horizon jumps (`next_tick` / `next_wake`), not ad-hoc \
-                         increments (DESIGN.md §14 event-engine contract)"
+                         increments (DESIGN.md §14 run-loop contract)"
                     ),
                     snippet: raw_at(i).trim().to_owned(),
                 });

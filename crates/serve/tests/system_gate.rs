@@ -5,12 +5,12 @@
 //! `pcmap_sim::System`; these tests pin the integration contract:
 //! a gateless run is byte-identical to the pre-serve simulator (no
 //! `serve` key in the JSON), a gated run stays byte-identical across
-//! engines and sweep worker counts, and the gate's ledger conserves every
-//! request it ever sees.
+//! sweep worker counts, and the gate's ledger conserves every request it
+//! ever sees.
 
 use pcmap_core::SystemKind;
 use pcmap_serve::TokenGate;
-use pcmap_sim::{Engine, SimConfig, SweepRunner, System};
+use pcmap_sim::{SimConfig, SweepRunner, System};
 use pcmap_types::{ServeSummary, SloSpec};
 use pcmap_workloads::catalog;
 
@@ -37,23 +37,19 @@ fn tight_gate(cores: usize) -> TokenGate {
     )
 }
 
-fn run_gated(
-    c: &SimConfig,
-    gate: Option<TokenGate>,
-    engine: Engine,
-) -> (String, Option<ServeSummary>) {
+fn run_gated(c: &SimConfig, gate: Option<TokenGate>) -> (String, Option<ServeSummary>) {
     let wl = catalog::by_name("canneal").expect("catalog workload");
     let mut sys = System::new(c.clone(), wl);
     if let Some(gate) = gate {
         sys.set_ingress_gate(Box::new(gate));
     }
-    let report = sys.run_with_engine(engine);
+    let report = sys.run();
     (report.to_json().to_json_string(), report.serve)
 }
 
 #[test]
 fn gateless_report_has_no_serve_block() {
-    let (json, serve) = run_gated(&cfg(400), None, Engine::Event);
+    let (json, serve) = run_gated(&cfg(400), None);
     assert!(serve.is_none());
     assert!(
         !json.contains("\"serve\""),
@@ -62,23 +58,18 @@ fn gateless_report_has_no_serve_block() {
 }
 
 #[test]
-fn gated_run_is_byte_identical_across_engines_and_jobs() {
+fn gated_run_is_byte_identical_across_jobs() {
     let c = cfg(800);
     let cores = usize::from(c.cpu.cores);
-    let (serial, serve) = run_gated(&c, Some(tight_gate(cores)), Engine::Event);
+    let (serial, serve) = run_gated(&c, Some(tight_gate(cores)));
     let serve = serve.expect("gate attached");
     assert!(serve.conserved(), "{serve:?}");
     assert!(serial.contains("\"serve\""));
-    let engines = [Engine::Cycle, Engine::Event];
     for jobs in [1usize, 4] {
-        let runs = SweepRunner::new(jobs).map(engines.to_vec(), |engine| {
-            run_gated(&c, Some(tight_gate(cores)), engine)
-        });
-        for (engine, (json, run_serve)) in engines.iter().zip(runs) {
-            assert_eq!(
-                serial, json,
-                "gated {engine:?} run diverged at jobs = {jobs}"
-            );
+        let runs =
+            SweepRunner::new(jobs).map(vec![(); 2], |()| run_gated(&c, Some(tight_gate(cores))));
+        for (json, run_serve) in runs {
+            assert_eq!(serial, json, "gated run diverged at jobs = {jobs}");
             assert_eq!(Some(serve), run_serve);
         }
     }
@@ -87,11 +78,7 @@ fn gated_run_is_byte_identical_across_engines_and_jobs() {
 #[test]
 fn generous_gate_retires_everything_it_admits() {
     let c = cfg(600);
-    let (_, serve) = run_gated(
-        &c,
-        Some(generous_gate(usize::from(c.cpu.cores))),
-        Engine::Event,
-    );
+    let (_, serve) = run_gated(&c, Some(generous_gate(usize::from(c.cpu.cores))));
     let s = serve.expect("gate attached");
     assert!(s.conserved(), "{s:?}");
     assert_eq!(s.generated, s.admitted, "a generous bucket never defers");
@@ -109,11 +96,7 @@ fn generous_gate_retires_everything_it_admits() {
 #[test]
 fn tight_gate_defers_but_still_conserves() {
     let c = cfg(600);
-    let (_, serve) = run_gated(
-        &c,
-        Some(tight_gate(usize::from(c.cpu.cores))),
-        Engine::Event,
-    );
+    let (_, serve) = run_gated(&c, Some(tight_gate(usize::from(c.cpu.cores))));
     let s = serve.expect("gate attached");
     assert!(s.conserved(), "{s:?}");
     assert!(s.deferrals > 0, "a 4-token bucket must throttle: {s:?}");

@@ -6,8 +6,8 @@
 //! sits inside [`System::try_issue`](crate::System): before a core's
 //! memory request is materialized, the gate decides whether it is
 //! admitted now or deferred (charged to the core exactly like a full
-//! controller queue, so the existing blocked/retry machinery and both
-//! execution engines handle the wait). Completions are echoed back via
+//! controller queue, so the existing blocked/retry machinery and the run
+//! loop handle the wait). Completions are echoed back via
 //! [`IngressGate::note_complete`] so the gate can refill budgets and
 //! track latency against SLOs.
 //!

@@ -21,15 +21,13 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod experiments;
 pub mod ingest;
 pub mod report;
 pub mod sweep;
 pub mod system;
 
-pub use engine::{Engine, EventHeap, Tick, TickSource};
 pub use ingest::{GateDecision, IngressGate};
 pub use report::TableBuilder;
 pub use sweep::{SweepPoint, SweepRunner};
-pub use system::{RunReport, SimConfig, System};
+pub use system::{Engine, RunReport, SimConfig, System};

@@ -1,6 +1,5 @@
 //! The event-driven full-system simulation.
 
-use crate::engine::{Engine, EventHeap, TickSource};
 use crate::ingest::{GateDecision, IngressGate};
 use pcmap_core::{build_controller, RollbackMode, SystemKind};
 use pcmap_cpu::core_model::{cpu_to_mem, mem_to_cpu, CoreAction, CoreModel};
@@ -404,6 +403,16 @@ impl PartialOrd for Delivery {
     }
 }
 
+/// Accepted by [`System::run_with_engine`]; both values run the one loop
+/// of [`System::run`].
+#[derive(Debug, Clone, Copy)]
+pub enum Engine {
+    /// Same as [`Engine::Event`].
+    Cycle,
+    /// The run loop of [`System::run`].
+    Event,
+}
+
 /// The composed 8-core / 4-channel system.
 pub struct System {
     cfg: SimConfig,
@@ -418,8 +427,8 @@ pub struct System {
     awaiting_delivery: Vec<bool>,
     /// Per-core poll horizon: the memory cycle at which polling the core
     /// can next change its state (`None` while it waits on a delivery or
-    /// is finished). Both engines honour it, so a core's clock advances
-    /// at exactly the same cycles either way.
+    /// is finished). The run loop polls the core only then, so its clock
+    /// advances at the same cycles whatever other components wake.
     core_next: Vec<Option<Cycle>>,
     /// Cores that must be polled this epoch regardless of `core_next`
     /// (set by read deliveries).
@@ -580,21 +589,14 @@ impl System {
         &mut self.ctrls
     }
 
-    /// Runs to completion under the event engine and produces the report.
-    pub fn run(self) -> RunReport {
-        self.run_with_engine(Engine::Event)
-    }
-
-    /// Runs to completion under an explicit [`Engine`] (differential
-    /// testing; both engines yield byte-identical reports).
-    pub fn run_with_engine(mut self, engine: Engine) -> RunReport {
+    /// Runs to completion and produces the report.
+    ///
+    /// Each epoch delivers due completions, polls due cores, steps every
+    /// controller, then jumps to the earliest cached horizon: the
+    /// delivery-heap head, each controller's [`Controller::next_tick`]
+    /// and each core's `core_next` (DESIGN.md §14).
+    pub fn run(mut self) -> RunReport {
         let mut now = Cycle(0);
-        // Event engine: heap of cached component horizons. Channel
-        // horizons come from `Controller::next_tick`, core horizons from
-        // `core_next`; both are exactly what the cycle engine re-scans
-        // every epoch, so the two engines jump to identical cycles.
-        let mut heap =
-            (engine == Engine::Event).then(|| EventHeap::new(self.ctrls.len(), self.cores.len()));
         loop {
             // 1. Deliver due completions to cores.
             while let Some(Reverse(d)) = self.deliveries.peek().copied() {
@@ -616,41 +618,19 @@ impl System {
                 }
             }
 
-            // 4. Find the next event.
+            // 4. Jump to the next event.
             if self.finished(now) {
                 break;
             }
-            let mut next = Cycle::MAX;
-            if let Some(Reverse(d)) = self.deliveries.peek() {
-                next = next.min(d.when);
-            }
-            match heap.as_mut() {
-                Some(h) => {
-                    // Event engine: refresh changed horizons, then read
-                    // the heap minimum. `update` is a no-op for sources
-                    // whose horizon did not move this epoch.
-                    for (ch, ctrl) in self.ctrls.iter().enumerate() {
-                        h.update(TickSource::Channel(ch), ctrl.next_tick());
-                    }
-                    for (i, &t) in self.core_next.iter().enumerate() {
-                        h.update(TickSource::Core(i), t);
-                    }
-                    next = next.min(h.earliest());
-                }
-                None => {
-                    // Cycle engine: re-scan every component.
-                    for ctrl in &self.ctrls {
-                        if let Some(w) = ctrl.next_wake(now) {
-                            next = next.min(w);
-                        }
-                    }
-                    for &t in &self.core_next {
-                        if let Some(t) = t {
-                            next = next.min(t);
-                        }
-                    }
-                }
-            }
+            let next = self
+                .deliveries
+                .peek()
+                .map(|Reverse(d)| d.when)
+                .into_iter()
+                .chain(self.ctrls.iter().filter_map(|c| c.next_tick()))
+                .chain(self.core_next.iter().flatten().copied())
+                .min()
+                .unwrap_or(Cycle::MAX);
             if next == Cycle::MAX || next <= now {
                 self.crawl_steps += 1;
                 if self.crawl_steps > 500_000 {
@@ -672,7 +652,7 @@ impl System {
                             .collect::<Vec<_>>(),
                     );
                 }
-                // pcmap-lint: allow(manual-time-advance, reason = "the engine crawl step itself: when no component publishes a horizon the loop single-steps")
+                // pcmap-lint: allow(manual-time-advance, reason = "the run loop's crawl step itself: when no component publishes a horizon the loop single-steps")
                 now = Cycle(now.0 + 1);
             } else {
                 self.crawl_steps = 0;
@@ -687,6 +667,12 @@ impl System {
             ctrl.settle(Cycle::MAX);
         }
         self.report(now)
+    }
+
+    /// Same as [`System::run`]: both [`Engine`] values name the one run
+    /// loop. Kept for source compatibility with `perfbench/tests/fidelity.rs`.
+    pub fn run_with_engine(self, _engine: Engine) -> RunReport {
+        self.run()
     }
 
     fn deliver(&mut self, d: Delivery, _now: Cycle) {
@@ -759,8 +745,8 @@ impl System {
         for i in 0..self.cores.len() {
             // Poll only when due: a poll advances the core's local clock
             // (`CoreModel::poll` maxes it with `cpu_now`), so gating it
-            // identically in both engines is what keeps per-core stall
-            // accounting byte-identical between them.
+            // keeps per-core stall accounting independent of the cycles
+            // the loop visits for other components.
             if !(self.core_due[i] || self.core_next[i].is_some_and(|t| t <= now)) {
                 continue;
             }
@@ -828,7 +814,7 @@ impl System {
     fn try_issue(&mut self, i: usize, is_read: bool, now: Cycle) -> bool {
         // Serve-tier admission (DESIGN.md §16): a deferred request is
         // charged to the core exactly like a full controller queue, so
-        // both engines re-poll it at the gate's wake cycle.
+        // the run loop re-polls it at the gate's wake cycle.
         if let Some(gate) = self.gate.as_mut() {
             if let GateDecision::Defer(until) = gate.admit(i, is_read, now) {
                 self.registry.add(self.m_retries, 1);

@@ -1,30 +1,39 @@
-//! Property tests for the discrete-event scheduler (DESIGN.md §14).
+//! Property tests for the run loop's horizons (DESIGN.md §14).
 //!
-//! Three contracts back the engine-equivalence proof:
+//! Two contracts make it sound for `System::run` to jump straight to the
+//! minimum cached horizon:
 //!
 //! 1. **`next_tick` monotonicity** — after a controller steps at `now`,
 //!    its published horizon is strictly in the future (never `< now`, and
-//!    never `== now`, else the engine would livelock re-visiting the
-//!    same cycle).
+//!    never `== now`, else the loop would livelock re-visiting the same
+//!    cycle).
 //! 2. **No missed event** — single-stepping a component through every
 //!    cycle between `now` and its claimed tick observes no state change:
 //!    no completions, no queue movement, no counter drift. This is what
 //!    makes skipping those cycles sound.
-//! 3. **Heap pop-order stability** — equal-cycle ticks pop in a fixed
-//!    total order (channels by index, then cores by index), so the
-//!    schedule never depends on heap insertion history.
+//!
+//! Both run for every system kind, with and without a fault storm (whose
+//! recovery retries, watchdog trips and degraded-mode exits publish
+//! horizons of their own).
 
 use pcmap_core::{build_controller, SystemKind};
 use pcmap_ctrl::{Controller, MemRequest, ReqId, ReqKind};
-use pcmap_sim::{EventHeap, Tick, TickSource};
-use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams, Xoshiro256};
+use pcmap_faults::FaultPlan;
+use pcmap_types::{
+    CoreId, Cycle, FaultConfig, MemOrg, PhysAddr, QueueParams, TimingParams, Xoshiro256,
+};
 use proptest::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Drives one controller with a random request soup, invoking `check`
-/// after every step with `(ctrl, now)`.
-fn drive(kind: SystemKind, seed: u64, ops: u64, mut check: impl FnMut(&mut dyn Controller, Cycle)) {
+/// Drives one controller with a random request soup, under a fault storm
+/// when `storm` is set, invoking `check` after every step with
+/// `(ctrl, now)`.
+fn drive(
+    kind: SystemKind,
+    storm: bool,
+    seed: u64,
+    ops: u64,
+    mut check: impl FnMut(&mut dyn Controller, Cycle),
+) {
     let org = MemOrg::tiny();
     let mut ctrl = build_controller(
         kind,
@@ -33,6 +42,9 @@ fn drive(kind: SystemKind, seed: u64, ops: u64, mut check: impl FnMut(&mut dyn C
         QueueParams::paper_default(),
         seed,
     );
+    if storm {
+        ctrl.set_fault_plan(FaultPlan::new(FaultConfig::storm(0.04, seed), 0));
+    }
     let mut rng = Xoshiro256::new(seed);
     let mut now = Cycle(0);
     for next_id in 1..=ops {
@@ -80,18 +92,16 @@ fn drive(kind: SystemKind, seed: u64, ops: u64, mut check: impl FnMut(&mut dyn C
     }
 }
 
-const KINDS: [SystemKind; 3] = [
-    SystemKind::Baseline,
-    SystemKind::RwowNr,
-    SystemKind::RwowRde,
-];
-
 proptest! {
     /// Contract 1: a freshly stepped controller never claims a horizon at
     /// or before the cycle it just ran.
     #[test]
-    fn next_tick_is_strictly_in_the_future_after_step(seed: u64, kind_ix in 0usize..3) {
-        drive(KINDS[kind_ix], seed, 60, |ctrl, now| {
+    fn next_tick_is_strictly_in_the_future_after_step(
+        seed: u64,
+        kind_ix in 0usize..6,
+        storm: bool,
+    ) {
+        drive(SystemKind::all()[kind_ix], storm, seed, 60, |ctrl, now| {
             if let Some(t) = ctrl.next_tick() {
                 prop_assert!(t > now, "next_tick {t:?} not beyond step cycle {now:?}");
             }
@@ -102,8 +112,12 @@ proptest! {
     /// horizon is a structural no-op — stepping there produces no
     /// completions and moves no determinism-visible state.
     #[test]
-    fn no_event_is_missed_between_step_and_claimed_tick(seed: u64, kind_ix in 0usize..3) {
-        drive(KINDS[kind_ix], seed, 40, |ctrl, now| {
+    fn no_event_is_missed_between_step_and_claimed_tick(
+        seed: u64,
+        kind_ix in 0usize..6,
+        storm: bool,
+    ) {
+        drive(SystemKind::all()[kind_ix], storm, seed, 40, |ctrl, now| {
             let Some(tick) = ctrl.next_tick() else {
                 return;
             };
@@ -131,61 +145,5 @@ proptest! {
             );
             prop_assert_eq!(before, after, "non-due steps mutated controller state");
         });
-    }
-
-    /// Contract 3a: the scheduler heap pops equal-cycle ticks in a fixed
-    /// total order — channels by index before cores by index — no matter
-    /// the insertion order.
-    #[test]
-    fn tick_heap_pop_order_is_stable_for_equal_cycles(seed: u64, n in 2usize..24) {
-        let mut rng = Xoshiro256::new(seed);
-        let mut ticks: Vec<Tick> = (0..n)
-            .map(|_| {
-                let at = Cycle(rng.next_below(4)); // force collisions
-                let source = if rng.chance(0.5) {
-                    TickSource::Channel(rng.next_below(4) as usize)
-                } else {
-                    TickSource::Core(rng.next_below(8) as usize)
-                };
-                Tick { at, source }
-            })
-            .collect();
-        let mut heap: BinaryHeap<Reverse<Tick>> = ticks.iter().map(|&t| Reverse(t)).collect();
-        let mut popped = Vec::new();
-        while let Some(Reverse(t)) = heap.pop() {
-            popped.push(t);
-        }
-        // The pop sequence is exactly the (at, channel-before-core, index)
-        // sort of the inputs, independent of insertion history.
-        ticks.sort();
-        prop_assert_eq!(popped, ticks);
-    }
-
-    /// Contract 3b: `EventHeap::earliest` equals the model — the minimum
-    /// over each source's *current* horizon — after any update sequence,
-    /// including horizon moves and retirements.
-    #[test]
-    fn event_heap_matches_min_over_current_horizons(seed: u64, updates in 1usize..60) {
-        let (channels, cores) = (3usize, 4usize);
-        let mut h = EventHeap::new(channels, cores);
-        let mut model: Vec<Option<Cycle>> = vec![None; channels + cores];
-        let mut rng = Xoshiro256::new(seed);
-        for _ in 0..updates {
-            let slot = rng.next_below((channels + cores) as u64) as usize;
-            let source = if slot < channels {
-                TickSource::Channel(slot)
-            } else {
-                TickSource::Core(slot - channels)
-            };
-            let tick = if rng.chance(0.2) {
-                None
-            } else {
-                Some(Cycle(rng.next_below(500)))
-            };
-            h.update(source, tick);
-            model[slot] = tick;
-            let want = model.iter().flatten().min().copied().unwrap_or(Cycle::MAX);
-            prop_assert_eq!(h.earliest(), want);
-        }
     }
 }

@@ -8,7 +8,7 @@
 //! cargo xtask analyze  # pcmap-analyze semantic passes -> results/analyze.json
 //! cargo xtask clippy   # clippy -D warnings only
 //! cargo xtask check    # PCMAP_CHECK=1 release experiment runs (protocol invariants)
-//! cargo xtask pardiff  # --jobs 1 vs 4 and cycle vs event JSON byte-diff gate
+//! cargo xtask pardiff  # --jobs 1 vs 4 JSON byte-diff gate
 //! cargo xtask soak     # seeded fault-storm recovery gate -> results/soak.json
 //! cargo xtask serve-soak # overload-safe ingestion gate -> results/serve_soak.json
 //! cargo xtask explain  # lifecycle conservation gate -> results/explain.json
@@ -134,8 +134,7 @@ fn check() -> Result<(), String> {
 
 /// Runs a six-system sweep (`--all`) at `--jobs 1` and `--jobs 4` and
 /// byte-compares the exported JSON — the end-to-end determinism gate
-/// behind `--jobs N` (DESIGN.md §9). Ends with the execution-engine
-/// differential ([`engine_diff`], DESIGN.md §14).
+/// behind `--jobs N` (DESIGN.md §9).
 fn pardiff() -> Result<(), String> {
     step(
         "pardiff-build",
@@ -184,71 +183,6 @@ fn pardiff() -> Result<(), String> {
     }
     println!(
         "xtask: pardiff sweep: --jobs 1 == --jobs 4 ({} bytes)",
-        outputs[0].len()
-    );
-    engine_diff(&dir)
-}
-
-/// The engine differential gate (DESIGN.md §14): runs the smoke scenario
-/// under the cycle-stepped and discrete-event schedulers and
-/// byte-compares the exported JSON. The verdict (plus scenario and byte
-/// size) lands in `results/engine_diff.json` for the CI artifact upload.
-fn engine_diff(dir: &std::path::Path) -> Result<(), String> {
-    use pcmap_obs::Value;
-    let scenario: &[&str] = &[
-        "--workload",
-        "canneal",
-        "--system",
-        "rwow-rde",
-        "--requests",
-        "1500",
-    ];
-    let mut outputs = Vec::new();
-    for engine in ["cycle", "event"] {
-        let path = dir.join(format!("engine-{engine}.json"));
-        let path_str = path.to_string_lossy().into_owned();
-        let mut args: Vec<&str> = vec![
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "pcmap-bench",
-            "--bin",
-            "pcmap_run",
-            "--",
-        ];
-        args.extend_from_slice(scenario);
-        args.extend_from_slice(&["--engine", engine, "--json", &path_str]);
-        step(&format!("pardiff-engine-{engine}"), &args)?;
-        outputs.push(fs::read(&path).map_err(|e| format!("engine-diff: read {path_str}: {e}"))?);
-    }
-    let identical = outputs[0] == outputs[1];
-    let mut report = Value::obj();
-    report.set("tool", Value::Str("pcmap-engine-diff".to_owned()));
-    report.set(
-        "scenario",
-        Value::Str("canneal/rwow-rde/1500 requests".to_owned()),
-    );
-    report.set(
-        "engines",
-        Value::Arr(vec![
-            Value::Str("cycle".to_owned()),
-            Value::Str("event".to_owned()),
-        ]),
-    );
-    report.set("bytes", Value::U64(outputs[0].len() as u64));
-    report.set("identical", Value::Bool(identical));
-    let out = "results/engine_diff.json";
-    pcmap_obs::export::write_json(out, &report)
-        .map_err(|e| format!("engine-diff: write {out}: {e}"))?;
-    if !identical {
-        return Err(format!(
-            "engine-diff: event JSON differs from cycle JSON (artifacts in {})",
-            dir.display()
-        ));
-    }
-    println!(
-        "xtask: pardiff engine: cycle == event ({} bytes), wrote {out}",
         outputs[0].len()
     );
     Ok(())
