@@ -2,7 +2,7 @@
 //! status-poll cost, drain watermarks, queue depths, and rotation under
 //! correlated vs uncorrelated write offsets.
 
-use pcmap_bench::runner_from_args;
+use pcmap_bench::{count_from_args, runner_from_args};
 use pcmap_core::{RollbackMode, SystemKind};
 use pcmap_sim::{SimConfig, System, TableBuilder};
 use pcmap_workloads::catalog;
@@ -12,17 +12,7 @@ fn run(cfg: SimConfig, wl: &catalog::Workload) -> f64 {
 }
 
 fn main() {
-    // First positional integer is the request budget; `--jobs N` (and its
-    // value) is handled by `runner_from_args`.
-    let mut requests: u64 = 12_000;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        if arg == "--jobs" || arg == "-j" {
-            let _ = it.next();
-        } else if let Ok(n) = arg.parse() {
-            requests = n;
-        }
-    }
+    let requests = count_from_args("REQUESTS", 12_000, true);
     let mut runner = runner_from_args();
     let wl = catalog::by_name("canneal").expect("catalog workload");
 
@@ -89,12 +79,11 @@ fn main() {
     // Status-poll cost: re-run a same-bank write burst with the 2-cycle
     // DIMM-register poll vs a free oracle.
     {
-        use pcmap_core::PcmapController;
-        use pcmap_ctrl::{Controller, MemRequest, ReqId, ReqKind};
+        use pcmap_ctrl::{ChannelController, Controller, MemRequest, ReqId, ReqKind};
         use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams};
         let org = MemOrg::paper_default();
         let drain_time = |poll: u64| -> u64 {
-            let mut c = PcmapController::new(
+            let mut c = ChannelController::new(
                 SystemKind::RwowRde,
                 org,
                 TimingParams::paper_default(),
@@ -146,12 +135,11 @@ fn main() {
 
     // §IV-B4: splitting multi-word writes to keep RoW applicable.
     {
-        use pcmap_core::PcmapController;
-        use pcmap_ctrl::{Controller, MemRequest, ReqId, ReqKind};
+        use pcmap_ctrl::{ChannelController, Controller, MemRequest, ReqId, ReqKind};
         use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams};
         let org = MemOrg::tiny();
         let run = |split: bool| -> (u64, u64) {
-            let mut c = PcmapController::new(
+            let mut c = ChannelController::new(
                 SystemKind::RowNr,
                 org,
                 TimingParams::paper_default(),

@@ -5,10 +5,7 @@ use pcmap_sim::experiments::fig2;
 use pcmap_sim::TableBuilder;
 
 fn main() {
-    let writes: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50_000);
+    let writes = pcmap_bench::count_from_args("WRITES", 50_000, false);
     let rows = fig2(writes);
     let mut headers = vec!["workload".to_string()];
     headers.extend((0..=8).map(|i| format!("{i}w [%]")));

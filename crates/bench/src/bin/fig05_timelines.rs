@@ -4,8 +4,8 @@
 //! followed by reads B and C; (c)/(d) three writes with disjoint essential
 //! words. Rendered as ASCII Gantt charts (one row per chip).
 
-use pcmap_core::{PcmapController, SystemKind};
-use pcmap_ctrl::{BaselineController, Controller, MemRequest, ReqId, ReqKind};
+use pcmap_core::SystemKind;
+use pcmap_ctrl::{ChannelController, Controller, MemRequest, ReqId, ReqKind};
 use pcmap_obs::ChipTrace;
 use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams};
 
@@ -90,22 +90,22 @@ fn main() {
     println!("Figure 5 — scheduling timelines (4 cycles per column; last label char per op)\n");
 
     println!("(a) Baseline: write A then reads B, C (all serialized)");
-    let mut base = BaselineController::new(org, t, q, 0);
+    let mut base = ChannelController::new(SystemKind::Baseline, org, t, q, 0);
     scenario_row(&mut base);
     print!("{}", gantt(&base, bank));
 
     println!("\n(b) RoW: reads B, C reconstructed during write A (verify after)");
-    let mut row = PcmapController::new(SystemKind::RowNr, org, t, q, 0);
+    let mut row = ChannelController::new(SystemKind::RowNr, org, t, q, 0);
     scenario_row(&mut row);
     print!("{}", gantt(&row, bank));
 
     println!("\n(c) Baseline: three writes serialized");
-    let mut base2 = BaselineController::new(org, t, q, 0);
+    let mut base2 = ChannelController::new(SystemKind::Baseline, org, t, q, 0);
     scenario_wow(&mut base2);
     print!("{}", gantt(&base2, bank));
 
     println!("\n(d) WoW (RWoW-RDE): disjoint writes consolidated");
-    let mut wow = PcmapController::new(SystemKind::RwowRde, org, t, q, 0);
+    let mut wow = ChannelController::new(SystemKind::RwowRde, org, t, q, 0);
     scenario_wow(&mut wow);
     print!("{}", gantt(&wow, bank));
 }

@@ -1,10 +1,12 @@
 //! Shared plumbing for the experiment binaries that regenerate every table
 //! and figure of the paper (see DESIGN.md §3 for the index).
 //!
-//! Each binary accepts an optional scale argument — `quick`, `default`
-//! (the default) or `full` — and a `--jobs N` flag (or the `PCMAP_JOBS`
-//! environment variable) that farms the sweep's independent runs to N
-//! workers. Results are emitted in input order, so every table and JSON
+//! Each scale binary accepts an optional scale argument — `quick`,
+//! `default` (the default) or `full` — and a `--jobs N` flag (or the
+//! `PCMAP_JOBS` environment variable) that farms the sweep's independent
+//! runs to N workers; `ablations`, `lifetime_energy` and
+//! `fig02_dirty_words` take one positive count instead. Any other argument
+//! is a usage error (exit status 2). Results are emitted in input order, so every table and JSON
 //! artifact is byte-identical across job counts.
 
 #![warn(missing_docs)]
@@ -16,18 +18,69 @@ use pcmap_obs::Value;
 use pcmap_sim::experiments::{evaluate_matrix_with, EvalScale, WorkloadEval};
 use pcmap_sim::{RunReport, SweepRunner, TableBuilder};
 
-/// Parses the common `quick|default|full` CLI argument (any position;
-/// other flags are ignored).
+/// Parses the command line of a scale binary: an optional
+/// `quick|default|full` (default `default`) and `--jobs N` / `-j N` (read
+/// by [`runner_from_args`]). Anything else is a usage error: the message
+/// names the argument and the process exits with status 2.
 pub fn scale_from_args() -> EvalScale {
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "quick" => return EvalScale::quick(),
-            "full" => return EvalScale::full(),
-            "default" => return EvalScale::default_scale(),
-            _ => {}
+    args_or_exit("[quick|default|full] [--jobs N]", true, scale_arg)
+        .unwrap_or_else(EvalScale::default_scale)
+}
+
+fn scale_arg(arg: &str) -> Result<EvalScale, String> {
+    match arg {
+        "quick" => Ok(EvalScale::quick()),
+        "default" => Ok(EvalScale::default_scale()),
+        "full" => Ok(EvalScale::full()),
+        _ => Err(format!("unexpected argument '{arg}'")),
+    }
+}
+
+/// Parses the command line of a count binary: an optional positive count
+/// named `what` (default `default`), plus `--jobs N` / `-j N` when `jobs`.
+/// Anything else is a usage error, as for [`scale_from_args`].
+pub fn count_from_args(what: &str, default: u64, jobs: bool) -> u64 {
+    let usage = format!("[{what}]{}", if jobs { " [--jobs N]" } else { "" });
+    args_or_exit(&usage, jobs, |a| pcmap_par::parse_jobs(what, a)).map_or(default, |n| n as u64)
+}
+
+/// Parses `args`: at most one positional argument, read by `positional`,
+/// and `--jobs N` / `-j N` when `jobs` is set.
+fn parse_args<T>(
+    args: impl IntoIterator<Item = String>,
+    jobs: bool,
+    positional: impl Fn(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let mut value = None;
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        if jobs && (arg == "--jobs" || arg == "-j") {
+            pcmap_par::parse_jobs("--jobs", &it.next().ok_or("--jobs needs a value")?)?;
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag '{arg}'"));
+        } else if value.is_some() {
+            return Err(format!("unexpected argument '{arg}'"));
+        } else {
+            value = Some(positional(&arg)?);
         }
     }
-    EvalScale::default_scale()
+    Ok(value)
+}
+
+/// [`parse_args`] over the process arguments; on error prints the message
+/// and the usage line to stderr and exits with status 2.
+fn args_or_exit<T>(
+    usage: &str,
+    jobs: bool,
+    positional: impl Fn(&str) -> Result<T, String>,
+) -> Option<T> {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    parse_args(args, jobs, positional).unwrap_or_else(|e| {
+        let bin = std::path::Path::new(&bin).file_name().unwrap_or_default();
+        eprintln!("error: {e}\nusage: {} {usage}", bin.to_string_lossy());
+        std::process::exit(2)
+    })
 }
 
 /// Parses the common `--jobs N` (or `-j N`) flag, falling back to the
@@ -310,10 +363,42 @@ pub fn write_csv_result<'p>(path: &'p str, table: &TableBuilder) -> std::io::Res
 mod tests {
     use super::*;
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn scale_defaults_without_args() {
-        let s = scale_from_args();
-        // Running under the test harness there is no scale argument.
-        assert!(s.requests > 0);
+        assert!(parse_args(args(&[]), true, scale_arg).unwrap().is_none());
+        let q = parse_args(args(&["--jobs", "4", "quick"]), true, scale_arg);
+        assert_eq!(q.unwrap().unwrap().requests, EvalScale::quick().requests);
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors() {
+        let count = |a: &str| pcmap_par::parse_jobs("N", a);
+        for (v, jobs, want) in [
+            (&["quikc"][..], true, "unexpected argument 'quikc'"),
+            (&["quick", "full"], true, "unexpected argument 'full'"),
+            (&["--bogus"], true, "unknown flag '--bogus'"),
+            (&["-j"], true, "--jobs needs a value"),
+            (&["-j", "0"], true, "--jobs wants a positive count, got '0'"),
+            (&["--jobs", "2"], false, "unknown flag '--jobs'"),
+        ] {
+            let e = parse_args(args(v), jobs, scale_arg).unwrap_err();
+            assert!(e.contains(want), "{v:?}: {e}");
+        }
+        assert_eq!(
+            parse_args(args(&["9", "-j", "2"]), true, count),
+            Ok(Some(9))
+        );
+        for (v, want) in [
+            (&["quick"][..], "N wants a positive count, got 'quick'"),
+            (&["0"], "N wants a positive count, got '0'"),
+            (&["1", "2"], "unexpected argument '2'"),
+        ] {
+            let e = parse_args(args(v), false, count).unwrap_err();
+            assert!(e.contains(want), "{v:?}: {e}");
+        }
     }
 }

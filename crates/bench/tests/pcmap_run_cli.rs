@@ -68,6 +68,47 @@ fn malformed_job_count_is_a_usage_error() {
     }
 }
 
+/// A misspelt scale, a scale where a count belongs, a zero count and a
+/// count that is not a number are usage errors that name the argument,
+/// reported before any simulation runs.
+#[test]
+fn unknown_positional_arguments_are_usage_errors() {
+    let cases = [
+        (
+            env!("CARGO_BIN_EXE_figs_all"),
+            "quikc",
+            "unexpected argument 'quikc'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablations"),
+            "quick",
+            "REQUESTS wants a positive count, got 'quick'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_lifetime_energy"),
+            "0",
+            "REQUESTS wants a positive count, got '0'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig02_dirty_words"),
+            "x",
+            "WRITES wants a positive count, got 'x'",
+        ),
+    ];
+    for (bin, arg, want) in cases {
+        let out = Command::new(bin)
+            .arg(arg)
+            .env_remove("PCMAP_JOBS")
+            .output()
+            .expect("binary starts");
+        assert_eq!(out.status.code(), Some(2), "{bin} {arg}: {out:?}");
+        assert!(out.stdout.is_empty(), "{bin} {arg} printed results");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want), "{bin} {arg}: {stderr}");
+        assert!(stderr.contains("usage: "), "{bin} {arg}: {stderr}");
+    }
+}
+
 /// A set but malformed `PCMAP_FAULTS` is an error in every binary that
 /// reads it, never a silent fault-free run.
 #[test]

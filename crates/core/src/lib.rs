@@ -3,87 +3,40 @@
 //!
 //! When a PCM write involves only a subset of a rank's chips (and most
 //! write-backs dirty just 1–4 of the eight 8-byte words of a cache line),
-//! the remaining chips can serve other requests. This crate implements the
-//! mechanisms that unlock that parallelism:
+//! the remaining chips can serve other requests. This crate defines the
+//! systems that unlock that parallelism and the chip layouts they use:
 //!
 //! - [`Layout`] — address-based rotation of data words and of the ECC/PCC
 //!   check words across the rank's ten chips (no bookkeeping state).
 //! - [`SystemKind`] — the six evaluated systems, from `Baseline` to the
 //!   full `RWoW-RDE` design.
-//! - [`PcmapController`] — the scheduler: fine-grained essential-word
-//!   writes, **WoW** (write-over-write consolidation) and **RoW**
-//!   (read-over-write with XOR reconstruction from the PCC chip and
-//!   deferred SECDED verification).
+//! - [`RollbackMode`] — how RoW's deferred-verification risk is charged
+//!   to the CPU (Table IV).
+//!
+//! The scheduler that puts these mechanisms to work (fine-grained
+//! essential-word writes, **WoW** write-over-write consolidation and
+//! **RoW** read-over-write with XOR reconstruction from the PCC chip and
+//! deferred SECDED verification) is `pcmap_ctrl::ChannelController`,
+//! keyed by [`SystemKind`].
 //!
 //! # Example
 //!
 //! ```
-//! use pcmap_core::{PcmapController, SystemKind};
-//! use pcmap_ctrl::{Controller, MemRequest, ReqId, ReqKind};
-//! use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams};
+//! use pcmap_core::SystemKind;
 //!
-//! let org = MemOrg::tiny();
-//! let mut ctrl = PcmapController::new(
-//!     SystemKind::RwowRde,
-//!     org,
-//!     TimingParams::paper_default(),
-//!     QueueParams::paper_default(),
-//!     0,
-//! );
-//! let addr = PhysAddr::new(128);
-//! let req = MemRequest {
-//!     id: ReqId(1),
-//!     kind: ReqKind::Read,
-//!     line: addr.line(),
-//!     loc: org.decode(addr),
-//!     core: CoreId(0),
-//!     arrival: Cycle(0),
-//! };
-//! ctrl.enqueue_read(req, Cycle(0)).unwrap();
-//! assert_eq!(ctrl.step(Cycle(0)).len(), 1);
+//! let kind = SystemKind::RwowRde;
+//! assert!(kind.row_enabled() && kind.wow_enabled());
+//! let layout = kind.layout();
+//! // ECC/PCC rotation moves the check words between lines.
+//! let (a, b) = (pcmap_types::LineAddr(0), pcmap_types::LineAddr(1));
+//! assert_ne!(layout.ecc_chip(a), layout.ecc_chip(b));
 //! ```
 
 #![warn(missing_docs)]
 #![deny(unused_must_use)]
 
 pub mod config;
-pub mod controller;
 pub mod layout;
 
 pub use config::{RollbackMode, SystemKind};
-pub use controller::PcmapController;
 pub use layout::Layout;
-
-use pcmap_ctrl::Controller;
-use pcmap_types::{MemOrg, QueueParams, TimingParams};
-
-/// Builds the right controller for `kind` (baseline or PCMap variant).
-pub fn build_controller(
-    kind: SystemKind,
-    org: MemOrg,
-    t: TimingParams,
-    q: QueueParams,
-    seed: u64,
-) -> Box<dyn Controller> {
-    if kind.is_baseline() {
-        Box::new(pcmap_ctrl::BaselineController::new(org, t, q, seed))
-    } else {
-        Box::new(PcmapController::new(kind, org, t, q, seed))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn build_controller_dispatches() {
-        let org = MemOrg::tiny();
-        let t = TimingParams::paper_default();
-        let q = QueueParams::paper_default();
-        let b = build_controller(SystemKind::Baseline, org, t, q, 0);
-        assert_eq!(b.write_q_capacity(), q.write_q);
-        let p = build_controller(SystemKind::RwowRde, org, t, q, 0);
-        assert_eq!(p.write_q_capacity(), q.write_q);
-    }
-}

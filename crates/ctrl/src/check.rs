@@ -19,6 +19,8 @@
 //! but `0`; `PCMAP_CHECK=0` force-disables it. Release experiment runs
 //! opt in via `PCMAP_CHECK=1` (`cargo xtask check`).
 
+// pcmap-lint: allow-file(missed-wake, reason = "the protocol checker only observes the schedule: it is read-only with respect to the simulation and holds no readiness state")
+
 use pcmap_device::timing::RankTiming;
 use pcmap_types::{BankId, ChipId, ChipSet, Cycle, Duration, TimingParams};
 

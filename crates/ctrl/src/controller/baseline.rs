@@ -1,0 +1,285 @@
+//! The Baseline policy: FR-FCFS coarse reads over the whole line, and
+//! writes that reserve every chip of their bank until the slowest
+//! essential chip finishes (no sub-ranking).
+
+use super::{ChannelController, ReadService};
+use crate::bus::BusDir;
+use crate::op;
+use crate::request::{Completion, ReqId, ReqKind};
+use pcmap_obs::{Event, EventKind, EventSink, Resource, WaitCause};
+use pcmap_types::{BankId, ChipId, ChipSet, Cycle, Duration};
+
+impl ChannelController {
+    /// The chips a coarse (whole-line) read occupies in the fixed layout:
+    /// all data chips plus the ECC chip.
+    pub(super) fn coarse_read_set() -> ChipSet {
+        let mut s = ChipSet::data_chips_fixed();
+        s.insert_chip(ChipId::ECC);
+        s
+    }
+
+    /// The chips a baseline write reserves: the whole bank across data and
+    /// ECC chips (no sub-ranking in the baseline).
+    fn baseline_write_set() -> ChipSet {
+        Self::coarse_read_set()
+    }
+
+    /// Picks the best issueable read at `now` under FR-FCFS: row hits
+    /// first, then oldest, among reads whose chips are free. While any
+    /// bank drains, the bus is in write mode and no read issues at all.
+    pub(super) fn pick_coarse_read(&mut self, now: Cycle) -> Option<ReqId> {
+        if self.any_draining() {
+            if self.lifetrace.enabled() {
+                for req in self.read_q.iter() {
+                    self.lifetrace.blocked(
+                        req.id.0,
+                        now,
+                        WaitCause::Drain,
+                        Some(Resource::bank(req.loc.bank)),
+                    );
+                }
+            }
+            return None;
+        }
+        let set = Self::coarse_read_set();
+        // The queue is in age order, so a younger read displaces the pick
+        // only as the first row hit.
+        let mut best: Option<(bool, ReqId)> = None; // (row_hit, id)
+        for pos in 0..self.read_q.len() {
+            let req = &self.read_q[pos];
+            let (id, bank, row) = (req.id, req.loc.bank, req.loc.row);
+            let chips_free = self.rank.timing().free_at(bank, set, now);
+            if chips_free > now {
+                // Event horizon: this read becomes issueable once every
+                // chip of the coarse set has drained its reservations.
+                self.note_hint(chips_free);
+                if self.lifetrace.enabled() {
+                    // Attribute the busy window: a write still programming
+                    // the bank, or (otherwise) another read on its chips.
+                    let cause = if self.last_write_end[bank.index()] > now {
+                        WaitCause::WriteInFlight
+                    } else {
+                        WaitCause::MultiBusy
+                    };
+                    self.lifetrace
+                        .blocked(id.0, now, cause, Some(Resource::bank(bank)));
+                }
+                continue;
+            }
+            let hit = self
+                .rank
+                .timing()
+                .chips_needing_activate(bank, set, row)
+                .is_empty();
+            if best.is_none_or(|(best_hit, _)| hit && !best_hit) {
+                best = Some((hit, id));
+            }
+        }
+        best.map(|(_, id)| id)
+    }
+
+    /// Issues a coarse read at `now`. The chips must be free (checked by
+    /// [`Self::pick_coarse_read`]).
+    pub(super) fn issue_coarse_read(&mut self, id: ReqId, now: Cycle) -> Completion {
+        let req = self.read_q.remove(id).expect("picked read must be queued");
+        let bank = req.loc.bank;
+        self.events.record(Event {
+            at: now,
+            req: req.id.0,
+            bank,
+            kind: EventKind::Issue { is_write: false },
+        });
+        let set = Self::coarse_read_set();
+        let row_hit = self
+            .rank
+            .timing()
+            .chips_needing_activate(bank, set, req.loc.row)
+            .is_empty();
+
+        let to_transfer = op::read_latency_to_transfer(row_hit, &self.t);
+        let transfer = self.bus.reserve(BusDir::Read, now + to_transfer, &self.t);
+        let data_ready = transfer + Duration(self.t.burst);
+
+        self.checker.command(
+            self.rank.timing(),
+            bank,
+            set,
+            now,
+            data_ready,
+            "coarse read",
+        );
+        self.rank.timing_mut().reserve(bank, set, now, data_ready);
+        self.rank.timing_mut().open_row(bank, set, req.loc.row);
+
+        // Chip slow-down / stuck-busy faults extend occupancy past the
+        // nominal window (inert without a fault plan).
+        let data_ready = self.apply_chip_fault(bank, set, now, data_ready);
+
+        // The SECDED check is free on a coarse read: the ECC chip is read
+        // with the eight data chips.
+        self.finish_read(
+            &req,
+            ReadService {
+                decided: now,
+                start: now,
+                data_ready,
+                read_set: set,
+                // IRLP and the log show the eight word-serving chips.
+                logged: ChipSet::data_chips_fixed(),
+                ecc_chip: ChipId::ECC,
+                verify: None,
+                via_row: false,
+            },
+        )
+    }
+
+    /// Baseline write arm of a pass. While the bus is turned around (any
+    /// drain active) every bank may issue its oldest issueable write, and
+    /// opportunistically after a read-idle window; otherwise, with
+    /// `tag_parked`, the parked writes are attributed to read priority.
+    /// Returns `true` if any write issued.
+    pub(super) fn issue_baseline_writes(
+        &mut self,
+        now: Cycle,
+        tag_parked: bool,
+        out: &mut Vec<Completion>,
+    ) -> bool {
+        let bus_write_mode = self.any_draining() || self.read_idle(now);
+        let mut issued = false;
+        for b in 0..self.org.banks {
+            let bank = BankId(b);
+            if bus_write_mode {
+                if let Some(id) = self.pick_baseline_write(bank, now) {
+                    self.issue_baseline_write(id, now, out);
+                    issued = true;
+                }
+            } else if self.lifetrace.enabled() && tag_parked {
+                for req in self.write_qs[bank.index()].iter() {
+                    self.lifetrace.blocked(
+                        req.id.0,
+                        now,
+                        WaitCause::ReadPriority,
+                        Some(Resource::bank(bank)),
+                    );
+                }
+            }
+        }
+        issued
+    }
+
+    /// Picks the oldest issueable write of `bank` at `now`, preserving
+    /// same-address write order (a newer write to a line may not jump an
+    /// older blocked one).
+    fn pick_baseline_write(&mut self, bank: BankId, now: Cycle) -> Option<ReqId> {
+        let set = Self::baseline_write_set();
+        for pos in 0..self.write_qs[bank.index()].len() {
+            let q = &self.write_qs[bank.index()];
+            if q.older_to_same_line(pos) {
+                continue;
+            }
+            let id = q[pos].id;
+            let chips_free = self.rank.timing().free_at(bank, set, now);
+            if chips_free <= now {
+                return Some(id);
+            }
+            // Event horizon: the write becomes issueable once its bank's
+            // chips drain (the bus never blocks issue, only shifts start).
+            self.note_hint(chips_free);
+            if self.lifetrace.enabled() {
+                self.lifetrace.blocked(
+                    id.0,
+                    now,
+                    WaitCause::WriteInFlight,
+                    Some(Resource::bank(bank)),
+                );
+            }
+        }
+        None
+    }
+
+    /// Issues a baseline (whole-rank) write at `now`: every chip of the
+    /// bank is reserved until the slowest essential chip finishes.
+    fn issue_baseline_write(&mut self, id: ReqId, now: Cycle, out: &mut Vec<Completion>) {
+        let bank0 = self
+            .write_qs
+            .iter()
+            .position(|q| q.iter().any(|r| r.id == id))
+            .expect("picked write must be queued");
+        let req = self.write_qs[bank0]
+            .remove(id)
+            .expect("picked write must be queued");
+        let ReqKind::Write { data } = req.kind else {
+            panic!("write queue held a read")
+        };
+        let bank = req.loc.bank;
+
+        let outcome = self.rank.write_words(
+            bank,
+            req.loc.row,
+            req.loc.col,
+            data,
+            pcmap_types::WordMask::full(),
+        );
+        self.stats.essential_histogram[outcome.essential.count()] += 1;
+        if outcome.silent {
+            self.stats.silent_writes += 1;
+        }
+
+        // Full-bus transfer of the line, then in-chip differential writes.
+        let transfer = self
+            .bus
+            .reserve(BusDir::Write, now + Duration(self.t.t_wl), &self.t);
+        let program_start = transfer + Duration(self.t.burst);
+
+        self.events.record(Event {
+            at: now,
+            req: req.id.0,
+            bank,
+            kind: EventKind::Issue { is_write: true },
+        });
+        let mut done = program_start + Duration(self.t.array_read); // compare-only chips
+        for i in outcome.essential.iter() {
+            let end = program_start + outcome.kinds[i].duration(&self.t);
+            done = done.max(end);
+            // IRLP + wear for the essential chips (identity layout).
+            let chip = ChipId(i as u8);
+            self.stats.irlp.record_segment(bank, now, end);
+            self.rank.wear_mut().record(chip, outcome.bits_per_word[i]);
+            self.events.chip_occupy(req.id.0, bank, chip, now, end, || {
+                format!("Wr-{}", req.id.0)
+            });
+        }
+        if !outcome.silent {
+            // The ECC chip is rewritten alongside (not counted in IRLP).
+            let ecc_end = program_start + Duration(self.t.array_set);
+            done = done.max(ecc_end);
+            self.rank.wear_mut().record(ChipId::ECC, 8);
+            self.rank.energy_mut().record_write(4, 4);
+            self.events
+                .chip_occupy(req.id.0, bank, ChipId::ECC, now, ecc_end, || {
+                    format!("We-{}", req.id.0)
+                });
+        }
+
+        let set = Self::baseline_write_set();
+        self.checker
+            .command(self.rank.timing(), bank, set, now, done, "baseline write");
+        self.rank.timing_mut().reserve(bank, set, now, done);
+
+        // Fault hooks: this write may burn out a cell (stuck-at wear) or
+        // hit a slow / stuck-busy chip. Inert without a fault plan.
+        self.plant_wear_fault(bank, req.loc.row, req.loc.col, now);
+        let done = self.apply_chip_fault(bank, set, now, done);
+
+        if self.lifetrace.enabled() {
+            self.lifetrace.issue(req.id.0, now, now, done);
+            for i in outcome.essential.iter() {
+                let end = program_start + outcome.kinds[i].duration(&self.t);
+                self.lifetrace
+                    .chip_service(req.id.0, ChipId(i as u8), now, end);
+            }
+        }
+        self.stats.irlp.open_window(bank, now, done);
+        self.complete_write(&req, bank, done, out);
+    }
+}

@@ -1,0 +1,804 @@
+//! The PCMap policy (§IV): fine-grained writes, RoW, WoW, rotation.
+//!
+//! * **Fine-grained writes** — a write touches only the chips holding its
+//!   essential words plus the line's ECC and PCC chips. All three phases
+//!   are committed at issue: *step 1* programs the essential data chips
+//!   with the ECC update running alongside; *step 2* updates the PCC chip
+//!   immediately after the data phase (Figure 5(b)). Because the phases
+//!   occupy their chips as reservation windows, a fixed ECC/PCC chip
+//!   genuinely serializes consecutive writes — the contention the paper
+//!   quantifies for the `-NR`/`-RD` systems and removes with ECC/PCC
+//!   rotation in `RWoW-RDE`.
+//! * **WoW** — additional writes whose chip windows fit are issued
+//!   concurrently with in-flight writes (oldest first, §IV-D2 rule 2).
+//! * **RoW** — a read with exactly one word-holding chip busy is served by
+//!   reading the other seven data chips plus the PCC chip (free during
+//!   step 1 by construction) and XOR-reconstructing the missing word;
+//!   SECDED verification is deferred to a one-chip read after the busy
+//!   chip frees (§IV-B). A read whose word chips are all free but whose
+//!   ECC chip is busy is served with the same deferred-verification path.
+//! * **Status polling** — any operation overlapped onto a bank with an
+//!   in-flight write is charged the 2-cycle `Status` round trip to the
+//!   DIMM register first (§IV-D1).
+//!
+//! One modeling note (see DESIGN.md): the controller is given the essential
+//! word set of a queued write at scheduling time (as the paper's scheduler
+//! implicitly assumes when it "selects write requests that can be
+//! parallelized"); the per-overlap `Status` poll cost is still charged.
+//! The set comes from [`PcmRank::peek_data`], which every scheduling pass
+//! runs on every candidate write: only the data words are diffed, so the
+//! peek computes no ECC or PCC. Those are computed when the write stores
+//! its words and when a read verifies the line.
+//!
+//! The write pass decides the write-mode gate once, merges the per-bank
+//! queues oldest first in place, and skips a write while an older write
+//! to its line is queued. Blocked verdicts are never cached: each
+//! evaluation shows in the report (DESIGN.md §4b item 7).
+//!
+//! [`PcmRank::peek_data`]: pcmap_device::PcmRank::peek_data
+
+use super::{ChannelController, InflightWrite, ReadService};
+use crate::bus::BusDir;
+use crate::op;
+use crate::queues::RequestQueue;
+use crate::request::{Completion, MemRequest, ReqKind};
+use pcmap_obs::{Event, EventKind, EventSink, Resource, WaitCause};
+use pcmap_types::{BankId, ChipId, ChipSet, Cycle, Duration, WordMask};
+
+/// The bank whose next unvisited write (at `cursor[bank]`) is oldest in
+/// `(arrival, id)` order, lowest bank first on a tie; `None` once every
+/// queue is exhausted. Each queue is already in that order, so repeated
+/// calls merge the queues without sorting.
+fn oldest_unvisited(qs: &[RequestQueue], cursor: &[usize]) -> Option<usize> {
+    qs.iter()
+        .zip(cursor)
+        .enumerate()
+        .filter(|&(_, (q, &pos))| pos < q.len())
+        .map(|(b, (q, &pos))| ((q[pos].arrival, q[pos].id), b))
+        .min()
+        .map(|(_, b)| b)
+}
+
+impl ChannelController {
+    /// Request id of the write currently occupying `bank`, if any (overlap
+    /// detection and lifecycle blocker attribution).
+    fn inflight_blocker(&self, bank: BankId, now: Cycle) -> Option<u64> {
+        self.inflight
+            .iter()
+            .find(|w| w.bank == bank && w.data_end > now)
+            .map(|w| w.req)
+    }
+
+    /// Whether this channel's rank is currently demoted to coarse
+    /// scheduling (advances the degradation state machine to `now`).
+    /// Always `false` without a fault plan.
+    fn rank_degraded(&mut self, now: Cycle) -> bool {
+        match self.faults.as_mut() {
+            Some(plan) => plan.is_degraded(now),
+            None => false,
+        }
+    }
+
+    /// Number of Status polls an overlapped issue pays: 1 normally, 2
+    /// when the fault plan corrupts the poll response and it must be
+    /// repeated (§IV-D1).
+    fn poll_count(&mut self) -> u64 {
+        let corrupted = match self.faults.as_mut() {
+            Some(plan) => plan.on_status_poll(),
+            None => false,
+        };
+        if corrupted {
+            self.stats.faults_injected += 1;
+            self.stats.faults_status_poll += 1;
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Attempts to issue one write (fine-grained, all phases committed).
+    /// Returns `true` on issue.
+    pub(super) fn try_issue_write(&mut self, now: Cycle, out: &mut Vec<Completion>) -> bool {
+        let degraded = self.rank_degraded(now);
+        // Writes issue while the bus is in write mode (any drain active)
+        // or opportunistically after a read-idle window. The verdict holds
+        // for the whole pass; under read priority only the lifecycle
+        // tracer has anything to record.
+        let write_mode = self.any_draining() || self.read_idle(now);
+        if !write_mode && !self.lifetrace.enabled() {
+            return false;
+        }
+        // Visit candidates oldest first across the bank queues by merging
+        // their heads in place (one cursor per bank a `u8` can name).
+        let mut cursor = [0usize; 1 << u8::BITS];
+        while let Some(b) = oldest_unvisited(&self.write_qs, &cursor) {
+            let pos = cursor[b];
+            cursor[b] += 1;
+            // Same-address write order must be preserved: a newer write to
+            // a line may not jump an older one this pass passed over.
+            if self.write_qs[b].older_to_same_line(pos) {
+                continue;
+            }
+            let MemRequest { id, line, loc, .. } = self.write_qs[b][pos];
+            let bank = loc.bank;
+            if !write_mode {
+                self.lifetrace.blocked(
+                    id.0,
+                    now,
+                    WaitCause::ReadPriority,
+                    Some(Resource::bank(bank)),
+                );
+                continue;
+            }
+            let overlapping = self.inflight_blocker(bank, now).is_some();
+            // A degraded rank loses WoW speculation: overlapped writes
+            // wait for the in-flight write like the baseline would.
+            if overlapping && (!self.kind.wow_enabled() || degraded) {
+                // Event horizon: the candidate stays blocked until every
+                // in-flight data phase on this bank has ended.
+                if let Some(t) = self
+                    .inflight
+                    .iter()
+                    .filter(|w| w.bank == bank && w.data_end > now)
+                    .map(|w| w.data_end)
+                    .max()
+                {
+                    self.note_hint(t);
+                }
+                if self.lifetrace.enabled() {
+                    let cause = if degraded && self.kind.wow_enabled() {
+                        WaitCause::RankDemoted
+                    } else {
+                        WaitCause::WriteInFlight
+                    };
+                    let mut r = Resource::bank(bank);
+                    if let Some(blocker) = self.inflight_blocker(bank, now) {
+                        r = r.blocked_by(blocker);
+                    }
+                    self.lifetrace.blocked(id.0, now, cause, Some(r));
+                }
+                continue;
+            }
+            let polls = if overlapping { self.poll_count() } else { 1 };
+            let start = if overlapping {
+                now + Duration(self.status_poll.0 * polls)
+            } else {
+                now
+            };
+
+            // Peek the essential set without mutating storage. Only data
+            // words are diffed, so the peek computes no ECC or PCC.
+            let old = self.rank.peek_data(bank, loc.row, loc.col);
+            let ReqKind::Write { data } = &self.write_qs[b][pos].kind else {
+                unreachable!("write queue held a read")
+            };
+            let mask = old.diff_words(data);
+
+            if mask.is_empty() {
+                // Silent store — or the tail of a split write whose words
+                // have all landed.
+                self.checker
+                    .status_poll_n(bank, now, start, overlapping, polls);
+                let req = self.write_qs[b].remove(id).expect("still queued");
+                let ReqKind::Write { data } = req.kind else {
+                    unreachable!("write queue held a read")
+                };
+                self.rank.write_words(bank, loc.row, loc.col, data, mask);
+                if let Some(pos) = self.split_in_progress.iter().position(|&r| r == id) {
+                    self.split_in_progress.swap_remove(pos);
+                } else {
+                    self.stats.essential_histogram[0] += 1;
+                    self.stats.silent_writes += 1;
+                }
+                let done = start + Duration(self.t.array_read);
+                self.stats.irlp.open_window(bank, start, done);
+                self.lifetrace.issue(id.0, now, start, done);
+                self.complete_write(&req, bank, done, out);
+                return true;
+            }
+
+            // §IV-B4 split mode: with reads waiting, issue one essential
+            // word at a time so the bank stays RoW-compatible.
+            let full_count = mask.count();
+            let mut mask = mask;
+            let splitting = self.split_writes_for_row
+                && self.kind.row_enabled()
+                && (full_count > 1 || self.split_in_progress.contains(&id))
+                && !self.read_q.is_empty();
+            if splitting {
+                mask = WordMask::single(mask.first().expect("non-empty"));
+            }
+
+            // Plan the three phases.
+            let program_start = start + Duration(self.t.t_wl + self.t.burst);
+            let upd = op::check_chip_write_occupancy(&self.t);
+            let worst_end = program_start + Duration(self.t.array_set);
+
+            // Availability: data chips and ECC chip over step 1, PCC chip
+            // right after the data phase (step 2). Per-word SET/RESET
+            // variation is bounded by the worst case.
+            let timing = self.rank.timing();
+            let data_chips = self.layout.chips_of_mask(line, mask);
+            if !timing.set_free_during(bank, data_chips, start, worst_end) {
+                self.stats.wr_blocked_data += 1;
+                let until = timing.blocked_until(bank, data_chips, start, worst_end);
+                if self.lifetrace.enabled() {
+                    // Diagnose the first busy chip of the conflicting set.
+                    let busy = data_chips
+                        .chips()
+                        .find(|&c| !timing.chip(bank, c).is_free_during(start, worst_end));
+                    let mut r = match busy {
+                        Some(c) => Resource::chip(bank, c),
+                        None => Resource::bank(bank),
+                    };
+                    if let Some(b) = self.inflight_blocker(bank, now) {
+                        r = r.blocked_by(b);
+                    }
+                    self.lifetrace
+                        .blocked(id.0, now, WaitCause::WowSetConflict, Some(r));
+                }
+                // Event horizon: the window [start, worst_end) shifts
+                // rigidly with `now`, so the conflict clears once `start`
+                // reaches the last conflicting reservation end.
+                if let Some(e) = until {
+                    self.note_hint(Cycle(e.0 - (start.0 - now.0)));
+                }
+                continue;
+            }
+            let ecc_chip = self.layout.ecc_chip(line);
+            let ecc_end = start + upd;
+            if !timing.chip(bank, ecc_chip).is_free_during(start, ecc_end) {
+                self.stats.wr_blocked_ecc += 1;
+                // Event horizon: ECC update window shifts rigidly with now.
+                if let Some(e) = timing.chip(bank, ecc_chip).blocked_until(start, ecc_end) {
+                    self.note_hint(Cycle(e.0 - (start.0 - now.0)));
+                }
+                if self.lifetrace.enabled() {
+                    let mut r = Resource::chip(bank, ecc_chip);
+                    if let Some(b) = self.inflight_blocker(bank, now) {
+                        r = r.blocked_by(b);
+                    }
+                    self.lifetrace
+                        .blocked(id.0, now, WaitCause::EccBusy, Some(r));
+                }
+                continue;
+            }
+            let pcc_chip = self.layout.pcc_chip(line);
+            if !timing
+                .chip(bank, pcc_chip)
+                .is_free_during(worst_end, worst_end + upd)
+            {
+                self.stats.wr_blocked_pcc += 1;
+                // Event horizon: PCC window [worst_end, worst_end + upd)
+                // also shifts rigidly with now.
+                if let Some(e) = timing
+                    .chip(bank, pcc_chip)
+                    .blocked_until(worst_end, worst_end + upd)
+                {
+                    self.note_hint(Cycle(e.0 - (worst_end.0 - now.0)));
+                }
+                if self.lifetrace.enabled() {
+                    let mut r = Resource::chip(bank, pcc_chip);
+                    if let Some(b) = self.inflight_blocker(bank, now) {
+                        r = r.blocked_by(b);
+                    }
+                    self.lifetrace
+                        .blocked(id.0, now, WaitCause::PccBusy, Some(r));
+                }
+                continue;
+            }
+
+            self.checker
+                .status_poll_n(bank, now, start, overlapping, polls);
+            if overlapping {
+                self.checker
+                    .speculative_on_degraded(bank, start, degraded, "WoW write");
+            }
+            self.issue_fine_write(
+                self.write_qs[b][pos],
+                now,
+                mask,
+                start,
+                program_start,
+                overlapping,
+                splitting.then_some(full_count),
+                out,
+            );
+            return true;
+        }
+        false
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn issue_fine_write(
+        &mut self,
+        req: MemRequest,
+        now: Cycle,
+        mask: WordMask,
+        start: Cycle,
+        program_start: Cycle,
+        overlapping: bool,
+        split_of: Option<usize>,
+        out: &mut Vec<Completion>,
+    ) {
+        let ReqKind::Write { data } = req.kind else {
+            unreachable!("checked by caller")
+        };
+        let bank = req.loc.bank;
+        let partial = split_of.is_some();
+        if !partial {
+            self.write_qs[bank.index()]
+                .remove(req.id)
+                .expect("write still queued");
+        }
+
+        let outcome = self
+            .rank
+            .write_words(bank, req.loc.row, req.loc.col, data, mask);
+        debug_assert_eq!(outcome.essential, mask);
+        match split_of {
+            None => {
+                if let Some(pos) = self.split_in_progress.iter().position(|&r| r == req.id) {
+                    // Tail of a split write issued whole: already counted.
+                    self.split_in_progress.swap_remove(pos);
+                } else {
+                    self.stats.essential_histogram[outcome.essential.count()] += 1;
+                }
+            }
+            Some(full) => {
+                // First partial issue of a split write: histogram it once
+                // with its original word count.
+                if !self.split_in_progress.contains(&req.id) {
+                    self.stats.essential_histogram[full.min(8)] += 1;
+                    self.split_in_progress.push(req.id);
+                }
+            }
+        }
+        if overlapping {
+            self.stats.wow_overlaps += 1;
+        }
+        self.events.record(Event {
+            at: start,
+            req: req.id.0,
+            bank,
+            kind: EventKind::Issue { is_write: true },
+        });
+
+        // Step 1: data chips + ECC chip.
+        let upd = op::check_chip_write_occupancy(&self.t);
+        let data_end = program_start + Duration(self.t.array_set);
+        for w in outcome.essential.iter() {
+            let chip = self.layout.chip_of_word(req.line, w);
+            let end = program_start + outcome.kinds[w].duration(&self.t);
+            self.checker.command(
+                self.rank.timing(),
+                bank,
+                ChipSet::single(chip.index()),
+                start,
+                end,
+                "write data chip",
+            );
+            self.rank
+                .timing_mut()
+                .reserve(bank, ChipSet::single(chip.index()), start, end);
+            self.stats.irlp.record_segment(bank, start, end);
+            self.rank.wear_mut().record(chip, outcome.bits_per_word[w]);
+            self.events
+                .chip_occupy(req.id.0, bank, chip, start, end, || {
+                    format!("Wr-{}", req.id.0)
+                });
+        }
+        let ecc_chip = self.layout.ecc_chip(req.line);
+        let ecc_end = start + upd;
+        self.checker.command(
+            self.rank.timing(),
+            bank,
+            ChipSet::single(ecc_chip.index()),
+            start,
+            ecc_end,
+            "write ECC chip",
+        );
+        self.rank
+            .timing_mut()
+            .reserve(bank, ChipSet::single(ecc_chip.index()), start, ecc_end);
+        self.rank.wear_mut().record(ecc_chip, 8);
+        self.rank.energy_mut().record_write(4, 4);
+        self.events
+            .chip_occupy(req.id.0, bank, ecc_chip, start, ecc_end, || "E".to_owned());
+
+        // Step 2: PCC update immediately after the data phase.
+        let pcc_chip = self.layout.pcc_chip(req.line);
+        let pcc_end = data_end + upd;
+        self.checker.write_steps(bank, program_start, data_end);
+        self.checker.command(
+            self.rank.timing(),
+            bank,
+            ChipSet::single(pcc_chip.index()),
+            data_end,
+            pcc_end,
+            "write PCC chip",
+        );
+        self.rank
+            .timing_mut()
+            .reserve(bank, ChipSet::single(pcc_chip.index()), data_end, pcc_end);
+        self.rank.wear_mut().record(pcc_chip, 8);
+        self.rank.energy_mut().record_write(4, 4);
+        self.events
+            .chip_occupy(req.id.0, bank, pcc_chip, data_end, pcc_end, || {
+                "P".to_owned()
+            });
+
+        // Fault hooks (inert without a plan): this write may burn out a
+        // cell, and one essential chip may run slow or hang. A slow chip
+        // stretches the data phase, so completion waits for it.
+        self.plant_wear_fault(bank, req.loc.row, req.loc.col, start);
+        let data_set = self.layout.chips_of_mask(req.line, outcome.essential);
+        let fault_end = self.apply_chip_fault(bank, data_set, start, data_end);
+
+        let done = pcc_end.max(fault_end);
+        if self.lifetrace.enabled() {
+            // Service covers step 1 + step 2 (+ any fault stretch); the
+            // chip windows below carry the per-phase detail.
+            self.lifetrace.issue(req.id.0, now, start, done);
+            for w in outcome.essential.iter() {
+                let chip = self.layout.chip_of_word(req.line, w);
+                let end = program_start + outcome.kinds[w].duration(&self.t);
+                self.lifetrace.chip_service(req.id.0, chip, start, end);
+            }
+            self.lifetrace
+                .chip_service(req.id.0, ecc_chip, start, ecc_end);
+            self.lifetrace
+                .chip_service(req.id.0, pcc_chip, data_end, pcc_end);
+        }
+        self.stats.irlp.open_window(bank, start, data_end);
+        self.inflight.push(InflightWrite {
+            bank,
+            data_end,
+            req: req.id.0,
+        });
+        if !partial {
+            self.complete_write(&req, bank, done, out);
+        }
+    }
+
+    /// Attempts to issue one read.
+    ///
+    /// Plain fully-checked reads issue while the bus is in read mode;
+    /// RoW-style overlap reads (PCC reconstruction or deferred
+    /// verification) issue to any bank with an in-flight write, in either
+    /// mode: §IV-B applies RoW to any read arriving during an ongoing
+    /// write, and during drains it is the paper's scheduler rule 1.
+    pub(super) fn try_issue_read(&mut self, now: Cycle) -> Option<Completion> {
+        let degraded = self.rank_degraded(now);
+        let bus_write_mode = self.any_draining();
+        // The queue only changes on issue, which ends the pass.
+        for pos in 0..self.read_q.len() {
+            let req = self.read_q[pos];
+            let bank = req.loc.bank;
+            let overlapping = self.inflight_blocker(bank, now).is_some();
+            // Plain reads need the bus in read mode; overlap (RoW) reads
+            // ride the sub-ranked lanes and work either way — during
+            // drains they are the only way a read gets served (rule 1).
+            if bus_write_mode && !overlapping {
+                if self.lifetrace.enabled() {
+                    // Drain episode holds the bus in write mode and no
+                    // in-flight write offers an overlap lane.
+                    self.lifetrace.blocked(
+                        req.id.0,
+                        now,
+                        WaitCause::Drain,
+                        Some(Resource::bank(bank)),
+                    );
+                }
+                continue;
+            }
+            let polls = if overlapping { self.poll_count() } else { 1 };
+            let start = if overlapping {
+                now + Duration(self.status_poll.0 * polls)
+            } else {
+                now
+            };
+            let word_chips = self.layout.word_chips(req.line);
+            let ecc_chip = self.layout.ecc_chip(req.line);
+            let pcc_chip = self.layout.pcc_chip(req.line);
+
+            // Exact read window: peek the bus without committing.
+            let row_set = {
+                let mut s = word_chips;
+                s.insert_chip(ecc_chip);
+                s
+            };
+            let row_hit = self
+                .rank
+                .timing()
+                .chips_needing_activate(bank, row_set, req.loc.row)
+                .is_empty();
+            let to_transfer = op::read_latency_to_transfer(row_hit, &self.t);
+            let transfer = self
+                .bus
+                .next_slot(BusDir::Read, start + to_transfer, &self.t);
+            let data_ready = transfer + Duration(self.t.burst);
+
+            let timing = self.rank.timing();
+            let busy_words: Vec<ChipId> = word_chips
+                .chips()
+                .filter(|&c| !timing.chip(bank, c).is_free_during(start, data_ready))
+                .collect();
+            let ecc_free = timing
+                .chip(bank, ecc_chip)
+                .is_free_during(start, data_ready);
+            let pcc_free = timing
+                .chip(bank, pcc_chip)
+                .is_free_during(start, data_ready);
+
+            match busy_words.len() {
+                0 if ecc_free => {
+                    let mut set = word_chips;
+                    set.insert_chip(ecc_chip);
+                    self.checker
+                        .status_poll_n(bank, now, start, overlapping, polls);
+                    return Some(self.issue_read(req, now, start, data_ready, set, None, None));
+                }
+                0 if self.kind.row_enabled() && !degraded => {
+                    self.stats.reads_deferred_only += 1;
+                    // Words readable but only the ECC chip is busy: read
+                    // now, defer the SECDED check. Profitable in every
+                    // mode — the data is fully available.
+                    self.checker
+                        .status_poll_n(bank, now, start, overlapping, polls);
+                    self.checker.speculative_on_degraded(
+                        bank,
+                        start,
+                        degraded,
+                        "deferred-verify read",
+                    );
+                    return Some(self.issue_read(
+                        req,
+                        now,
+                        start,
+                        data_ready,
+                        word_chips,
+                        Some(ecc_chip),
+                        None,
+                    ));
+                }
+                1 if self.kind.row_enabled() && !degraded && overlapping && pcc_free => {
+                    let missing = busy_words[0];
+                    let mut set = word_chips;
+                    set.remove(missing.index());
+                    set.insert_chip(pcc_chip);
+                    // If the line's own ECC chip is free (common under
+                    // ECC/PCC rotation: the busy chips belong to another
+                    // line's layout), read it too — the reconstructed
+                    // word's check byte validates it immediately, so no
+                    // deferred verify and no rollback exposure.
+                    let deferred = if ecc_free {
+                        set.insert_chip(ecc_chip);
+                        None
+                    } else {
+                        Some(ecc_chip)
+                    };
+                    self.checker
+                        .status_poll_n(bank, now, start, overlapping, polls);
+                    self.checker.speculative_on_degraded(
+                        bank,
+                        start,
+                        degraded,
+                        "RoW reconstruction",
+                    );
+                    return Some(self.issue_read(
+                        req,
+                        now,
+                        start,
+                        data_ready,
+                        set,
+                        deferred,
+                        Some(missing),
+                    ));
+                }
+                1 if self.kind.row_enabled() && !degraded && overlapping => {
+                    self.stats.row_blocked_pcc_busy += 1;
+                    // Event horizon: reconstruction waits on the PCC chip;
+                    // its read window shifts rigidly with now.
+                    if let Some(e) = timing.chip(bank, pcc_chip).blocked_until(start, data_ready) {
+                        self.note_hint(Cycle(e.0 - (start.0 - now.0)));
+                    }
+                    if self.lifetrace.enabled() {
+                        let mut r = Resource::chip(bank, pcc_chip);
+                        if let Some(b) = self.inflight_blocker(bank, now) {
+                            r = r.blocked_by(b);
+                        }
+                        self.lifetrace
+                            .blocked(req.id.0, now, WaitCause::PccBusy, Some(r));
+                    }
+                    continue;
+                }
+                n => {
+                    // Event horizon: the read waits on whichever blocking
+                    // chip frees first (busy word chips, or the line's ECC
+                    // chip when no word chip is busy).
+                    let hint = if busy_words.is_empty() {
+                        timing.chip(bank, ecc_chip).blocked_until(start, data_ready)
+                    } else {
+                        busy_words
+                            .iter()
+                            .filter_map(|&c| timing.chip(bank, c).blocked_until(start, data_ready))
+                            .min()
+                    };
+                    if let Some(e) = hint {
+                        self.note_hint(Cycle(e.0 - (start.0 - now.0)));
+                    }
+                    if n >= 2 && self.kind.row_enabled() {
+                        self.stats.row_blocked_multi_busy += 1;
+                        if self.lifetrace.enabled() {
+                            let mut r = Resource::chip(bank, busy_words[0]);
+                            if let Some(b) = self.inflight_blocker(bank, now) {
+                                r = r.blocked_by(b);
+                            }
+                            self.lifetrace
+                                .blocked(req.id.0, now, WaitCause::MultiBusy, Some(r));
+                        }
+                    } else if self.lifetrace.enabled() {
+                        // RoW off, rank demoted, or a busy chip the scheme
+                        // cannot route around: the read waits on the
+                        // in-flight write. With zero busy word chips the
+                        // obstacle is the line's ECC chip.
+                        let cause = if degraded && self.kind.row_enabled() {
+                            WaitCause::RankDemoted
+                        } else if busy_words.is_empty() && !ecc_free {
+                            WaitCause::EccBusy
+                        } else {
+                            WaitCause::WriteInFlight
+                        };
+                        let mut r = match busy_words.first() {
+                            Some(&c) => Resource::chip(bank, c),
+                            None if !ecc_free => Resource::chip(bank, ecc_chip),
+                            None => Resource::bank(bank),
+                        };
+                        if let Some(b) = self.inflight_blocker(bank, now) {
+                            r = r.blocked_by(b);
+                        }
+                        self.lifetrace.blocked(req.id.0, now, cause, Some(r));
+                    }
+                    continue;
+                }
+            }
+        }
+        None
+    }
+
+    /// Issues a read over `read_set`. `deferred_ecc` is the line's ECC chip
+    /// when inline checking is impossible (verification is deferred);
+    /// `reconstructed` is the busy data chip whose word is rebuilt from the
+    /// PCC chip.
+    #[allow(clippy::too_many_arguments)]
+    fn issue_read(
+        &mut self,
+        req: MemRequest,
+        decided: Cycle,
+        start: Cycle,
+        data_ready: Cycle,
+        read_set: ChipSet,
+        deferred_ecc: Option<ChipId>,
+        reconstructed: Option<ChipId>,
+    ) -> Completion {
+        self.read_q.remove(req.id).expect("read still queued");
+        let bank = req.loc.bank;
+        self.events.record(Event {
+            at: start,
+            req: req.id.0,
+            bank,
+            kind: EventKind::Issue { is_write: false },
+        });
+
+        // Commit bus and chips (data_ready was computed from next_slot, so
+        // this reserve lands exactly there).
+        let transfer = self
+            .bus
+            .reserve(BusDir::Read, Cycle(data_ready.0 - self.t.burst), &self.t);
+        debug_assert_eq!(transfer + Duration(self.t.burst), data_ready);
+        self.checker.row_read(
+            bank,
+            start,
+            self.layout.word_chips(req.line),
+            read_set,
+            self.layout.pcc_chip(req.line),
+        );
+        self.checker.command(
+            self.rank.timing(),
+            bank,
+            read_set,
+            start,
+            data_ready,
+            "read",
+        );
+        self.rank
+            .timing_mut()
+            .reserve(bank, read_set, start, data_ready);
+        self.rank.timing_mut().open_row(bank, read_set, req.loc.row);
+
+        // Reconstruction check when applicable.
+        let stored = self.rank.read_line(bank, req.loc.row, req.loc.col);
+        let codec = self.rank.storage().codec();
+        if let Some(missing_chip) = reconstructed {
+            let missing_word = self
+                .layout
+                .word_on_chip(req.line, missing_chip)
+                .expect("busy chip must hold a data word of this line");
+            let mut partial = stored.data;
+            partial.set_word(missing_word, 0);
+            let rebuilt = codec.reconstruct(&partial, missing_word, stored.pcc);
+            debug_assert_eq!(
+                rebuilt, stored.data,
+                "XOR reconstruction must match storage"
+            );
+        }
+
+        let via_row = deferred_ecc.is_some() || reconstructed.is_some();
+        if via_row {
+            self.stats.reads_via_row += 1;
+        }
+        if let Some(missing) = reconstructed {
+            self.events.record(Event {
+                at: start,
+                req: req.id.0,
+                bank,
+                kind: EventKind::RowReconstruct { missing },
+            });
+        }
+        let verify = if deferred_ecc.is_some() {
+            // Deferred verify: one-chip read on the busy data chip (if
+            // any) plus the ECC chip, once both are completely free.
+            let mut verify_set = ChipSet::empty();
+            if let Some(e) = deferred_ecc {
+                verify_set.insert_chip(e);
+            }
+            if let Some(c) = reconstructed {
+                verify_set.insert_chip(c);
+            }
+            debug_assert!(!verify_set.is_empty());
+            let vs = self.rank.timing().free_at(bank, verify_set, data_ready);
+            let ve = vs + op::verify_read_occupancy(&self.t);
+            self.checker.command(
+                self.rank.timing(),
+                bank,
+                verify_set,
+                vs,
+                ve,
+                "deferred verify",
+            );
+            self.rank.timing_mut().reserve(bank, verify_set, vs, ve);
+            self.stats.row_verifies += 1;
+            self.events.record(Event {
+                at: start,
+                req: req.id.0,
+                bank,
+                kind: EventKind::DeferredVerify,
+            });
+            for chip in verify_set.chips() {
+                self.events
+                    .chip_occupy(req.id.0, bank, chip, vs, ve, || "V".to_owned());
+            }
+            Some((vs, ve))
+        } else {
+            None
+        };
+
+        let done = self.finish_read(
+            &req,
+            ReadService {
+                decided,
+                start,
+                data_ready,
+                read_set,
+                logged: read_set,
+                ecc_chip: self.layout.ecc_chip(req.line),
+                verify,
+                via_row,
+            },
+        );
+        self.checker
+            .retire(bank, via_row, done.done, done.verify_done);
+        done
+    }
+}

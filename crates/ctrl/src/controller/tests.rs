@@ -1,0 +1,985 @@
+//! Unit tests of the channel controller: the Baseline and PCMap policies,
+//! and the fault ladder they share.
+
+use super::*;
+use crate::request::ReqKind;
+use pcmap_obs::WaitCause;
+use pcmap_types::{CoreId, FaultConfig, PhysAddr, WordMask};
+
+fn ctrl(kind: SystemKind) -> ChannelController {
+    ChannelController::new(
+        kind,
+        MemOrg::tiny(),
+        TimingParams::paper_default(),
+        QueueParams::paper_default(),
+        3,
+    )
+}
+
+fn read_req(id: u64, addr: u64, now: Cycle) -> MemRequest {
+    let org = MemOrg::tiny();
+    let a = PhysAddr::new(addr);
+    MemRequest {
+        id: ReqId(id),
+        kind: ReqKind::Read,
+        line: a.line(),
+        loc: org.decode(a),
+        core: CoreId(0),
+        arrival: now,
+    }
+}
+
+fn write_req(c: &ChannelController, id: u64, addr: u64, words: &[usize], now: Cycle) -> MemRequest {
+    let org = MemOrg::tiny();
+    let a = PhysAddr::new(addr);
+    let loc = org.decode(a);
+    let old = c.rank().read_line(loc.bank, loc.row, loc.col).data;
+    let mut data = old;
+    for &w in words {
+        data.set_word(w, !old.word(w));
+    }
+    MemRequest {
+        id: ReqId(id),
+        kind: ReqKind::Write { data },
+        line: a.line(),
+        loc,
+        core: CoreId(0),
+        arrival: now,
+    }
+}
+
+/// Runs the controller until both queues drain, collecting completions.
+fn run_to_idle(c: &mut ChannelController, mut now: Cycle) -> Vec<Completion> {
+    let mut out = c.step(now);
+    while let Some(w) = c.next_wake(now) {
+        now = w;
+        out.extend(c.step(now));
+        if now.0 > 1_000_000 {
+            panic!("controller failed to go idle");
+        }
+    }
+    out
+}
+
+// ------------------------------------------------------------ Baseline --
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "enqueued out of (arrival, id) order")]
+fn out_of_order_write_enqueue_is_caught() {
+    let mut c = ctrl(SystemKind::Baseline);
+    let newer = write_req(&c, 2, 0, &[1], Cycle(5));
+    let older = write_req(&c, 1, 0, &[2], Cycle(5));
+    c.enqueue_write(newer, Cycle(5)).unwrap();
+    let _ = c.enqueue_write(older, Cycle(5));
+}
+
+#[test]
+fn lone_read_completes_with_miss_latency() {
+    let mut c = ctrl(SystemKind::Baseline);
+    c.enqueue_read(read_req(1, 0, Cycle(0)), Cycle(0)).unwrap();
+    let done = c.step(Cycle(0));
+    assert_eq!(done.len(), 1);
+    let t = TimingParams::paper_default();
+    // miss: array_read + t_cl, then burst on the bus.
+    assert_eq!(done[0].done, Cycle(t.array_read + t.t_cl + t.burst));
+    assert!(done[0].is_read);
+}
+
+#[test]
+fn second_read_to_same_row_hits() {
+    let mut c = ctrl(SystemKind::Baseline);
+    c.enqueue_read(read_req(1, 0, Cycle(0)), Cycle(0)).unwrap();
+    let first = c.step(Cycle(0))[0].done;
+    // Same row, next line over (tiny org: same bank/row for addr 0 and 512).
+    let req = read_req(2, 0, Cycle(first.0));
+    c.enqueue_read(req, first).unwrap();
+    let second = c.step(first);
+    let t = TimingParams::paper_default();
+    assert_eq!(second[0].done.since(first), Duration(t.t_cl + t.burst));
+}
+
+#[test]
+fn read_blocked_by_ongoing_write_is_counted_delayed() {
+    let mut c = ctrl(SystemKind::Baseline);
+    let w = write_req(&c, 1, 0, &[3], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    // No reads pending → opportunistic write issues at 0.
+    let wd = c.step(Cycle(0));
+    assert_eq!(wd.len(), 1);
+    assert!(!wd[0].is_read);
+    let write_done = wd[0].done;
+    // A read to the same bank arrives mid-write.
+    c.enqueue_read(read_req(2, 64, Cycle(5)), Cycle(5)).unwrap();
+    assert!(c.step(Cycle(5)).is_empty(), "bank busy: read must wait");
+    let wake = c.next_wake(Cycle(5)).unwrap();
+    assert!(wake <= write_done);
+    let done = c.step(write_done);
+    assert_eq!(done.len(), 1);
+    assert!(done[0].done > write_done);
+    assert_eq!(c.stats().reads_delayed_by_write, 1);
+    assert_eq!(c.stats().delayed_read_fraction(), 1.0);
+}
+
+#[test]
+fn write_essential_histogram_records_diff() {
+    let mut c = ctrl(SystemKind::Baseline);
+    let w = write_req(&c, 1, 0, &[1, 4, 6], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    assert_eq!(c.stats().essential_histogram[3], 1);
+    assert_eq!(c.stats().silent_writes, 0);
+}
+
+#[test]
+fn silent_write_detected() {
+    let mut c = ctrl(SystemKind::Baseline);
+    let w = write_req(&c, 1, 0, &[], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    assert_eq!(c.stats().silent_writes, 1);
+    assert_eq!(c.stats().essential_histogram[0], 1);
+}
+
+#[test]
+fn forwarding_from_write_queue() {
+    let mut c = ctrl(SystemKind::Baseline);
+    let w = write_req(&c, 1, 0, &[2], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    // Read to the same line forwards instantly (no step needed).
+    let fwd = c.enqueue_read(read_req(2, 0, Cycle(1)), Cycle(1)).unwrap();
+    let comp = fwd.expect("must forward");
+    assert!(comp.forwarded);
+    assert_eq!(comp.done, Cycle(1) + FORWARD_LATENCY);
+    assert_eq!(c.stats().reads_forwarded, 1);
+    assert_eq!(c.read_q_len(), 0);
+}
+
+#[test]
+fn drain_starts_at_high_watermark_and_blocks_reads() {
+    let mut c = ctrl(SystemKind::Baseline);
+    // Fill write queue past high watermark (26 of 32).
+    for i in 0..26 {
+        let w = write_req(&c, i, i * 4096, &[0], Cycle(0));
+        c.enqueue_write(w, Cycle(0)).unwrap();
+    }
+    c.enqueue_read(read_req(100, 64, Cycle(0)), Cycle(0))
+        .unwrap();
+    let comps = c.step(Cycle(0));
+    // During drain, writes issue (to both banks) but the read must not.
+    assert!(
+        comps.iter().all(|x| !x.is_read),
+        "reads blocked during drain"
+    );
+    assert!(!comps.is_empty());
+}
+
+#[test]
+fn irlp_of_baseline_single_word_write_is_one() {
+    let mut c = ctrl(SystemKind::Baseline);
+    let w = write_req(&c, 1, 0, &[3], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    c.settle(Cycle::MAX);
+    let samples = c.stats().irlp.samples();
+    assert_eq!(samples.len(), 1);
+    // One essential chip busy ~86% of the window (transfer preamble).
+    assert!(
+        samples[0] > 0.5 && samples[0] <= 1.0,
+        "irlp = {}",
+        samples[0]
+    );
+}
+
+#[test]
+fn read_queue_full_returns_request() {
+    let mut c = ctrl(SystemKind::Baseline);
+    // Occupy the bank so reads stay queued.
+    let w = write_req(&c, 900, 0, &[0], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    let mut rejected = 0;
+    for i in 0..20 {
+        let r = read_req(i, 64 + i * 4096, Cycle(1));
+        if c.enqueue_read(r, Cycle(1)).is_err() {
+            rejected += 1;
+        }
+    }
+    assert!(rejected > 0);
+    assert_eq!(c.read_q_len(), QueueParams::paper_default().read_q);
+}
+
+#[test]
+fn event_log_captures_read_lifecycle() {
+    let mut c = ctrl(SystemKind::Baseline);
+    c.set_trace(true);
+    c.enqueue_read(read_req(1, 0, Cycle(0)), Cycle(0)).unwrap();
+    let done = c.step(Cycle(0))[0].done;
+    let kinds: Vec<&EventKind> = c.events().events().map(|e| &e.kind).collect();
+    assert!(matches!(kinds[0], EventKind::Arrival { is_write: false }));
+    assert!(matches!(kinds[1], EventKind::Issue { is_write: false }));
+    assert!(kinds
+        .iter()
+        .any(|k| matches!(k, EventKind::ChipOccupy { .. })));
+    match kinds.last().unwrap() {
+        EventKind::Complete {
+            is_write: false,
+            latency,
+        } => {
+            assert_eq!(*latency, done.since(Cycle(0)));
+        }
+        other => panic!("last event should be Complete, got {other:?}"),
+    }
+}
+
+#[test]
+fn chip_trace_view_reproduces_occupancy() {
+    let mut c = ctrl(SystemKind::Baseline);
+    c.set_trace(true);
+    let w = write_req(&c, 1, 0, &[3], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    let trace = pcmap_obs::ChipTrace::from_events(c.events());
+    assert!(trace.events().iter().any(|e| e.label.starts_with("Wr-")));
+    // The gantt glyph is the label's last character: '1' for "Wr-1".
+    let gantt = trace.render_gantt(BankId(0), 8);
+    assert!(
+        gantt
+            .lines()
+            .any(|l| l.starts_with("ch3") && l.contains('1')),
+        "gantt:\n{gantt}"
+    );
+}
+
+#[test]
+fn disabled_event_log_stays_empty() {
+    let mut c = ctrl(SystemKind::Baseline);
+    c.enqueue_read(read_req(1, 0, Cycle(0)), Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    assert!(c.events().is_empty());
+}
+
+#[test]
+fn drain_transitions_are_logged() {
+    let mut c = ctrl(SystemKind::Baseline);
+    c.set_trace(true);
+    for i in 0..26 {
+        let w = write_req(&c, i, i * 4096, &[0], Cycle(0));
+        c.enqueue_write(w, Cycle(0)).unwrap();
+    }
+    c.step(Cycle(0));
+    assert!(c
+        .events()
+        .events()
+        .any(|e| matches!(e.kind, EventKind::DrainStart { backlog } if backlog > 0)));
+}
+
+#[test]
+fn functional_write_really_lands_in_storage() {
+    let mut c = ctrl(SystemKind::Baseline);
+    let w = write_req(&c, 1, 0, &[0], Cycle(0));
+    let (loc, ReqKind::Write { data }) = (w.loc, w.kind) else {
+        unreachable!()
+    };
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    assert_eq!(c.rank().read_line(loc.bank, loc.row, loc.col).data, data);
+}
+
+// --------------------------------------------------------------- PCMap --
+
+#[test]
+fn fine_write_reserves_only_essential_and_check_chips() {
+    let mut c = ctrl(SystemKind::RwowNr);
+    let w = write_req(&c, 1, 0, &[3], Cycle(0));
+    let bank = w.loc.bank;
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    let t = c.rank().timing();
+    // Chip 3 (the essential word) and the ECC chip are busy in step 1;
+    // all other data chips stay free.
+    assert!(!t.is_free(bank, ChipId(3), Cycle(10)));
+    assert!(!t.is_free(bank, ChipId::ECC, Cycle(10)));
+    for free in [0u8, 1, 2, 4, 5, 6, 7] {
+        assert!(
+            t.is_free(bank, ChipId(free), Cycle(10)),
+            "chip {free} must stay free"
+        );
+    }
+    // The PCC chip is free during step 1 and busy in step 2.
+    assert!(t.is_free(bank, ChipId::PCC, Cycle(10)));
+    let tp = TimingParams::paper_default();
+    let step2 = tp.t_wl + tp.burst + tp.array_set + 5;
+    assert!(!t.is_free(bank, ChipId::PCC, Cycle(step2)));
+}
+
+#[test]
+fn write_completion_covers_ecc_and_pcc_updates() {
+    let mut c = ctrl(SystemKind::RwowNr);
+    let w = write_req(&c, 1, 0, &[3], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    let out = run_to_idle(&mut c, Cycle(0));
+    let wc: Vec<_> = out.iter().filter(|x| !x.is_read).collect();
+    assert_eq!(wc.len(), 1);
+    let t = TimingParams::paper_default();
+    // done must include the serialized PCC step (step 2).
+    let data_end = t.t_wl + t.burst + t.array_set;
+    assert!(wc[0].done.0 > data_end, "done={:?}", wc[0].done);
+    assert_eq!(c.stats().writes_done, 1);
+}
+
+#[test]
+fn wow_overlaps_disjoint_writes_in_rde() {
+    // With ECC/PCC rotation, two writes to different lines can use
+    // different check chips and fully overlap. Search for a pair of
+    // same-bank lines with disjoint chip sets.
+    let mut c = ctrl(SystemKind::RwowRde);
+    let w1 = write_req(&c, 1, 0, &[2], Cycle(0));
+    let org = MemOrg::tiny();
+    let l = c.layout;
+    let used1: Vec<ChipId> = vec![
+        l.chip_of_word(w1.line, 2),
+        l.ecc_chip(w1.line),
+        l.pcc_chip(w1.line),
+    ];
+    let mut addr2 = None;
+    for k in 1..400u64 {
+        let a = k * 64 * org.channels as u64;
+        let line = PhysAddr::new(a).line();
+        let loc = org.decode(PhysAddr::new(a));
+        if loc.bank != w1.loc.bank {
+            continue;
+        }
+        let used2 = [l.chip_of_word(line, 5), l.ecc_chip(line), l.pcc_chip(line)];
+        if used2.iter().all(|u| !used1.contains(u)) {
+            addr2 = Some(a);
+            break;
+        }
+    }
+    let w2 = write_req(&c, 2, addr2.expect("disjoint line exists"), &[5], Cycle(0));
+    c.enqueue_write(w1, Cycle(0)).unwrap();
+    c.enqueue_write(w2, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    assert_eq!(c.stats().wow_overlaps, 1, "both writes must be in flight");
+}
+
+#[test]
+fn fixed_ecc_chip_serializes_wow_writes() {
+    // The paper's -NR limitation: all writes contend for the single
+    // ECC chip, so the second write cannot issue while the first's
+    // step-1 window holds it — even with disjoint data chips.
+    let mut c = ctrl(SystemKind::WowNr);
+    let w1 = write_req(&c, 1, 0, &[2], Cycle(0));
+    let w2 = write_req(&c, 2, 1024, &[5], Cycle(0));
+    assert_eq!(w1.loc.bank, w2.loc.bank);
+    c.enqueue_write(w1, Cycle(0)).unwrap();
+    c.enqueue_write(w2, Cycle(0)).unwrap();
+    let mut out = c.step(Cycle(0));
+    assert_eq!(c.stats().wow_overlaps, 0, "fixed ECC chip must serialize");
+    // Both eventually complete.
+    out.extend(run_to_idle(&mut c, Cycle(0)));
+    assert_eq!(out.iter().filter(|x| !x.is_read).count(), 2);
+}
+
+#[test]
+fn wow_disabled_serializes_same_bank_writes() {
+    let mut c = ctrl(SystemKind::RowNr);
+    let w1 = write_req(&c, 1, 0, &[2], Cycle(0));
+    let w2 = write_req(&c, 2, 1024, &[5], Cycle(0));
+    c.enqueue_write(w1, Cycle(0)).unwrap();
+    c.enqueue_write(w2, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    let t = c.rank().timing();
+    assert!(!t.is_free(w1.loc.bank, ChipId(2), Cycle(20)));
+    // Second write must NOT have issued (no WoW).
+    assert!(t.is_free(w1.loc.bank, ChipId(5), Cycle(20)));
+    assert_eq!(c.stats().wow_overlaps, 0);
+}
+
+#[test]
+fn row_read_overlaps_single_word_write() {
+    let mut c = ctrl(SystemKind::RowNr);
+    let w = write_req(&c, 1, 0, &[3], Cycle(0));
+    let bank = w.loc.bank;
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    // Write in flight on chip 3. A read to the same bank arrives.
+    let r = read_req(2, 64, Cycle(4));
+    assert_eq!(r.loc.bank, bank);
+    c.enqueue_read(r, Cycle(4)).unwrap();
+    let out = c.step(Cycle(4));
+    let rc: Vec<_> = out.iter().filter(|x| x.is_read).collect();
+    assert_eq!(rc.len(), 1, "RoW must serve the read during the write");
+    assert!(rc[0].via_row);
+    let vd = rc[0].verify_done.expect("deferred verify scheduled");
+    assert!(vd > rc[0].done);
+    assert_eq!(c.stats().reads_via_row, 1);
+    // The read's completion precedes the write's data end.
+    let t = TimingParams::paper_default();
+    assert!(rc[0].done.0 < t.t_wl + t.burst + t.array_set);
+}
+
+#[test]
+fn row_disabled_read_waits_for_write() {
+    let mut c = ctrl(SystemKind::WowNr);
+    let w = write_req(&c, 1, 0, &[3], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    c.enqueue_read(read_req(2, 64, Cycle(4)), Cycle(4)).unwrap();
+    let out = c.step(Cycle(4));
+    assert!(out.iter().all(|x| !x.is_read), "no RoW in WoW-NR");
+}
+
+#[test]
+fn multiple_reads_serve_sequentially_under_one_write() {
+    let mut c = ctrl(SystemKind::RowNr);
+    let w = write_req(&c, 1, 0, &[3], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    c.enqueue_read(read_req(2, 64, Cycle(2)), Cycle(2)).unwrap();
+    c.enqueue_read(read_req(3, 128, Cycle(2)), Cycle(2))
+        .unwrap();
+    let mut now = Cycle(2);
+    let mut reads = Vec::new();
+    reads.extend(c.step(now).into_iter().filter(|x| x.is_read));
+    while reads.len() < 2 {
+        now = c.next_wake(now).expect("work pending");
+        reads.extend(c.step(now).into_iter().filter(|x| x.is_read));
+        assert!(now.0 < 10_000);
+    }
+    // The first read overlaps the write via reconstruction; the second
+    // serializes behind it (and possibly behind the write's PCC step).
+    assert!(reads[0].via_row);
+    assert!(reads[1].done > reads[0].done);
+}
+
+#[test]
+fn reads_have_priority_when_not_draining() {
+    let mut c = ctrl(SystemKind::RwowRde);
+    let w = write_req(&c, 1, 0, &[1], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.enqueue_read(read_req(2, 64, Cycle(0)), Cycle(0)).unwrap();
+    let out = c.step(Cycle(0));
+    // Read issues; the write waits (read queue non-empty, no drain).
+    assert!(out.iter().any(|x| x.is_read));
+    assert!(out.iter().all(|x| x.is_read));
+    assert_eq!(c.write_q_len(), 1);
+}
+
+#[test]
+fn rotation_lets_read_proceed_during_write() {
+    // Under ECC/PCC rotation a write busies its data chip and its
+    // (rotated) ECC chip. A read line whose layout places the write's
+    // data chip on its own ECC/PCC slot sees at most one busy word
+    // chip and proceeds during the write.
+    let mut c = ctrl(SystemKind::RwowRde);
+    let w = write_req(&c, 1, 0, &[0], Cycle(0));
+    let busy_data = c.layout.chip_of_word(w.line, 0);
+    let busy_ecc = c.layout.ecc_chip(w.line);
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.step(Cycle(0));
+    let org = MemOrg::tiny();
+    let mut found = None;
+    for k in 1..400u64 {
+        let addr = k * 64 * org.channels as u64;
+        let line = PhysAddr::new(addr).line();
+        let loc = org.decode(PhysAddr::new(addr));
+        let wc = c.layout.word_chips(line);
+        let busy_word_chips = [busy_data, busy_ecc]
+            .iter()
+            .filter(|&&b| wc.contains_chip(b))
+            .count();
+        // At most one busy word chip, and the PCC chip clear of both.
+        let pc = c.layout.pcc_chip(line);
+        if loc.bank == w.loc.bank && busy_word_chips <= 1 && pc != busy_data && pc != busy_ecc {
+            found = Some(addr);
+            break;
+        }
+    }
+    let addr = found.expect("rotation must yield an issueable line");
+    c.enqueue_read(read_req(2, addr, Cycle(4)), Cycle(4))
+        .unwrap();
+    let out = c.step(Cycle(4));
+    let rc: Vec<_> = out.iter().filter(|x| x.is_read).collect();
+    assert_eq!(rc.len(), 1, "read should proceed despite the busy chips");
+    // It overlapped the write's step 1.
+    let t = TimingParams::paper_default();
+    assert!(rc[0].done.0 < t.t_wl + t.burst + t.array_set);
+}
+
+#[test]
+fn split_mode_lets_reads_overlap_multiword_writes_during_drains() {
+    // Multi-word writes normally block RoW (2+ busy word chips). With
+    // the §IV-B4 split extension, drained writes issue one word at a
+    // time so rule-1 reads can reconstruct around the single busy
+    // chip. Compare reads_via_row with the mode off and on.
+    let run = |split: bool| -> (u64, u64) {
+        let mut c = ctrl(SystemKind::RowNr);
+        c.set_split_writes_for_row(split);
+        // Fill bank 0's write queue past the high watermark (26) with
+        // 3-word writes to force a drain.
+        let org = MemOrg::tiny();
+        let mut expected = Vec::new();
+        for k in 0..26u64 {
+            // Distinct bank-0 lines of the tiny org (16 rows x 8 cols).
+            let line = (k / 8) * 16 + k % 8;
+            let addr = line * 64;
+            let loc = org.decode(PhysAddr::new(addr));
+            assert_eq!(loc.bank, BankId(0));
+            let w = write_req(&c, k + 1, addr, &[2, 4, 6], Cycle(0));
+            let ReqKind::Write { data } = w.kind else {
+                unreachable!()
+            };
+            expected.push((loc, data));
+            c.enqueue_write(w, Cycle(0)).unwrap();
+        }
+        for r in 0..4u64 {
+            c.enqueue_read(read_req(100 + r, 64 + r * 4096, Cycle(0)), Cycle(0))
+                .unwrap();
+        }
+        let mut now = Cycle(0);
+        c.step(now);
+        while let Some(wake) = c.next_wake(now) {
+            now = wake;
+            c.step(now);
+            assert!(now.0 < 1_000_000);
+        }
+        for (loc, data) in expected {
+            assert_eq!(c.rank().read_line(loc.bank, loc.row, loc.col).data, data);
+        }
+        assert_eq!(c.stats().writes_done, 26);
+        let hist: u64 = c.stats().essential_histogram.iter().sum();
+        assert_eq!(
+            hist,
+            26,
+            "each write histogrammed once: {:?}",
+            c.stats().essential_histogram
+        );
+        (c.stats().reads_via_row, c.stats().essential_histogram[3])
+    };
+    let (row_off, h_off) = run(false);
+    let (row_on, h_on) = run(true);
+    assert_eq!(h_off, 26);
+    assert_eq!(h_on, 26, "split writes keep their original word count");
+    assert!(
+        row_on > row_off,
+        "split mode must enable RoW: {row_on} vs {row_off}"
+    );
+}
+
+#[test]
+fn silent_write_completes_quickly() {
+    let mut c = ctrl(SystemKind::RwowRde);
+    let w = write_req(&c, 1, 0, &[], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    let out = c.step(Cycle(0));
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].done, Cycle(TimingParams::paper_default().array_read));
+    assert_eq!(c.stats().silent_writes, 1);
+}
+
+#[test]
+fn essential_histogram_on_mixed_pristine_and_rewritten_lines() {
+    // Rounds of writes to distinct lines, each flipping a seeded subset
+    // of words (possibly none: a silent store) against the model's
+    // current contents. The first write to a line diffs against its
+    // pristine data, later ones against what the controller stored.
+    let mut c = ctrl(SystemKind::RwowRde);
+    let org = MemOrg::tiny();
+    let mut rng = pcmap_types::Xoshiro256::new(0xE55E);
+    let mut model = std::collections::BTreeMap::new();
+    let mut expected = [0u64; 9];
+    let mut id = 0;
+    for round in 0..20u64 {
+        let mut now = Cycle(round * 10_000);
+        for slot in 0..4u64 {
+            let addr = ((round * 3 + slot) % 10) * 64 * org.channels as u64;
+            let loc = org.decode(PhysAddr::new(addr));
+            let old = *model
+                .entry(addr)
+                .or_insert_with(|| c.rank().read_line(loc.bank, loc.row, loc.col).data);
+            let flips = if rng.next_below(4) == 0 {
+                WordMask::empty()
+            } else {
+                WordMask::from_bits((rng.next_u64() & 0xff) as u16)
+            };
+            let mut data = old;
+            for w in flips.iter() {
+                data.set_word(w, old.word(w) ^ (rng.next_u64() | 1));
+            }
+            expected[old.diff_words(&data).count()] += 1;
+            model.insert(addr, data);
+            id += 1;
+            let req = MemRequest {
+                id: ReqId(id),
+                kind: ReqKind::Write { data },
+                line: PhysAddr::new(addr).line(),
+                loc,
+                core: CoreId(0),
+                arrival: now,
+            };
+            c.enqueue_write(req, now).unwrap();
+        }
+        now = run_to_idle(&mut c, now)
+            .iter()
+            .map(|done| done.done)
+            .max()
+            .unwrap_or(now);
+        assert!(
+            now.0 < (round + 1) * 10_000,
+            "round {round} finished in time"
+        );
+    }
+    for (&addr, data) in &model {
+        let loc = org.decode(PhysAddr::new(addr));
+        assert_eq!(c.rank().read_line(loc.bank, loc.row, loc.col).data, *data);
+    }
+    assert_eq!(c.stats().essential_histogram, expected);
+    assert_eq!(c.stats().silent_writes, expected[0]);
+    // The oracle's own answer for this trace, pinned.
+    assert_eq!(expected, [23, 2, 4, 15, 19, 9, 6, 2, 0]);
+}
+
+#[test]
+fn functional_contents_survive_pcmap_scheduling() {
+    let mut c = ctrl(SystemKind::RwowRde);
+    let org = MemOrg::tiny();
+    let mut expected = Vec::new();
+    for k in 0..6u64 {
+        let addr = k * 64 * org.channels as u64;
+        let w = write_req(&c, k + 1, addr, &[(k % 8) as usize], Cycle(0));
+        let ReqKind::Write { data } = w.kind else {
+            unreachable!()
+        };
+        expected.push((w.loc, data));
+        c.enqueue_write(w, Cycle(0)).unwrap();
+    }
+    run_to_idle(&mut c, Cycle(0));
+    for (loc, data) in expected {
+        let got = c.rank().read_line(loc.bank, loc.row, loc.col);
+        assert_eq!(got.data, data);
+        let codec = c.rank().storage().codec();
+        assert_eq!(got.ecc, codec.ecc_word(&got.data), "ECC word maintained");
+        assert_eq!(got.pcc, codec.pcc_word(&got.data), "PCC word maintained");
+    }
+}
+
+#[test]
+fn rde_drains_write_bursts_faster_than_nr() {
+    // Many single-word writes with distinct data chips to one bank:
+    // the fixed ECC/PCC chips pipeline them at check-update intervals;
+    // rotation spreads the check updates and drains faster.
+    let run = |kind: SystemKind| -> Cycle {
+        let mut c = ctrl(kind);
+        let org = MemOrg::tiny();
+        let mut id = 1;
+        for k in 0..24u64 {
+            let addr = k * 1024 * org.channels as u64;
+            let loc = org.decode(PhysAddr::new(addr));
+            if loc.bank != BankId(0) {
+                continue;
+            }
+            let w = write_req(&c, id, addr, &[(k % 8) as usize], Cycle(0));
+            id += 1;
+            let _ = c.enqueue_write(w, Cycle(0));
+        }
+        let out = run_to_idle(&mut c, Cycle(0));
+        out.iter().map(|x| x.done).max().unwrap_or(Cycle::ZERO)
+    };
+    let nr = run(SystemKind::WowNr);
+    let rde = run(SystemKind::RwowRde);
+    assert!(rde < nr, "RDE drain end {rde:?} must beat NR {nr:?}");
+}
+
+#[test]
+fn blocked_older_write_keeps_younger_same_line_write_queued() {
+    // A write in flight busies data chip `busy[0]`. An older queued
+    // write to line L needs that chip; a younger write to L needs only
+    // free chips, yet it may not jump the older one.
+    let run = |with_older: bool| -> (ChannelController, Vec<Completion>, MemRequest) {
+        let mut c = ctrl(SystemKind::RwowRde);
+        let a = write_req(&c, 1, 0, &[0], Cycle(0));
+        let l = c.layout;
+        let busy = [
+            l.chip_of_word(a.line, 0),
+            l.ecc_chip(a.line),
+            l.pcc_chip(a.line),
+        ];
+        c.enqueue_write(a, Cycle(0)).unwrap();
+        c.step(Cycle(0));
+        let org = MemOrg::tiny();
+        let free = |chip: ChipId| !busy.contains(&chip);
+        let (addr, w_old, w_young) = (1..400u64)
+            .find_map(|k| {
+                let addr = k * 64 * org.channels as u64;
+                let line = PhysAddr::new(addr).line();
+                if org.decode(PhysAddr::new(addr)).bank != a.loc.bank
+                    || !free(l.ecc_chip(line))
+                    || !free(l.pcc_chip(line))
+                {
+                    return None;
+                }
+                let w_old = (0..8).find(|&w| l.chip_of_word(line, w) == busy[0])?;
+                let w_young = (0..8).find(|&w| free(l.chip_of_word(line, w)))?;
+                Some((addr, w_old, w_young))
+            })
+            .expect("rotation yields such a line");
+        let young = write_req(&c, 3, addr, &[w_young], Cycle(1));
+        if with_older {
+            let older = write_req(&c, 2, addr, &[w_old], Cycle(1));
+            c.enqueue_write(older, Cycle(1)).unwrap();
+        }
+        c.enqueue_write(young, Cycle(1)).unwrap();
+        let out = c.step(Cycle(1));
+        (c, out, young)
+    };
+    // Alone, the younger write's chips are free: it overlaps at once.
+    let (c, out, _) = run(false);
+    assert_eq!(out.len(), 1);
+    assert_eq!(c.stats().wow_overlaps, 1);
+
+    let (mut c, out, young) = run(true);
+    assert!(out.is_empty(), "the younger write jumped the older one");
+    assert_eq!(c.write_q_len(), 2);
+    assert_eq!(
+        c.stats().wr_blocked_data,
+        1,
+        "only the older write is evaluated"
+    );
+    // Both land in arrival order: the line ends with the younger data.
+    let done = run_to_idle(&mut c, Cycle(1));
+    assert_eq!(done.iter().map(|d| d.id.0).collect::<Vec<_>>(), [2, 3]);
+    let ReqKind::Write { data } = young.kind else {
+        unreachable!()
+    };
+    let stored = c
+        .rank()
+        .read_line(young.loc.bank, young.loc.row, young.loc.col);
+    assert_eq!(stored.data, data);
+}
+
+#[test]
+fn write_pass_merges_bank_queues_oldest_first() {
+    // Bank 1 holds the older write: the pass issues in (arrival, id)
+    // order, not bank order.
+    let mut c = ctrl(SystemKind::RwowRde);
+    let org = MemOrg::tiny();
+    let bank1 = (1..64u64)
+        .map(|k| k * 64 * org.channels as u64)
+        .find(|&x| org.decode(PhysAddr::new(x)).bank == BankId(1))
+        .expect("tiny org has two banks");
+    for (id, addr) in [(1, bank1), (2, 0)] {
+        let w = write_req(&c, id, addr, &[2], Cycle(id));
+        c.enqueue_write(w, Cycle(id)).unwrap();
+    }
+    let out = c.step(Cycle(2));
+    assert_eq!(out.iter().map(|d| d.id.0).collect::<Vec<_>>(), [1, 2]);
+}
+
+/// Read priority: a queued read and no drain. Writes go to lines
+/// A, B, A, B, with A and B in different banks.
+fn read_priority_scene(traced: bool) -> ChannelController {
+    let mut c = ctrl(SystemKind::RwowRde);
+    c.set_lifetrace(traced);
+    let org = MemOrg::tiny();
+    let bank_of = |addr: u64| org.decode(PhysAddr::new(addr)).bank;
+    let b = (1..64u64)
+        .map(|k| k * 64 * org.channels as u64)
+        .find(|&x| bank_of(x) != bank_of(0))
+        .expect("tiny org has two banks");
+    for (id, (addr, word)) in [(0, 1), (b, 2), (0, 3), (b, 4)].into_iter().enumerate() {
+        let w = write_req(&c, id as u64 + 1, addr, &[word], Cycle(0));
+        c.enqueue_write(w, Cycle(0)).unwrap();
+    }
+    let r = read_req(10, 16 * 64 * org.channels as u64, Cycle(0));
+    c.enqueue_read(r, Cycle(0)).unwrap();
+    assert_eq!(c.read_q_len(), 1, "the read must queue, not forward");
+    c
+}
+
+#[test]
+fn read_priority_traces_one_attempt_per_line_head_per_pass() {
+    let mut c = read_priority_scene(true);
+    let mut out = Vec::new();
+    for pass in 1..=2u64 {
+        assert!(!c.try_issue_write(Cycle(pass), &mut out));
+        // Writes 1 (line A) and 2 (line B) head their lines; the
+        // younger same-line writes 3 and 4 record nothing.
+        assert_eq!(
+            c.lifetrace().write_attempts(WaitCause::ReadPriority),
+            2 * pass
+        );
+    }
+    assert!(out.is_empty());
+    assert_eq!(c.write_q_len(), 4);
+}
+
+#[test]
+fn read_priority_untraced_pass_issues_nothing_and_notes_no_hint() {
+    let mut c = read_priority_scene(false);
+    let mut out = Vec::new();
+    c.begin_pass();
+    assert!(!c.try_issue_write(Cycle(1), &mut out));
+    assert!(out.is_empty());
+    assert_eq!(c.write_q_len(), 4);
+    assert_eq!(c.retry_hint, None);
+    assert_eq!(c.lifetrace().write_attempts(WaitCause::ReadPriority), 0);
+}
+
+// --------------------------------------------------------- fault ladder --
+//
+// The bounded retry + backoff ladder and the stuck-busy watchdog, pinned
+// to their exact contracts (DESIGN.md §11). The serve tier (DESIGN.md §16)
+// leans on them: a permanently-damaged line costs *exactly* the
+// configured retry budget — never one more attempt, never unbounded —
+// with a monotone exponential backoff, and a hung chip is force-freed at
+// precisely `expected_end + watchdog_deadline`, not a cycle early or late.
+
+/// A fault config whose plan exists (Status corruption armed) but whose
+/// read stream never injects anything — the only damage present is what
+/// the test plants, so the ladder's arithmetic is exact.
+fn quiet_cfg(retry_budget: u32, retry_backoff: u64) -> FaultConfig {
+    FaultConfig {
+        status_corrupt_rate: 1.0,
+        retry_budget,
+        retry_backoff,
+        watchdog_deadline: 256,
+        ..FaultConfig::disabled()
+    }
+}
+
+fn core_with(cfg: FaultConfig) -> ChannelController {
+    let mut core = ChannelController::new(
+        SystemKind::Baseline,
+        MemOrg::tiny(),
+        TimingParams::paper_default(),
+        QueueParams::paper_default(),
+        7,
+    );
+    core.faults = FaultPlan::new(cfg, 0);
+    assert!(core.faults.is_some(), "plan must be armed");
+    core
+}
+
+/// Flips two stored bits in each of two words without touching ECC —
+/// per-word SECDED sees a double-bit (uncorrectable) error in both
+/// words on every read, and erasure reconstruction (single-word only)
+/// cannot save it, so resolve_read has no way out but the retry ladder.
+fn plant_two_word_damage(core: &mut ChannelController, bank: BankId, row: RowAddr, col: ColAddr) {
+    for (word, bit) in [(0, 3), (0, 17), (5, 42), (5, 9)] {
+        core.rank
+            .storage_mut()
+            .inject_bit_error(bank, row, col, word, bit);
+    }
+}
+
+#[test]
+fn retries_never_exceed_the_budget() {
+    for budget in [0u32, 1, 3, 7] {
+        let backoff = 32u64;
+        let mut core = core_with(quiet_cfg(budget, backoff));
+        let (bank, row, col) = (BankId(0), RowAddr(0), ColAddr(0));
+        plant_two_word_damage(&mut core, bank, row, col);
+
+        let res = core.resolve_read(bank, row, col, Cycle(100), false);
+        assert!(res.failed, "unrecoverable damage must fail upward");
+        assert!(!res.corrupted);
+        assert_eq!(
+            core.stats.fault_retries,
+            u64::from(budget),
+            "budget {budget}: ladder must take exactly the budgeted retries"
+        );
+        assert_eq!(core.stats.reads_failed, 1);
+        // Backoff sum: backoff * (2^budget - 1) — attempt k waits
+        // backoff << k.
+        let expected_backoff = backoff * ((1u64 << budget) - 1);
+        assert_eq!(
+            res.retry_extra.0, expected_backoff,
+            "budget {budget}: exact exponential backoff total"
+        );
+        assert_eq!(res.reconstruct_extra.0, 0, "no erasure path for 2 words");
+        assert_eq!(
+            core.checker.violation_count(),
+            0,
+            "a ladder that stays inside its budget violates nothing"
+        );
+    }
+}
+
+#[test]
+fn a_second_failed_read_restarts_the_ladder_fresh() {
+    let mut core = core_with(quiet_cfg(3, 8));
+    let (bank, row, col) = (BankId(0), RowAddr(0), ColAddr(0));
+    plant_two_word_damage(&mut core, bank, row, col);
+
+    let first = core.resolve_read(bank, row, col, Cycle(100), false);
+    let second = core.resolve_read(bank, row, col, Cycle(5_000), false);
+    assert!(first.failed && second.failed);
+    assert_eq!(first.retry_extra.0, second.retry_extra.0);
+    assert_eq!(core.stats.fault_retries, 6, "3 retries per failed read");
+    assert_eq!(core.stats.reads_failed, 2);
+}
+
+#[test]
+fn backoff_is_monotone_and_saturates() {
+    let plan = FaultPlan::new(quiet_cfg(3, 16), 0).expect("armed plan");
+    let mut prev = 0u64;
+    for attempt in 0..40u32 {
+        let d = plan.retry_delay(attempt);
+        assert!(
+            d >= prev,
+            "backoff must be monotone: delay({attempt}) = {d} < {prev}"
+        );
+        prev = d;
+    }
+    assert_eq!(
+        plan.retry_delay(16),
+        plan.retry_delay(39),
+        "shift saturates at 16 so the delay cannot overflow"
+    );
+    assert_eq!(plan.retry_delay(0), 16);
+    assert_eq!(plan.retry_delay(3), 16 << 3);
+}
+
+#[test]
+fn watchdog_fires_exactly_at_its_threshold_cycle() {
+    let mut cfg = quiet_cfg(3, 8);
+    cfg.chip_stuck_rate = 1.0; // every chip op hangs
+    let deadline = cfg.watchdog_deadline;
+    let mut core = core_with(cfg);
+
+    let start = Cycle(1_000);
+    let expected_end = Cycle(1_160);
+    let got = core.apply_chip_fault(
+        BankId(0),
+        ChannelController::coarse_read_set(),
+        start,
+        expected_end,
+    );
+    assert_eq!(
+        got, expected_end,
+        "a stuck chip delivered its data on time; only occupancy hangs"
+    );
+    assert_eq!(core.watchdogs.len(), 1);
+    let fire_at = core.watchdogs[0].fire_at;
+    assert_eq!(fire_at, Cycle(expected_end.0 + deadline));
+
+    // One cycle early: nothing may fire.
+    core.service_watchdogs(Cycle(fire_at.0 - 1));
+    assert_eq!(core.stats.watchdog_trips, 0, "fired a cycle early");
+    assert_eq!(core.watchdogs.len(), 1);
+
+    // Exactly at the threshold: exactly one trip.
+    core.service_watchdogs(fire_at);
+    assert_eq!(core.stats.watchdog_trips, 1, "must fire at the threshold");
+    assert!(core.watchdogs.is_empty());
+
+    // Long after: no double-count of a fired watchdog.
+    core.service_watchdogs(Cycle(fire_at.0 + 10_000));
+    assert_eq!(core.stats.watchdog_trips, 1);
+    assert_eq!(
+        core.checker.violation_count(),
+        0,
+        "an on-time watchdog violates nothing"
+    );
+}

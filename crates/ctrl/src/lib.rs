@@ -6,36 +6,41 @@
 //! scheduling, a DDR3-style shared data bus with turnaround penalties, and
 //! cell-accurate PCM array timing (asymmetric SET/RESET writes).
 //!
-//! The [`Controller`] trait is implemented here by [`BaselineController`]
-//! (the paper's *Baseline* system, where a write reserves every chip of its
-//! bank for the full write latency) and in `pcmap-core` by the PCMap
-//! controller (fine-grained writes, RoW, WoW, rotation).
+//! [`ChannelController`] implements the [`Controller`] trait for all six
+//! evaluated systems; its `pcmap_core::SystemKind` picks the policy. The
+//! *Baseline* serves FR-FCFS whole-line reads and writes that reserve every
+//! chip of their bank for the full write latency. The five PCMap systems
+//! add fine-grained essential-word writes, RoW and WoW, and the rotation
+//! layouts, as the kind enables them.
 //!
 //! # Example
 //!
 //! ```
-//! use pcmap_ctrl::{BaselineController, Controller, MemRequest, ReqId, ReqKind};
+//! use pcmap_core::SystemKind;
+//! use pcmap_ctrl::{ChannelController, Controller, MemRequest, ReqId, ReqKind};
 //! use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams};
 //!
 //! let org = MemOrg::tiny();
-//! let mut ctrl = BaselineController::new(
-//!     org,
-//!     TimingParams::paper_default(),
-//!     QueueParams::paper_default(),
-//!     0,
-//! );
-//! let addr = PhysAddr::new(0);
-//! let req = MemRequest {
-//!     id: ReqId(1),
-//!     kind: ReqKind::Read,
-//!     line: addr.line(),
-//!     loc: org.decode(addr),
-//!     core: CoreId(0),
-//!     arrival: Cycle(0),
-//! };
-//! ctrl.enqueue_read(req, Cycle(0)).unwrap();
-//! let completions = ctrl.step(Cycle(0));
-//! assert_eq!(completions.len(), 1);
+//! let addr = PhysAddr::new(128);
+//! for kind in SystemKind::all() {
+//!     let mut ctrl = ChannelController::new(
+//!         kind,
+//!         org,
+//!         TimingParams::paper_default(),
+//!         QueueParams::paper_default(),
+//!         0,
+//!     );
+//!     let req = MemRequest {
+//!         id: ReqId(1),
+//!         kind: ReqKind::Read,
+//!         line: addr.line(),
+//!         loc: org.decode(addr),
+//!         core: CoreId(0),
+//!         arrival: Cycle(0),
+//!     };
+//!     ctrl.enqueue_read(req, Cycle(0)).unwrap();
+//!     assert_eq!(ctrl.step(Cycle(0)).len(), 1);
+//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -52,7 +57,7 @@ pub mod stats;
 
 pub use bus::{BusDir, ChannelBus};
 pub use check::{InvariantKind, ProtocolChecker, Violation};
-pub use controller::{BaselineController, Controller, CtrlCore, PendingWatchdog, ReadResolution};
+pub use controller::{BaselineController, ChannelController, Controller};
 pub use irlp::{IrlpTracker, WindowId};
 pub use queues::{DrainPolicy, DrainState, RequestQueue};
 pub use request::{Completion, MemRequest, ReqId, ReqKind};

@@ -5,6 +5,8 @@
 //! [`MetricsSnapshot`] (metric names documented in DESIGN.md) so the four
 //! channels aggregate through the generic telemetry layer.
 
+// pcmap-lint: allow-file(missed-wake, reason = "CtrlStats is telemetry: counters, histograms, series and the IRLP tracker; no issue decision reads it, so it holds no readiness state for a horizon to track")
+
 use crate::irlp::IrlpTracker;
 use pcmap_obs::{GaugeRule, LatencyHistogram, MetricsSnapshot, WindowedSeries};
 use pcmap_types::{Cycle, Duration};

@@ -3,8 +3,9 @@
 //! invariant and asserts the checker flags exactly that violation, plus
 //! a green end-to-end run proving legal schedules validate clean.
 
+use pcmap_core::SystemKind;
 use pcmap_ctrl::{
-    BaselineController, Controller, InvariantKind, MemRequest, ProtocolChecker, ReqId, ReqKind,
+    ChannelController, Controller, InvariantKind, MemRequest, ProtocolChecker, ReqId, ReqKind,
 };
 use pcmap_device::timing::RankTiming;
 use pcmap_types::{
@@ -228,41 +229,43 @@ fn strict_checker_panics_at_the_violation_site() {
 }
 
 #[test]
-fn baseline_controller_validates_clean_end_to_end() {
-    let org = MemOrg::tiny();
-    let mut ctrl = BaselineController::new(org, params(), QueueParams::paper_default(), 7);
-    let mut now = Cycle(0);
-    for i in 0..40u64 {
-        let addr = PhysAddr::new(i * 64 * 17);
-        let kind = if i % 3 == 0 {
-            ReqKind::Write {
-                data: CacheLine::zeroed(),
-            }
-        } else {
-            ReqKind::Read
-        };
-        let req = MemRequest {
-            id: ReqId(i),
-            kind,
-            line: addr.line(),
-            loc: org.decode(addr),
-            core: CoreId((i % 8) as u8),
-            arrival: now,
-        };
-        let _ = if req.kind.is_read() {
-            ctrl.enqueue_read(req, now).map(|_| ())
-        } else {
-            ctrl.enqueue_write(req, now)
-        };
-        let _ = ctrl.step(now);
-        now = ctrl.next_wake(now).unwrap_or(Cycle(now.0 + 1));
-    }
-    while ctrl.next_wake(now).is_some() {
-        let _ = ctrl.step(now);
-        now = ctrl.next_wake(now).unwrap_or(Cycle(now.0 + 1));
-    }
-    assert_eq!(ctrl.invariant_violations(), 0);
-    if cfg!(debug_assertions) && std::env::var_os("PCMAP_CHECK").is_none() {
-        assert!(ctrl.invariants_checked() > 0, "checker never ran");
+fn every_system_validates_clean_end_to_end() {
+    for kind in SystemKind::all() {
+        let org = MemOrg::tiny();
+        let mut ctrl = ChannelController::new(kind, org, params(), QueueParams::paper_default(), 7);
+        let mut now = Cycle(0);
+        for i in 0..40u64 {
+            let addr = PhysAddr::new(i * 64 * 17);
+            let kind = if i % 3 == 0 {
+                ReqKind::Write {
+                    data: CacheLine::zeroed(),
+                }
+            } else {
+                ReqKind::Read
+            };
+            let req = MemRequest {
+                id: ReqId(i),
+                kind,
+                line: addr.line(),
+                loc: org.decode(addr),
+                core: CoreId((i % 8) as u8),
+                arrival: now,
+            };
+            let _ = if req.kind.is_read() {
+                ctrl.enqueue_read(req, now).map(|_| ())
+            } else {
+                ctrl.enqueue_write(req, now)
+            };
+            let _ = ctrl.step(now);
+            now = ctrl.next_wake(now).unwrap_or(Cycle(now.0 + 1));
+        }
+        while ctrl.next_wake(now).is_some() {
+            let _ = ctrl.step(now);
+            now = ctrl.next_wake(now).unwrap_or(Cycle(now.0 + 1));
+        }
+        assert_eq!(ctrl.invariant_violations(), 0, "{kind}");
+        if cfg!(debug_assertions) && std::env::var_os("PCMAP_CHECK").is_none() {
+            assert!(ctrl.invariants_checked() > 0, "{kind}: checker never ran");
+        }
     }
 }

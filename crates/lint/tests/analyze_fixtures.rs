@@ -420,8 +420,8 @@ fn live_waiver_is_not_dead() {
 // ------------------------------------------------------- cross-file -----
 
 /// The wake pass resolves receiver chains across files: the horizon
-/// type wraps a core declared elsewhere (the PcmapController/CtrlCore
-/// shape).
+/// type wraps a core declared elsewhere (a controller around shared
+/// plumbing in another file).
 #[test]
 fn missed_wake_sees_through_cross_file_wrappers() {
     let core = r#"

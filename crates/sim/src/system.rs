@@ -1,11 +1,13 @@
 //! The event-driven full-system simulation.
 
 use crate::ingest::{GateDecision, IngressGate};
-use pcmap_core::{build_controller, RollbackMode, SystemKind};
+use pcmap_core::{RollbackMode, SystemKind};
 use pcmap_cpu::core_model::{cpu_to_mem, mem_to_cpu, CoreAction, CoreModel};
 use pcmap_cpu::{RollbackModel, WorkOp};
 use pcmap_ctrl::stats::SERIES_WINDOW;
-use pcmap_ctrl::{Completion, Controller, LatencyHistogram, MemRequest, ReqId, ReqKind};
+use pcmap_ctrl::{
+    ChannelController, Completion, Controller, LatencyHistogram, MemRequest, ReqId, ReqKind,
+};
 use pcmap_faults::FaultPlan;
 use pcmap_obs::{
     CounterId, Event, EventKind, EventLog, EventSink, LifecycleReport, MetricRegistry,
@@ -474,13 +476,13 @@ impl System {
         cfg.faults.validate().expect("valid fault config");
         let mut ctrls: Vec<Box<dyn Controller>> = (0..cfg.org.channels)
             .map(|ch| {
-                build_controller(
+                Box::new(ChannelController::new(
                     cfg.kind,
                     cfg.org,
                     cfg.timing,
                     cfg.queues,
                     cfg.seed ^ ((ch as u64) << 17),
-                )
+                )) as Box<dyn Controller>
             })
             .collect();
         // A disabled config yields `None` plans, leaving every fault hook

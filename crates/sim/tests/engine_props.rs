@@ -16,8 +16,8 @@
 //! recovery retries, watchdog trips and degraded-mode exits publish
 //! horizons of their own).
 
-use pcmap_core::{build_controller, SystemKind};
-use pcmap_ctrl::{Controller, MemRequest, ReqId, ReqKind};
+use pcmap_core::SystemKind;
+use pcmap_ctrl::{ChannelController, Controller, MemRequest, ReqId, ReqKind};
 use pcmap_faults::FaultPlan;
 use pcmap_types::{
     CoreId, Cycle, FaultConfig, MemOrg, PhysAddr, QueueParams, TimingParams, Xoshiro256,
@@ -35,13 +35,13 @@ fn drive(
     mut check: impl FnMut(&mut dyn Controller, Cycle),
 ) {
     let org = MemOrg::tiny();
-    let mut ctrl = build_controller(
+    let mut ctrl: Box<dyn Controller> = Box::new(ChannelController::new(
         kind,
         org,
         TimingParams::paper_default(),
         QueueParams::paper_default(),
         seed,
-    );
+    ));
     if storm {
         ctrl.set_fault_plan(FaultPlan::new(FaultConfig::storm(0.04, seed), 0));
     }

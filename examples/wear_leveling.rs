@@ -7,15 +7,15 @@
 //!
 //! Run with: `cargo run --release --example wear_leveling`
 
-use pcmap::core::{PcmapController, SystemKind};
-use pcmap::ctrl::{Controller, MemRequest, ReqId, ReqKind};
+use pcmap::core::SystemKind;
+use pcmap::ctrl::{ChannelController, Controller, MemRequest, ReqId, ReqKind};
 use pcmap::types::{
     ChipId, CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams, Xoshiro256,
 };
 
-fn hammer(kind: SystemKind) -> PcmapController {
+fn hammer(kind: SystemKind) -> ChannelController {
     let org = MemOrg::tiny();
-    let mut ctrl = PcmapController::new(
+    let mut ctrl = ChannelController::new(
         kind,
         org,
         TimingParams::paper_default(),
@@ -53,7 +53,7 @@ fn hammer(kind: SystemKind) -> PcmapController {
     ctrl
 }
 
-fn report(label: &str, ctrl: &PcmapController) {
+fn report(label: &str, ctrl: &ChannelController) {
     println!("{label}:");
     let wear = ctrl.rank().wear();
     let max = (0..ChipId::TOTAL_CHIPS)

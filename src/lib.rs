@@ -7,10 +7,11 @@
 //! - [`types`] — addresses, cache lines, word/chip sets, time, configuration.
 //! - [`ecc`] — mask-parity SECDED(72,64) and XOR parity (PCC) reconstruction.
 //! - [`device`] — PCM chips, banks, 10-chip ranks, DIMM status registers.
-//! - [`ctrl`] — memory-controller substrate: queues, drain policy, FR-FCFS,
-//!   DDR3-style timing.
-//! - [`core`] — the paper's contribution: fine-grained essential-word
-//!   writes, RoW, WoW, data and ECC/PCC rotation, the PCMap scheduler.
+//! - [`ctrl`] — the memory controller: queues, drain policy, DDR3-style
+//!   timing, and one channel controller running the Baseline (FR-FCFS) or
+//!   the PCMap scheduler (fine-grained essential-word writes, RoW, WoW).
+//! - [`core`] — the paper's contribution: the six evaluated systems and the
+//!   data and ECC/PCC rotation layouts.
 //! - [`cpu`] — simplified out-of-order cores and a write-back cache
 //!   hierarchy with per-word dirty masks.
 //! - [`workloads`] — calibrated SPEC/PARSEC/STREAM workload models.

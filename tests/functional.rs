@@ -2,9 +2,9 @@
 //! whole stack under PCMap scheduling, fault injection, and the
 //! cache-hierarchy path.
 
-use pcmap::core::{PcmapController, SystemKind};
+use pcmap::core::SystemKind;
 use pcmap::cpu::{AccessKind, Hierarchy, HierarchyConfig, MemAccess};
-use pcmap::ctrl::{BaselineController, Controller, MemRequest, ReqId, ReqKind};
+use pcmap::ctrl::{ChannelController, Controller, MemRequest, ReqId, ReqKind};
 use pcmap::device::PcmRank;
 use pcmap::sim::{SimConfig, System};
 use pcmap::types::{
@@ -69,9 +69,9 @@ fn storage_consistency_under_scheduling() {
         }
     };
 
-    let mut base = BaselineController::new(org, t, q, 5);
+    let mut base = ChannelController::new(SystemKind::Baseline, org, t, q, 5);
     check(&mut base);
-    let mut pcmap = PcmapController::new(SystemKind::RwowRde, org, t, q, 5);
+    let mut pcmap = ChannelController::new(SystemKind::RwowRde, org, t, q, 5);
     check(&mut pcmap);
 }
 
@@ -80,7 +80,7 @@ fn storage_consistency_under_scheduling() {
 #[test]
 fn injected_fault_corrected_through_controller_read() {
     let org = MemOrg::tiny();
-    let mut ctrl = PcmapController::new(
+    let mut ctrl = ChannelController::new(
         SystemKind::RwowRde,
         org,
         TimingParams::paper_default(),
@@ -205,7 +205,8 @@ fn hierarchy_round_trips_values_through_pcm() {
 #[test]
 fn forwarded_reads_complete_fast() {
     let org = MemOrg::tiny();
-    let mut ctrl = BaselineController::new(
+    let mut ctrl = ChannelController::new(
+        SystemKind::Baseline,
         org,
         TimingParams::paper_default(),
         QueueParams::paper_default(),
