@@ -9,7 +9,7 @@ use pcmap_ctrl::{ChannelController, Controller, MemRequest, ReqId, ReqKind};
 use pcmap_obs::ChipTrace;
 use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams};
 
-/// Renders the chip-timeline Gantt from a controller's event stream.
+/// Renders the chip-timeline Gantt from a controller's chip-window ring.
 fn gantt(ctrl: &dyn Controller, bank: pcmap_types::BankId) -> String {
     ChipTrace::from_events(ctrl.events()).render_gantt(bank, 4)
 }

@@ -128,14 +128,14 @@ pub fn lifetrace_from_env() -> bool {
         .unwrap_or(false)
 }
 
-/// Prints a warning to stderr when a run lost observability data — event
-/// ring overflow or lifecycle timelines past the tracer's capacity. The
-/// simulation itself is unaffected; only the observability record is
-/// incomplete.
+/// Prints a warning to stderr when a run lost observability data — chip
+/// windows past a channel ring's capacity or lifecycle timelines past the
+/// tracer's. The simulation itself is unaffected; only the observability
+/// record is incomplete.
 pub fn warn_on_observability_drops(r: &RunReport) {
     if r.events_dropped > 0 {
         eprintln!(
-            "warning: {} [{}]: event log overflowed, {} events dropped",
+            "warning: {} [{}]: chip-window ring overflowed, {} windows dropped",
             r.workload,
             r.kind.label(),
             r.events_dropped

@@ -22,7 +22,7 @@ use pcmap_core::{Layout, SystemKind};
 use pcmap_device::PcmRank;
 use pcmap_ecc::line::LineCheck;
 use pcmap_faults::{ChipFault, FaultPlan};
-use pcmap_obs::{Event, EventKind, EventLog, EventSink, LifecycleTracer, RecoveryKind};
+use pcmap_obs::{EventLog, LifecycleTracer, RecoveryKind, Resource, WaitCause};
 use pcmap_types::{
     BankId, ChipId, ChipSet, ColAddr, Cycle, Duration, MemOrg, QueueParams, RowAddr, TimingParams,
 };
@@ -90,8 +90,8 @@ impl ReadResolution {
 /// payload is intentional (`clippy::result_large_err` is waived).
 ///
 /// `Send` is a supertrait: a channel's whole state (queues, bus, rank,
-/// wear, RNG stream, event log) is channel-private, so a whole system
-/// can be built and run on any sweep worker thread.
+/// wear, RNG stream, chip-window ring, tracer) is channel-private, so a
+/// whole system can be built and run on any sweep worker thread.
 #[allow(clippy::result_large_err)]
 pub trait Controller: Send {
     /// Offers a read request at time `now`.
@@ -151,10 +151,10 @@ pub trait Controller: Send {
     fn rank(&self) -> &PcmRank;
     /// Mutable rank access (fault injection, inspection).
     fn rank_mut(&mut self) -> &mut PcmRank;
-    /// The request-lifecycle event log (chip-occupancy timelines are the
+    /// The chip-window ring (the Figure 5 timelines are the
     /// [`pcmap_obs::ChipTrace`] view over it).
     fn events(&self) -> &EventLog;
-    /// Enables or disables lifecycle event recording.
+    /// Enables or disables chip-window recording.
     fn set_trace(&mut self, enabled: bool);
     /// The per-request causal-timeline tracer (disabled by default; see
     /// [`pcmap_obs::LifecycleTracer`] and DESIGN.md §13).
@@ -210,7 +210,7 @@ struct ReadService {
     data_ready: Cycle,
     /// The chips read.
     read_set: ChipSet,
-    /// The chips the event log shows busy.
+    /// The chips the chip-window ring shows busy.
     logged: ChipSet,
     /// The line's ECC chip: it serves no word, so IRLP never counts it.
     ecc_chip: ChipId,
@@ -247,7 +247,8 @@ pub struct ChannelController {
     bus: ChannelBus,
     /// Statistics.
     stats: CtrlStats,
-    /// Lifecycle event log (disabled by default).
+    /// Chip-window ring behind the Figure 5 timelines (disabled by
+    /// default).
     events: EventLog,
     /// Per-request causal timelines: every simulated cycle of a traced
     /// request attributed to a wait cause or service phase (disabled by
@@ -440,22 +441,8 @@ impl ChannelController {
         let d = &mut self.drains[bank.index()];
         let before = d.state();
         let after = d.update(backlog);
-        if before == DrainState::Normal && after == DrainState::Draining {
-            self.events.record(Event {
-                at: now,
-                req: pcmap_obs::NO_REQ,
-                bank,
-                kind: EventKind::DrainStart { backlog },
-            });
-        }
         if before == DrainState::Draining && after == DrainState::Normal {
             self.last_drain_exit = now;
-            self.events.record(Event {
-                at: now,
-                req: pcmap_obs::NO_REQ,
-                bank,
-                kind: EventKind::DrainEnd,
-            });
         }
         after
     }
@@ -483,9 +470,77 @@ impl ChannelController {
                 || self.last_drain_exit > arrival)
     }
 
+    /// Request id of the write currently occupying `bank`, if any (overlap
+    /// detection and lifecycle blocker attribution).
+    fn inflight_blocker(&self, bank: BankId, now: Cycle) -> Option<u64> {
+        self.inflight
+            .iter()
+            .find(|w| w.bank == bank && w.data_end > now)
+            .map(|w| w.req)
+    }
+
+    /// One blocked scheduling attempt of request `id` at `now`: bumps the
+    /// stall counter of `(cause, direction)` and, when lifecycle tracing
+    /// is on, records the attempt against the resource `at` names. Every
+    /// blocked branch of both policies reports here, so the
+    /// [`pcmap_obs::StallBreakdown`] classes count exactly the attempts the
+    /// tracer sees.
+    ///
+    /// Chip-level causes name the bank's in-flight PCMap write, if any, as
+    /// the blocker; the bus-level ones (`Drain`, `ReadPriority`) name none.
+    fn blocked(
+        &mut self,
+        id: ReqId,
+        now: Cycle,
+        cause: WaitCause,
+        is_write: bool,
+        at: impl FnOnce(&Self) -> Resource,
+    ) {
+        let counter = match (cause, is_write) {
+            (WaitCause::WowSetConflict, true) => Some(&mut self.stats.wr_blocked_data),
+            (WaitCause::EccBusy, true) => Some(&mut self.stats.wr_blocked_ecc),
+            (WaitCause::PccBusy, true) => Some(&mut self.stats.wr_blocked_pcc),
+            (WaitCause::PccBusy, false) => Some(&mut self.stats.row_blocked_pcc_busy),
+            // The counter tallies RoW attempts; the Baseline's coarse
+            // reads wait on busy chips too but never attempt RoW.
+            (WaitCause::MultiBusy, false) if self.kind.row_enabled() => {
+                Some(&mut self.stats.row_blocked_multi_busy)
+            }
+            _ => None,
+        };
+        if let Some(n) = counter {
+            *n += 1;
+        }
+        if self.lifetrace.enabled() {
+            let mut r = at(self);
+            if !matches!(cause, WaitCause::Drain | WaitCause::ReadPriority) {
+                if let Some(b) = self.inflight_blocker(r.bank, now) {
+                    r = r.blocked_by(b);
+                }
+            }
+            self.lifetrace.blocked(id.0, now, cause, Some(r));
+        }
+    }
+
+    /// One chip window `[start, end)` of request `id` where the Figure 5
+    /// ring and the lifecycle tracer show the same interval: both record
+    /// it from this call (the label closure runs only when the ring is on).
+    fn chip_window(
+        &mut self,
+        id: ReqId,
+        bank: BankId,
+        chip: ChipId,
+        start: Cycle,
+        end: Cycle,
+        label: impl FnOnce() -> String,
+    ) {
+        self.events.chip_occupy(bank, chip, start, end, label);
+        self.lifetrace.chip_service(id.0, chip, start, end);
+    }
+
     /// Retires an issued read: the functional read and its SECDED/recovery
     /// pipeline, then the lifecycle timeline, the read statistics, the
-    /// chip-occupancy log and the completion. Both policies end here.
+    /// chip windows and the completion. Both policies end here.
     fn finish_read(&mut self, req: &MemRequest, svc: ReadService) -> Completion {
         let bank = req.loc.bank;
         let ReadService {
@@ -538,29 +593,17 @@ impl ChannelController {
         if self.read_was_delayed(bank, req.arrival, start) {
             self.stats.reads_delayed_by_write += 1;
         }
-        self.stats.reads_done += 1;
-        self.stats.read_latency_sum += data_ready.since(req.arrival);
-        self.stats
-            .read_latency_hist
-            .record(data_ready.since(req.arrival).as_u64());
+        self.stats.record_read_done(req.arrival, data_ready);
+        // The ring shows the logged chips busy until the data is ready
+        // (recovery included); the tracer's windows above end at base
+        // service.
         for chip in logged.chips() {
             if chip != ecc_chip {
                 self.stats.irlp.record_segment(bank, start, data_ready);
             }
             self.events
-                .chip_occupy(req.id.0, bank, chip, start, data_ready, || {
-                    format!("Rd-{}", req.id.0)
-                });
+                .chip_occupy(bank, chip, start, data_ready, || format!("Rd-{}", req.id.0));
         }
-        self.events.record(Event {
-            at: data_ready,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Complete {
-                is_write: false,
-                latency: data_ready.since(req.arrival),
-            },
-        });
 
         Completion {
             id: req.id,
@@ -577,8 +620,8 @@ impl ChannelController {
     }
 
     /// Retires an issued write that ends at `done`: write statistics, the
-    /// lifecycle timeline, the bank's last-write time, the `Complete`
-    /// event and the completion. Both policies end here.
+    /// lifecycle timeline, the bank's last-write time and the completion.
+    /// Both policies end here.
     fn complete_write(
         &mut self,
         req: &MemRequest,
@@ -590,15 +633,6 @@ impl ChannelController {
         self.lifetrace.complete(req.id.0, done);
         let lw = &mut self.last_write_end[bank.index()];
         *lw = (*lw).max(done);
-        self.events.record(Event {
-            at: done,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Complete {
-                is_write: true,
-                latency: done.since(req.arrival),
-            },
-        });
         out.push(Completion {
             id: req.id,
             core: req.core,
@@ -901,40 +935,13 @@ impl Controller for ChannelController {
         // recomputed: mark the controller due immediately.
         self.wake = Some(Cycle::ZERO);
         self.last_read_activity = Some(self.last_read_activity.unwrap_or(Cycle::ZERO).max(now));
-        self.events.record(Event {
-            at: now,
-            req: req.id.0,
-            bank: req.loc.bank,
-            kind: EventKind::Arrival { is_write: false },
-        });
         if self.write_qs[req.loc.bank.index()]
             .newest_to_line(req.line)
             .is_some()
         {
             let done = now + FORWARD_LATENCY;
-            self.stats.reads_done += 1;
             self.stats.reads_forwarded += 1;
-            self.stats.read_latency_sum += done.since(req.arrival);
-            self.stats
-                .read_latency_hist
-                .record(done.since(req.arrival).as_u64());
-            if self.events.is_enabled() {
-                self.events.record(Event {
-                    at: now,
-                    req: req.id.0,
-                    bank: req.loc.bank,
-                    kind: EventKind::Forwarded,
-                });
-                self.events.record(Event {
-                    at: done,
-                    req: req.id.0,
-                    bank: req.loc.bank,
-                    kind: EventKind::Complete {
-                        is_write: false,
-                        latency: done.since(req.arrival),
-                    },
-                });
-            }
+            self.stats.record_read_done(req.arrival, done);
             self.lifetrace.forwarded(req.id.0, req.arrival, done);
             return Ok(Some(Completion {
                 id: req.id,
@@ -956,8 +963,8 @@ impl Controller for ChannelController {
     }
 
     fn enqueue_write(&mut self, req: MemRequest, _now: Cycle) -> Result<(), MemRequest> {
-        let (at, id, bank) = (req.arrival, req.id.0, req.loc.bank);
-        let q = &mut self.write_qs[bank.index()];
+        let (at, id) = (req.arrival, req.id.0);
+        let q = &mut self.write_qs[req.loc.bank.index()];
         // The PCMap write pass merges the bank queues without sorting, so
         // each must stay in (arrival, id) order.
         let ordered = q
@@ -969,12 +976,6 @@ impl Controller for ChannelController {
         // Fresh work: mark the controller due immediately so the next
         // step body runs and recomputes the event horizon.
         self.wake = Some(Cycle::ZERO);
-        self.events.record(Event {
-            at,
-            req: id,
-            bank,
-            kind: EventKind::Arrival { is_write: true },
-        });
         self.lifetrace.arrival(id, at, true);
         Ok(())
     }

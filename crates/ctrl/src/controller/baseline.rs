@@ -5,8 +5,8 @@
 use super::{ChannelController, ReadService};
 use crate::bus::BusDir;
 use crate::op;
-use crate::request::{Completion, ReqId, ReqKind};
-use pcmap_obs::{Event, EventKind, EventSink, Resource, WaitCause};
+use crate::request::{Completion, MemRequest, ReqId, ReqKind};
+use pcmap_obs::{Resource, WaitCause};
 use pcmap_types::{BankId, ChipId, ChipSet, Cycle, Duration};
 
 impl ChannelController {
@@ -29,14 +29,14 @@ impl ChannelController {
     /// bank drains, the bus is in write mode and no read issues at all.
     pub(super) fn pick_coarse_read(&mut self, now: Cycle) -> Option<ReqId> {
         if self.any_draining() {
+            // Only the tracer sees these attempts (no counter tallies a
+            // drain wait), so the untraced pass skips the walk.
             if self.lifetrace.enabled() {
-                for req in self.read_q.iter() {
-                    self.lifetrace.blocked(
-                        req.id.0,
-                        now,
-                        WaitCause::Drain,
-                        Some(Resource::bank(req.loc.bank)),
-                    );
+                for pos in 0..self.read_q.len() {
+                    let MemRequest { id, loc, .. } = self.read_q[pos];
+                    self.blocked(id, now, WaitCause::Drain, false, |_| {
+                        Resource::bank(loc.bank)
+                    });
                 }
             }
             return None;
@@ -53,17 +53,14 @@ impl ChannelController {
                 // Event horizon: this read becomes issueable once every
                 // chip of the coarse set has drained its reservations.
                 self.note_hint(chips_free);
-                if self.lifetrace.enabled() {
-                    // Attribute the busy window: a write still programming
-                    // the bank, or (otherwise) another read on its chips.
-                    let cause = if self.last_write_end[bank.index()] > now {
-                        WaitCause::WriteInFlight
-                    } else {
-                        WaitCause::MultiBusy
-                    };
-                    self.lifetrace
-                        .blocked(id.0, now, cause, Some(Resource::bank(bank)));
-                }
+                // Attribute the busy window: a write still programming the
+                // bank, or (otherwise) another read on its chips.
+                let cause = if self.last_write_end[bank.index()] > now {
+                    WaitCause::WriteInFlight
+                } else {
+                    WaitCause::MultiBusy
+                };
+                self.blocked(id, now, cause, false, |_| Resource::bank(bank));
                 continue;
             }
             let hit = self
@@ -83,12 +80,6 @@ impl ChannelController {
     pub(super) fn issue_coarse_read(&mut self, id: ReqId, now: Cycle) -> Completion {
         let req = self.read_q.remove(id).expect("picked read must be queued");
         let bank = req.loc.bank;
-        self.events.record(Event {
-            at: now,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Issue { is_write: false },
-        });
         let set = Self::coarse_read_set();
         let row_hit = self
             .rank
@@ -154,13 +145,12 @@ impl ChannelController {
                     issued = true;
                 }
             } else if self.lifetrace.enabled() && tag_parked {
-                for req in self.write_qs[bank.index()].iter() {
-                    self.lifetrace.blocked(
-                        req.id.0,
-                        now,
-                        WaitCause::ReadPriority,
-                        Some(Resource::bank(bank)),
-                    );
+                // Tracer-only attempts, as for reads behind a drain.
+                for pos in 0..self.write_qs[bank.index()].len() {
+                    let id = self.write_qs[bank.index()][pos].id;
+                    self.blocked(id, now, WaitCause::ReadPriority, true, |_| {
+                        Resource::bank(bank)
+                    });
                 }
             }
         }
@@ -185,14 +175,9 @@ impl ChannelController {
             // Event horizon: the write becomes issueable once its bank's
             // chips drain (the bus never blocks issue, only shifts start).
             self.note_hint(chips_free);
-            if self.lifetrace.enabled() {
-                self.lifetrace.blocked(
-                    id.0,
-                    now,
-                    WaitCause::WriteInFlight,
-                    Some(Resource::bank(bank)),
-                );
-            }
+            self.blocked(id, now, WaitCause::WriteInFlight, true, |_| {
+                Resource::bank(bank)
+            });
         }
         None
     }
@@ -231,12 +216,6 @@ impl ChannelController {
             .reserve(BusDir::Write, now + Duration(self.t.t_wl), &self.t);
         let program_start = transfer + Duration(self.t.burst);
 
-        self.events.record(Event {
-            at: now,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Issue { is_write: true },
-        });
         let mut done = program_start + Duration(self.t.array_read); // compare-only chips
         for i in outcome.essential.iter() {
             let end = program_start + outcome.kinds[i].duration(&self.t);
@@ -245,18 +224,18 @@ impl ChannelController {
             let chip = ChipId(i as u8);
             self.stats.irlp.record_segment(bank, now, end);
             self.rank.wear_mut().record(chip, outcome.bits_per_word[i]);
-            self.events.chip_occupy(req.id.0, bank, chip, now, end, || {
-                format!("Wr-{}", req.id.0)
-            });
+            self.chip_window(req.id, bank, chip, now, end, || format!("Wr-{}", req.id.0));
         }
         if !outcome.silent {
             // The ECC chip is rewritten alongside (not counted in IRLP).
+            // Only the ring shows its window: the tracer's service detail
+            // is the essential chips.
             let ecc_end = program_start + Duration(self.t.array_set);
             done = done.max(ecc_end);
             self.rank.wear_mut().record(ChipId::ECC, 8);
             self.rank.energy_mut().record_write(4, 4);
             self.events
-                .chip_occupy(req.id.0, bank, ChipId::ECC, now, ecc_end, || {
+                .chip_occupy(bank, ChipId::ECC, now, ecc_end, || {
                     format!("We-{}", req.id.0)
                 });
         }
@@ -271,14 +250,7 @@ impl ChannelController {
         self.plant_wear_fault(bank, req.loc.row, req.loc.col, now);
         let done = self.apply_chip_fault(bank, set, now, done);
 
-        if self.lifetrace.enabled() {
-            self.lifetrace.issue(req.id.0, now, now, done);
-            for i in outcome.essential.iter() {
-                let end = program_start + outcome.kinds[i].duration(&self.t);
-                self.lifetrace
-                    .chip_service(req.id.0, ChipId(i as u8), now, end);
-            }
-        }
+        self.lifetrace.issue(req.id.0, now, now, done);
         self.stats.irlp.open_window(bank, now, done);
         self.complete_write(&req, bank, done, out);
     }

@@ -42,8 +42,8 @@ use crate::bus::BusDir;
 use crate::op;
 use crate::queues::RequestQueue;
 use crate::request::{Completion, MemRequest, ReqKind};
-use pcmap_obs::{Event, EventKind, EventSink, Resource, WaitCause};
-use pcmap_types::{BankId, ChipId, ChipSet, Cycle, Duration, WordMask};
+use pcmap_obs::{Resource, WaitCause};
+use pcmap_types::{ChipId, ChipSet, Cycle, Duration, WordMask};
 
 /// The bank whose next unvisited write (at `cursor[bank]`) is oldest in
 /// `(arrival, id)` order, lowest bank first on a tie; `None` once every
@@ -60,15 +60,6 @@ fn oldest_unvisited(qs: &[RequestQueue], cursor: &[usize]) -> Option<usize> {
 }
 
 impl ChannelController {
-    /// Request id of the write currently occupying `bank`, if any (overlap
-    /// detection and lifecycle blocker attribution).
-    fn inflight_blocker(&self, bank: BankId, now: Cycle) -> Option<u64> {
-        self.inflight
-            .iter()
-            .find(|w| w.bank == bank && w.data_end > now)
-            .map(|w| w.req)
-    }
-
     /// Whether this channel's rank is currently demoted to coarse
     /// scheduling (advances the degradation state machine to `now`).
     /// Always `false` without a fault plan.
@@ -122,12 +113,9 @@ impl ChannelController {
             let MemRequest { id, line, loc, .. } = self.write_qs[b][pos];
             let bank = loc.bank;
             if !write_mode {
-                self.lifetrace.blocked(
-                    id.0,
-                    now,
-                    WaitCause::ReadPriority,
-                    Some(Resource::bank(bank)),
-                );
+                self.blocked(id, now, WaitCause::ReadPriority, true, |_| {
+                    Resource::bank(bank)
+                });
                 continue;
             }
             let overlapping = self.inflight_blocker(bank, now).is_some();
@@ -145,18 +133,12 @@ impl ChannelController {
                 {
                     self.note_hint(t);
                 }
-                if self.lifetrace.enabled() {
-                    let cause = if degraded && self.kind.wow_enabled() {
-                        WaitCause::RankDemoted
-                    } else {
-                        WaitCause::WriteInFlight
-                    };
-                    let mut r = Resource::bank(bank);
-                    if let Some(blocker) = self.inflight_blocker(bank, now) {
-                        r = r.blocked_by(blocker);
-                    }
-                    self.lifetrace.blocked(id.0, now, cause, Some(r));
-                }
+                let cause = if degraded && self.kind.wow_enabled() {
+                    WaitCause::RankDemoted
+                } else {
+                    WaitCause::WriteInFlight
+                };
+                self.blocked(id, now, cause, true, |_| Resource::bank(bank));
                 continue;
             }
             let polls = if overlapping { self.poll_count() } else { 1 };
@@ -220,23 +202,18 @@ impl ChannelController {
             let timing = self.rank.timing();
             let data_chips = self.layout.chips_of_mask(line, mask);
             if !timing.set_free_during(bank, data_chips, start, worst_end) {
-                self.stats.wr_blocked_data += 1;
                 let until = timing.blocked_until(bank, data_chips, start, worst_end);
-                if self.lifetrace.enabled() {
+                self.blocked(id, now, WaitCause::WowSetConflict, true, |c| {
                     // Diagnose the first busy chip of the conflicting set.
-                    let busy = data_chips
+                    let timing = c.rank.timing();
+                    match data_chips
                         .chips()
-                        .find(|&c| !timing.chip(bank, c).is_free_during(start, worst_end));
-                    let mut r = match busy {
-                        Some(c) => Resource::chip(bank, c),
+                        .find(|&ch| !timing.chip(bank, ch).is_free_during(start, worst_end))
+                    {
+                        Some(ch) => Resource::chip(bank, ch),
                         None => Resource::bank(bank),
-                    };
-                    if let Some(b) = self.inflight_blocker(bank, now) {
-                        r = r.blocked_by(b);
                     }
-                    self.lifetrace
-                        .blocked(id.0, now, WaitCause::WowSetConflict, Some(r));
-                }
+                });
                 // Event horizon: the window [start, worst_end) shifts
                 // rigidly with `now`, so the conflict clears once `start`
                 // reaches the last conflicting reservation end.
@@ -248,18 +225,13 @@ impl ChannelController {
             let ecc_chip = self.layout.ecc_chip(line);
             let ecc_end = start + upd;
             if !timing.chip(bank, ecc_chip).is_free_during(start, ecc_end) {
-                self.stats.wr_blocked_ecc += 1;
+                let until = timing.chip(bank, ecc_chip).blocked_until(start, ecc_end);
+                self.blocked(id, now, WaitCause::EccBusy, true, |_| {
+                    Resource::chip(bank, ecc_chip)
+                });
                 // Event horizon: ECC update window shifts rigidly with now.
-                if let Some(e) = timing.chip(bank, ecc_chip).blocked_until(start, ecc_end) {
+                if let Some(e) = until {
                     self.note_hint(Cycle(e.0 - (start.0 - now.0)));
-                }
-                if self.lifetrace.enabled() {
-                    let mut r = Resource::chip(bank, ecc_chip);
-                    if let Some(b) = self.inflight_blocker(bank, now) {
-                        r = r.blocked_by(b);
-                    }
-                    self.lifetrace
-                        .blocked(id.0, now, WaitCause::EccBusy, Some(r));
                 }
                 continue;
             }
@@ -268,22 +240,16 @@ impl ChannelController {
                 .chip(bank, pcc_chip)
                 .is_free_during(worst_end, worst_end + upd)
             {
-                self.stats.wr_blocked_pcc += 1;
+                let until = timing
+                    .chip(bank, pcc_chip)
+                    .blocked_until(worst_end, worst_end + upd);
+                self.blocked(id, now, WaitCause::PccBusy, true, |_| {
+                    Resource::chip(bank, pcc_chip)
+                });
                 // Event horizon: PCC window [worst_end, worst_end + upd)
                 // also shifts rigidly with now.
-                if let Some(e) = timing
-                    .chip(bank, pcc_chip)
-                    .blocked_until(worst_end, worst_end + upd)
-                {
+                if let Some(e) = until {
                     self.note_hint(Cycle(e.0 - (worst_end.0 - now.0)));
-                }
-                if self.lifetrace.enabled() {
-                    let mut r = Resource::chip(bank, pcc_chip);
-                    if let Some(b) = self.inflight_blocker(bank, now) {
-                        r = r.blocked_by(b);
-                    }
-                    self.lifetrace
-                        .blocked(id.0, now, WaitCause::PccBusy, Some(r));
                 }
                 continue;
             }
@@ -357,14 +323,9 @@ impl ChannelController {
         if overlapping {
             self.stats.wow_overlaps += 1;
         }
-        self.events.record(Event {
-            at: start,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Issue { is_write: true },
-        });
 
-        // Step 1: data chips + ECC chip.
+        // Step 1: data chips + ECC chip. Each phase's window is recorded
+        // once, for the ring and the tracer alike.
         let upd = op::check_chip_write_occupancy(&self.t);
         let data_end = program_start + Duration(self.t.array_set);
         for w in outcome.essential.iter() {
@@ -383,10 +344,9 @@ impl ChannelController {
                 .reserve(bank, ChipSet::single(chip.index()), start, end);
             self.stats.irlp.record_segment(bank, start, end);
             self.rank.wear_mut().record(chip, outcome.bits_per_word[w]);
-            self.events
-                .chip_occupy(req.id.0, bank, chip, start, end, || {
-                    format!("Wr-{}", req.id.0)
-                });
+            self.chip_window(req.id, bank, chip, start, end, || {
+                format!("Wr-{}", req.id.0)
+            });
         }
         let ecc_chip = self.layout.ecc_chip(req.line);
         let ecc_end = start + upd;
@@ -403,8 +363,7 @@ impl ChannelController {
             .reserve(bank, ChipSet::single(ecc_chip.index()), start, ecc_end);
         self.rank.wear_mut().record(ecc_chip, 8);
         self.rank.energy_mut().record_write(4, 4);
-        self.events
-            .chip_occupy(req.id.0, bank, ecc_chip, start, ecc_end, || "E".to_owned());
+        self.chip_window(req.id, bank, ecc_chip, start, ecc_end, || "E".to_owned());
 
         // Step 2: PCC update immediately after the data phase.
         let pcc_chip = self.layout.pcc_chip(req.line);
@@ -423,10 +382,7 @@ impl ChannelController {
             .reserve(bank, ChipSet::single(pcc_chip.index()), data_end, pcc_end);
         self.rank.wear_mut().record(pcc_chip, 8);
         self.rank.energy_mut().record_write(4, 4);
-        self.events
-            .chip_occupy(req.id.0, bank, pcc_chip, data_end, pcc_end, || {
-                "P".to_owned()
-            });
+        self.chip_window(req.id, bank, pcc_chip, data_end, pcc_end, || "P".to_owned());
 
         // Fault hooks (inert without a plan): this write may burn out a
         // cell, and one essential chip may run slow or hang. A slow chip
@@ -436,20 +392,9 @@ impl ChannelController {
         let fault_end = self.apply_chip_fault(bank, data_set, start, data_end);
 
         let done = pcc_end.max(fault_end);
-        if self.lifetrace.enabled() {
-            // Service covers step 1 + step 2 (+ any fault stretch); the
-            // chip windows below carry the per-phase detail.
-            self.lifetrace.issue(req.id.0, now, start, done);
-            for w in outcome.essential.iter() {
-                let chip = self.layout.chip_of_word(req.line, w);
-                let end = program_start + outcome.kinds[w].duration(&self.t);
-                self.lifetrace.chip_service(req.id.0, chip, start, end);
-            }
-            self.lifetrace
-                .chip_service(req.id.0, ecc_chip, start, ecc_end);
-            self.lifetrace
-                .chip_service(req.id.0, pcc_chip, data_end, pcc_end);
-        }
+        // Service covers step 1 + step 2 (+ any fault stretch); the chip
+        // windows above carry the per-phase detail.
+        self.lifetrace.issue(req.id.0, now, start, done);
         self.stats.irlp.open_window(bank, start, data_end);
         self.inflight.push(InflightWrite {
             bank,
@@ -480,16 +425,11 @@ impl ChannelController {
             // ride the sub-ranked lanes and work either way — during
             // drains they are the only way a read gets served (rule 1).
             if bus_write_mode && !overlapping {
-                if self.lifetrace.enabled() {
-                    // Drain episode holds the bus in write mode and no
-                    // in-flight write offers an overlap lane.
-                    self.lifetrace.blocked(
-                        req.id.0,
-                        now,
-                        WaitCause::Drain,
-                        Some(Resource::bank(bank)),
-                    );
-                }
+                // Drain episode holds the bus in write mode and no
+                // in-flight write offers an overlap lane.
+                self.blocked(req.id, now, WaitCause::Drain, false, |_| {
+                    Resource::bank(bank)
+                });
                 continue;
             }
             let polls = if overlapping { self.poll_count() } else { 1 };
@@ -597,20 +537,14 @@ impl ChannelController {
                     ));
                 }
                 1 if self.kind.row_enabled() && !degraded && overlapping => {
-                    self.stats.row_blocked_pcc_busy += 1;
                     // Event horizon: reconstruction waits on the PCC chip;
                     // its read window shifts rigidly with now.
                     if let Some(e) = timing.chip(bank, pcc_chip).blocked_until(start, data_ready) {
                         self.note_hint(Cycle(e.0 - (start.0 - now.0)));
                     }
-                    if self.lifetrace.enabled() {
-                        let mut r = Resource::chip(bank, pcc_chip);
-                        if let Some(b) = self.inflight_blocker(bank, now) {
-                            r = r.blocked_by(b);
-                        }
-                        self.lifetrace
-                            .blocked(req.id.0, now, WaitCause::PccBusy, Some(r));
-                    }
+                    self.blocked(req.id, now, WaitCause::PccBusy, false, |_| {
+                        Resource::chip(bank, pcc_chip)
+                    });
                     continue;
                 }
                 n => {
@@ -628,38 +562,26 @@ impl ChannelController {
                     if let Some(e) = hint {
                         self.note_hint(Cycle(e.0 - (start.0 - now.0)));
                     }
-                    if n >= 2 && self.kind.row_enabled() {
-                        self.stats.row_blocked_multi_busy += 1;
-                        if self.lifetrace.enabled() {
-                            let mut r = Resource::chip(bank, busy_words[0]);
-                            if let Some(b) = self.inflight_blocker(bank, now) {
-                                r = r.blocked_by(b);
-                            }
-                            self.lifetrace
-                                .blocked(req.id.0, now, WaitCause::MultiBusy, Some(r));
-                        }
-                    } else if self.lifetrace.enabled() {
-                        // RoW off, rank demoted, or a busy chip the scheme
-                        // cannot route around: the read waits on the
-                        // in-flight write. With zero busy word chips the
-                        // obstacle is the line's ECC chip.
-                        let cause = if degraded && self.kind.row_enabled() {
-                            WaitCause::RankDemoted
-                        } else if busy_words.is_empty() && !ecc_free {
-                            WaitCause::EccBusy
-                        } else {
-                            WaitCause::WriteInFlight
-                        };
-                        let mut r = match busy_words.first() {
-                            Some(&c) => Resource::chip(bank, c),
-                            None if !ecc_free => Resource::chip(bank, ecc_chip),
-                            None => Resource::bank(bank),
-                        };
-                        if let Some(b) = self.inflight_blocker(bank, now) {
-                            r = r.blocked_by(b);
-                        }
-                        self.lifetrace.blocked(req.id.0, now, cause, Some(r));
-                    }
+                    // Two or more busy word chips defeat RoW. Otherwise RoW
+                    // is off, the rank is demoted, or a busy chip the scheme
+                    // cannot route around: the read waits on the in-flight
+                    // write. With zero busy word chips the obstacle is the
+                    // line's ECC chip.
+                    let cause = if n >= 2 && self.kind.row_enabled() {
+                        WaitCause::MultiBusy
+                    } else if degraded && self.kind.row_enabled() {
+                        WaitCause::RankDemoted
+                    } else if n == 0 && !ecc_free {
+                        WaitCause::EccBusy
+                    } else {
+                        WaitCause::WriteInFlight
+                    };
+                    let chip = busy_words.first().copied();
+                    let chip = chip.or((!ecc_free).then_some(ecc_chip));
+                    self.blocked(req.id, now, cause, false, |_| match chip {
+                        Some(c) => Resource::chip(bank, c),
+                        None => Resource::bank(bank),
+                    });
                     continue;
                 }
             }
@@ -684,12 +606,6 @@ impl ChannelController {
     ) -> Completion {
         self.read_q.remove(req.id).expect("read still queued");
         let bank = req.loc.bank;
-        self.events.record(Event {
-            at: start,
-            req: req.id.0,
-            bank,
-            kind: EventKind::Issue { is_write: false },
-        });
 
         // Commit bus and chips (data_ready was computed from next_slot, so
         // this reserve lands exactly there).
@@ -738,14 +654,6 @@ impl ChannelController {
         if via_row {
             self.stats.reads_via_row += 1;
         }
-        if let Some(missing) = reconstructed {
-            self.events.record(Event {
-                at: start,
-                req: req.id.0,
-                bank,
-                kind: EventKind::RowReconstruct { missing },
-            });
-        }
         let verify = if deferred_ecc.is_some() {
             // Deferred verify: one-chip read on the busy data chip (if
             // any) plus the ECC chip, once both are completely free.
@@ -769,15 +677,11 @@ impl ChannelController {
             );
             self.rank.timing_mut().reserve(bank, verify_set, vs, ve);
             self.stats.row_verifies += 1;
-            self.events.record(Event {
-                at: start,
-                req: req.id.0,
-                bank,
-                kind: EventKind::DeferredVerify,
-            });
+            // The ring shows each verify chip; the tracer annotates the
+            // window once, in `finish_read`.
             for chip in verify_set.chips() {
                 self.events
-                    .chip_occupy(req.id.0, bank, chip, vs, ve, || "V".to_owned());
+                    .chip_occupy(bank, chip, vs, ve, || "V".to_owned());
             }
             Some((vs, ve))
         } else {

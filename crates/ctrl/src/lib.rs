@@ -62,8 +62,3 @@ pub use irlp::{IrlpTracker, WindowId};
 pub use queues::{DrainPolicy, DrainState, RequestQueue};
 pub use request::{Completion, MemRequest, ReqId, ReqKind};
 pub use stats::CtrlStats;
-// Telemetry primitives now live in `pcmap-obs`; re-exported here for the
-// controller call sites and backward compatibility.
-pub use pcmap_obs::{
-    ChipTrace, Event, EventKind, EventLog, EventSink, LatencyHistogram, TraceEvent,
-};

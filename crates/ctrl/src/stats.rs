@@ -5,8 +5,6 @@
 //! [`MetricsSnapshot`] (metric names documented in DESIGN.md) so the four
 //! channels aggregate through the generic telemetry layer.
 
-// pcmap-lint: allow-file(missed-wake, reason = "CtrlStats is telemetry: counters, histograms, series and the IRLP tracker; no issue decision reads it, so it holds no readiness state for a horizon to track")
-
 use crate::irlp::IrlpTracker;
 use pcmap_obs::{GaugeRule, LatencyHistogram, MetricsSnapshot, WindowedSeries};
 use pcmap_types::{Cycle, Duration};
@@ -156,6 +154,16 @@ impl CtrlStats {
         self.write_series.bump(done.0);
     }
 
+    /// Records a read that arrived at `arrival` and delivered its data at
+    /// `done` (forwarded or served) into the count, the latency sum and the
+    /// latency distribution.
+    pub fn record_read_done(&mut self, arrival: Cycle, done: Cycle) {
+        let latency = done.since(arrival);
+        self.reads_done += 1;
+        self.read_latency_sum += latency;
+        self.read_latency_hist.record(latency.as_u64());
+    }
+
     /// Mean effective read latency in cycles (0 if no reads finished).
     pub fn mean_read_latency(&self) -> f64 {
         if self.reads_done == 0 {
@@ -293,13 +301,19 @@ mod tests {
     }
 
     #[test]
-    fn record_write_done_feeds_series() {
+    fn record_done_feeds_counts_latency_and_series() {
         let mut s = CtrlStats::new(8);
         s.record_write_done(Cycle(10));
         s.record_write_done(Cycle(SERIES_WINDOW + 1));
         assert_eq!(s.writes_done, 2);
         assert_eq!(s.last_write_done, Cycle(SERIES_WINDOW + 1));
         assert_eq!(s.write_series.windows().count(), 2);
+        s.record_read_done(Cycle(5), Cycle(45));
+        s.record_read_done(Cycle(10), Cycle(30));
+        assert_eq!(s.reads_done, 2);
+        assert_eq!(s.read_latency_sum, Duration(60));
+        assert_eq!(s.read_latency_hist.count(), 2);
+        assert_eq!(s.mean_read_latency(), 30.0);
     }
 
     #[test]

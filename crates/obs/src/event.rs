@@ -1,120 +1,41 @@
-//! Structured request-lifecycle events: the sink trait and the bounded
-//! ring-buffer implementation.
+//! The bounded chip-window ring behind the Figure 5 timelines.
 //!
-//! Every stage a request passes through in a controller — arrival, queueing,
-//! issue, per-chip occupancy, RoW parity reconstruction, deferred
-//! verification, completion or rollback, and drain-mode transitions — is one
-//! [`Event`] in a shared stream. Consumers derive views from the stream
-//! instead of owning bespoke recorders; the Figure 5 chip-timeline
-//! ([`ChipTrace`](crate::trace::ChipTrace)) is one such consumer.
+//! Each entry is one chip reservation a controller committed: bank, chip,
+//! `[start, end)` and a display label ([`TraceEvent`]). This ring is the
+//! only event stream a controller keeps; [`ChipTrace`](crate::trace::ChipTrace)
+//! renders it. Blocked attempts and per-request timelines go to the
+//! controller's counters and to the
+//! [`LifecycleTracer`](crate::lifecycle::LifecycleTracer), from one call per
+//! attempt.
 //!
-//! Recording is off by default and a disabled sink rejects events before
-//! any allocation, so always-on code paths pay one branch.
+//! Recording is off by default, and a disabled ring returns before it
+//! builds a label, so always-on code paths pay one branch.
 
-use pcmap_types::{BankId, ChipId, Cycle, Duration};
+// pcmap-lint: allow-file(missed-wake, reason = "the chip-window ring is telemetry: no issue decision reads it, so it holds no readiness state for a horizon to track")
+
+use crate::trace::TraceEvent;
+use pcmap_types::{BankId, ChipId, Cycle};
 use std::collections::VecDeque;
 
-/// What happened at one lifecycle stage.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    /// A request entered the controller's queues.
-    Arrival {
-        /// `true` for writes, `false` for reads.
-        is_write: bool,
-    },
-    /// A read was answered from the write queue without touching PCM.
-    Forwarded,
-    /// A request left a queue and started on the chips.
-    Issue {
-        /// `true` for writes, `false` for reads.
-        is_write: bool,
-    },
-    /// One chip is busy on behalf of the request from `Event::at` to `end`.
-    ChipOccupy {
-        /// The chip reserved.
-        chip: ChipId,
-        /// Reservation end (start is the event timestamp).
-        end: Cycle,
-        /// Display label, e.g. `"Wr-3"`, `"Rd-7"`, `"Upd-P"`.
-        label: String,
-    },
-    /// A read served by RoW: the busy chip's word was rebuilt from parity.
-    RowReconstruct {
-        /// The chip whose word was reconstructed.
-        missing: ChipId,
-    },
-    /// A read issued with ECC verification deferred to a later idle slot.
-    DeferredVerify,
-    /// The request finished.
-    Complete {
-        /// `true` for writes, `false` for reads.
-        is_write: bool,
-        /// Arrival-to-completion service time.
-        latency: Duration,
-    },
-    /// A deferred verification failed and the consuming core squashed.
-    Rollback,
-    /// The controller entered write-drain mode.
-    DrainStart {
-        /// Write-queue backlog that triggered the drain.
-        backlog: usize,
-    },
-    /// The controller left write-drain mode.
-    DrainEnd,
-}
-
-/// One timestamped lifecycle event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// When it happened (memory cycles).
-    pub at: Cycle,
-    /// Request id within the controller (`u64::MAX` for events not tied to
-    /// one request, e.g. drain transitions).
-    pub req: u64,
-    /// Bank the request targets.
-    pub bank: BankId,
-    /// The stage.
-    pub kind: EventKind,
-}
-
-/// Request id used for controller-level events not tied to a request.
-pub const NO_REQ: u64 = u64::MAX;
-
-/// Anything that can consume lifecycle events.
-pub trait EventSink {
-    /// Whether events are currently being consumed. Producers may (and the
-    /// controllers do) skip building labels when this is `false`.
-    fn is_enabled(&self) -> bool;
-
-    /// Consumes one event.
-    fn record(&mut self, event: Event);
-}
-
-/// A bounded in-memory event ring: the default [`EventSink`].
+/// A bounded in-memory ring of chip windows.
 ///
-/// When full, the oldest event is dropped and counted, so enabling tracing
-/// on a long run degrades to a sliding window instead of growing without
-/// bound.
+/// When full, the oldest window is dropped and counted, so enabling
+/// tracing on a long run degrades to a sliding window instead of growing
+/// without bound.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     enabled: bool,
     capacity: usize,
-    events: VecDeque<Event>,
+    events: VecDeque<TraceEvent>,
     dropped: u64,
 }
 
-/// Default ring capacity (events), enough for the Figure 5 demonstrations
-/// and short diagnostic runs.
+/// Default ring capacity (windows), enough for the Figure 5
+/// demonstrations and short diagnostic runs.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-impl Default for EventLog {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
 impl EventLog {
-    /// A disabled log: `record` is a no-op and nothing allocates.
+    /// A disabled ring: recording is a no-op and nothing allocates.
     pub fn disabled() -> Self {
         Self {
             enabled: false,
@@ -124,12 +45,12 @@ impl EventLog {
         }
     }
 
-    /// An enabled log with the default capacity.
+    /// An enabled ring with the default capacity.
     pub fn enabled() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// An enabled log holding at most `capacity` events.
+    /// An enabled ring holding at most `capacity` windows.
     ///
     /// # Panics
     ///
@@ -144,66 +65,37 @@ impl EventLog {
         }
     }
 
-    /// Turns recording on or off (existing events are kept).
+    /// Turns recording on or off (existing windows are kept).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
 
-    /// Events currently in the ring, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
+    /// Windows currently in the ring, oldest first.
+    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
     }
 
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when no events are buffered.
+    /// `true` when no windows are buffered.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
-    /// Events evicted because the ring was full.
+    /// Windows evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Convenience: records a chip reservation if enabled (the hot-path
-    /// shape the controllers use; the label closure only runs when
-    /// recording).
+    /// Records that `chip` of `bank` is busy over `[start, end)`, if
+    /// enabled; the label closure only runs when recording.
     #[inline]
     pub fn chip_occupy(
         &mut self,
-        req: u64,
         bank: BankId,
         chip: ChipId,
         start: Cycle,
         end: Cycle,
         label: impl FnOnce() -> String,
     ) {
-        if self.enabled {
-            self.record(Event {
-                at: start,
-                req,
-                bank,
-                kind: EventKind::ChipOccupy {
-                    chip,
-                    end,
-                    label: label(),
-                },
-            });
-        }
-    }
-}
-
-impl EventSink for EventLog {
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn record(&mut self, event: Event) {
         if !self.enabled {
             return;
         }
@@ -211,7 +103,13 @@ impl EventSink for EventLog {
             self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push_back(event);
+        self.events.push_back(TraceEvent {
+            bank,
+            chip,
+            start,
+            end,
+            label: label(),
+        });
     }
 }
 
@@ -219,80 +117,68 @@ impl EventSink for EventLog {
 mod tests {
     use super::*;
 
-    fn ev(at: u64, kind: EventKind) -> Event {
-        Event {
-            at: Cycle(at),
-            req: 1,
-            bank: BankId(0),
-            kind,
-        }
+    fn occupy(log: &mut EventLog, start: u64) {
+        log.chip_occupy(BankId(0), ChipId(0), Cycle(start), Cycle(start + 8), || {
+            "Wr-1".to_owned()
+        });
     }
 
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = EventLog::disabled();
-        log.record(ev(0, EventKind::Forwarded));
-        log.chip_occupy(
-            1,
-            BankId(0),
-            ChipId(0),
-            Cycle(0),
-            Cycle(8),
-            || unreachable!(),
-        );
+        log.chip_occupy(BankId(0), ChipId(0), Cycle(0), Cycle(8), || unreachable!());
         assert!(log.is_empty());
-        assert!(!log.is_enabled());
         assert_eq!(log.dropped(), 0);
     }
 
     #[test]
     fn enabled_log_keeps_order() {
         let mut log = EventLog::enabled();
-        log.record(ev(5, EventKind::Arrival { is_write: false }));
-        log.record(ev(9, EventKind::Issue { is_write: false }));
-        let ats: Vec<u64> = log.events().map(|e| e.at.0).collect();
-        assert_eq!(ats, vec![5, 9]);
-        assert_eq!(log.len(), 2);
+        occupy(&mut log, 5);
+        occupy(&mut log, 9);
+        let starts: Vec<u64> = log.events().map(|e| e.start.0).collect();
+        assert_eq!(starts, vec![5, 9]);
     }
 
     #[test]
     fn ring_drops_oldest_when_full() {
         let mut log = EventLog::with_capacity(3);
         for i in 0..5u64 {
-            log.record(ev(i, EventKind::Forwarded));
+            occupy(&mut log, i);
         }
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.events().count(), 3);
         assert_eq!(log.dropped(), 2);
-        assert_eq!(log.events().next().unwrap().at, Cycle(2));
+        assert_eq!(log.events().next().unwrap().start, Cycle(2));
     }
 
     #[test]
     fn chip_occupy_builds_label_lazily() {
         let mut log = EventLog::enabled();
-        log.chip_occupy(7, BankId(1), ChipId(3), Cycle(10), Cycle(18), || {
+        log.chip_occupy(BankId(1), ChipId(3), Cycle(10), Cycle(18), || {
             "Wr-7".to_owned()
         });
         let e = log.events().next().unwrap();
-        assert_eq!(e.req, 7);
-        match &e.kind {
-            EventKind::ChipOccupy { chip, end, label } => {
-                assert_eq!(*chip, ChipId(3));
-                assert_eq!(*end, Cycle(18));
-                assert_eq!(label, "Wr-7");
+        assert_eq!(
+            *e,
+            TraceEvent {
+                bank: BankId(1),
+                chip: ChipId(3),
+                start: Cycle(10),
+                end: Cycle(18),
+                label: "Wr-7".to_owned(),
             }
-            other => panic!("{other:?}"),
-        }
+        );
     }
 
     #[test]
     fn toggling_enabled_keeps_history() {
         let mut log = EventLog::enabled();
-        log.record(ev(1, EventKind::Forwarded));
+        occupy(&mut log, 1);
         log.set_enabled(false);
-        log.record(ev(2, EventKind::Forwarded));
-        assert_eq!(log.len(), 1);
+        occupy(&mut log, 2);
+        assert_eq!(log.events().count(), 1);
         log.set_enabled(true);
-        log.record(ev(3, EventKind::Forwarded));
-        assert_eq!(log.len(), 2);
+        occupy(&mut log, 3);
+        assert_eq!(log.events().count(), 2);
     }
 }

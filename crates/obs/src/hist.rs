@@ -5,9 +5,8 @@
 //! histogram cheap enough to run on every request (64 buckets, ~¼-decade
 //! resolution), from which percentiles are interpolated.
 //!
-//! This type originated in `pcmap-ctrl` and moved here so every layer (and
-//! the metric registry) can share one percentile implementation;
-//! `pcmap_ctrl::LatencyHistogram` re-exports it.
+//! Every layer (and the metric registry) shares this one percentile
+//! implementation.
 
 use crate::json::Value;
 

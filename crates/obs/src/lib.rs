@@ -8,24 +8,24 @@
 //! - [`metric`] — a registry with typed counter/gauge/histogram handles,
 //!   near-zero-cost when disabled, and [`MetricsSnapshot`]s that merge
 //!   across the four channels' controllers.
-//! - [`event`] — the request-lifecycle event stream (arrival → queue →
-//!   issue → chip occupancy → RoW reconstruction / deferred verify →
-//!   completion or rollback) behind the [`EventSink`] trait, with the
-//!   bounded [`EventLog`] ring buffer as the default sink.
-//! - [`trace`] — the Figure 5 chip-timeline Gantt view, derived from the
-//!   event stream.
+//! - [`event`] — the bounded [`EventLog`] ring of chip windows: one
+//!   [`TraceEvent`] per chip reservation a controller commits.
+//! - [`trace`] — the Figure 5 chip-timeline Gantt view, rendered from
+//!   that ring.
 //! - [`hist`] — the log-bucketed [`LatencyHistogram`] (p50/p95/p99),
 //!   shared by controllers and reports.
 //! - [`series`] — windowed throughput / IRLP time-series.
-//! - [`stall`] — stall-attribution breakdown reconciling the controller
-//!   counters.
+//! - [`stall`] — stall-attribution breakdown over the controller's
+//!   blocked-attempt counters.
 //! - [`tenant`] — dense per-tenant outcome/SLO rows for the serve tier,
 //!   merging commutatively across shards with bounded top-K export
 //!   (DESIGN.md §16).
 //! - [`lifecycle`] — per-request causal timelines: every simulated cycle
 //!   of a traced request attributed to a [`lifecycle::WaitCause`] or
 //!   service phase, with a conservation invariant and a critical-path
-//!   reducer (DESIGN.md §13).
+//!   reducer (DESIGN.md §13). A controller records each blocked attempt
+//!   with one call that bumps its stall counter and, when tracing, this
+//!   tracer, so the two views agree by construction.
 //! - [`json`] / [`csv`] / [`export`] — machine-readable exporters used by
 //!   the bench binaries to write `results/*.json` and `results/*.csv`.
 //!
@@ -45,7 +45,7 @@ pub mod stall;
 pub mod tenant;
 pub mod trace;
 
-pub use event::{Event, EventKind, EventLog, EventSink, NO_REQ};
+pub use event::EventLog;
 pub use hist::LatencyHistogram;
 pub use json::Value;
 pub use lifecycle::{

@@ -2,20 +2,24 @@
 //!
 //! The aggregate counters ([`crate::stall::StallBreakdown`]) say how many
 //! scheduling attempts were blocked; this module says *where every cycle
-//! of every traced request went*. Each traced request carries a timeline
-//! of contiguous [`Segment`]s — queued, blocked on a diagnosed
-//! [`WaitCause`] (with the concrete blocking resource), Status-poll
-//! pricing, chip service, and the recovery ladder — that **exactly
-//! partitions** `retire − arrival`. The partition is the conservation
-//! invariant: it is enforced at finalize time (debug assert + a violation
-//! counter surfaced in reports, `ProtocolChecker`-style) and re-checked
-//! from the exported structures by the `pcmap_explain --smoke` CI gate.
+//! of every traced request went*. A controller reports each blocked
+//! attempt once, to a helper that bumps the counter and, when tracing is
+//! on, calls [`LifecycleTracer::blocked`], so the classes they share agree
+//! by construction. Each traced request carries a timeline of contiguous
+//! [`Segment`]s — queued, blocked on a diagnosed [`WaitCause`] (with the
+//! concrete blocking resource), Status-poll pricing, chip service, and the
+//! recovery ladder — that **exactly partitions** `retire − arrival`. The
+//! partition is the conservation invariant: it is enforced at finalize
+//! time (debug assert + a violation counter surfaced in reports,
+//! `ProtocolChecker`-style) and re-checked from the exported structures by
+//! the `pcmap_explain --smoke` CI gate.
 //!
-//! Like [`crate::event::EventLog`], the tracer is disabled by default and
-//! near-free when off (one branch per hook). Completed timelines are kept
-//! up to a capacity; overflow increments [`LifecycleTracer::dropped`]
-//! instead of growing without bound, and the drop counter is surfaced in
-//! `RunReport` JSON so silent truncation cannot masquerade as coverage.
+//! Like the chip-window ring ([`crate::event::EventLog`]), the tracer is
+//! disabled by default and near-free when off (one branch per hook).
+//! Completed timelines are kept up to a capacity; overflow increments
+//! [`LifecycleTracer::dropped`] instead of growing without bound, and the
+//! drop counter is surfaced in `RunReport` JSON so silent truncation
+//! cannot masquerade as coverage.
 //!
 //! Determinism: recording happens in the controller's own step order and
 //! all aggregation uses `BTreeMap`, so the tracer's output is a pure,

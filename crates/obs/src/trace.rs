@@ -1,11 +1,10 @@
 //! Chip-occupancy timeline (Gantt) rendering — the Figure 5 view.
 //!
-//! [`ChipTrace`] used to be a bespoke recorder inside `pcmap-ctrl`; it is
-//! now a *view* built from the generic event stream
-//! ([`ChipTrace::from_events`]) — the controllers emit
-//! [`EventKind::ChipOccupy`] events and this module merely renders them.
+//! The controllers record each committed chip reservation as one
+//! [`TraceEvent`] in their [`EventLog`] ring; [`ChipTrace`] is the view
+//! that renders those windows ([`ChipTrace::from_events`]).
 
-use crate::event::{EventKind, EventLog};
+use crate::event::EventLog;
 use pcmap_types::{BankId, ChipId, Cycle};
 
 /// One chip reservation, labeled for display.
@@ -23,33 +22,21 @@ pub struct TraceEvent {
     pub label: String,
 }
 
-/// Chip-reservation timeline extracted from an event stream.
+/// Chip-reservation timeline copied out of an [`EventLog`] ring.
 #[derive(Debug, Clone, Default)]
 pub struct ChipTrace {
     events: Vec<TraceEvent>,
 }
 
 impl ChipTrace {
-    /// Builds the timeline from the `ChipOccupy` events in `log` (other
-    /// event kinds are ignored).
+    /// Builds the timeline from the windows buffered in `log`.
     pub fn from_events(log: &EventLog) -> Self {
-        let events = log
-            .events()
-            .filter_map(|e| match &e.kind {
-                EventKind::ChipOccupy { chip, end, label } => Some(TraceEvent {
-                    bank: e.bank,
-                    chip: *chip,
-                    start: e.at,
-                    end: *end,
-                    label: label.clone(),
-                }),
-                _ => None,
-            })
-            .collect();
-        Self { events }
+        Self {
+            events: log.events().cloned().collect(),
+        }
     }
 
-    /// All reservations in stream order.
+    /// All reservations in recording order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
@@ -93,36 +80,22 @@ impl ChipTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventSink};
-    use pcmap_types::Duration;
 
     fn occupy(log: &mut EventLog, bank: u8, chip: u8, start: u64, end: u64, label: &str) {
-        log.chip_occupy(
-            0,
-            BankId(bank),
-            ChipId(chip),
-            Cycle(start),
-            Cycle(end),
-            || label.to_owned(),
-        );
+        log.chip_occupy(BankId(bank), ChipId(chip), Cycle(start), Cycle(end), || {
+            label.to_owned()
+        });
     }
 
     #[test]
-    fn from_events_keeps_only_chip_occupancy() {
+    fn from_events_copies_the_ring_in_order() {
         let mut log = EventLog::enabled();
         occupy(&mut log, 0, 3, 0, 10, "Wr-A");
-        log.record(Event {
-            at: Cycle(10),
-            req: 0,
-            bank: BankId(0),
-            kind: EventKind::Complete {
-                is_write: true,
-                latency: Duration(10),
-            },
-        });
+        occupy(&mut log, 1, 9, 10, 14, "P");
         let t = ChipTrace::from_events(&log);
-        assert_eq!(t.events().len(), 1);
+        assert_eq!(t.events().len(), 2);
         assert_eq!(t.events()[0].chip, ChipId(3));
+        assert_eq!(t.events()[1].label, "P");
     }
 
     #[test]

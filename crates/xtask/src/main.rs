@@ -2,21 +2,34 @@
 //! workspace binary that shells out to cargo).
 //!
 //! ```text
-//! cargo xtask ci       # fmt --check, lint, analyze, clippy -D warnings, test, check, pardiff, soak, explain, perfbench -> results/perfbench.txt
-//! cargo xtask fmt      # rustfmt the whole tree
-//! cargo xtask lint     # pcmap-lint determinism/hygiene pass -> results/lint.json
-//! cargo xtask analyze  # pcmap-analyze semantic passes -> results/analyze.json
-//! cargo xtask clippy   # clippy -D warnings only
-//! cargo xtask check    # PCMAP_CHECK=1 release experiment runs (protocol invariants)
-//! cargo xtask pardiff  # --jobs 1 vs 4 JSON byte-diff gate
-//! cargo xtask soak     # seeded fault-storm recovery gate -> results/soak.json
+//! cargo xtask ci         # fmt --check, then every gate below in the order of .github/workflows/ci.yml
+//! cargo xtask fmt        # rustfmt the whole tree
+//! cargo xtask lint       # pcmap-lint determinism/hygiene pass -> results/lint.json
+//! cargo xtask analyze    # pcmap-analyze semantic passes -> results/analyze.json
+//! cargo xtask clippy     # clippy -D warnings only
+//! cargo xtask test       # cargo test --workspace
+//! cargo xtask check      # PCMAP_CHECK=1 release experiment runs (protocol invariants)
+//! cargo xtask pardiff    # six-system sweep, --jobs 1 vs 4 JSON byte-diff gate
+//! cargo xtask tracediff  # 6 systems x {plain, storm}: traced vs untraced JSON byte-diff gate
+//! cargo xtask soak       # seeded fault-storm recovery gate -> results/soak.json
+//! cargo xtask faultdiff  # fault sweep, --jobs 1 vs 4 JSON byte-diff gate
 //! cargo xtask serve-soak # overload-safe ingestion gate -> results/serve_soak.json
-//! cargo xtask explain  # lifecycle conservation gate -> results/explain.json
+//! cargo xtask explain    # lifecycle conservation gate -> results/explain.json
+//! cargo xtask perfbench  # perfbench tests + a 1 s pass -> results/perfbench.txt
 //! ```
 
 use std::env;
 use std::fs;
 use std::process::{Command, ExitCode};
+
+/// The six evaluated systems, as `pcmap_run --system` names them.
+const SYSTEMS: [&str; 6] = [
+    "baseline", "row-nr", "wow-nr", "rwow-nr", "rwow-rd", "rwow-rde",
+];
+
+/// Environment variables that change what a run reports; every step
+/// clears them, so a gate runs under exactly the settings it names.
+const RUN_ENV: [&str; 2] = ["PCMAP_FAULTS", "PCMAP_LIFETRACE"];
 
 fn cargo() -> Command {
     Command::new(env::var("CARGO").unwrap_or_else(|_| "cargo".to_owned()))
@@ -31,7 +44,11 @@ fn step(name: &str, args: &[&str]) -> Result<(), String> {
 fn step_env(name: &str, args: &[&str], envs: &[(&str, &str)]) -> Result<(), String> {
     let rendered: Vec<String> = envs.iter().map(|(k, v)| format!("{k}={v} ")).collect();
     println!("xtask: {}cargo {}", rendered.join(""), args.join(" "));
-    let status = cargo()
+    let mut child = cargo();
+    for var in RUN_ENV {
+        child.env_remove(var);
+    }
+    let status = child
         .args(args)
         .envs(envs.iter().map(|&(k, v)| (k, v)))
         .status()
@@ -132,60 +149,97 @@ fn check() -> Result<(), String> {
     Ok(())
 }
 
+/// One way to run a binary: a name for its report, extra arguments and
+/// extra environment.
+type Variant<'a> = (&'a str, &'a [&'a str], &'a [(&'a str, &'a str)]);
+
+/// Runs the `pcmap-bench` binary `bin` (release) as each of two variants,
+/// with `args` plus the variant's own, writing `--json` into a temp
+/// directory, and fails unless the two reports are byte-identical.
+fn same_json(gate: &str, bin: &str, args: &[&str], variants: [Variant; 2]) -> Result<(), String> {
+    let dir = env::temp_dir().join("pcmap-xtask").join(gate);
+    fs::create_dir_all(&dir).map_err(|e| format!("{gate}: mkdir: {e}"))?;
+    let mut reports = Vec::new();
+    for (name, extra, envs) in variants {
+        let path = dir
+            .join(format!("{name}.json"))
+            .to_string_lossy()
+            .into_owned();
+        let mut cmd: Vec<&str> = "run --release -q -p pcmap-bench --bin".split(' ').collect();
+        cmd.extend([bin, "--"].iter().chain(args).chain(extra));
+        cmd.extend(["--json", &path]);
+        step_env(&format!("{gate}-{name}"), &cmd, envs)?;
+        reports.push(fs::read(&path).map_err(|e| format!("{gate}: read {path}: {e}"))?);
+    }
+    let [(a, ..), (b, ..)] = variants;
+    if reports[0] != reports[1] {
+        return Err(format!(
+            "{gate}: {b} JSON differs from {a} (artifacts in {})",
+            dir.display()
+        ));
+    }
+    println!("xtask: {gate}: {a} == {b} ({} bytes)", reports[0].len());
+    Ok(())
+}
+
 /// Runs a six-system sweep (`--all`) at `--jobs 1` and `--jobs 4` and
 /// byte-compares the exported JSON — the end-to-end determinism gate
 /// behind `--jobs N` (DESIGN.md §9).
 fn pardiff() -> Result<(), String> {
-    step(
-        "pardiff-build",
-        &[
-            "build",
-            "--release",
-            "-p",
-            "pcmap-bench",
-            "--bin",
-            "pcmap_run",
+    same_json(
+        "pardiff",
+        "pcmap_run",
+        &["--all", "--requests", "1500"],
+        [
+            ("sweep-jobs1", &["--jobs", "1"], &[]),
+            ("sweep-jobs4", &["--jobs", "4"], &[]),
         ],
-    )?;
-    let dir = env::temp_dir().join("pcmap-pardiff");
-    fs::create_dir_all(&dir).map_err(|e| format!("pardiff: mkdir: {e}"))?;
-    let mut outputs = Vec::new();
-    for jobs in ["1", "4"] {
-        let path = dir.join(format!("sweep-jobs{jobs}.json"));
-        let path_str = path.to_string_lossy().into_owned();
-        step(
-            &format!("pardiff-sweep-jobs{jobs}"),
-            &[
-                "run",
-                "--release",
-                "-q",
-                "-p",
-                "pcmap-bench",
-                "--bin",
+    )
+}
+
+/// The tracing differential (DESIGN.md §13d): lifecycle tracing is a pure
+/// observer, and both scheduling policies branch on it, so every system's
+/// run must export the same JSON with `PCMAP_LIFETRACE=1` as without, both
+/// plain and under the `PCMAP_FAULTS=0.02:77` storm.
+fn tracediff() -> Result<(), String> {
+    const STORM: (&str, &str) = ("PCMAP_FAULTS", "0.02:77");
+    const TRACE: (&str, &str) = ("PCMAP_LIFETRACE", "1");
+    for sys in SYSTEMS {
+        let args = [
+            "--workload",
+            "canneal",
+            "--system",
+            sys,
+            "--requests",
+            "1500",
+        ];
+        for (mode, plain, traced) in [
+            ("plain", &[][..], &[TRACE][..]),
+            ("storm", &[STORM][..], &[STORM, TRACE][..]),
+        ] {
+            same_json(
+                &format!("tracediff-{sys}-{mode}"),
                 "pcmap_run",
-                "--",
-                "--all",
-                "--requests",
-                "1500",
-                "--jobs",
-                jobs,
-                "--json",
-                &path_str,
-            ],
-        )?;
-        outputs.push(fs::read(&path).map_err(|e| format!("pardiff: read {path_str}: {e}"))?);
+                &args,
+                [("untraced", &[], plain), ("traced", &[], traced)],
+            )?;
+        }
     }
-    if outputs[0] != outputs[1] {
-        return Err(format!(
-            "pardiff: sweep: --jobs 4 JSON differs from --jobs 1 (artifacts in {})",
-            dir.display()
-        ));
-    }
-    println!(
-        "xtask: pardiff sweep: --jobs 1 == --jobs 4 ({} bytes)",
-        outputs[0].len()
-    );
     Ok(())
+}
+
+/// The fault sweep is part of the determinism contract too: its JSON must
+/// be byte-identical at `--jobs 1` and `--jobs 4`.
+fn faultdiff() -> Result<(), String> {
+    same_json(
+        "faultdiff",
+        "fault_sweep",
+        &["--requests", "2000"],
+        [
+            ("fault-jobs1", &["--jobs", "1"], &[]),
+            ("fault-jobs4", &["--jobs", "4"], &[]),
+        ],
+    )
 }
 
 /// The fault-storm soak gate (DESIGN.md §11): a seeded storm sweep with
@@ -313,7 +367,9 @@ fn main() -> ExitCode {
             .and_then(|()| test())
             .and_then(|()| check())
             .and_then(|()| pardiff())
+            .and_then(|()| tracediff())
             .and_then(|()| soak())
+            .and_then(|()| faultdiff())
             .and_then(|()| serve_soak())
             .and_then(|()| explain())
             .and_then(|()| perfbench()),
@@ -324,12 +380,15 @@ fn main() -> ExitCode {
         "test" => test(),
         "check" => check(),
         "pardiff" => pardiff(),
+        "tracediff" => tracediff(),
         "soak" => soak(),
+        "faultdiff" => faultdiff(),
         "serve-soak" => serve_soak(),
         "explain" => explain(),
+        "perfbench" => perfbench(),
         _ => {
             eprintln!(
-                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|check|pardiff|soak|serve-soak|explain>"
+                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|check|pardiff|tracediff|soak|faultdiff|serve-soak|explain|perfbench>"
             );
             return ExitCode::from(2);
         }

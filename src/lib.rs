@@ -16,8 +16,8 @@
 //!   hierarchy with per-word dirty masks.
 //! - [`workloads`] — calibrated SPEC/PARSEC/STREAM workload models.
 //! - [`obs`] — telemetry: metric registry and mergeable snapshots, the
-//!   request-lifecycle event log, latency percentiles, windowed series,
-//!   JSON/CSV export (DESIGN.md §8).
+//!   chip-window ring behind Figure 5, the request-lifecycle tracer,
+//!   latency percentiles, windowed series, JSON/CSV export (DESIGN.md §8).
 //! - [`par`] — deterministic parallel execution: the vendored scoped
 //!   thread pool behind `--jobs N` (DESIGN.md §9).
 //! - [`sim`] — the full-system simulator and the paper's experiment registry.
