@@ -1,32 +1,36 @@
 //! Serve-tier experiment and soak gate (DESIGN.md §16).
 //!
 //! ```text
-//! pcmap_serve [--tenants N] [--requests N] [--fleet CHxDIMMxRANKS]
-//!             [--slo TARGET[:GOAL_BP]] [--seed S] [--faults RATE[:SEED]]
-//!             [--jobs N] [--json PATH] [--soak] [--soak-path PATH]
+//! pcmap_serve [--tenants N] [--requests N] [--slo TARGET[:GOAL_BP]]
+//!             [--seed S] [--faults RATE[:SEED]] [--jobs N] [--json PATH]
+//!             [--soak] [--soak-path PATH]
 //! ```
 //!
-//! Runs the `pcmap-serve` ingestion tier — per-tenant token-bucket
-//! admission, bounded ingress queues, deadlines/retry/backoff, and the
-//! graceful-degradation ladder — over a sharded fleet and reports the
-//! conserved outcome ledger, SLO attainment, latency percentiles, time
-//! at each ladder rung, and the worst-attaining tenants.
+//! Runs the `pcmap-serve` fleet — one Table I memory system per eight
+//! tenants, each tenant a core behind its own token bucket — and reports
+//! the conserved outcome ledger, SLO attainment, read-latency
+//! percentiles, the RoW/WoW counts and the fault-recovery ladder.
 //!
-//! `--soak` switches to the CI gate ([`ServeConfig::soak`]): ≥1M
-//! requests from ≥1k tenants over hundreds of ranks under a seeded
-//! fault storm. The gate re-runs the fleet at `--jobs 1` and `--jobs 4`
-//! and asserts the two JSON renderings are **byte-identical**
-//! (DESIGN.md §9), that every admitted request was retired, shed, or
-//! failed visibly (conservation), that peak ingress stayed under the
-//! configured cap, and that the storm demonstrably exercised the
-//! degradation ladder. The verdict is written to
+//! `--soak` is the CI gate. It starts from [`ServeConfig::soak`] (≥1M
+//! requests from ≥1k tenants under a seeded fault storm); every explicit
+//! flag and `PCMAP_FAULTS` still apply over it. The gate runs the fleet
+//! at `--jobs 1` and `--jobs 4` and asserts the two JSON renderings are
+//! **byte-identical** (DESIGN.md §9), that the ledger is conserved, that
+//! no shard held more requests in flight than its memory system can,
+//! that RoW and WoW engaged, that the storm drove ranks into degraded
+//! mode and back out, and that no read was silently corrupted and no
+//! protocol invariant violated. The verdict is written to
 //! `results/serve_soak.json` and any failure exits non-zero.
 
 use pcmap_obs::Value;
 use pcmap_par::Pool;
-use pcmap_serve::{run_fleet, ServeReport, ServiceLevel};
+use pcmap_serve::{run_fleet, ServeReport};
 use pcmap_sim::TableBuilder;
 use pcmap_types::{ServeConfig, SloSpec};
+
+const USAGE: &str = "usage: pcmap_serve [--tenants N] [--requests N] \
+                     [--slo TARGET[:GOAL_BP]] [--seed S] [--faults RATE[:SEED]] \
+                     [--jobs N] [--json PATH] [--soak] [--soak-path PATH]";
 
 struct Args {
     cfg: ServeConfig,
@@ -36,16 +40,22 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
+    // `--soak` picks the base profile; every explicit flag and
+    // `PCMAP_FAULTS` then apply over it, in either mode.
+    let soak = std::env::args().any(|a| a == "--soak" || a == "--soak-path");
     let mut args = Args {
-        cfg: ServeConfig::paper_default(),
+        cfg: if soak {
+            ServeConfig::soak()
+        } else {
+            ServeConfig::paper_default()
+        },
         jobs: pcmap_bench::jobs_from_args()?,
         json: None,
-        soak: None,
+        soak: soak.then(|| "results/serve_soak.json".to_owned()),
     };
     if let Some(f) = pcmap_bench::faults_from_env()? {
         args.cfg.faults = f;
     }
-    let mut soak = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
@@ -59,36 +69,6 @@ fn parse_args() -> Result<Args, String> {
                 args.cfg.requests = value("--requests")?
                     .parse()
                     .map_err(|e| format!("bad request count: {e}"))?;
-            }
-            "--fleet" => {
-                let v = value("--fleet")?;
-                let parts: Vec<&str> = v.split('x').collect();
-                let [ch, di, ra] = parts.as_slice() else {
-                    return Err(format!("--fleet wants CHxDIMMxRANKS, got '{v}'"));
-                };
-                let p = |s: &str| {
-                    s.trim()
-                        .parse::<u32>()
-                        .map_err(|e| format!("bad fleet: {e}"))
-                };
-                args.cfg.channels = p(ch)?;
-                args.cfg.dimms = p(di)?;
-                args.cfg.ranks_per_shard = p(ra)?;
-            }
-            "--channels" => {
-                args.cfg.channels = value("--channels")?
-                    .parse()
-                    .map_err(|e| format!("bad channel count: {e}"))?;
-            }
-            "--dimms" => {
-                args.cfg.dimms = value("--dimms")?
-                    .parse()
-                    .map_err(|e| format!("bad dimm count: {e}"))?;
-            }
-            "--ranks" => {
-                args.cfg.ranks_per_shard = value("--ranks")?
-                    .parse()
-                    .map_err(|e| format!("bad rank count: {e}"))?;
             }
             "--slo" => {
                 let v = value("--slo")?;
@@ -123,39 +103,23 @@ fn parse_args() -> Result<Args, String> {
             }
             "--jobs" | "-j" => args.jobs = pcmap_par::parse_jobs("--jobs", &value("--jobs")?)?,
             "--json" => args.json = Some(value("--json")?),
-            "--soak" => soak = true,
-            "--soak-path" => {
-                soak = true;
-                args.soak = Some(value("--soak-path")?);
-            }
+            "--soak" => {}
+            "--soak-path" => args.soak = Some(value("--soak-path")?),
             "--help" | "-h" => {
-                println!(
-                    "usage: pcmap_serve [--tenants N] [--requests N] [--fleet CHxDIMMxRANKS] \
-                     [--channels N] [--dimms N] [--ranks N] \
-                     [--slo TARGET[:GOAL_BP]] [--seed S] [--faults RATE[:SEED]] \
-                     [--jobs N] [--json PATH] [--soak] [--soak-path PATH]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    if soak {
-        // The soak gate runs the fixed ISSUE-scale profile; explicit
-        // scale flags still apply afterwards for reduced local runs.
-        let mut cfg = ServeConfig::soak();
-        if args.cfg.tenants != ServeConfig::paper_default().tenants {
-            cfg.tenants = args.cfg.tenants;
-        }
-        if args.cfg.requests != ServeConfig::paper_default().requests {
-            cfg.requests = args.cfg.requests;
-        }
-        args.cfg = cfg;
-        if args.soak.is_none() {
-            args.soak = Some("results/serve_soak.json".to_owned());
-        }
-    }
-    args.cfg.validate().map_err(|e| e.to_string())?;
+    args.cfg.validate().map_err(|e| {
+        format!(
+            "{e} (--tenants {}, --requests {}; {} cores per shard)",
+            args.cfg.tenants,
+            args.cfg.requests,
+            ServeConfig::cores_per_shard()
+        )
+    })?;
     Ok(args)
 }
 
@@ -165,26 +129,18 @@ fn summary_table(r: &ServeReport) -> TableBuilder {
         "generated",
         "admitted",
         "retired",
-        "throttled",
-        "overflow",
-        "degraded",
-        "deadline",
+        "shed",
         "failed",
-        "retries",
         "deferrals",
         "SLO bp",
-        "peak q",
+        "peak in-flight",
     ]);
     t.row(&[
         s.generated.to_string(),
         s.admitted.to_string(),
         s.retired.to_string(),
-        s.shed_throttled.to_string(),
-        s.shed_overflow.to_string(),
-        s.shed_degraded.to_string(),
-        s.shed_deadline.to_string(),
+        s.shed_total().to_string(),
         s.failed.to_string(),
-        s.retries.to_string(),
         s.deferrals.to_string(),
         s.slo_attainment_bp().to_string(),
         s.peak_ingress.to_string(),
@@ -195,10 +151,9 @@ fn summary_table(r: &ServeReport) -> TableBuilder {
 fn print_report(r: &ServeReport) {
     let cfg = &r.cfg;
     println!(
-        "pcmap serve · {} tenants · {} shards × {} ranks · {} requests · seed {:#x}{}",
+        "pcmap serve · {} tenants · {} shards (RWoW-RDE, MP1-MP6) · {} requests · seed {:#x}{}",
         cfg.tenants,
         cfg.shards(),
-        cfg.ranks_per_shard,
         cfg.requests,
         cfg.seed,
         if cfg.faults.enabled() {
@@ -208,42 +163,47 @@ fn print_report(r: &ServeReport) {
         }
     );
     print!("{}", summary_table(r).render());
-    if let Some(h) = r.snapshot.histogram("serve_latency") {
+    if let Some(h) = r.snapshot.histogram("read_latency") {
         println!(
-            "latency: p50 {} · p99 {} · max {} cycles (SLO target {})",
+            "read latency: p50 {} · p99 {} · max {} cycles (SLO target {}, goal {}bp)",
             h.percentile(50.0),
             h.percentile(99.0),
             h.max(),
-            cfg.slo.target
+            cfg.slo.target,
+            cfg.slo.goal_bp
         );
     }
-    let total_cycles: u64 = r.level_cycles.iter().sum();
-    if total_cycles > 0 {
-        let pct = |c: u64| c * 100 / total_cycles;
-        println!(
-            "ladder: full {}% · read-priority {}% · critical-only {}% · shed {}%",
-            pct(r.level_cycles[ServiceLevel::Full.index()]),
-            pct(r.level_cycles[ServiceLevel::ReadPriority.index()]),
-            pct(r.level_cycles[ServiceLevel::CriticalOnly.index()]),
-            pct(r.level_cycles[ServiceLevel::Shed.index()]),
-        );
-    }
-    let goal = u64::from(cfg.slo.goal_bp);
+    let c = |name| r.snapshot.counter(name);
     println!(
-        "tenants: {} below the {}bp SLO goal",
-        r.tenants.violators(goal),
-        goal
+        "mechanisms: {} reads via RoW · {} WoW overlaps",
+        c("reads_via_row"),
+        c("wow_overlaps")
+    );
+    println!(
+        "recovery: {} faults injected · {} corrected · {} reconstructed · {} retries · \
+         {} reads failed · {} watchdog trips · degraded {} enters / {} exits ({} cycles) · \
+         {} silent corruptions",
+        c("faults_injected"),
+        c("faults_corrected"),
+        c("faults_reconstructed"),
+        c("fault_retries"),
+        c("reads_failed"),
+        c("watchdog_trips"),
+        c("degraded_enters"),
+        c("degraded_exits"),
+        c("degraded_cycles"),
+        c("silent_corruptions")
     );
 }
 
-/// The soak gate: byte-identity across job counts plus the
-/// overload-safety contract, rendered as a verdict JSON.
+/// The soak gate: byte-identity across job counts, the fleet contract
+/// and the memory mechanisms, rendered as a verdict JSON.
 fn run_soak(cfg: &ServeConfig, soak_path: &str) -> i32 {
     let mut failures: Vec<String> = Vec::new();
 
     println!("serve soak · running fleet at --jobs 1 ...");
-    let serial_report = run_fleet(cfg, &mut Pool::new(1));
-    let serial = serial_report.to_json().to_json_string();
+    let report = run_fleet(cfg, &mut Pool::new(1));
+    let serial = report.to_json().to_json_string();
     println!("serve soak · running fleet at --jobs 4 ...");
     let parallel = run_fleet(cfg, &mut Pool::new(4)).to_json().to_json_string();
 
@@ -257,9 +217,11 @@ fn run_soak(cfg: &ServeConfig, soak_path: &str) -> i32 {
             "serve report is not byte-identical across --jobs 1/4 (first diff at byte {at})"
         ));
     }
-    failures.extend(serial_report.check());
+    // Ledger conservation (per shard and fleet-wide), `generated ==
+    // requests`, and the per-shard in-flight bound.
+    failures.extend(report.check());
 
-    let s = &serial_report.summary;
+    let s = &report.summary;
     if s.generated < 1_000_000 {
         failures.push(format!(
             "soak generated only {} requests (gate wants >= 1M)",
@@ -272,22 +234,27 @@ fn run_soak(cfg: &ServeConfig, soak_path: &str) -> i32 {
             cfg.tenants
         ));
     }
-    if cfg.faults.enabled() {
-        let degraded = serial_report.snapshot.counter("degraded_cycles");
-        if degraded == 0 {
-            failures.push("storm never degraded any shard".to_owned());
+    let c = |name| report.snapshot.counter(name);
+    let mut require = |ok: bool, what: &str| {
+        if !ok {
+            failures.push(what.to_owned());
         }
+    };
+    require(c("reads_via_row") > 0, "no read was served via RoW");
+    require(c("wow_overlaps") > 0, "no write overlapped another (WoW)");
+    if cfg.faults.enabled() {
+        require(c("degraded_enters") > 0, "the storm never degraded a rank");
+        require(c("degraded_exits") > 0, "no degraded rank was re-promoted");
     }
-    // Storm or not, nothing may vanish: the conservation identity over
-    // the whole fleet and the visible-failure accounting.
-    if s.retired + s.shed_total() + s.failed != s.generated {
-        failures.push("request ledger does not balance".to_owned());
-    }
+    require(c("silent_corruptions") == 0, "silent corruptions");
+    require(
+        c("invariant_violations") == 0,
+        "protocol invariant violations",
+    );
 
     let mut verdict = Value::obj();
     verdict.set("tenants", Value::U64(u64::from(cfg.tenants)));
     verdict.set("shards", Value::U64(u64::from(cfg.shards())));
-    verdict.set("ranks", Value::U64(u64::from(cfg.total_ranks())));
     verdict.set("requests", Value::U64(cfg.requests));
     verdict.set("seed", Value::U64(cfg.seed));
     verdict.set("fault_storm", Value::Bool(cfg.faults.enabled()));
@@ -295,13 +262,24 @@ fn run_soak(cfg: &ServeConfig, soak_path: &str) -> i32 {
     verdict.set("retired", Value::U64(s.retired));
     verdict.set("shed", Value::U64(s.shed_total()));
     verdict.set("failed_visible", Value::U64(s.failed));
-    verdict.set("retries", Value::U64(s.retries));
     verdict.set(
         "slo_attainment_bp",
         Value::U64(u64::from(s.slo_attainment_bp())),
     );
-    verdict.set("peak_ingress", Value::U64(s.peak_ingress));
-    verdict.set("ingress_cap", Value::U64(u64::from(cfg.ingress_cap)));
+    verdict.set("peak_in_flight", Value::U64(s.peak_ingress));
+    verdict.set("in_flight_bound", Value::U64(report.inflight_bound()));
+    for name in [
+        "reads_via_row",
+        "wow_overlaps",
+        "faults_injected",
+        "fault_retries",
+        "degraded_enters",
+        "degraded_exits",
+        "silent_corruptions",
+        "invariant_violations",
+    ] {
+        verdict.set(name, Value::U64(c(name)));
+    }
     verdict.set(
         "byte_identical_jobs_1_vs_4",
         Value::Bool(serial == parallel),
@@ -320,7 +298,7 @@ fn run_soak(cfg: &ServeConfig, soak_path: &str) -> i32 {
             return 1;
         }
     }
-    print_report(&serial_report);
+    print_report(&report);
     if failures.is_empty() {
         println!("serve soak gate PASSED");
         0
@@ -336,7 +314,7 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2);
         }
     };

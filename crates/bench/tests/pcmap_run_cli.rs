@@ -68,44 +68,93 @@ fn malformed_job_count_is_a_usage_error() {
     }
 }
 
-/// A misspelt scale, a scale where a count belongs, a zero count and a
-/// count that is not a number are usage errors that name the argument,
-/// reported before any simulation runs.
+/// A misspelt scale, a scale where a count belongs, a zero count, a
+/// count that is not a number and a tenant count that fills no whole
+/// shard are usage errors that name the argument, reported before any
+/// simulation runs.
 #[test]
 fn unknown_positional_arguments_are_usage_errors() {
-    let cases = [
+    let partial_shard = "tenants must be a positive multiple of the cores per shard";
+    let cases: [(&str, &[&str], &str); 6] = [
         (
             env!("CARGO_BIN_EXE_figs_all"),
-            "quikc",
+            &["quikc"],
             "unexpected argument 'quikc'",
         ),
         (
             env!("CARGO_BIN_EXE_ablations"),
-            "quick",
+            &["quick"],
             "REQUESTS wants a positive count, got 'quick'",
         ),
         (
             env!("CARGO_BIN_EXE_lifetime_energy"),
-            "0",
+            &["0"],
             "REQUESTS wants a positive count, got '0'",
         ),
         (
             env!("CARGO_BIN_EXE_fig02_dirty_words"),
-            "x",
+            &["x"],
             "WRITES wants a positive count, got 'x'",
         ),
+        (
+            env!("CARGO_BIN_EXE_pcmap_serve"),
+            &["--tenants", "12"],
+            partial_shard,
+        ),
+        (
+            env!("CARGO_BIN_EXE_pcmap_serve"),
+            &["--tenants", "0"],
+            partial_shard,
+        ),
     ];
-    for (bin, arg, want) in cases {
+    for (bin, args, want) in cases {
         let out = Command::new(bin)
-            .arg(arg)
+            .args(args)
             .env_remove("PCMAP_JOBS")
+            .env_remove("PCMAP_FAULTS")
             .output()
             .expect("binary starts");
-        assert_eq!(out.status.code(), Some(2), "{bin} {arg}: {out:?}");
-        assert!(out.stdout.is_empty(), "{bin} {arg} printed results");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} printed results");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(want), "{bin} {arg}: {stderr}");
-        assert!(stderr.contains("usage: "), "{bin} {arg}: {stderr}");
+        assert!(stderr.contains(want), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains("usage: "), "{bin} {args:?}: {stderr}");
+    }
+}
+
+/// `--soak` starts from the soak profile, and explicit scale and seed
+/// flags still apply over it. A reduced soak fails the scale checks by
+/// design (exit 1), and its verdict records what actually ran.
+#[test]
+fn soak_keeps_explicit_scale_and_seed() {
+    let path = std::env::temp_dir().join(format!("pcmap_serve_soak_{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_pcmap_serve"))
+        .args([
+            "--soak",
+            "--tenants",
+            "16",
+            "--requests",
+            "4096",
+            "--seed",
+            "5",
+        ])
+        .arg("--soak-path")
+        .arg(&path)
+        .env_remove("PCMAP_JOBS")
+        .env_remove("PCMAP_FAULTS")
+        .output()
+        .expect("pcmap_serve starts");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let verdict = std::fs::read_to_string(&path).expect("soak verdict written");
+    let _ = std::fs::remove_file(&path);
+    for want in [
+        "\"tenants\": 16,",
+        "\"requests\": 4096,",
+        "\"seed\": 5,",
+        "\"fault_storm\": true,",
+        "\"pass\": false",
+    ] {
+        assert!(verdict.contains(want), "{want} missing from {verdict}");
     }
 }
 

@@ -160,26 +160,6 @@ impl DegradeState {
     }
 }
 
-/// Point-in-time degradation signal exported to upstream tiers
-/// (DESIGN.md §16). A pure, copyable snapshot of the state machine —
-/// consumers (the serve ladder, dashboards) read it without taking the
-/// mutable borrow [`FaultPlan::is_degraded`] needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DegradeSignal {
-    /// Whether the rank is demoted right now (clean-window re-promotion
-    /// anticipated).
-    pub degraded: bool,
-    /// Faults observed in the current degradation window.
-    pub faults_in_window: u32,
-    /// Window fill toward demotion, in basis points of the threshold
-    /// (10_000 = at the demotion boundary), clamped.
-    pub pressure_bp: u32,
-    /// Times the rank has entered degraded mode.
-    pub enters: u64,
-    /// Times the rank has been re-promoted.
-    pub exits: u64,
-}
-
 /// The deterministic fault injector for one channel's rank.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
@@ -324,32 +304,6 @@ impl FaultPlan {
         &self.degrade
     }
 
-    /// Non-mutating degradation signal for upstream consumers
-    /// (DESIGN.md §16): the serve tier's graceful-degradation ladder
-    /// polls this to decide its service level without perturbing the
-    /// state machine's own accounting. The `degraded` flag anticipates
-    /// the clean-window re-promotion that [`Self::is_degraded`] would
-    /// apply at `now`, so a pure observer and a mutating caller agree.
-    #[must_use]
-    pub fn signal(&self, now: Cycle) -> DegradeSignal {
-        let d = &self.degrade;
-        let clean_elapsed =
-            d.degraded && now.0.saturating_sub(d.last_fault.0) >= self.cfg.clean_window;
-        DegradeSignal {
-            degraded: d.degraded && !clean_elapsed,
-            faults_in_window: d.faults_in_window,
-            pressure_bp: if self.cfg.degrade_threshold == 0 {
-                0
-            } else {
-                let bp =
-                    u64::from(d.faults_in_window) * 10_000 / u64::from(self.cfg.degrade_threshold);
-                bp.min(10_000) as u32 // ratio clamped to <= 10_000
-            },
-            enters: d.enters,
-            exits: d.exits,
-        }
-    }
-
     /// Run-loop hint (DESIGN.md §14): the next cycle at which the
     /// degradation machine changes state on its own — the re-promotion
     /// boundary `last_fault + clean_window` while degraded, `None` while
@@ -469,38 +423,6 @@ mod tests {
         assert_eq!(plan.degrade().exits(), 1);
         // Entered at 30, exited at last_fault(30) + clean(50) = 80.
         assert_eq!(plan.degrade().degraded_cycles(Cycle(200)), 50);
-    }
-
-    #[test]
-    fn signal_matches_mutating_view_without_mutating() {
-        let mut cfg = FaultConfig::storm(0.5, 3);
-        cfg.degrade_threshold = 3;
-        cfg.degrade_window = 100;
-        cfg.clean_window = 50;
-        let mut plan = FaultPlan::new(cfg, 0).unwrap();
-
-        assert!(!plan.signal(Cycle(0)).degraded);
-        plan.record_fault(Cycle(10));
-        plan.record_fault(Cycle(20));
-        let s = plan.signal(Cycle(21));
-        assert!(!s.degraded);
-        assert_eq!(s.faults_in_window, 2);
-        assert_eq!(s.pressure_bp, 2 * 10_000 / 3);
-
-        plan.record_fault(Cycle(30));
-        assert!(plan.signal(Cycle(31)).degraded);
-        assert_eq!(plan.signal(Cycle(31)).pressure_bp, 10_000);
-        assert_eq!(plan.signal(Cycle(31)).enters, 1);
-
-        // The pure view anticipates the clean-window re-promotion the
-        // mutating call would apply — and agrees with it at every cycle —
-        // without advancing the state machine itself.
-        assert!(plan.signal(Cycle(79)).degraded);
-        assert!(!plan.signal(Cycle(80)).degraded);
-        assert_eq!(plan.degrade().exits(), 0, "signal must not mutate");
-        assert!(!plan.is_degraded(Cycle(80)));
-        assert_eq!(plan.degrade().exits(), 1);
-        assert!(!plan.signal(Cycle(81)).degraded);
     }
 
     #[test]

@@ -201,7 +201,7 @@ mod tests {
             scope_for(Path::new("crates/core/src/lib.rs")),
             CrateScope::SimFacing
         );
-        // The serve tier is a sim-facing crate: its shard clocks and
+        // The serve tier is a sim-facing crate: its admission gate and
         // outcome ledgers live under the full determinism ruleset.
         assert_eq!(
             scope_for(Path::new("crates/serve/src/lib.rs")),

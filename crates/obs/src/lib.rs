@@ -17,9 +17,6 @@
 //! - [`series`] — windowed throughput / IRLP time-series.
 //! - [`stall`] — stall-attribution breakdown over the controller's
 //!   blocked-attempt counters.
-//! - [`tenant`] — dense per-tenant outcome/SLO rows for the serve tier,
-//!   merging commutatively across shards with bounded top-K export
-//!   (DESIGN.md §16).
 //! - [`lifecycle`] — per-request causal timelines: every simulated cycle
 //!   of a traced request attributed to a [`lifecycle::WaitCause`] or
 //!   service phase, with a conservation invariant and a critical-path
@@ -42,7 +39,6 @@ pub mod lifecycle;
 pub mod metric;
 pub mod series;
 pub mod stall;
-pub mod tenant;
 pub mod trace;
 
 pub use event::EventLog;
@@ -55,5 +51,4 @@ pub use lifecycle::{
 pub use metric::{CounterId, GaugeId, GaugeRule, HistogramId, MetricRegistry, MetricsSnapshot};
 pub use series::{Window, WindowedSeries};
 pub use stall::StallBreakdown;
-pub use tenant::{TenantStats, TenantTable};
 pub use trace::{ChipTrace, TraceEvent};

@@ -1,10 +1,9 @@
-//! A token-bucket [`IngressGate`] for the real simulator (DESIGN.md §16).
+//! A token-bucket [`IngressGate`] for the simulator (DESIGN.md §16).
 //!
-//! The standalone fleet ([`crate::fleet`]) models admission at scale;
-//! [`TokenGate`] attaches the *same admission policy* to
+//! [`TokenGate`] attaches per-core admission control to
 //! `pcmap_sim::System` via
-//! [`set_ingress_gate`](pcmap_sim::System::set_ingress_gate), so the two
-//! tiers can be cross-checked at small scale. Each core gets a token
+//! [`set_ingress_gate`](pcmap_sim::System::set_ingress_gate); every fleet
+//! shard ([`crate::fleet`]) runs behind one. Each core gets a token
 //! bucket; an empty bucket defers the core with exponential backoff
 //! (charged exactly like a full controller queue), and completions echo
 //! back to refill the ledger and score latency against the SLO.
@@ -58,6 +57,8 @@ impl TokenGate {
         slo: SloSpec,
     ) -> Self {
         assert!(cores > 0, "gate needs at least one core");
+        assert!(capacity > 0, "token bucket needs capacity for one token");
+        assert!(refill_period > 0, "token refill period must be positive");
         assert!(backoff > 0, "deferral backoff must be positive");
         Self {
             cores: (0..cores)
@@ -147,6 +148,18 @@ mod tests {
                 goal_bp: 9_500,
             },
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "token bucket needs capacity for one token")]
+    fn zero_capacity_is_rejected_at_construction() {
+        let _ = TokenGate::new(2, 0, 100, 8, SloSpec::paper_default());
+    }
+
+    #[test]
+    #[should_panic(expected = "token refill period must be positive")]
+    fn zero_refill_period_is_rejected_at_construction() {
+        let _ = TokenGate::new(2, 2, 0, 8, SloSpec::paper_default());
     }
 
     #[test]

@@ -1,44 +1,32 @@
-//! `pcmap-serve` — overload-safe ingestion tier for the PCMap fleet
+//! `pcmap-serve` — the serving tier in front of the PCMap memory system
 //! (DESIGN.md §16).
 //!
-//! The ROADMAP's production direction puts a service tier in front of
-//! the memory system: thousands of tenants streaming requests into a
-//! sharded fleet of channels × DIMMs, each shard serving through its
-//! ranks. This crate models that tier end to end, with the robustness
-//! properties a real ingestion front-end must have:
+//! Thousands of tenants stream requests into a fleet of shards. Each
+//! shard is one real `pcmap_sim::System` (Table I organisation,
+//! RWoW-RDE) whose cores are its tenants, so every request the tier
+//! serves runs through RoW, WoW, drains and the §11 fault-recovery
+//! ladder:
 //!
 //! - **Admission control** — one token bucket per tenant
-//!   ([`bucket::TokenBucket`]): bursts up to the bucket capacity, then
-//!   throttled sheds, never unbounded queueing.
-//! - **Bounded ingress** — each shard's queue has a hard entry cap;
-//!   overload sheds visibly (`shed_overflow`) instead of growing.
-//!   Backpressure (hysteresis watermarks over a write-weighted backlog)
-//!   defers fresh arrivals with exponential backoff before the cap is
-//!   ever hit.
-//! - **Deadlines, retry, backoff** — every request carries a deadline;
-//!   timeouts and fault-failed services re-enter admission with
-//!   exponentially backed-off delays, bounded by a retry budget, after
-//!   which the request fails *visibly* (`shed_deadline` / `failed`).
-//! - **Graceful degradation** — a four-rung ladder
-//!   ([`shard::ServiceLevel`]) driven by the PR 4 fault machinery:
-//!   full → read-priority → admit-critical-only → shed, demoting as
-//!   fault storms and backlog mount and re-promoting on clean windows.
+//!   ([`bucket::TokenBucket`]) inside a [`gate::TokenGate`] attached to
+//!   the system's issue path: bursts up to the bucket capacity, then
+//!   deferral with exponential backoff.
+//! - **Graceful degradation** — the §11c ladder: a rank whose fault rate
+//!   crosses its threshold loses RoW/WoW speculation and earns it back
+//!   on a clean window.
 //! - **Conservation** — every generated request ends in exactly one
 //!   terminal bucket; [`ServeReport::check`] refuses to export a ledger
-//!   that leaks.
+//!   that leaks, or a shard that held more requests in flight than its
+//!   memory system can.
 //!
-//! Shards are independent sub-simulations farmed to `pcmap_par::Pool`
-//! and merged in shard order, so reports are byte-identical at any
-//! `--jobs` (DESIGN.md §9). [`gate::TokenGate`] additionally attaches
-//! the same admission policy to the real `pcmap_sim::System` for
-//! small-scale cross-checking.
+//! Shards are independent simulations farmed to `pcmap_par::Pool` and
+//! merged in shard order, so reports are byte-identical at any `--jobs`
+//! (DESIGN.md §9).
 
 pub mod bucket;
 pub mod fleet;
 pub mod gate;
-pub mod shard;
 
 pub use bucket::TokenBucket;
 pub use fleet::{run_fleet, ServeReport};
 pub use gate::TokenGate;
-pub use shard::{ServiceLevel, ShardOutcome, ShardSim};

@@ -1,20 +1,18 @@
 //! System-side ingestion hooks for the serve tier (DESIGN.md §16).
 //!
-//! The standalone `pcmap-serve` fleet models admission control at scale,
-//! but its policies must also be *attachable to the real simulator* so
-//! the two tiers can be cross-checked at small scale. An [`IngressGate`]
-//! sits inside [`System::try_issue`](crate::System): before a core's
-//! memory request is materialized, the gate decides whether it is
-//! admitted now or deferred (charged to the core exactly like a full
-//! controller queue, so the existing blocked/retry machinery and the run
-//! loop handle the wait). Completions are echoed back via
-//! [`IngressGate::note_complete`] so the gate can refill budgets and
-//! track latency against SLOs.
+//! Every `pcmap-serve` fleet shard is a [`System`](crate::System) with an
+//! admission policy attached. An [`IngressGate`] sits inside
+//! [`System::try_issue`](crate::System): before a core's memory request
+//! is materialized, the gate decides whether it is admitted now or
+//! deferred (charged to the core exactly like a full controller queue, so
+//! the existing blocked/retry machinery and the run loop handle the
+//! wait). Completions are echoed back via [`IngressGate::note_complete`]
+//! so the gate can refill budgets and track latency against SLOs.
 //!
 //! Determinism contract (DESIGN.md §9): the gate is consulted only from
-//! the driving thread (core polling and delivery draining), never from a
-//! pool worker, so any deterministic gate keeps `--jobs N` runs
-//! byte-identical. With no gate attached every hook is inert and the
+//! its own system's run loop (core polling and delivery draining), and a
+//! run is one thread (DESIGN.md §14c), so any deterministic gate keeps
+//! `--jobs N` runs byte-identical. With no gate attached every hook is inert and the
 //! report is byte-for-byte what it was before this module existed — the
 //! `serve` block only appears in the JSON when a gate is present.
 

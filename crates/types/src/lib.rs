@@ -48,6 +48,6 @@ pub use faults::FaultConfig;
 pub use ids::{BankId, ChannelId, ChipId, ColAddr, CoreId, RankId, RowAddr, WordIdx};
 pub use line::{CacheLine, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use rng::{SplitMix64, Xoshiro256};
-pub use serve::{ServeConfig, ServeSummary, SloSpec, TenantClass, TenantSpec};
+pub use serve::{ServeConfig, ServeSummary, SloSpec};
 pub use set::{ChipSet, WordMask};
 pub use time::{Cycle, Duration, MEM_CLOCK_MHZ};

@@ -1,66 +1,21 @@
 //! Service-tier configuration (DESIGN.md §16).
 //!
-//! The ROADMAP's production direction puts an ingestion tier in front of
-//! the memory system: thousands of tenants streaming requests into a
-//! sharded fleet of channels × DIMMs. [`ServeConfig`] parameterizes that
-//! tier — per-tenant token-bucket admission, bounded ingress queues,
-//! per-request deadlines with bounded retry + exponential backoff, and a
-//! graceful-degradation ladder driven by the PR 4 fault machinery — and
-//! [`ServeSummary`] is the conserved outcome ledger every serve run must
-//! balance: each generated request ends in exactly one terminal bucket.
+//! [`ServeConfig`] sizes a `pcmap-serve` fleet run: how many tenants,
+//! how many requests, the seed, the SLO and the fault storm. Every shard
+//! of the fleet is one Table I memory system behind a token-bucket
+//! admission gate. [`ServeSummary`] is the conserved outcome ledger every
+//! gate keeps: each generated request ends in exactly one terminal
+//! bucket.
 //!
-//! All knobs are integers (cycles, entries, basis points) so the serve
-//! tier stays inside the determinism lint's no-float-accumulation rule.
+//! All knobs are integers (cycles, basis points) so the serve tier stays
+//! inside the determinism lint's no-float-accumulation rule.
 
+use crate::config::CpuParams;
 use crate::error::{ConfigError, Result};
 use crate::faults::FaultConfig;
 
 /// Ten thousand basis points = 100%.
 pub const BP_SCALE: u32 = 10_000;
-
-/// Quality-of-service class of a tenant (DESIGN.md §16).
-///
-/// The degradation ladder uses the class to decide who is still admitted
-/// when capacity shrinks: `Critical` survives into admit-critical-only
-/// mode, `Background` is the first to be deferred under read-priority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TenantClass {
-    /// Latency-critical traffic; admitted until the ladder hits `Shed`.
-    Critical,
-    /// Default interactive traffic.
-    Standard,
-    /// Bulk/batch traffic; shed first under pressure.
-    Background,
-}
-
-impl TenantClass {
-    /// All classes, in priority order.
-    pub const ALL: [TenantClass; 3] = [
-        TenantClass::Critical,
-        TenantClass::Standard,
-        TenantClass::Background,
-    ];
-
-    /// Stable lowercase name for reports.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TenantClass::Critical => "critical",
-            TenantClass::Standard => "standard",
-            TenantClass::Background => "background",
-        }
-    }
-
-    /// Index into per-class arrays ([`Self::ALL`] order).
-    #[must_use]
-    pub fn index(self) -> usize {
-        match self {
-            TenantClass::Critical => 0,
-            TenantClass::Standard => 1,
-            TenantClass::Background => 2,
-        }
-    }
-}
 
 /// A per-tenant service-level objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,244 +50,78 @@ impl SloSpec {
     }
 }
 
-/// Per-class tenant template: arrival cadence and admission budget.
+/// Configuration of a `pcmap-serve` fleet run.
 ///
-/// Tenants are stamped out of these templates by class mix rather than
-/// enumerated individually — a thousand-tenant fleet needs three
-/// templates, not a thousand rows of config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantSpec {
-    /// QoS class of tenants stamped from this template.
-    pub class: TenantClass,
-    /// Mean inter-arrival gap between a tenant's requests, in memory
-    /// cycles (the generator draws uniformly in `1..=2*period`).
-    pub arrival_period: u64,
-    /// Token-bucket burst capacity, in whole tokens (1 token = 1
-    /// admitted request).
-    pub bucket_capacity: u32,
-    /// Memory cycles to refill one token.
-    pub bucket_refill_period: u64,
-}
-
-impl TenantSpec {
-    /// Checks internal consistency.
-    pub fn validate(&self) -> Result<()> {
-        if self.arrival_period == 0 {
-            return Err(ConfigError::new("tenant arrival period must be positive"));
-        }
-        if self.bucket_capacity == 0 {
-            return Err(ConfigError::new(
-                "token bucket needs capacity for one token",
-            ));
-        }
-        if self.bucket_refill_period == 0 {
-            return Err(ConfigError::new("token refill period must be positive"));
-        }
-        Ok(())
-    }
-}
-
-/// Full configuration of the `pcmap-serve` ingestion tier.
+/// A shard is one Table I memory system; its tenants are the cores of a
+/// multi-programmed mix, so the fleet has `tenants / cores` shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Number of simulated tenants across the fleet.
+    /// Tenants across the fleet: a positive multiple of the cores per
+    /// shard.
     pub tenants: u32,
-    /// Fleet shards are `channels × dimms`; each shard is an independent
-    /// sub-simulation (the unit of `--jobs` parallelism).
-    pub channels: u32,
-    /// DIMMs per channel.
-    pub dimms: u32,
-    /// Service lanes (ranks) per shard; total ranks =
-    /// `channels × dimms × ranks_per_shard`.
-    pub ranks_per_shard: u32,
-    /// Total requests generated across the fleet (split over tenants).
+    /// Memory requests across the fleet, split evenly over tenants: a
+    /// multiple of the cores per shard and at least one per tenant.
     pub requests: u64,
-    /// Seed for arrival/fault streams (mixed per shard).
+    /// Seed of the workload streams (mixed per shard).
     pub seed: u64,
-    /// Fraction of requests that are reads, in basis points.
-    pub read_fraction_bp: u32,
-    /// Hard cap on ingress-queue entries per shard — the bounded-memory
-    /// guarantee. Overload sheds; the queue never grows past this.
-    pub ingress_cap: u32,
-    /// Ingress occupancy at which backpressure asserts (new arrivals are
-    /// deferred with backoff instead of enqueued).
-    pub backpressure_high: u32,
-    /// Occupancy at which backpressure releases.
-    pub backpressure_low: u32,
-    /// Cycles from first arrival to required completion; a request still
-    /// queued past its deadline times out and re-enters with backoff.
-    pub deadline: u64,
-    /// Maximum re-admissions per request (timeout or failed service)
-    /// before it is failed upward visibly.
-    pub retry_budget: u32,
-    /// Base of the exponential ingestion backoff: retry `k` waits
-    /// `retry_backoff << k` cycles (shift saturated).
-    pub retry_backoff: u64,
-    /// Base service occupancy of a read at a rank, in cycles.
-    pub service_read: u64,
-    /// Base service occupancy of a write at a rank, in cycles.
-    pub service_write: u64,
-    /// Per-class tenant templates, `[critical, standard, background]`.
-    pub tenant_template: [TenantSpec; 3],
-    /// Class mix over tenants in basis points; must sum to [`BP_SCALE`].
-    pub class_mix_bp: [u32; 3],
     /// Service-level objective applied to every retired request.
     pub slo: SloSpec,
-    /// Fault injection driving the degradation ladder (reuses the §11
-    /// machinery; one `FaultPlan` per shard).
+    /// Fault injection (DESIGN.md §11); its seed is mixed per shard.
     pub faults: FaultConfig,
 }
 
 impl ServeConfig {
-    /// Paper-scale default: 64 tenants over a 4-channel × 2-DIMM fleet
-    /// (8 shards × 4 ranks), faults disabled.
+    /// Interactive default: 64 tenants (8 shards), faults disabled.
     #[must_use]
     pub fn paper_default() -> Self {
-        let template = |class: TenantClass| TenantSpec {
-            class,
-            arrival_period: 96,
-            bucket_capacity: 16,
-            bucket_refill_period: 64,
-        };
         Self {
             tenants: 64,
-            channels: 4,
-            dimms: 2,
-            ranks_per_shard: 4,
             requests: 20_000,
             seed: 0x5e12_7e00,
-            read_fraction_bp: 7_000,
-            ingress_cap: 256,
-            backpressure_high: 192,
-            backpressure_low: 96,
-            deadline: 16_384,
-            retry_budget: 3,
-            retry_backoff: 32,
-            service_read: 28,
-            service_write: 56,
-            tenant_template: [
-                template(TenantClass::Critical),
-                template(TenantClass::Standard),
-                template(TenantClass::Background),
-            ],
-            class_mix_bp: [1_000, 6_000, 3_000],
             slo: SloSpec::paper_default(),
             faults: FaultConfig::disabled(),
         }
     }
 
     /// The sustained-load soak profile behind `cargo xtask serve-soak`:
-    /// ≥1M requests from 1 024 tenants over 8 channels × 4 DIMMs ×
-    /// 8 ranks (256 ranks) under a seeded fault storm.
+    /// ≥1M requests from 1 024 tenants (128 shards) under a seeded fault
+    /// storm.
     #[must_use]
     pub fn soak() -> Self {
-        let mut cfg = Self::paper_default();
-        cfg.tenants = 1_024;
-        cfg.channels = 8;
-        cfg.dimms = 4;
-        cfg.ranks_per_shard = 8;
-        cfg.requests = 1_048_576;
-        cfg.faults = FaultConfig::storm(0.02, 0x5e12_f417);
-        cfg
+        Self {
+            tenants: 1_024,
+            requests: 1_048_576,
+            faults: FaultConfig::storm(0.02, 0x5e12_f417),
+            ..Self::paper_default()
+        }
     }
 
-    /// Number of fleet shards (`channels × dimms`).
+    /// Cores, and so tenants, per shard: the Table I core count.
+    #[must_use]
+    pub fn cores_per_shard() -> u32 {
+        u32::from(CpuParams::paper_default().cores)
+    }
+
+    /// Number of fleet shards.
     #[must_use]
     pub fn shards(&self) -> u32 {
-        self.channels * self.dimms
-    }
-
-    /// Total service lanes across the fleet.
-    #[must_use]
-    pub fn total_ranks(&self) -> u32 {
-        self.shards() * self.ranks_per_shard
-    }
-
-    /// Replaces the tenant count.
-    #[must_use]
-    pub fn with_tenants(mut self, tenants: u32) -> Self {
-        self.tenants = tenants;
-        self
-    }
-
-    /// Replaces the total request count.
-    #[must_use]
-    pub fn with_requests(mut self, requests: u64) -> Self {
-        self.requests = requests;
-        self
-    }
-
-    /// Replaces the seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the fault configuration.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Replaces the SLO.
-    #[must_use]
-    pub fn with_slo(mut self, slo: SloSpec) -> Self {
-        self.slo = slo;
-        self
-    }
-
-    /// Replaces the fleet geometry.
-    #[must_use]
-    pub fn with_fleet(mut self, channels: u32, dimms: u32, ranks_per_shard: u32) -> Self {
-        self.channels = channels;
-        self.dimms = dimms;
-        self.ranks_per_shard = ranks_per_shard;
-        self
+        self.tenants / Self::cores_per_shard()
     }
 
     /// Checks internal consistency of the whole tier configuration.
     pub fn validate(&self) -> Result<()> {
-        if self.tenants == 0 {
-            return Err(ConfigError::new("serve tier needs at least one tenant"));
-        }
-        if self.channels == 0 || self.dimms == 0 || self.ranks_per_shard == 0 {
-            return Err(ConfigError::new("fleet geometry must be non-zero"));
-        }
-        if self.requests == 0 {
-            return Err(ConfigError::new("serve run needs at least one request"));
-        }
-        if self.read_fraction_bp > BP_SCALE {
-            return Err(ConfigError::new("read fraction exceeds 100%"));
-        }
-        if self.ingress_cap == 0 {
-            return Err(ConfigError::new("ingress queue needs at least one entry"));
-        }
-        if self.backpressure_high > self.ingress_cap {
+        let cores = Self::cores_per_shard();
+        if self.tenants == 0 || !self.tenants.is_multiple_of(cores) {
             return Err(ConfigError::new(
-                "backpressure high watermark exceeds the ingress cap",
+                "tenants must be a positive multiple of the cores per shard",
             ));
         }
-        if self.backpressure_low >= self.backpressure_high {
+        if self.requests < u64::from(self.tenants)
+            || !self.requests.is_multiple_of(u64::from(cores))
+        {
             return Err(ConfigError::new(
-                "backpressure low watermark must sit below the high watermark",
+                "requests must be a multiple of the cores per shard and at least one per tenant",
             ));
-        }
-        if self.deadline == 0 {
-            return Err(ConfigError::new("request deadline must be positive"));
-        }
-        if self.retry_backoff == 0 && self.retry_budget > 0 {
-            return Err(ConfigError::new("retry backoff must be positive"));
-        }
-        if self.service_read == 0 || self.service_write == 0 {
-            return Err(ConfigError::new("service occupancies must be positive"));
-        }
-        if self.class_mix_bp.iter().sum::<u32>() != BP_SCALE {
-            return Err(ConfigError::new("class mix must sum to 10000 basis points"));
-        }
-        for spec in &self.tenant_template {
-            spec.validate()?;
         }
         self.slo.validate()?;
         self.faults.validate()?;
@@ -346,36 +135,38 @@ impl ServeConfig {
 /// retired, one of the shed classes, or failed-visibly. The fleet
 /// asserts [`Self::conserved`] before reporting — an unaccounted
 /// request is a bug, not a statistic.
+///
+/// The token-bucket gate never sheds or fails a request: it defers it
+/// until a token frees. The `shed_*`, `failed` and `retries` fields
+/// stay for ledgers merged from other gates and for the stable `serve`
+/// JSON block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// Requests generated by the tenant arrival streams.
+    /// Requests a core staged and the gate saw for the first time.
     pub generated: u64,
-    /// Requests that passed admission into an ingress queue (counted
-    /// once per request, not per retry).
+    /// Requests the gate admitted to a controller queue (counted once
+    /// per request, not per deferral).
     pub admitted: u64,
-    /// Requests completed by a service lane.
+    /// Admitted requests whose completion the system delivered.
     pub retired: u64,
     /// Requests shed because the tenant's token bucket was empty.
     pub shed_throttled: u64,
-    /// Requests shed because the ingress queue was at its hard cap.
+    /// Requests shed because an ingress queue was full.
     pub shed_overflow: u64,
-    /// Requests shed by the degradation ladder (admit-critical-only or
-    /// full shed).
+    /// Requests shed by a degradation policy.
     pub shed_degraded: u64,
-    /// Requests that exhausted deadline + retry budget while queued.
+    /// Requests that exhausted a deadline and retry budget.
     pub shed_deadline: u64,
-    /// Requests failed upward visibly after service-side faults
-    /// exhausted the retry budget.
+    /// Requests failed upward visibly.
     pub failed: u64,
-    /// Re-admissions taken (timeout or failed service; not terminal).
+    /// Re-admissions taken (not terminal).
     pub retries: u64,
-    /// Arrivals deferred (with backoff) because backpressure was
-    /// asserted; not terminal.
+    /// Admission attempts deferred with backoff because the tenant's
+    /// bucket was empty; not terminal.
     pub deferrals: u64,
     /// Retired requests that met the SLO target.
     pub slo_ok: u64,
-    /// Highest ingress-queue occupancy observed on any shard; must stay
-    /// at or under the configured cap.
+    /// Highest count of admitted-but-incomplete requests observed.
     pub peak_ingress: u64,
 }
 
@@ -437,25 +228,27 @@ mod tests {
         let cfg = ServeConfig::soak();
         assert!(cfg.requests >= 1_000_000);
         assert!(cfg.tenants >= 1_000);
-        assert!(cfg.total_ranks() >= 100, "hundreds of ranks");
+        assert_eq!(cfg.shards(), 128);
         assert!(cfg.faults.enabled());
     }
 
     #[test]
-    fn validation_rejects_bad_watermarks() {
-        let mut cfg = ServeConfig::paper_default();
-        cfg.backpressure_low = cfg.backpressure_high;
-        assert!(cfg.validate().is_err());
-        let mut cfg = ServeConfig::paper_default();
-        cfg.backpressure_high = cfg.ingress_cap + 1;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn validation_rejects_bad_mix() {
-        let mut cfg = ServeConfig::paper_default();
-        cfg.class_mix_bp = [5_000, 5_000, 1];
-        assert!(cfg.validate().is_err());
+    fn validation_rejects_partial_shards_and_uneven_requests() {
+        let ok = ServeConfig::paper_default();
+        for tenants in [0, 12] {
+            let cfg = ServeConfig {
+                tenants,
+                ..ok.clone()
+            };
+            assert!(cfg.validate().is_err(), "tenants {tenants}");
+        }
+        for requests in [0, 20_004, 56] {
+            let cfg = ServeConfig {
+                requests,
+                ..ok.clone()
+            };
+            assert!(cfg.validate().is_err(), "requests {requests}");
+        }
     }
 
     #[test]
@@ -487,13 +280,5 @@ mod tests {
         assert_eq!(a.generated, 14);
         assert_eq!(a.peak_ingress, 9);
         assert_eq!(a.slo_attainment_bp(), 9 * 10_000 / 10);
-    }
-
-    #[test]
-    fn class_round_trip() {
-        for c in TenantClass::ALL {
-            assert_eq!(TenantClass::ALL[c.index()], c);
-            assert!(!c.as_str().is_empty());
-        }
     }
 }

@@ -13,7 +13,7 @@
 //! cargo xtask tracediff  # 6 systems x {plain, storm}: traced vs untraced JSON byte-diff gate
 //! cargo xtask soak       # seeded fault-storm recovery gate -> results/soak.json
 //! cargo xtask faultdiff  # fault sweep, --jobs 1 vs 4 JSON byte-diff gate
-//! cargo xtask serve-soak # overload-safe ingestion gate -> results/serve_soak.json
+//! cargo xtask serve-soak # serve-tier gate on the real memory model -> results/serve_soak.json
 //! cargo xtask explain    # lifecycle conservation gate -> results/explain.json
 //! cargo xtask perfbench  # perfbench tests + a 1 s pass -> results/perfbench.txt
 //! ```
@@ -268,10 +268,11 @@ fn soak() -> Result<(), String> {
 }
 
 /// The serve-tier soak gate (DESIGN.md §16): ≥1M requests from ≥1k
-/// tenants over hundreds of ranks under a seeded fault storm, run at
-/// `--jobs 1` and `--jobs 4` and byte-compared, with conservation (every
-/// request retired, shed, or failed visibly), the bounded-ingress cap,
-/// and a demonstrated degradation ladder all asserted. The verdict lands
+/// tenants, each a core of one of 128 real RWoW-RDE memory systems,
+/// under a seeded fault storm, run at `--jobs 1` and `--jobs 4` and
+/// byte-compared, with conservation, each shard's in-flight bound, RoW
+/// and WoW activity, a degraded rank that recovers, and zero silent
+/// corruptions and invariant violations all asserted. The verdict lands
 /// in `results/serve_soak.json`.
 fn serve_soak() -> Result<(), String> {
     step(
