@@ -241,6 +241,11 @@ pub struct ChannelController {
     /// drains produce deep same-bank write bursts — the regime WoW
     /// consolidates.
     write_qs: Vec<RequestQueue>,
+    /// Every queued write as `(arrival, id, bank)`, in `(arrival, id)`
+    /// order: the order the PCMap write pass visits candidates in. It
+    /// holds exactly the requests of `write_qs`; [`Controller::enqueue_write`]
+    /// and [`Self::remove_write`] are the only places either changes.
+    write_order: Vec<(Cycle, ReqId, BankId)>,
     /// Write-drain state machine, per bank.
     drains: Vec<DrainPolicy>,
     /// The shared channel data bus.
@@ -300,7 +305,17 @@ pub struct ChannelController {
 
 impl ChannelController {
     /// Creates the controller of one channel for system `kind`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bank's write queue holds more than `u16::MAX` entries:
+    /// the PCMap write pass keeps its per-bank queue cursors in `u16`s.
     pub fn new(kind: SystemKind, org: MemOrg, t: TimingParams, q: QueueParams, seed: u64) -> Self {
+        assert!(
+            q.write_q <= usize::from(u16::MAX),
+            "write queue of {} entries exceeds the write pass's u16 cursors",
+            q.write_q
+        );
         let checker = ProtocolChecker::from_env(&t);
         Self {
             kind,
@@ -312,6 +327,7 @@ impl ChannelController {
             write_qs: (0..org.banks)
                 .map(|_| RequestQueue::new(q.write_q))
                 .collect(),
+            write_order: Vec::new(),
             drains: (0..org.banks).map(|_| DrainPolicy::new(&q)).collect(),
             bus: ChannelBus::new(),
             stats: CtrlStats::new(org.banks as usize),
@@ -449,7 +465,35 @@ impl ChannelController {
 
     /// Total queued writes across banks.
     fn write_q_len_total(&self) -> usize {
-        self.write_qs.iter().map(|q| q.len()).sum()
+        self.write_order.len()
+    }
+
+    /// `true` when the write index and the bank queues hold as many
+    /// requests (checked after every insertion and removal, which each
+    /// touch one request in both).
+    fn write_index_in_sync(&self) -> bool {
+        self.write_order.len() == self.write_qs.iter().map(RequestQueue::len).sum::<usize>()
+    }
+
+    /// Removes the queued write `id` from `bank`'s queue and from the
+    /// write index, and returns it.
+    fn remove_write(&mut self, bank: BankId, id: ReqId) -> MemRequest {
+        let req = self.write_qs[bank.index()]
+            .remove(id)
+            .expect("write still queued");
+        let key = (req.arrival, req.id);
+        let pos = self
+            .write_order
+            .partition_point(|&(at, rid, _)| (at, rid) < key);
+        debug_assert_eq!(
+            self.write_order.get(pos),
+            Some(&(req.arrival, req.id, bank)),
+            "write {} missing from the write index",
+            id.0
+        );
+        self.write_order.remove(pos);
+        debug_assert!(self.write_index_in_sync(), "write index out of sync");
+        req
     }
 
     /// `true` while any bank is draining writes — the channel bus is
@@ -965,14 +1009,20 @@ impl Controller for ChannelController {
     fn enqueue_write(&mut self, req: MemRequest, _now: Cycle) -> Result<(), MemRequest> {
         let (at, id) = (req.arrival, req.id.0);
         let q = &mut self.write_qs[req.loc.bank.index()];
-        // The PCMap write pass merges the bank queues without sorting, so
-        // each must stay in (arrival, id) order.
+        // The PCMap write pass reads bank-queue positions off the write
+        // index, so each bank queue must stay in (arrival, id) order.
         let ordered = q
             .iter()
             .last()
             .is_none_or(|n| (n.arrival, n.id) <= (at, req.id));
         debug_assert!(ordered, "write {id} enqueued out of (arrival, id) order");
+        let entry = (at, req.id, req.loc.bank);
         q.push(req)?;
+        let pos = self
+            .write_order
+            .partition_point(|&(a, rid, _)| (a, rid) < (entry.0, entry.1));
+        self.write_order.insert(pos, entry);
+        debug_assert!(self.write_index_in_sync(), "write index out of sync");
         // Fresh work: mark the controller due immediately so the next
         // step body runs and recomputes the event horizon.
         self.wake = Some(Cycle::ZERO);

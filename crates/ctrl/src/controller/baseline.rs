@@ -141,7 +141,7 @@ impl ChannelController {
             let bank = BankId(b);
             if bus_write_mode {
                 if let Some(id) = self.pick_baseline_write(bank, now) {
-                    self.issue_baseline_write(id, now, out);
+                    self.issue_baseline_write(bank, id, now, out);
                     issued = true;
                 }
             } else if self.lifetrace.enabled() && tag_parked {
@@ -182,21 +182,20 @@ impl ChannelController {
         None
     }
 
-    /// Issues a baseline (whole-rank) write at `now`: every chip of the
-    /// bank is reserved until the slowest essential chip finishes.
-    fn issue_baseline_write(&mut self, id: ReqId, now: Cycle, out: &mut Vec<Completion>) {
-        let bank0 = self
-            .write_qs
-            .iter()
-            .position(|q| q.iter().any(|r| r.id == id))
-            .expect("picked write must be queued");
-        let req = self.write_qs[bank0]
-            .remove(id)
-            .expect("picked write must be queued");
+    /// Issues `bank`'s queued write `id` as a baseline (whole-rank) write
+    /// at `now`: every chip of the bank is reserved until the slowest
+    /// essential chip finishes.
+    fn issue_baseline_write(
+        &mut self,
+        bank: BankId,
+        id: ReqId,
+        now: Cycle,
+        out: &mut Vec<Completion>,
+    ) {
+        let req = self.remove_write(bank, id);
         let ReqKind::Write { data } = req.kind else {
             panic!("write queue held a read")
         };
-        let bank = req.loc.bank;
 
         let outcome = self.rank.write_words(
             bank,

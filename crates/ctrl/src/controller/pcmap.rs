@@ -30,9 +30,10 @@
 //! peek computes no ECC or PCC. Those are computed when the write stores
 //! its words and when a read verifies the line.
 //!
-//! The write pass decides the write-mode gate once, merges the per-bank
-//! queues oldest first in place, and skips a write while an older write
-//! to its line is queued. Blocked verdicts are never cached: each
+//! The write pass decides the write-mode gate once, visits candidates
+//! oldest first by walking the controller's `(arrival, id)`-ordered write
+//! index with one queue cursor per bank, and skips a write while an older
+//! write to its line is queued. Blocked verdicts are never cached: each
 //! evaluation shows in the report (DESIGN.md §4b item 7).
 //!
 //! [`PcmRank::peek_data`]: pcmap_device::PcmRank::peek_data
@@ -40,24 +41,9 @@
 use super::{ChannelController, InflightWrite, ReadService};
 use crate::bus::BusDir;
 use crate::op;
-use crate::queues::RequestQueue;
 use crate::request::{Completion, MemRequest, ReqKind};
 use pcmap_obs::{Resource, WaitCause};
 use pcmap_types::{ChipId, ChipSet, Cycle, Duration, WordMask};
-
-/// The bank whose next unvisited write (at `cursor[bank]`) is oldest in
-/// `(arrival, id)` order, lowest bank first on a tie; `None` once every
-/// queue is exhausted. Each queue is already in that order, so repeated
-/// calls merge the queues without sorting.
-fn oldest_unvisited(qs: &[RequestQueue], cursor: &[usize]) -> Option<usize> {
-    qs.iter()
-        .zip(cursor)
-        .enumerate()
-        .filter(|&(_, (q, &pos))| pos < q.len())
-        .map(|(b, (q, &pos))| ((q[pos].arrival, q[pos].id), b))
-        .min()
-        .map(|(_, b)| b)
-}
 
 impl ChannelController {
     /// Whether this channel's rank is currently demoted to coarse
@@ -99,11 +85,15 @@ impl ChannelController {
         if !write_mode && !self.lifetrace.enabled() {
             return false;
         }
-        // Visit candidates oldest first across the bank queues by merging
-        // their heads in place (one cursor per bank a `u8` can name).
-        let mut cursor = [0usize; 1 << u8::BITS];
-        while let Some(b) = oldest_unvisited(&self.write_qs, &cursor) {
-            let pos = cursor[b];
+        // Visit candidates oldest first: walk the write index, which is in
+        // (arrival, id) order. Each bank queue is in that order too, so a
+        // bank's k-th index entry is its queue position k (one cursor per
+        // bank a `u8` can name). Only an issue changes the queues, and an
+        // issue ends the pass.
+        let mut cursor = [0u16; 1 << u8::BITS];
+        for i in 0..self.write_order.len() {
+            let b = self.write_order[i].2.index();
+            let pos = usize::from(cursor[b]);
             cursor[b] += 1;
             // Same-address write order must be preserved: a newer write to
             // a line may not jump an older one this pass passed over.
@@ -161,7 +151,7 @@ impl ChannelController {
                 // have all landed.
                 self.checker
                     .status_poll_n(bank, now, start, overlapping, polls);
-                let req = self.write_qs[b].remove(id).expect("still queued");
+                let req = self.remove_write(bank, id);
                 let ReqKind::Write { data } = req.kind else {
                     unreachable!("write queue held a read")
                 };
@@ -293,9 +283,7 @@ impl ChannelController {
         let bank = req.loc.bank;
         let partial = split_of.is_some();
         if !partial {
-            self.write_qs[bank.index()]
-                .remove(req.id)
-                .expect("write still queued");
+            self.remove_write(bank, req.id);
         }
 
         let outcome = self
@@ -460,10 +448,12 @@ impl ChannelController {
             let data_ready = transfer + Duration(self.t.burst);
 
             let timing = self.rank.timing();
-            let busy_words: Vec<ChipId> = word_chips
-                .chips()
-                .filter(|&c| !timing.chip(bank, c).is_free_during(start, data_ready))
-                .collect();
+            let mut busy_words = ChipSet::empty();
+            for c in word_chips.chips() {
+                if !timing.chip(bank, c).is_free_during(start, data_ready) {
+                    busy_words.insert_chip(c);
+                }
+            }
             let ecc_free = timing
                 .chip(bank, ecc_chip)
                 .is_free_during(start, data_ready);
@@ -471,7 +461,7 @@ impl ChannelController {
                 .chip(bank, pcc_chip)
                 .is_free_during(start, data_ready);
 
-            match busy_words.len() {
+            match busy_words.count() {
                 0 if ecc_free => {
                     let mut set = word_chips;
                     set.insert_chip(ecc_chip);
@@ -503,7 +493,7 @@ impl ChannelController {
                     ));
                 }
                 1 if self.kind.row_enabled() && !degraded && overlapping && pcc_free => {
-                    let missing = busy_words[0];
+                    let missing = busy_words.chips().next().expect("one busy word chip");
                     let mut set = word_chips;
                     set.remove(missing.index());
                     set.insert_chip(pcc_chip);
@@ -555,8 +545,8 @@ impl ChannelController {
                         timing.chip(bank, ecc_chip).blocked_until(start, data_ready)
                     } else {
                         busy_words
-                            .iter()
-                            .filter_map(|&c| timing.chip(bank, c).blocked_until(start, data_ready))
+                            .chips()
+                            .filter_map(|c| timing.chip(bank, c).blocked_until(start, data_ready))
                             .min()
                     };
                     if let Some(e) = hint {
@@ -576,7 +566,7 @@ impl ChannelController {
                     } else {
                         WaitCause::WriteInFlight
                     };
-                    let chip = busy_words.first().copied();
+                    let chip = busy_words.chips().next();
                     let chip = chip.or((!ecc_free).then_some(ecc_chip));
                     self.blocked(req.id, now, cause, false, |_| match chip {
                         Some(c) => Resource::chip(bank, c),

@@ -766,6 +766,29 @@ fn write_pass_merges_bank_queues_oldest_first() {
     assert_eq!(out.iter().map(|d| d.id.0).collect::<Vec<_>>(), [1, 2]);
 }
 
+#[test]
+fn write_pass_visits_a_late_enqueued_older_write_first() {
+    // Write 1 reaches the controller last but arrived first: the write
+    // index keeps (arrival, id) order, not enqueue order.
+    let mut c = ctrl(SystemKind::RwowRde);
+    let org = MemOrg::tiny();
+    let bank1 = (1..64u64)
+        .map(|k| k * 64 * org.channels as u64)
+        .find(|&x| org.decode(PhysAddr::new(x)).bank == BankId(1))
+        .expect("tiny org has two banks");
+    for (id, addr, word) in [(2, 0, 2), (3, 64 * 64, 5), (1, bank1, 2)] {
+        let w = write_req(&c, id, addr, &[word], Cycle(id));
+        c.enqueue_write(w, Cycle(3)).unwrap();
+    }
+    assert_eq!(c.write_q_len(), 3);
+    let ids: Vec<u64> = run_to_idle(&mut c, Cycle(3))
+        .iter()
+        .map(|d| d.id.0)
+        .collect();
+    assert_eq!(ids, [1, 2, 3]);
+    assert_eq!(c.write_q_len(), 0);
+}
+
 /// Read priority: a queued read and no drain. Writes go to lines
 /// A, B, A, B, with A and B in different banks.
 fn read_priority_scene(traced: bool) -> ChannelController {

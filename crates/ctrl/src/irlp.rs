@@ -13,18 +13,14 @@
 //! definition. Concurrent chips above 8 (write + full RoW read = 9) are
 //! capped at 8.
 //!
-//! Windows may be *extended* after opening: a PCMap write's service period
-//! only ends when its serialized ECC/PCC chip updates finish, which is
-//! known later than issue time.
+//! Settling is gated: [`IrlpTracker::settle`] does nothing until the
+//! earliest open window can end (with no window open, until the earliest
+//! segment can be dropped), so a controller may call it on every step.
 
 use pcmap_types::{BankId, Cycle};
 
 /// Cap on concurrently counted chips, per the paper's "out of 8.0".
 const CHIP_CAP: u64 = 8;
-
-/// Identifies an open window for [`IrlpTracker::extend_window`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WindowId(u64);
 
 #[derive(Debug, Clone, Copy)]
 struct Segment {
@@ -34,7 +30,6 @@ struct Segment {
 
 #[derive(Debug, Clone)]
 struct Window {
-    id: WindowId,
     start: Cycle,
     end: Cycle,
 }
@@ -53,7 +48,11 @@ pub struct IrlpTracker {
     samples: Vec<f64>,
     /// `(window end, sample)` pairs, for windowed IRLP time-series.
     timed: Vec<(Cycle, f64)>,
-    next_id: u64,
+    /// Earliest `now` at which [`Self::settle`] can finalize a window or
+    /// drop a segment: the earliest open window end, or with no window
+    /// open the earliest segment end. Only `open_window`, `record_segment`
+    /// and `settle` move it.
+    settle_at: Cycle,
 }
 
 impl IrlpTracker {
@@ -63,34 +62,15 @@ impl IrlpTracker {
             banks: vec![BankIrlp::default(); banks],
             samples: Vec::new(),
             timed: Vec::new(),
-            next_id: 0,
+            settle_at: Cycle::MAX,
         }
     }
 
-    /// Opens a write window on `bank` spanning `[start, end)` and returns a
-    /// handle for later extension. Zero-length windows are recorded but
-    /// produce no sample.
-    pub fn open_window(&mut self, bank: BankId, start: Cycle, end: Cycle) -> WindowId {
-        let id = WindowId(self.next_id);
-        self.next_id += 1;
-        self.banks[bank.index()]
-            .windows
-            .push(Window { id, start, end });
-        id
-    }
-
-    /// Extends an open window's end (no-op if `new_end` is earlier or the
-    /// window has already been finalized).
-    pub fn extend_window(&mut self, bank: BankId, id: WindowId, new_end: Cycle) {
-        if let Some(w) = self.banks[bank.index()]
-            .windows
-            .iter_mut()
-            .find(|w| w.id == id)
-        {
-            if new_end > w.end {
-                w.end = new_end;
-            }
-        }
+    /// Opens a write window on `bank` spanning `[start, end)`. Zero-length
+    /// windows are recorded but produce no sample.
+    pub fn open_window(&mut self, bank: BankId, start: Cycle, end: Cycle) {
+        self.banks[bank.index()].windows.push(Window { start, end });
+        self.settle_at = self.settle_at.min(end);
     }
 
     /// Records one chip's useful data-serving interval `[start, end)` on
@@ -100,15 +80,29 @@ impl IrlpTracker {
             return;
         }
         self.banks[bank.index()].segs.push(Segment { start, end });
+        self.settle_at = self.settle_at.min(end);
     }
 
     /// Finalizes all windows ending at or before `now` and prunes stale
     /// segments. Call periodically and once at end of simulation with
     /// [`Cycle::MAX`].
     ///
-    /// Callers must not extend a window past `now` after settling at `now`,
-    /// and must not open windows starting before a prior settle point.
+    /// Returns at once while `now` is before the earliest open window end
+    /// (with no window open, before the earliest segment end): such a call
+    /// could finalize nothing, and the segments it would have pruned
+    /// overlap no current or future window, so keeping them a while longer
+    /// changes no sample and no sample order.
+    ///
+    /// Callers must not open windows starting before a prior settle point.
     pub fn settle(&mut self, now: Cycle) {
+        if now < self.settle_at {
+            return;
+        }
+        self.settle_all(now);
+    }
+
+    /// The ungated settle pass: finalizes, prunes and recomputes the mark.
+    fn settle_all(&mut self, now: Cycle) {
         for b in &mut self.banks {
             let mut i = 0;
             while i < b.windows.len() {
@@ -129,6 +123,20 @@ impl IrlpTracker {
             let keep_after = keep_after.max(Cycle(0)).min(now);
             b.segs.retain(|s| s.end > keep_after);
         }
+        let window_end = self
+            .banks
+            .iter()
+            .flat_map(|b| &b.windows)
+            .map(|w| w.end)
+            .min();
+        self.settle_at = window_end.unwrap_or_else(|| {
+            self.banks
+                .iter()
+                .flat_map(|b| &b.segs)
+                .map(|s| s.end)
+                .min()
+                .unwrap_or(Cycle::MAX)
+        });
     }
 
     /// Per-write IRLP samples finalized so far.
@@ -187,6 +195,18 @@ fn window_irlp(w: &Window, segs: &[Segment]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcmap_types::Xoshiro256;
+    use proptest::prelude::*;
+
+    /// Test-only reference: the eager settle the gate replaced, which ran
+    /// the full finalize-and-prune pass on every call.
+    struct EagerTracker(IrlpTracker);
+
+    impl EagerTracker {
+        fn settle(&mut self, now: Cycle) {
+            self.0.settle_all(now);
+        }
+    }
 
     const B: BankId = BankId(0);
 
@@ -223,29 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn extension_captures_late_segments() {
-        let mut t = IrlpTracker::new(1);
-        let id = t.open_window(B, Cycle(0), Cycle(50));
-        t.record_segment(B, Cycle(0), Cycle(50));
-        // The write's PCC update pushes the window to 100; a read happens
-        // in the extension.
-        t.extend_window(B, id, Cycle(100));
-        t.record_segment(B, Cycle(50), Cycle(100));
-        t.settle(Cycle::MAX);
-        assert_eq!(t.samples(), &[1.0]);
-    }
-
-    #[test]
-    fn extension_never_shrinks() {
-        let mut t = IrlpTracker::new(1);
-        let id = t.open_window(B, Cycle(0), Cycle(100));
-        t.extend_window(B, id, Cycle(10));
-        t.record_segment(B, Cycle(0), Cycle(100));
-        t.settle(Cycle::MAX);
-        assert_eq!(t.samples(), &[1.0]);
-    }
-
-    #[test]
     fn cap_at_eight_chips() {
         let mut t = IrlpTracker::new(1);
         t.open_window(B, Cycle(0), Cycle(10));
@@ -275,6 +272,53 @@ mod tests {
         t.record_segment(B, Cycle(20), Cycle(30));
         t.settle(Cycle::MAX);
         assert_eq!(t.samples(), &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn gated_settle_prunes_segments_on_read_only_stretches() {
+        let mut t = IrlpTracker::new(1);
+        for i in 0..100 {
+            t.record_segment(B, Cycle(i * 10), Cycle(i * 10 + 5));
+            t.settle(Cycle(i * 10 + 5));
+            assert!(t.banks[0].segs.len() <= 1, "step {i}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn gated_settle_samples_like_eager_settle(seed: u64) {
+            let mut rng = Xoshiro256::new(seed);
+            let mut gated = IrlpTracker::new(2);
+            let mut eager = EagerTracker(IrlpTracker::new(2));
+            let mut settled = Cycle::ZERO;
+            for _ in 0..200 {
+                let bank = BankId(rng.next_below(2) as u8);
+                // Everything starts at or after the last settle point.
+                let start = Cycle(settled.0 + rng.next_below(30));
+                let end = Cycle(start.0 + rng.next_below(80));
+                match rng.next_below(3) {
+                    0 => {
+                        gated.open_window(bank, start, end);
+                        eager.0.open_window(bank, start, end);
+                    }
+                    1 => {
+                        gated.record_segment(bank, start, end);
+                        eager.0.record_segment(bank, start, end);
+                    }
+                    _ => {
+                        settled = Cycle(settled.0 + rng.next_below(25));
+                        gated.settle(settled);
+                        eager.settle(settled);
+                        prop_assert_eq!(gated.samples(), eager.0.samples());
+                        prop_assert_eq!(gated.timed_samples(), eager.0.timed_samples());
+                    }
+                }
+            }
+            gated.settle(Cycle::MAX);
+            eager.settle(Cycle::MAX);
+            prop_assert_eq!(gated.samples(), eager.0.samples());
+            prop_assert_eq!(gated.timed_samples(), eager.0.timed_samples());
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod stats;
 pub use bus::{BusDir, ChannelBus};
 pub use check::{InvariantKind, ProtocolChecker, Violation};
 pub use controller::{BaselineController, ChannelController, Controller};
-pub use irlp::{IrlpTracker, WindowId};
+pub use irlp::IrlpTracker;
 pub use queues::{DrainPolicy, DrainState, RequestQueue};
 pub use request::{Completion, MemRequest, ReqId, ReqKind};
 pub use stats::CtrlStats;

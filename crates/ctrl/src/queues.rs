@@ -50,11 +50,6 @@ impl RequestQueue {
         self.entries.is_empty()
     }
 
-    /// `true` if no more requests fit.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
     /// Queue capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -77,11 +72,6 @@ impl RequestQueue {
     pub fn remove(&mut self, id: ReqId) -> Option<MemRequest> {
         let pos = self.entries.iter().position(|r| r.id == id)?;
         Some(self.entries.remove(pos))
-    }
-
-    /// Finds the oldest request satisfying `pred`.
-    pub fn oldest_where<F: Fn(&MemRequest) -> bool>(&self, pred: F) -> Option<&MemRequest> {
-        self.entries.iter().find(|r| pred(r))
     }
 
     /// The newest write to `line`, if any — used for read forwarding.
@@ -180,7 +170,7 @@ mod tests {
         let mut q = RequestQueue::new(2);
         assert!(q.push(req(1, 0)).is_ok());
         assert!(q.push(req(2, 64)).is_ok());
-        assert!(q.is_full());
+        assert_eq!(q.len(), q.capacity());
         let rejected = q.push(req(3, 128));
         assert_eq!(rejected.unwrap_err().id, ReqId(3));
         assert_eq!(q.len(), 2);
@@ -198,15 +188,6 @@ mod tests {
         // FIFO order preserved for the rest.
         let ids: Vec<_> = q.iter().map(|r| r.id.0).collect();
         assert_eq!(ids, vec![1, 3]);
-    }
-
-    #[test]
-    fn oldest_where_respects_arrival_order() {
-        let mut q = RequestQueue::new(4);
-        q.push(req(1, 0)).unwrap();
-        q.push(req(2, 64)).unwrap();
-        let r = q.oldest_where(|r| r.id.0 > 1).unwrap();
-        assert_eq!(r.id, ReqId(2));
     }
 
     #[test]

@@ -48,16 +48,6 @@ impl ChipBankState {
             .max(now)
     }
 
-    /// The earliest reservation boundary strictly after `now`, if any.
-    #[must_use]
-    pub fn next_boundary(&self, now: Cycle) -> Option<Cycle> {
-        self.res
-            .iter()
-            .flat_map(|&(s, e)| [s, e])
-            .filter(|t| *t > now)
-            .min()
-    }
-
     /// Latest end over reservations overlapping `[from, until)`, or `None`
     /// when the window is free — i.e. the earliest time a window of the
     /// same length could start clear of every current conflict.
@@ -124,6 +114,9 @@ pub struct RankTiming {
     banks: usize,
     chips: usize,
     state: Vec<ChipBankState>,
+    /// The latest [`Self::prune`] point. A chip drops the reservations
+    /// that ended by it when it is next reserved.
+    pruned: Cycle,
 }
 
 impl RankTiming {
@@ -136,6 +129,7 @@ impl RankTiming {
             banks,
             chips,
             state: vec![ChipBankState::default(); banks * chips],
+            pruned: Cycle::ZERO,
         }
     }
 
@@ -224,8 +218,11 @@ impl RankTiming {
                 end: start,
             };
         }
+        let pruned = self.pruned;
         for chip in set.chips() {
-            self.chip_mut(bank, chip).insert(start, until);
+            let state = self.chip_mut(bank, chip);
+            state.prune(pruned);
+            state.insert(start, until);
         }
         ReservedWindow {
             bank,
@@ -262,22 +259,6 @@ impl RankTiming {
         self.chip_mut(bank, chip).release_from(from);
     }
 
-    /// The earliest reservation boundary strictly after `now` across the
-    /// whole rank (scheduling wake hint).
-    #[must_use]
-    pub fn next_boundary(&self, now: Cycle) -> Option<Cycle> {
-        self.state.iter().filter_map(|s| s.next_boundary(now)).min()
-    }
-
-    /// Run-loop hint (DESIGN.md §14): the next cycle strictly after
-    /// `now` at which any chip of the rank changes occupancy state.
-    /// Alias of [`Self::next_boundary`] under the component `next_tick`
-    /// naming convention.
-    #[must_use]
-    pub fn next_tick(&self, now: Cycle) -> Option<Cycle> {
-        self.next_boundary(now)
-    }
-
     /// Latest end over reservations on `bank` × `set` that overlap
     /// `[from, until)`, or `None` when the whole window is free on every
     /// chip of the set. The controllers derive precise retry hints from
@@ -297,11 +278,14 @@ impl RankTiming {
             .max()
     }
 
-    /// Drops reservations that ended at or before `now`.
+    /// Declares that no query will again ask about a cycle before `now`,
+    /// so reservations that ended at or before `now` may go. Nothing is
+    /// walked here: [`Self::reserve`] drops a chip's expired reservations
+    /// just before it books that chip. A reservation ending at or before
+    /// `now` overlaps no window starting at or after `now`, so every query
+    /// from `now` on answers as if it were gone already.
     pub fn prune(&mut self, now: Cycle) {
-        for s in &mut self.state {
-            s.prune(now);
-        }
+        self.pruned = self.pruned.max(now);
     }
 
     /// Number of banks tracked.
@@ -318,7 +302,8 @@ impl RankTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcmap_types::MemOrg;
+    use pcmap_types::{MemOrg, Xoshiro256};
+    use proptest::prelude::*;
 
     fn timing() -> RankTiming {
         RankTiming::new(&MemOrg::tiny())
@@ -329,7 +314,6 @@ mod tests {
         let t = timing();
         assert!(t.is_free(BankId(0), ChipId(0), Cycle::ZERO));
         assert_eq!(t.busy_set(BankId(0), Cycle::ZERO), ChipSet::empty());
-        assert_eq!(t.next_boundary(Cycle::ZERO), None);
     }
 
     #[test]
@@ -394,15 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn next_boundary_reports_edges() {
-        let mut t = timing();
-        t.reserve(BankId(0), ChipSet::single(4), Cycle(20), Cycle(44));
-        assert_eq!(t.next_boundary(Cycle(0)), Some(Cycle(20)));
-        assert_eq!(t.next_boundary(Cycle(20)), Some(Cycle(44)));
-        assert_eq!(t.next_boundary(Cycle(44)), None);
-    }
-
-    #[test]
     fn blocked_until_reports_latest_conflicting_end() {
         let mut t = timing();
         t.reserve(BankId(0), ChipSet::single(0), Cycle(10), Cycle(40));
@@ -431,22 +406,74 @@ mod tests {
     }
 
     #[test]
-    fn next_tick_is_next_boundary() {
-        let mut t = timing();
-        assert_eq!(t.next_tick(Cycle(0)), None);
-        t.reserve(BankId(0), ChipSet::single(4), Cycle(20), Cycle(44));
-        assert_eq!(t.next_tick(Cycle(0)), Some(Cycle(20)));
-        assert_eq!(t.next_tick(Cycle(20)), t.next_boundary(Cycle(20)));
-    }
-
-    #[test]
     fn prune_drops_expired_windows() {
         let mut t = timing();
         t.reserve(BankId(0), ChipSet::single(0), Cycle(0), Cycle(10));
-        t.reserve(BankId(0), ChipSet::single(0), Cycle(20), Cycle(30));
         t.prune(Cycle(15));
+        // The expired window goes when the chip is next reserved.
+        t.reserve(BankId(0), ChipSet::single(0), Cycle(20), Cycle(30));
         assert_eq!(t.chip(BankId(0), ChipId(0)).clear_from(Cycle(0)), Cycle(30));
         assert!(t.is_free(BankId(0), ChipId(0), Cycle(5)));
+    }
+
+    /// Test-only reference: the eager prune [`RankTiming::prune`] replaced,
+    /// which dropped every chip's expired reservations on every call.
+    fn eager_prune(t: &mut RankTiming, now: Cycle) {
+        for s in &mut t.state {
+            s.prune(now);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prune_on_reserve_answers_like_eager_prune(seed: u64) {
+            let mut rng = Xoshiro256::new(seed);
+            let (mut lazy, mut eager) = (timing(), timing());
+            let mut pruned = Cycle::ZERO;
+            for _ in 0..300 {
+                let bank = BankId(rng.next_below(lazy.banks() as u64) as u8);
+                let set = ChipSet::from_bits(rng.next_u64() as u16);
+                match rng.next_below(4) {
+                    0 => {
+                        pruned = Cycle(pruned.0 + rng.next_below(40));
+                        lazy.prune(pruned);
+                        eager_prune(&mut eager, pruned);
+                    }
+                    1 => {
+                        let start = Cycle(pruned.0 + rng.next_below(60));
+                        let end = Cycle(start.0 + 1 + rng.next_below(60));
+                        if eager.set_free_during(bank, set, start, end) {
+                            prop_assert_eq!(
+                                lazy.reserve(bank, set, start, end),
+                                eager.reserve(bank, set, start, end)
+                            );
+                        }
+                    }
+                    2 => {
+                        let chip = ChipId(rng.next_below(ChipId::TOTAL_CHIPS as u64) as u8);
+                        let from = Cycle(pruned.0 + rng.next_below(60));
+                        lazy.force_free(bank, chip, from);
+                        eager.force_free(bank, chip, from);
+                    }
+                    _ => {}
+                }
+                // Every query at or after the last prune point agrees.
+                let from = Cycle(pruned.0 + rng.next_below(80));
+                let until = Cycle(from.0 + rng.next_below(80));
+                for chip in ChipSet::full().chips() {
+                    let (l, e) = (lazy.chip(bank, chip), eager.chip(bank, chip));
+                    prop_assert_eq!(l.is_free(from), e.is_free(from));
+                    prop_assert_eq!(l.is_free_during(from, until), e.is_free_during(from, until));
+                    prop_assert_eq!(l.clear_from(from), e.clear_from(from));
+                }
+                prop_assert_eq!(lazy.busy_set(bank, from), eager.busy_set(bank, from));
+                prop_assert_eq!(
+                    lazy.blocked_until(bank, set, from, until),
+                    eager.blocked_until(bank, set, from, until)
+                );
+                prop_assert_eq!(lazy.free_at(bank, set, from), eager.free_at(bank, set, from));
+            }
+        }
     }
 
     #[test]
@@ -481,7 +508,9 @@ mod tests {
         let mut t = timing();
         t.reserve(BankId(1), ChipSet::single(2), Cycle(50), Cycle(90));
         t.force_free(BankId(1), ChipId(2), Cycle(50));
-        assert_eq!(t.next_boundary(Cycle(0)), None);
+        assert!(t
+            .chip(BankId(1), ChipId(2))
+            .is_free_during(Cycle(0), Cycle::MAX));
     }
 
     #[test]

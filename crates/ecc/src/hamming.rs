@@ -1,4 +1,4 @@
-//! Hamming SECDED(72,64) by mask parity.
+//! Hamming SECDED(72,64) by byte tables derived from mask parity.
 //!
 //! The classic extended Hamming construction: 64 data bits are spread over
 //! codeword positions `1..=71`, skipping the seven power-of-two positions
@@ -13,7 +13,9 @@
 //! `2^i` is the parity of the data bits whose codeword position has bit `i`
 //! set, so it is the popcount parity of `data & COVER[i]` for a `const`
 //! coverage mask; the overall parity is the popcount parity of the data
-//! and the seven check bits. The data positions form six runs (3, 5–7,
+//! and the seven check bits. Every check bit is thus linear over GF(2), so
+//! the check byte of a word is the XOR of eight 256-entry byte tables that
+//! a `const` block fills from those coverage masks. The data positions form six runs (3, 5–7,
 //! 9–15, 17–31, 33–63, 65–71), so scattering data into a codeword and
 //! gathering it back are six shift-and-mask moves. A decoder compares the
 //! stored check bits with the ones recomputed from the stored data: their
@@ -91,17 +93,54 @@ impl Decoded {
     }
 }
 
-/// The check byte of `data`, in the layout of [`check_byte`]: overall
-/// parity in bit 0, Hamming check bit `2^i` in bit `i + 1`. Equal to
-/// `check_byte(encode(data))` without building the codeword.
-#[inline]
-pub fn check_byte_of(data: u64) -> u8 {
+/// The check byte of `data` by mask parity: Hamming check bit `2^i` is the
+/// parity of `data & COVER[i]`, the overall bit the parity of the data and
+/// the seven check bits. Evaluated only at compile time, to fill
+/// [`CHECK_TABLES`].
+const fn mask_parity_check_byte(data: u64) -> u8 {
     let mut hamming = 0u8;
-    for (i, cover) in COVER.iter().enumerate() {
-        hamming |= (((data & cover).count_ones() & 1) as u8) << i;
+    let mut i = 0;
+    while i < COVER.len() {
+        hamming |= (((data & COVER[i]).count_ones() & 1) as u8) << i;
+        i += 1;
     }
     let overall = (data.count_ones() + hamming.count_ones()) & 1;
     hamming << 1 | overall as u8
+}
+
+/// `CHECK_TABLES[k][v]`: the check byte of the data word whose byte `k` is
+/// `v` and whose other bytes are zero. Every check bit is a parity of data
+/// bits, so the check byte is GF(2)-linear in the data and the check byte of
+/// any word is the XOR of its eight bytes' entries.
+const CHECK_TABLES: [[u8; 256]; 8] = {
+    let mut tables = [[0u8; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut v = 0;
+        while v < 256 {
+            tables[k][v] = mask_parity_check_byte((v as u64) << (8 * k));
+            v += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// The check byte of `data`, in the layout of [`check_byte`]: overall
+/// parity in bit 0, Hamming check bit `2^i` in bit `i + 1`. Equal to
+/// `check_byte(encode(data))` without building the codeword: eight table
+/// lookups XORed together.
+#[inline]
+pub fn check_byte_of(data: u64) -> u8 {
+    let b = data.to_le_bytes();
+    CHECK_TABLES[0][usize::from(b[0])]
+        ^ CHECK_TABLES[1][usize::from(b[1])]
+        ^ CHECK_TABLES[2][usize::from(b[2])]
+        ^ CHECK_TABLES[3][usize::from(b[3])]
+        ^ CHECK_TABLES[4][usize::from(b[4])]
+        ^ CHECK_TABLES[5][usize::from(b[5])]
+        ^ CHECK_TABLES[6][usize::from(b[6])]
+        ^ CHECK_TABLES[7][usize::from(b[7])]
 }
 
 /// Places the data bits on their codeword positions; check positions stay
@@ -377,6 +416,18 @@ mod tests {
             assert_eq!(check_byte_of(data), byte, "data {data:#x}");
             assert_eq!(check_byte(encode(data)), byte, "data {data:#x}");
             assert_eq!(reference::check_byte(reference::encode(data)), byte);
+        }
+    }
+
+    #[test]
+    fn check_tables_match_reference_on_every_byte_value() {
+        for k in 0..8 {
+            for v in 0..=255u64 {
+                let data = v << (8 * k);
+                let want = reference::check_byte(reference::encode(data));
+                assert_eq!(check_byte_of(data), want, "byte {k} = {v:#x}");
+                assert_eq!(mask_parity_check_byte(data), want);
+            }
         }
     }
 

@@ -5,8 +5,9 @@
 //! XOR of the eight data words, enabling RAID-style reconstruction of a word
 //! held by a chip that is busy serving a write (§IV-B of the paper).
 //!
-//! - [`hamming`] — a real Hamming SECDED(72,64), computed by mask parity:
-//!   single-error correction, double-error detection.
+//! - [`hamming`] — a real Hamming SECDED(72,64), computed by byte tables
+//!   derived from its coverage masks: single-error correction,
+//!   double-error detection.
 //! - [`parity`] — the PCC code: XOR parity over the line's words and erased
 //!   word reconstruction.
 //! - [`line`] — per-cache-line codec combining both: the 8-byte ECC word

@@ -107,9 +107,19 @@ macro_rules! bitset_type {
                 self.0 & !other.0 == 0
             }
 
-            /// Iterates over member indices in ascending order.
+            /// Iterates over member indices in ascending order, one
+            /// `trailing_zeros` per member (no scan of empty slots).
+            #[inline]
             pub fn iter(self) -> impl Iterator<Item = usize> {
-                (0..Self::CAPACITY).filter(move |&i| self.contains(i))
+                let mut bits = self.0;
+                core::iter::from_fn(move || {
+                    if bits == 0 {
+                        return None;
+                    }
+                    let i = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    Some(i)
+                })
             }
 
             /// The lowest member, if any.
@@ -295,6 +305,33 @@ mod tests {
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![2, 4, 6]);
         assert_eq!(m.first(), Some(2));
         assert_eq!(WordMask::empty().first(), None);
+    }
+
+    /// Test-only reference: the slot-by-slot scan `iter` replaced.
+    fn reference_members(bits: u16, capacity: usize) -> Vec<usize> {
+        (0..capacity).filter(|&i| bits & (1 << i) != 0).collect()
+    }
+
+    #[test]
+    fn iter_yields_exactly_the_members_for_every_pattern() {
+        for bits in 0..1u16 << ChipSet::CAPACITY {
+            let s = ChipSet::from_bits(bits);
+            let got: Vec<usize> = s.iter().collect();
+            assert_eq!(got, reference_members(bits, ChipSet::CAPACITY), "{bits:#b}");
+            assert_eq!(got.len(), s.count());
+            let chips: Vec<usize> = s.chips().map(ChipId::index).collect();
+            assert_eq!(chips, got);
+        }
+        for bits in 0..1u16 << WordMask::CAPACITY {
+            let m = WordMask::from_bits(bits);
+            let got: Vec<usize> = m.iter().collect();
+            assert_eq!(
+                got,
+                reference_members(bits, WordMask::CAPACITY),
+                "{bits:#b}"
+            );
+            assert_eq!(got.len(), m.count());
+        }
     }
 
     #[test]
