@@ -15,6 +15,7 @@
 //! cargo xtask faultdiff  # fault sweep, --jobs 1 vs 4 JSON byte-diff gate
 //! cargo xtask serve-soak # serve-tier gate on the real memory model -> results/serve_soak.json
 //! cargo xtask explain    # lifecycle conservation gate -> results/explain.json
+//! cargo xtask record     # rerun the experiment binaries, byte-diff against results/*.txt
 //! cargo xtask perfbench  # perfbench tests + a 1 s pass -> results/perfbench.txt
 //! ```
 
@@ -320,6 +321,72 @@ fn explain() -> Result<(), String> {
     )
 }
 
+/// The experiment record (`results/README.md`): each file is the verbatim
+/// stdout of one `pcmap-bench` binary at the scale the file names.
+const RECORD: [(&str, &str, &[&str]); 9] = [
+    ("figs_default.txt", "figs_all", &["default"]),
+    ("fig01.txt", "fig01_read_delay", &["default"]),
+    ("fig02.txt", "fig02_dirty_words", &[]),
+    ("fig05.txt", "fig05_timelines", &[]),
+    ("tab02.txt", "tab02_workloads", &[]),
+    ("tab03.txt", "tab03_latency_ratio", &["default"]),
+    ("tab04.txt", "tab04_rollback", &["default"]),
+    ("ablations.txt", "ablations", &["8000"]),
+    ("lifetime.txt", "lifetime_energy", &[]),
+];
+
+/// The record gate: reruns every [`RECORD`] binary in release mode and
+/// fails unless its stdout matches the checked-in file byte for byte, so
+/// EXPERIMENTS.md cannot drift from the code. A differing output is
+/// written next to the other gate artifacts for inspection.
+fn record() -> Result<(), String> {
+    step(
+        "record-build",
+        &["build", "--release", "-q", "-p", "pcmap-bench"],
+    )?;
+    let dir = env::temp_dir().join("pcmap-xtask").join("record");
+    fs::create_dir_all(&dir).map_err(|e| format!("record: mkdir: {e}"))?;
+    let mut stale = Vec::new();
+    for (file, bin, args) in RECORD {
+        let path = format!("results/{file}");
+        let shown: Vec<&str> = [bin].into_iter().chain(args.iter().copied()).collect();
+        println!("xtask: {} | cmp {path}", shown.join(" "));
+        let mut child = cargo();
+        for var in RUN_ENV {
+            child.env_remove(var);
+        }
+        let out = child
+            .args([
+                "run",
+                "--release",
+                "-q",
+                "-p",
+                "pcmap-bench",
+                "--bin",
+                bin,
+                "--",
+            ])
+            .args(args)
+            .output()
+            .map_err(|e| format!("record-{bin}: {e}"))?;
+        if !out.status.success() {
+            return Err(format!("record-{bin}"));
+        }
+        let want = fs::read(&path).map_err(|e| format!("record: read {path}: {e}"))?;
+        if out.stdout != want {
+            let fresh = dir.join(file);
+            fs::write(&fresh, &out.stdout).map_err(|e| format!("record: write: {e}"))?;
+            stale.push(format!("{path} (fresh output in {})", fresh.display()));
+        }
+    }
+    if stale.is_empty() {
+        println!("xtask: record: {} files match their binaries", RECORD.len());
+        Ok(())
+    } else {
+        Err(format!("record: stale {}", stale.join(", ")))
+    }
+}
+
 /// The host-speed benchmark (`perfbench/`, its own package): its
 /// fidelity tests pin the simulator API it drives, then one short pass
 /// over every workload lands in `results/perfbench.txt`.
@@ -373,6 +440,7 @@ fn main() -> ExitCode {
             .and_then(|()| faultdiff())
             .and_then(|()| serve_soak())
             .and_then(|()| explain())
+            .and_then(|()| record())
             .and_then(|()| perfbench()),
         "fmt" => step("fmt", &["fmt", "--all"]),
         "lint" => lint(),
@@ -386,10 +454,11 @@ fn main() -> ExitCode {
         "faultdiff" => faultdiff(),
         "serve-soak" => serve_soak(),
         "explain" => explain(),
+        "record" => record(),
         "perfbench" => perfbench(),
         _ => {
             eprintln!(
-                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|check|pardiff|tracediff|soak|faultdiff|serve-soak|explain|perfbench>"
+                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|check|pardiff|tracediff|soak|faultdiff|serve-soak|explain|record|perfbench>"
             );
             return ExitCode::from(2);
         }
