@@ -15,7 +15,7 @@
 
 use crate::bus::ChannelBus;
 use crate::check::ProtocolChecker;
-use crate::queues::{DrainPolicy, DrainState, RequestQueue};
+use crate::queues::{DrainPolicy, DrainState, RequestQueue, WriteQueue};
 use crate::request::{Completion, MemRequest, ReqId};
 use crate::stats::CtrlStats;
 use pcmap_core::{Layout, SystemKind};
@@ -141,9 +141,11 @@ pub trait Controller: Send {
 
     /// Queued reads.
     fn read_q_len(&self) -> usize;
-    /// Queued writes.
+    /// Queued writes of the whole channel, across every bank.
     fn write_q_len(&self) -> usize;
-    /// Write-queue capacity (for CPU-side back-pressure).
+    /// Write-queue capacity of *one bank*: writes are buffered per bank,
+    /// so this is not a bound on [`Self::write_q_len`], which counts the
+    /// whole channel.
     fn write_q_capacity(&self) -> usize;
     /// Statistics.
     fn stats(&self) -> &CtrlStats;
@@ -236,16 +238,12 @@ pub struct ChannelController {
     rank: PcmRank,
     /// Pending reads.
     read_q: RequestQueue,
-    /// Pending writes, one queue per bank (Table I / §V: "separate write
-    /// and read queues ... for banks"). Per-bank buffering is what makes
-    /// drains produce deep same-bank write bursts — the regime WoW
-    /// consolidates.
-    write_qs: Vec<RequestQueue>,
-    /// Every queued write as `(arrival, id, bank)`, in `(arrival, id)`
-    /// order: the order the PCMap write pass visits candidates in. It
-    /// holds exactly the requests of `write_qs`; [`Controller::enqueue_write`]
-    /// and [`Self::remove_write`] are the only places either changes.
-    write_order: Vec<(Cycle, ReqId, BankId)>,
+    /// Pending writes: the one store of every queued write, in
+    /// `(arrival, id)` order, bounded per bank (Table I / §V: "separate
+    /// write and read queues ... for banks"). Per-bank buffering is what
+    /// makes drains produce deep same-bank write bursts — the regime WoW
+    /// consolidates. Both write passes walk it oldest first.
+    writes: WriteQueue,
     /// Write-drain state machine, per bank.
     drains: Vec<DrainPolicy>,
     /// The shared channel data bus.
@@ -305,17 +303,7 @@ pub struct ChannelController {
 
 impl ChannelController {
     /// Creates the controller of one channel for system `kind`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bank's write queue holds more than `u16::MAX` entries:
-    /// the PCMap write pass keeps its per-bank queue cursors in `u16`s.
     pub fn new(kind: SystemKind, org: MemOrg, t: TimingParams, q: QueueParams, seed: u64) -> Self {
-        assert!(
-            q.write_q <= usize::from(u16::MAX),
-            "write queue of {} entries exceeds the write pass's u16 cursors",
-            q.write_q
-        );
         let checker = ProtocolChecker::from_env(&t);
         Self {
             kind,
@@ -324,10 +312,7 @@ impl ChannelController {
             t,
             rank: PcmRank::with_seed(org, seed),
             read_q: RequestQueue::new(q.read_q),
-            write_qs: (0..org.banks)
-                .map(|_| RequestQueue::new(q.write_q))
-                .collect(),
-            write_order: Vec::new(),
+            writes: WriteQueue::new(usize::from(org.banks), q.write_q),
             drains: (0..org.banks).map(|_| DrainPolicy::new(&q)).collect(),
             bus: ChannelBus::new(),
             stats: CtrlStats::new(org.banks as usize),
@@ -395,7 +380,7 @@ impl ChannelController {
     /// strictly past `now`; `None` when no work is pending.
     fn compute_wake(&mut self, now: Cycle) {
         let has_work =
-            !self.read_q.is_empty() || self.write_q_len_total() > 0 || !self.watchdogs.is_empty();
+            !self.read_q.is_empty() || !self.writes.is_empty() || !self.watchdogs.is_empty();
         if !has_work {
             self.wake = None;
             self.retry_hint = None;
@@ -412,7 +397,7 @@ impl ChannelController {
         // window expires (reads queued later re-arm the horizon via the
         // enqueue hook).
         if self.read_q.is_empty()
-            && self.write_q_len_total() > 0
+            && !self.writes.is_empty()
             && !self.any_draining()
             && !self.read_idle(now)
         {
@@ -453,7 +438,7 @@ impl ChannelController {
     /// Updates one bank's drain state machine, tracking exits for delay
     /// attribution.
     fn update_drain(&mut self, bank: BankId, now: Cycle) -> DrainState {
-        let backlog = self.write_qs[bank.index()].len();
+        let backlog = self.writes.bank_len(bank);
         let d = &mut self.drains[bank.index()];
         let before = d.state();
         let after = d.update(backlog);
@@ -463,37 +448,9 @@ impl ChannelController {
         after
     }
 
-    /// Total queued writes across banks.
-    fn write_q_len_total(&self) -> usize {
-        self.write_order.len()
-    }
-
-    /// `true` when the write index and the bank queues hold as many
-    /// requests (checked after every insertion and removal, which each
-    /// touch one request in both).
-    fn write_index_in_sync(&self) -> bool {
-        self.write_order.len() == self.write_qs.iter().map(RequestQueue::len).sum::<usize>()
-    }
-
-    /// Removes the queued write `id` from `bank`'s queue and from the
-    /// write index, and returns it.
-    fn remove_write(&mut self, bank: BankId, id: ReqId) -> MemRequest {
-        let req = self.write_qs[bank.index()]
-            .remove(id)
-            .expect("write still queued");
-        let key = (req.arrival, req.id);
-        let pos = self
-            .write_order
-            .partition_point(|&(at, rid, _)| (at, rid) < key);
-        debug_assert_eq!(
-            self.write_order.get(pos),
-            Some(&(req.arrival, req.id, bank)),
-            "write {} missing from the write index",
-            id.0
-        );
-        self.write_order.remove(pos);
-        debug_assert!(self.write_index_in_sync(), "write index out of sync");
-        req
+    /// Removes the queued write `id` and returns it.
+    fn remove_write(&mut self, id: ReqId) -> MemRequest {
+        self.writes.remove(id).expect("write still queued")
     }
 
     /// `true` while any bank is draining writes — the channel bus is
@@ -979,10 +936,7 @@ impl Controller for ChannelController {
         // recomputed: mark the controller due immediately.
         self.wake = Some(Cycle::ZERO);
         self.last_read_activity = Some(self.last_read_activity.unwrap_or(Cycle::ZERO).max(now));
-        if self.write_qs[req.loc.bank.index()]
-            .newest_to_line(req.line)
-            .is_some()
-        {
+        if self.writes.holds_line(req.line) {
             let done = now + FORWARD_LATENCY;
             self.stats.reads_forwarded += 1;
             self.stats.record_read_done(req.arrival, done);
@@ -1008,21 +962,7 @@ impl Controller for ChannelController {
 
     fn enqueue_write(&mut self, req: MemRequest, _now: Cycle) -> Result<(), MemRequest> {
         let (at, id) = (req.arrival, req.id.0);
-        let q = &mut self.write_qs[req.loc.bank.index()];
-        // The PCMap write pass reads bank-queue positions off the write
-        // index, so each bank queue must stay in (arrival, id) order.
-        let ordered = q
-            .iter()
-            .last()
-            .is_none_or(|n| (n.arrival, n.id) <= (at, req.id));
-        debug_assert!(ordered, "write {id} enqueued out of (arrival, id) order");
-        let entry = (at, req.id, req.loc.bank);
-        q.push(req)?;
-        let pos = self
-            .write_order
-            .partition_point(|&(a, rid, _)| (a, rid) < (entry.0, entry.1));
-        self.write_order.insert(pos, entry);
-        debug_assert!(self.write_index_in_sync(), "write index out of sync");
+        self.writes.push(req)?;
         // Fresh work: mark the controller due immediately so the next
         // step body runs and recomputes the event horizon.
         self.wake = Some(Cycle::ZERO);
@@ -1085,11 +1025,11 @@ impl Controller for ChannelController {
     }
 
     fn write_q_len(&self) -> usize {
-        self.write_q_len_total()
+        self.writes.len()
     }
 
     fn write_q_capacity(&self) -> usize {
-        self.write_qs[0].capacity()
+        self.writes.bank_capacity()
     }
 
     fn stats(&self) -> &CtrlStats {

@@ -129,57 +129,74 @@ impl ChannelController {
     /// opportunistically after a read-idle window; otherwise, with
     /// `tag_parked`, the parked writes are attributed to read priority.
     /// Returns `true` if any write issued.
+    ///
+    /// One oldest-first walk picks each bank's oldest write that can
+    /// issue, preserving same-address write order (a newer write to a
+    /// line may not jump an older blocked one). A bank's chips are free
+    /// for all of its writes or for none, so the first write the walk
+    /// meets in a bank decides the bank. The picks then issue in bank
+    /// order, because the bus hands out transfer slots in issue order;
+    /// an issue reserves only its own bank, so every verdict of the walk
+    /// still holds when its bank's turn comes.
     pub(super) fn issue_baseline_writes(
         &mut self,
         now: Cycle,
         tag_parked: bool,
         out: &mut Vec<Completion>,
     ) -> bool {
-        let bus_write_mode = self.any_draining() || self.read_idle(now);
-        let mut issued = false;
-        for b in 0..self.org.banks {
-            let bank = BankId(b);
-            if bus_write_mode {
-                if let Some(id) = self.pick_baseline_write(bank, now) {
-                    self.issue_baseline_write(bank, id, now, out);
-                    issued = true;
-                }
-            } else if self.lifetrace.enabled() && tag_parked {
+        if !(self.any_draining() || self.read_idle(now)) {
+            if self.lifetrace.enabled() && tag_parked {
                 // Tracer-only attempts, as for reads behind a drain.
-                for pos in 0..self.write_qs[bank.index()].len() {
-                    let id = self.write_qs[bank.index()][pos].id;
+                for pos in 0..self.writes.len() {
+                    let MemRequest { id, loc, .. } = self.writes[pos];
                     self.blocked(id, now, WaitCause::ReadPriority, true, |_| {
-                        Resource::bank(bank)
+                        Resource::bank(loc.bank)
                     });
                 }
             }
+            return false;
         }
-        issued
-    }
-
-    /// Picks the oldest issueable write of `bank` at `now`, preserving
-    /// same-address write order (a newer write to a line may not jump an
-    /// older blocked one).
-    fn pick_baseline_write(&mut self, bank: BankId, now: Cycle) -> Option<ReqId> {
         let set = Self::baseline_write_set();
-        for pos in 0..self.write_qs[bank.index()].len() {
-            let q = &self.write_qs[bank.index()];
-            if q.older_to_same_line(pos) {
+        // Each visited bank's verdict: its pick, or when its chips free.
+        let mut verdicts: Vec<(BankId, Result<ReqId, Cycle>)> = Vec::new();
+        for pos in 0..self.writes.len() {
+            if self.writes.older_to_same_line(pos) {
                 continue;
             }
-            let id = q[pos].id;
-            let chips_free = self.rank.timing().free_at(bank, set, now);
-            if chips_free <= now {
-                return Some(id);
+            let MemRequest { id, loc, .. } = self.writes[pos];
+            let bank = loc.bank;
+            let verdict = match verdicts.iter().find(|v| v.0 == bank) {
+                Some(&(_, v)) => v,
+                None => {
+                    let chips_free = self.rank.timing().free_at(bank, set, now);
+                    let v = if chips_free <= now {
+                        Ok(id)
+                    } else {
+                        Err(chips_free)
+                    };
+                    verdicts.push((bank, v));
+                    v
+                }
+            };
+            if let Err(chips_free) = verdict {
+                // Event horizon: the write becomes issueable once its
+                // bank's chips drain (the bus never blocks issue, only
+                // shifts start).
+                self.note_hint(chips_free);
+                self.blocked(id, now, WaitCause::WriteInFlight, true, |_| {
+                    Resource::bank(bank)
+                });
             }
-            // Event horizon: the write becomes issueable once its bank's
-            // chips drain (the bus never blocks issue, only shifts start).
-            self.note_hint(chips_free);
-            self.blocked(id, now, WaitCause::WriteInFlight, true, |_| {
-                Resource::bank(bank)
-            });
         }
-        None
+        verdicts.sort_unstable_by_key(|v| v.0);
+        let mut issued = false;
+        for (bank, verdict) in verdicts {
+            if let Ok(id) = verdict {
+                self.issue_baseline_write(bank, id, now, out);
+                issued = true;
+            }
+        }
+        issued
     }
 
     /// Issues `bank`'s queued write `id` as a baseline (whole-rank) write
@@ -192,7 +209,7 @@ impl ChannelController {
         now: Cycle,
         out: &mut Vec<Completion>,
     ) {
-        let req = self.remove_write(bank, id);
+        let req = self.remove_write(id);
         let ReqKind::Write { data } = req.kind else {
             panic!("write queue held a read")
         };

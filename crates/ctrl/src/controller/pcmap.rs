@@ -31,10 +31,12 @@
 //! its words and when a read verifies the line.
 //!
 //! The write pass decides the write-mode gate once, visits candidates
-//! oldest first by walking the controller's `(arrival, id)`-ordered write
-//! index with one queue cursor per bank, and skips a write while an older
-//! write to its line is queued. Blocked verdicts are never cached: each
-//! evaluation shows in the report (DESIGN.md §4b item 7).
+//! oldest first by walking the controller's one `(arrival, id)`-ordered
+//! [`WriteQueue`], and skips a write while an older write to its line is
+//! queued. Blocked verdicts are never cached: each evaluation shows in the
+//! report (DESIGN.md §4b item 7).
+//!
+//! [`WriteQueue`]: crate::WriteQueue
 //!
 //! [`PcmRank::peek_data`]: pcmap_device::PcmRank::peek_data
 
@@ -85,22 +87,15 @@ impl ChannelController {
         if !write_mode && !self.lifetrace.enabled() {
             return false;
         }
-        // Visit candidates oldest first: walk the write index, which is in
-        // (arrival, id) order. Each bank queue is in that order too, so a
-        // bank's k-th index entry is its queue position k (one cursor per
-        // bank a `u8` can name). Only an issue changes the queues, and an
-        // issue ends the pass.
-        let mut cursor = [0u16; 1 << u8::BITS];
-        for i in 0..self.write_order.len() {
-            let b = self.write_order[i].2.index();
-            let pos = usize::from(cursor[b]);
-            cursor[b] += 1;
+        // Visit candidates oldest first: the store is in (arrival, id)
+        // order. Only an issue changes it, and an issue ends the pass.
+        for pos in 0..self.writes.len() {
             // Same-address write order must be preserved: a newer write to
             // a line may not jump an older one this pass passed over.
-            if self.write_qs[b].older_to_same_line(pos) {
+            if self.writes.older_to_same_line(pos) {
                 continue;
             }
-            let MemRequest { id, line, loc, .. } = self.write_qs[b][pos];
+            let MemRequest { id, line, loc, .. } = self.writes[pos];
             let bank = loc.bank;
             if !write_mode {
                 self.blocked(id, now, WaitCause::ReadPriority, true, |_| {
@@ -141,7 +136,7 @@ impl ChannelController {
             // Peek the essential set without mutating storage. Only data
             // words are diffed, so the peek computes no ECC or PCC.
             let old = self.rank.peek_data(bank, loc.row, loc.col);
-            let ReqKind::Write { data } = &self.write_qs[b][pos].kind else {
+            let ReqKind::Write { data } = &self.writes[pos].kind else {
                 unreachable!("write queue held a read")
             };
             let mask = old.diff_words(data);
@@ -151,7 +146,7 @@ impl ChannelController {
                 // have all landed.
                 self.checker
                     .status_poll_n(bank, now, start, overlapping, polls);
-                let req = self.remove_write(bank, id);
+                let req = self.remove_write(id);
                 let ReqKind::Write { data } = req.kind else {
                     unreachable!("write queue held a read")
                 };
@@ -251,7 +246,7 @@ impl ChannelController {
                     .speculative_on_degraded(bank, start, degraded, "WoW write");
             }
             self.issue_fine_write(
-                self.write_qs[b][pos],
+                self.writes[pos],
                 now,
                 mask,
                 start,
@@ -283,7 +278,7 @@ impl ChannelController {
         let bank = req.loc.bank;
         let partial = split_of.is_some();
         if !partial {
-            self.remove_write(bank, req.id);
+            self.remove_write(req.id);
         }
 
         let outcome = self

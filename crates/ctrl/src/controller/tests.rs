@@ -61,17 +61,35 @@ fn run_to_idle(c: &mut ChannelController, mut now: Cycle) -> Vec<Completion> {
     out
 }
 
+/// The `k`-th line address of `bank` in the tiny organization.
+fn addr_in_bank(bank: u8, k: usize) -> u64 {
+    let org = MemOrg::tiny();
+    (0..4096u64)
+        .map(|n| n * 64 * org.channels as u64)
+        .filter(|&a| org.decode(PhysAddr::new(a)).bank == BankId(bank))
+        .nth(k)
+        .expect("tiny org has two banks")
+}
+
 // ------------------------------------------------------------ Baseline --
 
 #[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "enqueued out of (arrival, id) order")]
-fn out_of_order_write_enqueue_is_caught() {
+fn baseline_issues_one_pass_in_bank_order() {
+    // Bank 1 holds the older write and both banks are free: one pass
+    // picks both, and bank 0's write still takes the first bus slot.
     let mut c = ctrl(SystemKind::Baseline);
-    let newer = write_req(&c, 2, 0, &[1], Cycle(5));
-    let older = write_req(&c, 1, 0, &[2], Cycle(5));
-    c.enqueue_write(newer, Cycle(5)).unwrap();
-    let _ = c.enqueue_write(older, Cycle(5));
+    for (id, addr) in [(1, addr_in_bank(1, 0)), (2, addr_in_bank(0, 0))] {
+        let w = write_req(&c, id, addr, &[2], Cycle(id));
+        c.enqueue_write(w, Cycle(id)).unwrap();
+    }
+    let out = c.step(Cycle(2));
+    assert_eq!(out.iter().map(|d| d.id.0).collect::<Vec<_>>(), [2, 1]);
+    // Each write programs for `array_set` after its transfer; the second
+    // transfer waits one burst behind the first.
+    let t = TimingParams::paper_default();
+    let first = Cycle(2 + t.t_wl + t.burst + t.array_set);
+    assert_eq!(out[0].done, first);
+    assert_eq!(out[1].done, first + Duration(t.burst));
 }
 
 #[test]
@@ -749,16 +767,11 @@ fn blocked_older_write_keeps_younger_same_line_write_queued() {
 }
 
 #[test]
-fn write_pass_merges_bank_queues_oldest_first() {
+fn write_pass_issues_across_banks_oldest_first() {
     // Bank 1 holds the older write: the pass issues in (arrival, id)
     // order, not bank order.
     let mut c = ctrl(SystemKind::RwowRde);
-    let org = MemOrg::tiny();
-    let bank1 = (1..64u64)
-        .map(|k| k * 64 * org.channels as u64)
-        .find(|&x| org.decode(PhysAddr::new(x)).bank == BankId(1))
-        .expect("tiny org has two banks");
-    for (id, addr) in [(1, bank1), (2, 0)] {
+    for (id, addr) in [(1, addr_in_bank(1, 0)), (2, 0)] {
         let w = write_req(&c, id, addr, &[2], Cycle(id));
         c.enqueue_write(w, Cycle(id)).unwrap();
     }
@@ -768,25 +781,29 @@ fn write_pass_merges_bank_queues_oldest_first() {
 
 #[test]
 fn write_pass_visits_a_late_enqueued_older_write_first() {
-    // Write 1 reaches the controller last but arrived first: the write
-    // index keeps (arrival, id) order, not enqueue order.
-    let mut c = ctrl(SystemKind::RwowRde);
-    let org = MemOrg::tiny();
-    let bank1 = (1..64u64)
-        .map(|k| k * 64 * org.channels as u64)
-        .find(|&x| org.decode(PhysAddr::new(x)).bank == BankId(1))
-        .expect("tiny org has two banks");
-    for (id, addr, word) in [(2, 0, 2), (3, 64 * 64, 5), (1, bank1, 2)] {
-        let w = write_req(&c, id, addr, &[word], Cycle(id));
-        c.enqueue_write(w, Cycle(3)).unwrap();
+    // Writes reach the controller out of arrival order: write 1 (bank 1)
+    // comes last, and bank 0's pair comes newest (3) first. The store
+    // keeps (arrival, id) order, not enqueue order, so every bank issues
+    // oldest first. PCMap issues in age order across banks; the Baseline
+    // issues one pass's per-bank picks in bank order.
+    for (kind, want) in [
+        (SystemKind::RwowRde, [1, 2, 3]),
+        (SystemKind::Baseline, [2, 1, 3]),
+    ] {
+        let mut c = ctrl(kind);
+        let (a0, b0) = (addr_in_bank(0, 0), addr_in_bank(0, 1));
+        for (id, addr, word) in [(3, b0, 5), (2, a0, 2), (1, addr_in_bank(1, 0), 2)] {
+            let w = write_req(&c, id, addr, &[word], Cycle(id));
+            c.enqueue_write(w, Cycle(3)).unwrap();
+        }
+        assert_eq!(c.write_q_len(), 3);
+        let ids: Vec<u64> = run_to_idle(&mut c, Cycle(3))
+            .iter()
+            .map(|d| d.id.0)
+            .collect();
+        assert_eq!(ids, want, "{kind:?}");
+        assert_eq!(c.write_q_len(), 0);
     }
-    assert_eq!(c.write_q_len(), 3);
-    let ids: Vec<u64> = run_to_idle(&mut c, Cycle(3))
-        .iter()
-        .map(|d| d.id.0)
-        .collect();
-    assert_eq!(ids, [1, 2, 3]);
-    assert_eq!(c.write_q_len(), 0);
 }
 
 /// Read priority: a queued read and no drain. Writes go to lines
@@ -795,11 +812,7 @@ fn read_priority_scene(traced: bool) -> ChannelController {
     let mut c = ctrl(SystemKind::RwowRde);
     c.set_lifetrace(traced);
     let org = MemOrg::tiny();
-    let bank_of = |addr: u64| org.decode(PhysAddr::new(addr)).bank;
-    let b = (1..64u64)
-        .map(|k| k * 64 * org.channels as u64)
-        .find(|&x| bank_of(x) != bank_of(0))
-        .expect("tiny org has two banks");
+    let b = addr_in_bank(1, 0);
     for (id, (addr, word)) in [(0, 1), (b, 2), (0, 3), (b, 4)].into_iter().enumerate() {
         let w = write_req(&c, id as u64 + 1, addr, &[word], Cycle(0));
         c.enqueue_write(w, Cycle(0)).unwrap();

@@ -59,6 +59,6 @@ pub use bus::{BusDir, ChannelBus};
 pub use check::{InvariantKind, ProtocolChecker, Violation};
 pub use controller::{BaselineController, ChannelController, Controller};
 pub use irlp::IrlpTracker;
-pub use queues::{DrainPolicy, DrainState, RequestQueue};
+pub use queues::{DrainPolicy, DrainState, RequestQueue, WriteQueue};
 pub use request::{Completion, MemRequest, ReqId, ReqKind};
 pub use stats::CtrlStats;

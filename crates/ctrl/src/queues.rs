@@ -3,10 +3,11 @@
 //! The controller buffers writes (they are off the critical path) and
 //! prioritizes reads until the write queue fills past the α = 80 % high
 //! watermark; it then *drains* writes until the low watermark is reached
-//! (§II-B of the paper). The hysteresis lives in [`DrainPolicy`].
+//! (§II-B of the paper). The hysteresis lives in [`DrainPolicy`]; the
+//! buffered writes live in one [`WriteQueue`].
 
 use crate::request::{MemRequest, ReqId};
-use pcmap_types::QueueParams;
+use pcmap_types::{BankId, LineAddr, LineMap, QueueParams};
 
 /// A bounded FIFO request queue that supports out-of-order removal
 /// (FR-FCFS picks by row-hit status, not strictly head-of-line).
@@ -51,32 +52,21 @@ impl RequestQueue {
     }
 
     /// Queue capacity.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Iterates over queued requests in arrival order.
-    pub fn iter(&self) -> impl Iterator<Item = &MemRequest> {
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = &MemRequest> {
         self.entries.iter()
-    }
-
-    /// `true` if a request ahead of position `pos` targets the same line:
-    /// a pass that stops at its first issue has passed it over, and a
-    /// newer write to a line never jumps an older one.
-    pub fn older_to_same_line(&self, pos: usize) -> bool {
-        let line = self.entries[pos].line;
-        self.entries[..pos].iter().any(|r| r.line == line)
     }
 
     /// Removes and returns the request with `id`.
     pub fn remove(&mut self, id: ReqId) -> Option<MemRequest> {
         let pos = self.entries.iter().position(|r| r.id == id)?;
         Some(self.entries.remove(pos))
-    }
-
-    /// The newest write to `line`, if any — used for read forwarding.
-    pub fn newest_to_line(&self, line: pcmap_types::LineAddr) -> Option<&MemRequest> {
-        self.entries.iter().rev().find(|r| r.line == line)
     }
 }
 
@@ -86,6 +76,144 @@ impl std::ops::Index<usize> for RequestQueue {
 
     fn index(&self, pos: usize) -> &MemRequest {
         &self.entries[pos]
+    }
+}
+
+/// Every queued write of a channel, in `(arrival, id)` order: the order
+/// the write passes visit candidates in (oldest first, §IV-D2 rule 2).
+///
+/// Writes are buffered per bank (Table I / §V: "separate write and read
+/// queues ... for banks"), so each bank holds at most `bank_capacity` of
+/// them; the per-bank counts enforce that bound and feed the per-bank
+/// drain policies. A per-line count answers read forwarding
+/// ([`Self::holds_line`]) and tells a push or removal whether the
+/// same-line rule ([`Self::older_to_same_line`]) of any other write can
+/// change, so only a line with two or more queued writes pays for a scan.
+#[derive(Debug, Clone, Default)]
+pub struct WriteQueue {
+    /// Queued writes, sorted by `(arrival, id)`.
+    entries: Vec<Entry>,
+    /// Queued writes per bank.
+    per_bank: Vec<usize>,
+    /// The per-bank bound.
+    bank_capacity: usize,
+    /// Queued writes per line; a line with none has no key.
+    lines: LineMap<LineAddr, u32>,
+}
+
+/// A queued write and its same-line verdict.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    req: MemRequest,
+    /// An older write to the same line is queued.
+    shadowed: bool,
+}
+
+impl WriteQueue {
+    /// An empty store for `banks` banks of `bank_capacity` writes each.
+    pub fn new(banks: usize, bank_capacity: usize) -> Self {
+        Self {
+            entries: Vec::new(),
+            per_bank: vec![0; banks],
+            bank_capacity,
+            lines: LineMap::default(),
+        }
+    }
+
+    /// Inserts a write at its `(arrival, id)` position.
+    ///
+    /// # Errors
+    ///
+    /// Returns the request back if its bank already holds `bank_capacity`
+    /// writes.
+    #[allow(clippy::result_large_err)]
+    pub fn push(&mut self, req: MemRequest) -> Result<(), MemRequest> {
+        let bank = &mut self.per_bank[req.loc.bank.index()];
+        if *bank >= self.bank_capacity {
+            return Err(req);
+        }
+        *bank += 1;
+        let queued = self.lines.entry(req.line).or_insert(0);
+        *queued += 1;
+        let shared = *queued > 1;
+        let key = (req.arrival, req.id);
+        let pos = self
+            .entries
+            .partition_point(|e| (e.req.arrival, e.req.id) < key);
+        // Only a line with another queued write can shadow or be shadowed.
+        let shadowed = shared && self.entries[..pos].iter().any(|e| e.req.line == req.line);
+        if shared {
+            for e in &mut self.entries[pos..] {
+                e.shadowed |= e.req.line == req.line;
+            }
+        }
+        self.entries.insert(pos, Entry { req, shadowed });
+        Ok(())
+    }
+
+    /// Removes and returns the write with `id`.
+    pub fn remove(&mut self, id: ReqId) -> Option<MemRequest> {
+        let pos = self.entries.iter().position(|e| e.req.id == id)?;
+        let Entry { req, shadowed } = self.entries.remove(pos);
+        self.per_bank[req.loc.bank.index()] -= 1;
+        let n = self
+            .lines
+            .get_mut(&req.line)
+            .expect("queued line is counted");
+        *n -= 1;
+        if *n == 0 {
+            self.lines.remove(&req.line);
+        } else if !shadowed {
+            // The removed write headed its line; the next one now does.
+            if let Some(e) = self.entries[pos..]
+                .iter_mut()
+                .find(|e| e.req.line == req.line)
+            {
+                e.shadowed = false;
+            }
+        }
+        Some(req)
+    }
+
+    /// Queued writes across all banks.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` if no write is queued.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Queued writes of `bank`.
+    pub fn bank_len(&self, bank: BankId) -> usize {
+        self.per_bank[bank.index()]
+    }
+
+    /// The per-bank bound.
+    pub fn bank_capacity(&self) -> usize {
+        self.bank_capacity
+    }
+
+    /// `true` if a write to `line` is queued: a read of it is forwarded.
+    pub fn holds_line(&self, line: LineAddr) -> bool {
+        self.lines.contains_key(&line)
+    }
+
+    /// `true` if a write ahead of position `pos` targets the same line:
+    /// a pass that stops at its first issue has passed it over, and a
+    /// newer write to a line never jumps an older one.
+    pub fn older_to_same_line(&self, pos: usize) -> bool {
+        self.entries[pos].shadowed
+    }
+}
+
+/// Position `pos` in `(arrival, id)` order (0 is the oldest write).
+impl std::ops::Index<usize> for WriteQueue {
+    type Output = MemRequest;
+
+    fn index(&self, pos: usize) -> &MemRequest {
+        &self.entries[pos].req
     }
 }
 
@@ -150,9 +278,11 @@ impl DrainPolicy {
 mod tests {
     use super::*;
     use crate::request::{ReqId, ReqKind};
-    use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr};
+    use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, Xoshiro256};
+    use proptest::prelude::*;
 
-    fn req(id: u64, addr: u64) -> MemRequest {
+    /// Request `id` to `addr`, arriving at `arrival`.
+    fn req_at(id: u64, addr: u64, arrival: u64) -> MemRequest {
         let org = MemOrg::tiny();
         let a = PhysAddr::new(addr);
         MemRequest {
@@ -161,8 +291,22 @@ mod tests {
             line: a.line(),
             loc: org.decode(a),
             core: CoreId(0),
-            arrival: Cycle(id),
+            arrival: Cycle(arrival),
         }
+    }
+
+    fn req(id: u64, addr: u64) -> MemRequest {
+        req_at(id, addr, id)
+    }
+
+    /// The first `n` line addresses of `bank` in the tiny organization.
+    fn lines_of_bank(bank: u8, n: usize) -> Vec<u64> {
+        let org = MemOrg::tiny();
+        (0..4096u64)
+            .map(|k| k * 64)
+            .filter(|&a| org.decode(PhysAddr::new(a)).bank == BankId(bank))
+            .take(n)
+            .collect()
     }
 
     #[test]
@@ -174,6 +318,17 @@ mod tests {
         let rejected = q.push(req(3, 128));
         assert_eq!(rejected.unwrap_err().id, ReqId(3));
         assert_eq!(q.len(), 2);
+
+        // The write store bounds each bank, not the channel: bank 0 is
+        // full while the channel still has room.
+        let (b0, b1) = (lines_of_bank(0, 2), lines_of_bank(1, 1));
+        let mut w = WriteQueue::new(2, 1);
+        assert!(w.push(req(1, b0[0])).is_ok());
+        let rejected = w.push(req(2, b0[1]));
+        assert_eq!(rejected.unwrap_err().id, ReqId(2));
+        assert_eq!((w.len(), w.bank_len(BankId(0))), (1, 1));
+        assert!(w.push(req(3, b1[0])).is_ok());
+        assert_eq!(w.len(), 2);
     }
 
     #[test]
@@ -191,21 +346,24 @@ mod tests {
     }
 
     #[test]
-    fn newest_to_line_finds_latest_write() {
-        let mut q = RequestQueue::new(4);
+    fn holds_line_counts_duplicate_writes() {
+        let mut q = WriteQueue::new(2, 4);
         q.push(req(1, 0)).unwrap();
         q.push(req(2, 0)).unwrap(); // same line as id 1
         q.push(req(3, 64)).unwrap();
-        assert_eq!(
-            q.newest_to_line(PhysAddr::new(0).line()).unwrap().id,
-            ReqId(2)
-        );
-        assert!(q.newest_to_line(PhysAddr::new(4096).line()).is_none());
+        let line = PhysAddr::new(0).line();
+        assert!(q.holds_line(line));
+        assert!(!q.holds_line(PhysAddr::new(4096).line()));
+        // The line stays held until its last queued write leaves.
+        q.remove(ReqId(1)).unwrap();
+        assert!(q.holds_line(line));
+        q.remove(ReqId(2)).unwrap();
+        assert!(!q.holds_line(line));
     }
 
     #[test]
     fn older_to_same_line_sees_only_entries_ahead() {
-        let mut q = RequestQueue::new(4);
+        let mut q = WriteQueue::new(2, 4);
         q.push(req(1, 0)).unwrap();
         q.push(req(2, 64)).unwrap();
         q.push(req(3, 0)).unwrap(); // same line as id 1
@@ -218,6 +376,81 @@ mod tests {
         assert_eq!(q[1].id, ReqId(3));
         assert!(!q.older_to_same_line(1));
         assert!(q.older_to_same_line(2));
+    }
+
+    /// The reference [`WriteQueue`] is checked against: a plain `Vec`
+    /// re-sorted after each push and answered by linear scans.
+    struct ReferenceQueue {
+        entries: Vec<MemRequest>,
+        bank_capacity: usize,
+    }
+
+    impl ReferenceQueue {
+        fn bank_len(&self, bank: BankId) -> usize {
+            self.entries.iter().filter(|r| r.loc.bank == bank).count()
+        }
+
+        fn push(&mut self, req: MemRequest) -> bool {
+            if self.bank_len(req.loc.bank) >= self.bank_capacity {
+                return false;
+            }
+            self.entries.push(req);
+            self.entries.sort_by_key(|r| (r.arrival, r.id));
+            true
+        }
+
+        fn remove(&mut self, id: ReqId) -> Option<ReqId> {
+            let pos = self.entries.iter().position(|r| r.id == id)?;
+            Some(self.entries.remove(pos).id)
+        }
+
+        fn holds_line(&self, line: LineAddr) -> bool {
+            self.entries.iter().any(|r| r.line == line)
+        }
+
+        fn older_to_same_line(&self, pos: usize) -> bool {
+            let line = self.entries[pos].line;
+            self.entries[..pos].iter().any(|r| r.line == line)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn write_store_matches_a_sorted_vec_reference(seed: u64) {
+            let mut rng = Xoshiro256::new(seed);
+            // A small line pool over both banks makes same-line writes
+            // common; a per-bank capacity of 3 makes rejections common.
+            let mut pool = lines_of_bank(0, 3);
+            pool.extend(lines_of_bank(1, 3));
+            let absent = PhysAddr::new(lines_of_bank(1, 4)[3]).line();
+            let mut q = WriteQueue::new(2, 3);
+            let mut r = ReferenceQueue { entries: Vec::new(), bank_capacity: 3 };
+            for id in 0..200u64 {
+                if rng.next_below(5) < 3 {
+                    let addr = pool[rng.next_below(pool.len() as u64) as usize];
+                    let w = req_at(id, addr, rng.next_below(16));
+                    prop_assert_eq!(q.push(w).is_ok(), r.push(w));
+                } else {
+                    let victim = ReqId(rng.next_below(id + 1));
+                    prop_assert_eq!(q.remove(victim).map(|w| w.id), r.remove(victim));
+                }
+                let ids: Vec<ReqId> = (0..q.len()).map(|p| q[p].id).collect();
+                let want: Vec<ReqId> = r.entries.iter().map(|w| w.id).collect();
+                prop_assert_eq!(ids, want);
+                prop_assert_eq!(q.is_empty(), r.entries.is_empty());
+                for b in 0..2 {
+                    prop_assert_eq!(q.bank_len(BankId(b)), r.bank_len(BankId(b)));
+                }
+                for &addr in &pool {
+                    let line = PhysAddr::new(addr).line();
+                    prop_assert_eq!(q.holds_line(line), r.holds_line(line));
+                }
+                prop_assert!(!q.holds_line(absent));
+                for pos in 0..q.len() {
+                    prop_assert_eq!(q.older_to_same_line(pos), r.older_to_same_line(pos));
+                }
+            }
+        }
     }
 
     #[test]

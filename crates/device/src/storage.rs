@@ -6,40 +6,8 @@
 //! against "old" data always have something real to diff against).
 
 use pcmap_ecc::LineCodec;
-use pcmap_types::{BankId, CacheLine, ColAddr, MemOrg, RowAddr};
+use pcmap_types::{BankId, CacheLine, ColAddr, LineMap, MemOrg, RowAddr};
 use std::collections::BTreeMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// The written lines of a rank, keyed by line index. Only point lookups,
-/// inserts and `len` touch it; it is never iterated, so its order cannot
-/// reach a result, and its hasher is fixed, so no run differs from another.
-// pcmap-lint: allow(hash-collections, reason = "never iterated (get/insert/len only) and hashed by the fixed LineKeyHasher, so no iteration order or per-process seed can leak into results")
-type LineMap = std::collections::HashMap<u64, StoredLine, BuildHasherDefault<LineKeyHasher>>;
-
-/// A fixed multiplicative hash of a line index: the same on every run and
-/// every host.
-#[derive(Default)]
-struct LineKeyHasher(u64);
-
-impl Hasher for LineKeyHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ h >> 32;
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// A stored cache line together with its ECC and PCC words (the contents of
 /// the ninth and tenth chips for this line).
@@ -58,7 +26,9 @@ pub struct StoredLine {
 pub struct RankStorage {
     org: MemOrg,
     codec: LineCodec,
-    lines: LineMap,
+    /// The written lines, keyed by line index. Only point lookups,
+    /// inserts and `len` touch it.
+    lines: LineMap<u64, StoredLine>,
     /// Wear-induced stuck-at cells: line key → `(word, bit, value)`.
     /// Applied on every [`Self::store`], so writes to a worn cell
     /// silently fail while the freshly computed ECC/PCC words still

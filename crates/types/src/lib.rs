@@ -36,6 +36,7 @@ pub mod error;
 pub mod faults;
 pub mod ids;
 pub mod line;
+pub mod map;
 pub mod rng;
 pub mod serve;
 pub mod set;
@@ -47,6 +48,7 @@ pub use error::{ConfigError, Result};
 pub use faults::FaultConfig;
 pub use ids::{BankId, ChannelId, ChipId, ColAddr, CoreId, RankId, RowAddr, WordIdx};
 pub use line::{CacheLine, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
+pub use map::{LineKeyHasher, LineMap};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use serve::{ServeConfig, ServeSummary, SloSpec};
 pub use set::{ChipSet, WordMask};
