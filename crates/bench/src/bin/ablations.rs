@@ -2,7 +2,7 @@
 //! status-poll cost, drain watermarks, queue depths, and rotation under
 //! correlated vs uncorrelated write offsets.
 
-use pcmap_bench::{count_from_args, runner_from_args};
+use pcmap_bench::count_from_args;
 use pcmap_core::{RollbackMode, SystemKind};
 use pcmap_sim::{SimConfig, System, TableBuilder};
 use pcmap_workloads::catalog;
@@ -12,8 +12,7 @@ fn run(cfg: SimConfig, wl: &catalog::Workload) -> f64 {
 }
 
 fn main() {
-    let requests = count_from_args("REQUESTS", 12_000, true);
-    let mut runner = runner_from_args();
+    let (requests, mut runner) = count_from_args("REQUESTS", 12_000, true);
     let wl = catalog::by_name("canneal").expect("catalog workload");
 
     println!("Ablations (canneal, {requests} requests, RWoW-RDE unless noted)\n");

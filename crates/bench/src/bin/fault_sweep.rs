@@ -21,8 +21,8 @@
 //! degraded mode. The verdict is written to `results/soak.json` (or the
 //! given path) and a failed assertion exits non-zero.
 //!
-//! All sweep points are independent, so `--jobs N` farms them to the
-//! deterministic pool: the table, JSON, and CSV are byte-identical at
+//! All sweep points are independent, so `--jobs N` farms them to N
+//! workers: the table, JSON, and CSV are byte-identical at
 //! every job count. `PCMAP_FAULTS=RATE[:SEED]` preseeds a single-rate
 //! sweep, as everywhere else.
 
@@ -54,7 +54,7 @@ fn parse_args() -> Result<Args, String> {
         requests: 4_000,
         rates: DEFAULT_RATES.to_vec(),
         fault_seed: pcmap_bench::DEFAULT_FAULT_SEED,
-        jobs: pcmap_bench::jobs_from_args()?,
+        jobs: pcmap_bench::env_jobs()?,
         json: None,
         csv: None,
         soak: None,
@@ -105,7 +105,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad fault seed: {e}"))?;
             }
-            "--jobs" | "-j" => args.jobs = pcmap_par::parse_jobs("--jobs", &value("--jobs")?)?,
+            "--jobs" | "-j" => args.jobs = pcmap_bench::parse_jobs("--jobs", &value("--jobs")?)?,
             "--json" => args.json = Some(value("--json")?),
             "--csv" => args.csv = Some(value("--csv")?),
             "--soak" => {

@@ -4,15 +4,15 @@
 //! `results/fig08_irlp.csv` (the printed table).
 
 use pcmap_bench::{
-    matrix_json, matrix_with_averages, metric_table, runner_from_args, scale_from_args,
-    write_csv_result, write_json_result,
+    matrix_json, matrix_with_averages, metric_table, scale_from_args, write_csv_result,
+    write_json_result,
 };
 use pcmap_core::SystemKind;
 use pcmap_obs::Value;
 
 fn main() {
-    let mut runner = runner_from_args();
-    let rows = matrix_with_averages(scale_from_args(), &mut runner);
+    let (scale, mut runner) = scale_from_args();
+    let rows = matrix_with_averages(scale, &mut runner);
     println!("Figure 8 — IRLP during writes (max 8.0)");
     println!("Paper: baseline ~2.4 average; RWoW-RDE 4.5 average, up to 7.4.\n");
     let kinds = [

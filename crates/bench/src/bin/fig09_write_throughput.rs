@@ -1,13 +1,11 @@
 //! Figure 9: write throughput normalized to the baseline.
 
-use pcmap_bench::{
-    matrix_with_averages, render_metric_normalized, runner_from_args, scale_from_args,
-};
+use pcmap_bench::{matrix_with_averages, render_metric_normalized, scale_from_args};
 use pcmap_core::SystemKind;
 
 fn main() {
-    let mut runner = runner_from_args();
-    let rows = matrix_with_averages(scale_from_args(), &mut runner);
+    let (scale, mut runner) = scale_from_args();
+    let rows = matrix_with_averages(scale, &mut runner);
     println!("Figure 9 — write throughput, normalized to baseline");
     println!("Paper: >1.2x for 5 of 12 workloads under the full design.\n");
     let kinds = SystemKind::all();

@@ -5,15 +5,15 @@
 //! `results/fig10_read_latency.csv` (the printed table).
 
 use pcmap_bench::{
-    matrix_json, matrix_with_averages, metric_table_normalized, runner_from_args, scale_from_args,
-    write_csv_result, write_json_result,
+    matrix_json, matrix_with_averages, metric_table_normalized, scale_from_args, write_csv_result,
+    write_json_result,
 };
 use pcmap_core::SystemKind;
 use pcmap_obs::Value;
 
 fn main() {
-    let mut runner = runner_from_args();
-    let rows = matrix_with_averages(scale_from_args(), &mut runner);
+    let (scale, mut runner) = scale_from_args();
+    let rows = matrix_with_averages(scale, &mut runner);
     println!("Figure 10 — effective read latency, normalized to baseline (lower is better)");
     println!("Paper: RoW-NR 0.86-0.94; RWoW-RDE ~0.5.\n");
     let kinds = SystemKind::all();

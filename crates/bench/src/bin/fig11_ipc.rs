@@ -1,12 +1,12 @@
 //! Figure 11: IPC improvement over the baseline.
 
-use pcmap_bench::{matrix_with_averages, runner_from_args, scale_from_args};
+use pcmap_bench::{matrix_with_averages, scale_from_args};
 use pcmap_core::SystemKind;
 use pcmap_sim::TableBuilder;
 
 fn main() {
-    let mut runner = runner_from_args();
-    let rows = matrix_with_averages(scale_from_args(), &mut runner);
+    let (scale, mut runner) = scale_from_args();
+    let rows = matrix_with_averages(scale, &mut runner);
     println!("Figure 11 — IPC improvement over baseline [%]");
     println!(
         "Paper averages: RoW-NR 4.5, WoW-NR 6.1, RWoW-NR 9.95, RWoW-RD 13.1, RWoW-RDE 16.6.\n"

@@ -7,16 +7,16 @@
 //! breakdown) as `results/figs_all.json`.
 
 use pcmap_bench::{
-    matrix_json, matrix_with_averages, metric_table, metric_table_normalized, runner_from_args,
-    scale_from_args, write_csv_result, write_json_result,
+    matrix_json, matrix_with_averages, metric_table, metric_table_normalized, scale_from_args,
+    write_csv_result, write_json_result,
 };
 use pcmap_core::SystemKind;
 use pcmap_obs::Value;
 use pcmap_sim::TableBuilder;
 
 fn main() {
-    let mut runner = runner_from_args();
-    let rows = matrix_with_averages(scale_from_args(), &mut runner);
+    let (scale, mut runner) = scale_from_args();
+    let rows = matrix_with_averages(scale, &mut runner);
     let kinds = SystemKind::all();
 
     println!("=== Figure 8 — IRLP during writes (max 8.0) ===\n");

@@ -15,7 +15,7 @@
 //! table as CSV.
 //!
 //! `--jobs N` (default 1, or `PCMAP_JOBS`) farms the independent system
-//! runs of `--all` to N pool workers (DESIGN.md §9). Every table, JSON,
+//! runs of `--all` to N workers (DESIGN.md §9). Every table, JSON,
 //! and CSV byte is identical at any `N`.
 //!
 //! `--fault-rate R` (with optional `--fault-seed S`, or the `PCMAP_FAULTS`
@@ -59,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
         seed: 0xC0FFEE,
         rollback: RollbackMode::NeverFaulty,
         all: false,
-        jobs: pcmap_bench::jobs_from_args()?,
+        jobs: pcmap_bench::env_jobs()?,
         json: None,
         csv: None,
         fault_rate: 0.0,
@@ -104,7 +104,7 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--all" | "-a" => args.all = true,
-            "--jobs" | "-j" => args.jobs = pcmap_par::parse_jobs("--jobs", &value("--jobs")?)?,
+            "--jobs" | "-j" => args.jobs = pcmap_bench::parse_jobs("--jobs", &value("--jobs")?)?,
             "--json" => args.json = Some(value("--json")?),
             "--csv" => args.csv = Some(value("--csv")?),
             "--fault-rate" => {
@@ -169,8 +169,8 @@ fn main() {
         vec![args.system]
     };
 
-    // Deterministic parallelism (--jobs N): whole runs are farmed to the
-    // pool and come back in input order, byte-identical at any N.
+    // Deterministic parallelism (--jobs N): whole runs are farmed to N
+    // workers and come back in input order, byte-identical at any N.
     let reports: Vec<RunReport> =
         SweepRunner::new(args.jobs).map(kinds, |kind| build(&args, kind, &wl).run());
 

@@ -23,9 +23,8 @@
 //! `results/serve_soak.json` and any failure exits non-zero.
 
 use pcmap_obs::Value;
-use pcmap_par::Pool;
 use pcmap_serve::{run_fleet, ServeReport};
-use pcmap_sim::TableBuilder;
+use pcmap_sim::{SweepRunner, TableBuilder};
 use pcmap_types::{ServeConfig, SloSpec};
 
 const USAGE: &str = "usage: pcmap_serve [--tenants N] [--requests N] \
@@ -49,7 +48,7 @@ fn parse_args() -> Result<Args, String> {
         } else {
             ServeConfig::paper_default()
         },
-        jobs: pcmap_bench::jobs_from_args()?,
+        jobs: pcmap_bench::env_jobs()?,
         json: None,
         soak: soak.then(|| "results/serve_soak.json".to_owned()),
     };
@@ -101,7 +100,7 @@ fn parse_args() -> Result<Args, String> {
                 args.cfg.faults = pcmap_bench::parse_fault_spec(&v)
                     .ok_or(format!("bad fault spec '{v}' (RATE or RATE:SEED)"))?;
             }
-            "--jobs" | "-j" => args.jobs = pcmap_par::parse_jobs("--jobs", &value("--jobs")?)?,
+            "--jobs" | "-j" => args.jobs = pcmap_bench::parse_jobs("--jobs", &value("--jobs")?)?,
             "--json" => args.json = Some(value("--json")?),
             "--soak" => {}
             "--soak-path" => args.soak = Some(value("--soak-path")?),
@@ -202,10 +201,12 @@ fn run_soak(cfg: &ServeConfig, soak_path: &str) -> i32 {
     let mut failures: Vec<String> = Vec::new();
 
     println!("serve soak · running fleet at --jobs 1 ...");
-    let report = run_fleet(cfg, &mut Pool::new(1));
+    let report = run_fleet(cfg, &mut SweepRunner::new(1));
     let serial = report.to_json().to_json_string();
     println!("serve soak · running fleet at --jobs 4 ...");
-    let parallel = run_fleet(cfg, &mut Pool::new(4)).to_json().to_json_string();
+    let parallel = run_fleet(cfg, &mut SweepRunner::new(4))
+        .to_json()
+        .to_json_string();
 
     if serial != parallel {
         let at = serial
@@ -323,7 +324,7 @@ fn main() {
         std::process::exit(run_soak(&args.cfg, soak_path));
     }
 
-    let report = run_fleet(&args.cfg, &mut Pool::new(args.jobs));
+    let report = run_fleet(&args.cfg, &mut SweepRunner::new(args.jobs));
     print_report(&report);
     let problems = report.check();
     if let Some(path) = &args.json {

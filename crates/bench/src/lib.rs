@@ -19,12 +19,13 @@ use pcmap_sim::experiments::{evaluate_matrix_with, EvalScale, WorkloadEval};
 use pcmap_sim::{RunReport, SweepRunner, TableBuilder};
 
 /// Parses the command line of a scale binary: an optional
-/// `quick|default|full` (default `default`) and `--jobs N` / `-j N` (read
-/// by [`runner_from_args`]). Anything else is a usage error: the message
-/// names the argument and the process exits with status 2.
-pub fn scale_from_args() -> EvalScale {
-    args_or_exit("[quick|default|full] [--jobs N]", true, scale_arg)
-        .unwrap_or_else(EvalScale::default_scale)
+/// `quick|default|full` (default `default`) and `--jobs N` / `-j N`
+/// (default [`env_jobs`]). Returns the scale and a runner with that many
+/// workers. Anything else is a usage error: the message names the
+/// argument and the process exits with status 2.
+pub fn scale_from_args() -> (EvalScale, SweepRunner) {
+    let (scale, runner) = args_or_exit("[quick|default|full] [--jobs N]", true, scale_arg);
+    (scale.unwrap_or_else(EvalScale::default_scale), runner)
 }
 
 fn scale_arg(arg: &str) -> Result<EvalScale, String> {
@@ -37,25 +38,32 @@ fn scale_arg(arg: &str) -> Result<EvalScale, String> {
 }
 
 /// Parses the command line of a count binary: an optional positive count
-/// named `what` (default `default`), plus `--jobs N` / `-j N` when `jobs`.
-/// Anything else is a usage error, as for [`scale_from_args`].
-pub fn count_from_args(what: &str, default: u64, jobs: bool) -> u64 {
+/// named `what` (default `default`), plus `--jobs N` / `-j N` when `jobs`
+/// (the runner is serial otherwise). Anything else is a usage error, as
+/// for [`scale_from_args`].
+pub fn count_from_args(what: &str, default: u64, jobs: bool) -> (u64, SweepRunner) {
     let usage = format!("[{what}]{}", if jobs { " [--jobs N]" } else { "" });
-    args_or_exit(&usage, jobs, |a| pcmap_par::parse_jobs(what, a)).map_or(default, |n| n as u64)
+    let (count, runner) = args_or_exit(&usage, jobs, |a| parse_jobs(what, a));
+    (count.map_or(default, |n| n as u64), runner)
 }
 
 /// Parses `args`: at most one positional argument, read by `positional`,
-/// and `--jobs N` / `-j N` when `jobs` is set.
+/// and `--jobs N` / `-j N` when `jobs` is set. Returns the positional
+/// value and the `--jobs` count, each if given.
 fn parse_args<T>(
     args: impl IntoIterator<Item = String>,
     jobs: bool,
     positional: impl Fn(&str) -> Result<T, String>,
-) -> Result<Option<T>, String> {
+) -> Result<(Option<T>, Option<usize>), String> {
     let mut value = None;
+    let mut count = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         if jobs && (arg == "--jobs" || arg == "-j") {
-            pcmap_par::parse_jobs("--jobs", &it.next().ok_or("--jobs needs a value")?)?;
+            count = Some(parse_jobs(
+                "--jobs",
+                &it.next().ok_or("--jobs needs a value")?,
+            )?);
         } else if arg.starts_with('-') {
             return Err(format!("unknown flag '{arg}'"));
         } else if value.is_some() {
@@ -64,54 +72,58 @@ fn parse_args<T>(
             value = Some(positional(&arg)?);
         }
     }
-    Ok(value)
+    Ok((value, count))
 }
 
-/// [`parse_args`] over the process arguments; on error prints the message
-/// and the usage line to stderr and exits with status 2.
+/// [`parse_args`] over the process arguments, with the job count
+/// defaulting to [`env_jobs`] when `jobs` is set; on error prints the
+/// message and the usage line to stderr and exits with status 2.
 fn args_or_exit<T>(
     usage: &str,
     jobs: bool,
     positional: impl Fn(&str) -> Result<T, String>,
-) -> Option<T> {
+) -> (Option<T>, SweepRunner) {
     let mut args = std::env::args();
     let bin = args.next().unwrap_or_default();
-    parse_args(args, jobs, positional).unwrap_or_else(|e| {
+    let default = if jobs { env_jobs() } else { Ok(1) };
+    let parsed = default.and_then(|default| {
+        let (value, count) = parse_args(args, jobs, positional)?;
+        Ok((value, SweepRunner::new(count.unwrap_or(default))))
+    });
+    parsed.unwrap_or_else(|e| {
         let bin = std::path::Path::new(&bin).file_name().unwrap_or_default();
         eprintln!("error: {e}\nusage: {} {usage}", bin.to_string_lossy());
         std::process::exit(2)
     })
 }
 
-/// Parses the common `--jobs N` (or `-j N`) flag, falling back to the
-/// `PCMAP_JOBS` environment variable, then to 1 (serial).
+/// Parses a worker count given by `source` (a flag or variable name).
 ///
 /// # Errors
 ///
-/// Returns a message naming the flag or variable when either is set to
-/// anything but a positive count.
-pub fn jobs_from_args() -> Result<usize, String> {
-    let env = pcmap_par::env_jobs()?;
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--jobs" || a == "-j") {
-        Some(i) => {
-            let v = args.get(i + 1).ok_or("--jobs needs a value")?;
-            pcmap_par::parse_jobs("--jobs", v)
-        }
-        None => Ok(env.unwrap_or(1)),
+/// Returns a message naming `source` and `value` unless `value` is a
+/// positive integer.
+pub fn parse_jobs(source: &str, value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("{source} wants a positive count, got '{value}'")),
     }
 }
 
-/// A sweep runner sized by [`jobs_from_args`]. A malformed count is a
-/// usage error: the message goes to stderr and the process exits with
-/// status 2.
-pub fn runner_from_args() -> SweepRunner {
-    match jobs_from_args() {
-        Ok(jobs) => SweepRunner::new(jobs),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+/// The job count the `PCMAP_JOBS` environment variable sets, or 1
+/// (serial) when it is unset or empty. A `--jobs` flag takes precedence
+/// over it.
+///
+/// # Errors
+///
+/// Returns a message naming the variable when it is set but not a
+/// positive integer.
+pub fn env_jobs() -> Result<usize, String> {
+    match std::env::var("PCMAP_JOBS") {
+        Err(std::env::VarError::NotPresent) => Ok(1),
+        Ok(v) if v.is_empty() => Ok(1),
+        Ok(v) => parse_jobs("PCMAP_JOBS", &v),
+        Err(e) => Err(format!("PCMAP_JOBS: {e}")),
     }
 }
 
@@ -369,14 +381,16 @@ mod tests {
 
     #[test]
     fn scale_defaults_without_args() {
-        assert!(parse_args(args(&[]), true, scale_arg).unwrap().is_none());
-        let q = parse_args(args(&["--jobs", "4", "quick"]), true, scale_arg);
-        assert_eq!(q.unwrap().unwrap().requests, EvalScale::quick().requests);
+        let (scale, jobs) = parse_args(args(&[]), true, scale_arg).unwrap();
+        assert!(scale.is_none() && jobs.is_none());
+        let (scale, jobs) = parse_args(args(&["--jobs", "4", "quick"]), true, scale_arg).unwrap();
+        assert_eq!(scale.unwrap().requests, EvalScale::quick().requests);
+        assert_eq!(jobs, Some(4));
     }
 
     #[test]
     fn unknown_arguments_are_errors() {
-        let count = |a: &str| pcmap_par::parse_jobs("N", a);
+        let count = |a: &str| parse_jobs("N", a);
         for (v, jobs, want) in [
             (&["quikc"][..], true, "unexpected argument 'quikc'"),
             (&["quick", "full"], true, "unexpected argument 'full'"),
@@ -390,7 +404,7 @@ mod tests {
         }
         assert_eq!(
             parse_args(args(&["9", "-j", "2"]), true, count),
-            Ok(Some(9))
+            Ok((Some(9), Some(2)))
         );
         for (v, want) in [
             (&["quick"][..], "N wants a positive count, got 'quick'"),
@@ -399,6 +413,18 @@ mod tests {
         ] {
             let e = parse_args(args(v), false, count).unwrap_err();
             assert!(e.contains(want), "{v:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn jobs_parser_takes_positive_counts_only() {
+        assert_eq!(parse_jobs("--jobs", "4"), Ok(4));
+        assert_eq!(parse_jobs("--jobs", "1"), Ok(1));
+        for bad in ["0", "x", "", "-2", "1.5", " 3"] {
+            assert_eq!(
+                parse_jobs("PCMAP_JOBS", bad),
+                Err(format!("PCMAP_JOBS wants a positive count, got '{bad}'"))
+            );
         }
     }
 }

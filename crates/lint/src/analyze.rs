@@ -1,6 +1,6 @@
-//! pcmap-analyze: semantic passes over the shallow AST (DESIGN.md §15).
+//! Semantic passes over the shallow AST (DESIGN.md §15).
 //!
-//! Where `pcmap-lint` bans *tokens*, this module checks *contracts*:
+//! Where the token rules ban *tokens*, this module checks *contracts*:
 //!
 //! 1. **missed-wake** — every type exposing a `next_tick()` horizon must
 //!    read (directly, or through the cache-refresh methods that write
@@ -107,8 +107,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     }
     let diagnostics = analyze_files(files);
     Ok(Report {
-        tool: "pcmap-analyze",
-        version: 2,
         files_scanned,
         diagnostics,
     })

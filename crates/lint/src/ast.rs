@@ -1,5 +1,5 @@
-//! A shallow Rust AST: just deep enough for the pcmap-analyze semantic
-//! passes, nothing more.
+//! A shallow Rust AST: just deep enough for the semantic passes of
+//! [`analyze`](crate::analyze), nothing more.
 //!
 //! The tokenizer runs over the comment-stripped, literal-blanked line
 //! views from [`crate::lexer::strip`], so neither comments nor string

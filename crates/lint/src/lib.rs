@@ -17,10 +17,9 @@
 //! |                      | outside the engine loops (DESIGN.md §14)             |
 //! | `bad-suppression`    | malformed / reason-less `pcmap-lint:` directives     |
 //!
-//! The `pcmap-analyze` binary layers the semantic passes of
-//! [`analyze`] (DESIGN.md §15) on top: `missed-wake`,
-//! `merge-completeness`, `nondet-taint`, `undocumented-unsafe`, and
-//! `dead-allow`.
+//! The `pcmap-lint` binary runs them together with the semantic passes of
+//! [`analyze`] (DESIGN.md §15): `missed-wake`, `merge-completeness`,
+//! `nondet-taint`, `undocumented-unsafe`, and `dead-allow`.
 //!
 //! Suppress one finding with
 //! `// pcmap-lint: allow(<rule>, reason = "...")` on the same line or
@@ -46,14 +45,9 @@ const TOOLING_CRATES: [&str; 3] = ["bench", "lint", "xtask"];
 /// Vendored dependency shims, exempt from linting.
 const VENDORED_CRATES: [&str; 2] = ["criterion", "proptest"];
 
-/// Result of linting (or analyzing) the whole workspace.
+/// Result of analyzing the whole workspace.
 #[derive(Debug)]
 pub struct Report {
-    /// `"pcmap-lint"` (token rules) or `"pcmap-analyze"` (token rules +
-    /// semantic passes + dead-waiver detection).
-    pub tool: &'static str,
-    /// Report schema version.
-    pub version: u32,
     pub files_scanned: usize,
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -67,8 +61,8 @@ impl Report {
     /// this crate by design).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"tool\": {},\n", json_str(self.tool)));
-        out.push_str(&format!("  \"version\": {},\n", self.version));
+        out.push_str("  \"tool\": \"pcmap-lint\",\n");
+        out.push_str("  \"version\": 2,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!(
             "  \"diagnostic_count\": {},\n",
@@ -131,7 +125,7 @@ pub fn scope_for(rel: &Path) -> CrateScope {
 
 /// Lints one source string under the given scope (fixture-test entry
 /// point; `path` is only used to label diagnostics). Token rules only —
-/// the semantic passes live in [`analyze`].
+/// the workspace gate, [`analyze_workspace`], adds the semantic passes.
 pub fn lint_source(path: &str, src: &str, scope: CrateScope) -> Vec<Diagnostic> {
     let lines = lexer::strip(src);
     let mut directives = suppress::DirectiveSet::parse(path, src, &lines);
@@ -161,34 +155,6 @@ pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Walks the workspace rooted at `root` and lints every `.rs` file.
-pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    let mut files = Vec::new();
-    for top in ["crates", "src", "tests", "examples", "benches"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            collect_rs(&dir, &mut files)?;
-        }
-    }
-    let mut diagnostics = Vec::new();
-    for path in &files {
-        let rel = path.strip_prefix(root).unwrap_or(path);
-        let scope = scope_for(rel);
-        if scope.rules().is_empty() {
-            continue;
-        }
-        let src = fs::read_to_string(path)?;
-        diagnostics.extend(lint_source(&rel.to_string_lossy(), &src, scope));
-    }
-    diagnostics.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(Report {
-        tool: "pcmap-lint",
-        version: 1,
-        files_scanned: files.len(),
-        diagnostics,
-    })
 }
 
 #[cfg(test)]
@@ -233,8 +199,6 @@ mod tests {
     #[test]
     fn report_json_shape() {
         let report = Report {
-            tool: "pcmap-lint",
-            version: 1,
             files_scanned: 2,
             diagnostics: vec![Diagnostic {
                 rule: Rule::HashCollections,

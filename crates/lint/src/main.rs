@@ -4,8 +4,10 @@
 //! pcmap-lint [--root <dir>] [--json <path>]
 //! ```
 //!
-//! Prints human diagnostics to stderr, optionally writes the JSON
-//! report, and exits 1 if any diagnostic was produced.
+//! Runs the token rules *plus* the semantic passes (missed-wake,
+//! merge-completeness, nondet-taint, undocumented-unsafe, dead-allow)
+//! over the workspace. Prints human diagnostics to stderr, optionally
+//! writes the JSON report, and exits 1 if any diagnostic was produced.
 
 use std::env;
 use std::fs;
@@ -30,7 +32,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = match pcmap_lint::lint_workspace(&root) {
+    let report = match pcmap_lint::analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pcmap-lint: {}: {e}", root.display());

@@ -32,25 +32,25 @@ pub enum Rule {
     /// A `pcmap-lint:` directive that is malformed, names an unknown
     /// rule, or lacks a non-empty `reason = "..."`.
     BadSuppression,
-    /// Semantic pass (pcmap-analyze): a field mutated *and* read on the
+    /// Semantic pass ([`analyze`](crate::analyze)): a field mutated *and* read on the
     /// `step()`/`schedule()`/`resolve()` paths of a type exposing a
     /// `next_tick()` horizon, yet absent from the horizon computation —
     /// a readiness change through it can miss its wake, and the run loop
     /// then skips a cycle where the component had work (DESIGN.md §14).
     MissedWake,
-    /// Semantic pass (pcmap-analyze): a field of a mergeable snapshot
+    /// Semantic pass ([`analyze`](crate::analyze)): a field of a mergeable snapshot
     /// struct that `merge()` or `to_json()` drops — data silently lost
     /// at `--jobs > 1`, breaking the DESIGN.md §9 determinism contract.
     MergeCompleteness,
-    /// Semantic pass (pcmap-analyze): a sim-facing function that reads a
+    /// Semantic pass ([`analyze`](crate::analyze)): a sim-facing function that reads a
     /// wall-clock/env/OS-entropy source, or launders one through a
     /// same-crate helper the token-level `wall-clock` ban cannot see.
     NondetTaint,
-    /// Semantic pass (pcmap-analyze): an `unsafe` block, fn, or impl
+    /// Semantic pass ([`analyze`](crate::analyze)): an `unsafe` block, fn, or impl
     /// without a `// SAFETY:` comment documenting the invariant that
     /// makes it sound.
     UndocumentedUnsafe,
-    /// Semantic pass (pcmap-analyze): an `allow(...)` directive that no
+    /// Semantic pass ([`analyze`](crate::analyze)): an `allow(...)` directive that no
     /// longer suppresses any diagnostic — stale waivers mask future
     /// regressions.
     DeadAllow,
@@ -126,7 +126,7 @@ impl CrateScope {
         }
     }
 
-    /// The pcmap-analyze semantic passes that apply to this scope.
+    /// The [`analyze`](crate::analyze) semantic passes that apply to this scope.
     ///
     /// The horizon, merge, and taint passes guard simulation semantics,
     /// so they run only on sim-facing crates; the `// SAFETY:` and
@@ -230,9 +230,8 @@ pub fn content_diags(
                         path: path.to_owned(),
                         line: i + 1,
                         message: format!(
-                            "`{ty}` has randomized iteration order; use `{ordered}` or an \
-                             indexed structure from pcmap-par (DESIGN.md §9 determinism \
-                             contract)"
+                            "`{ty}` has randomized iteration order; use `{ordered}` or a \
+                             `Vec` indexed by position (DESIGN.md §9 determinism contract)"
                         ),
                         snippet: raw_at(i).trim().to_owned(),
                     });

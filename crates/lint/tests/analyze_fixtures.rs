@@ -1,4 +1,4 @@
-//! Mutation fixtures for the pcmap-analyze semantic passes.
+//! Mutation fixtures for the semantic passes of `pcmap_lint::analyze`.
 //!
 //! Each pass gets a matched pair: a *clean* source that upholds the
 //! contract, and a *seeded-bug* mutation that breaks it in exactly the

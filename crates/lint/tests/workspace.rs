@@ -1,32 +1,20 @@
 //! The linter's strongest self-test: the workspace it lives in must
-//! lint *and analyze* clean. This makes `cargo test` alone a
-//! determinism gate even when `cargo xtask lint`/`analyze` are not run.
+//! analyze clean — token rules, semantic passes and dead waivers. This
+//! makes `cargo test` alone a determinism gate even when `cargo xtask
+//! lint` is not run.
 
 use std::path::Path;
-
-fn assert_clean(report: &pcmap_lint::Report) {
-    let rendered: Vec<String> = report.diagnostics.iter().map(|d| d.render()).collect();
-    assert!(
-        report.is_clean(),
-        "workspace has {} diagnostics:\n{}",
-        report.tool,
-        rendered.join("\n")
-    );
-}
-
-#[test]
-fn repository_lints_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = pcmap_lint::lint_workspace(&root).expect("walk workspace");
-    assert!(report.files_scanned > 50, "walker found too few files");
-    assert_clean(&report);
-}
 
 #[test]
 fn repository_analyzes_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = pcmap_lint::analyze_workspace(&root).expect("walk workspace");
     assert!(report.files_scanned > 50, "walker found too few files");
-    assert_eq!(report.tool, "pcmap-analyze");
-    assert_clean(&report);
+    let rendered: Vec<String> = report.diagnostics.iter().map(|d| d.render()).collect();
+    assert!(
+        report.is_clean(),
+        "workspace has {} diagnostics:\n{}",
+        report.diagnostics.len(),
+        rendered.join("\n")
+    );
 }

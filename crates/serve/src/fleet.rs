@@ -5,7 +5,7 @@
 //! RWoW-RDE on one of the multi-programmed mixes MP1–MP6, round-robin by
 //! shard. Its cores are its tenants, each behind its own token bucket
 //! ([`TokenGate`]); degradation under faults is the §11c ladder inside
-//! the controllers. The fleet farms shards to [`Pool::ordered_map`] and
+//! the controllers. The fleet farms shards to [`SweepRunner::map`] and
 //! folds them in shard order, so the merged report is byte-identical at
 //! any `--jobs` count (DESIGN.md §9). [`ServeReport::check`] enforces the
 //! contract before anything is exported: every configured request
@@ -14,8 +14,7 @@
 
 use pcmap_core::SystemKind;
 use pcmap_obs::{MetricsSnapshot, Value};
-use pcmap_par::Pool;
-use pcmap_sim::{RunReport, SimConfig, System};
+use pcmap_sim::{RunReport, SimConfig, SweepRunner, System};
 use pcmap_types::{ServeConfig, ServeSummary, SplitMix64};
 use pcmap_workloads::catalog;
 
@@ -114,14 +113,14 @@ fn run_shard(cfg: &ServeConfig, shard: u32) -> (ServeSummary, MetricsSnapshot, u
     )
 }
 
-/// Runs every shard of `cfg` on `pool` and merges the outcomes.
+/// Runs every shard of `cfg` on `runner` and merges the outcomes.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails validation.
-pub fn run_fleet(cfg: &ServeConfig, pool: &mut Pool) -> ServeReport {
+pub fn run_fleet(cfg: &ServeConfig, runner: &mut SweepRunner) -> ServeReport {
     cfg.validate().expect("valid serve config");
-    let runs = pool.ordered_map((0..cfg.shards()).collect(), |shard| run_shard(cfg, shard));
+    let runs = runner.map((0..cfg.shards()).collect(), |shard| run_shard(cfg, shard));
     let mut report = ServeReport {
         cfg: cfg.clone(),
         summary: ServeSummary::default(),
@@ -268,8 +267,8 @@ mod tests {
     #[test]
     fn fleet_json_is_byte_identical_across_jobs() {
         let cfg = small_cfg();
-        let serial = run_fleet(&cfg, &mut Pool::new(1));
-        let parallel = run_fleet(&cfg, &mut Pool::new(4));
+        let serial = run_fleet(&cfg, &mut SweepRunner::new(1));
+        let parallel = run_fleet(&cfg, &mut SweepRunner::new(4));
         assert_eq!(
             serial.to_json().to_json_string(),
             parallel.to_json().to_json_string(),
@@ -284,7 +283,7 @@ mod tests {
     #[test]
     fn fleet_checks_clean_and_covers_all_tenants() {
         let cfg = small_cfg();
-        let report = run_fleet(&cfg, &mut Pool::new(2));
+        let report = run_fleet(&cfg, &mut SweepRunner::new(2));
         assert!(report.check().is_empty(), "{:?}", report.check());
         assert_eq!(report.summary.generated, cfg.requests);
         assert!(report.summary.conserved());
@@ -316,7 +315,7 @@ mod tests {
 
     #[test]
     fn json_reports_soundness_and_latency() {
-        let report = run_fleet(&small_cfg(), &mut Pool::new(1));
+        let report = run_fleet(&small_cfg(), &mut SweepRunner::new(1));
         let v = report.to_json();
         assert_eq!(v.get("sound"), Some(&Value::Bool(true)));
         let latency = v.get("read_latency").expect("latency block");
@@ -327,7 +326,7 @@ mod tests {
 
     #[test]
     fn check_flags_a_cooked_ledger() {
-        let mut report = run_fleet(&small_cfg(), &mut Pool::new(1));
+        let mut report = run_fleet(&small_cfg(), &mut SweepRunner::new(1));
         report.summary.retired -= 1;
         report.shards[1].peak_ingress = u64::MAX;
         let problems = report.check();

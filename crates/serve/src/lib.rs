@@ -19,9 +19,9 @@
 //!   that leaks, or a shard that held more requests in flight than its
 //!   memory system can.
 //!
-//! Shards are independent simulations farmed to `pcmap_par::Pool` and
-//! merged in shard order, so reports are byte-identical at any `--jobs`
-//! (DESIGN.md §9).
+//! Shards are independent simulations farmed to `pcmap_sim::SweepRunner`
+//! and merged in shard order, so reports are byte-identical at any
+//! `--jobs` (DESIGN.md §9).
 
 pub mod bucket;
 pub mod fleet;

@@ -94,7 +94,7 @@ pub fn evaluate_matrix(scale: EvalScale) -> Vec<WorkloadEval> {
 }
 
 /// [`evaluate_matrix`], with the independent (workload × kind) runs farmed
-/// to `runner`'s pool. Results come back in input order, so the rows are
+/// to `runner`'s workers. Results come back in input order, so the rows are
 /// identical at every job count.
 pub fn evaluate_matrix_with(scale: EvalScale, runner: &mut SweepRunner) -> Vec<WorkloadEval> {
     let workloads = figure_workloads(scale);

@@ -1,7 +1,7 @@
 //! Equivalence harness for sweep-level parallelism (DESIGN.md §9).
 //!
 //! The determinism contract: for every workload, system kind, scale, and
-//! rollback mode, the sweep pool ([`SweepRunner`]) must produce
+//! rollback mode, the sweep runner ([`SweepRunner`]) must produce
 //! `RunReport`s whose
 //! [`RunReport::to_json`](pcmap_sim::RunReport::to_json) rendering is
 //! **byte-identical** at every job count and in input order — merged
@@ -10,7 +10,6 @@
 //! merge order) shows up here as a first-byte diff.
 
 use pcmap_core::{RollbackMode, SystemKind};
-use pcmap_par::Pool;
 use pcmap_sim::{SimConfig, SweepPoint, SweepRunner, System};
 use pcmap_workloads::catalog;
 
@@ -23,22 +22,13 @@ fn serial_json(c: &SimConfig, workload: &str) -> String {
     System::new(c.clone(), wl).run().to_json().to_json_string()
 }
 
-/// Renders every point's report through a sweep pool of `jobs` workers.
+/// Renders every point's report through a sweep of `jobs` workers.
 fn sweep_json(points: Vec<SweepPoint>, jobs: usize) -> Vec<String> {
     SweepRunner::new(jobs)
         .run_points(points)
         .iter()
         .map(|r| r.to_json().to_json_string())
         .collect()
-}
-
-/// A `--jobs 1` pool must be the serial path (no worker threads at all),
-/// not merely equivalent to it.
-#[test]
-fn jobs_one_pool_is_threadless() {
-    let pool = Pool::new(1);
-    assert!(pool.is_serial());
-    assert_eq!(pool.jobs(), 1);
 }
 
 /// Sweep-level parallelism: farming (workload × kind) `run_one` points to

@@ -4,8 +4,7 @@
 //! ```text
 //! cargo xtask ci         # fmt --check, then every gate below in the order of .github/workflows/ci.yml
 //! cargo xtask fmt        # rustfmt the whole tree
-//! cargo xtask lint       # pcmap-lint determinism/hygiene pass -> results/lint.json
-//! cargo xtask analyze    # pcmap-analyze semantic passes -> results/analyze.json
+//! cargo xtask lint       # pcmap-lint token rules + semantic passes -> results/lint.json
 //! cargo xtask clippy     # clippy -D warnings only
 //! cargo xtask test       # cargo test --workspace
 //! cargo xtask check      # PCMAP_CHECK=1 release experiment runs (protocol invariants)
@@ -65,10 +64,13 @@ fn fmt_check() -> Result<(), String> {
     step("fmt", &["fmt", "--all", "--check"])
 }
 
-/// The pcmap-lint determinism/hygiene pass (DESIGN.md §10): bans
-/// `HashMap`/`HashSet`, wall-clock and OS-entropy sources in sim-facing
-/// crates, unchecked `as` narrowing on cycle/address values, and float
-/// accumulation in per-cycle stats. Writes `results/lint.json`.
+/// The pcmap-lint static-analysis gate. Its token rules (DESIGN.md §10)
+/// ban `HashMap`/`HashSet`, wall-clock and OS-entropy sources in
+/// sim-facing crates, unchecked `as` narrowing on cycle/address values,
+/// and float accumulation in per-cycle stats; its semantic passes
+/// (DESIGN.md §15) check missed-wake horizon soundness, snapshot
+/// merge/export completeness, interprocedural nondeterminism taint,
+/// `// SAFETY:` coverage, and dead waivers. Writes `results/lint.json`.
 fn lint() -> Result<(), String> {
     step(
         "lint",
@@ -80,27 +82,6 @@ fn lint() -> Result<(), String> {
             "--",
             "--json",
             "results/lint.json",
-        ],
-    )
-}
-
-/// The pcmap-analyze semantic pass (DESIGN.md §15): token rules plus
-/// missed-wake horizon soundness, snapshot merge/export completeness,
-/// interprocedural nondeterminism taint, `// SAFETY:` coverage, and
-/// dead-waiver detection. Writes `results/analyze.json`.
-fn analyze() -> Result<(), String> {
-    step(
-        "analyze",
-        &[
-            "run",
-            "-q",
-            "-p",
-            "pcmap-lint",
-            "--bin",
-            "pcmap-analyze",
-            "--",
-            "--json",
-            "results/analyze.json",
         ],
     )
 }
@@ -430,7 +411,6 @@ fn main() -> ExitCode {
     let result = match task.as_str() {
         "ci" => fmt_check()
             .and_then(|()| lint())
-            .and_then(|()| analyze())
             .and_then(|()| clippy())
             .and_then(|()| test())
             .and_then(|()| check())
@@ -444,7 +424,6 @@ fn main() -> ExitCode {
             .and_then(|()| perfbench()),
         "fmt" => step("fmt", &["fmt", "--all"]),
         "lint" => lint(),
-        "analyze" => analyze(),
         "clippy" => clippy(),
         "test" => test(),
         "check" => check(),
@@ -458,7 +437,7 @@ fn main() -> ExitCode {
         "perfbench" => perfbench(),
         _ => {
             eprintln!(
-                "usage: cargo xtask <ci|fmt|lint|analyze|clippy|test|check|pardiff|tracediff|soak|faultdiff|serve-soak|explain|record|perfbench>"
+                "usage: cargo xtask <ci|fmt|lint|clippy|test|check|pardiff|tracediff|soak|faultdiff|serve-soak|explain|record|perfbench>"
             );
             return ExitCode::from(2);
         }

@@ -18,9 +18,9 @@
 //! - [`obs`] — telemetry: metric registry and mergeable snapshots, the
 //!   chip-window ring behind Figure 5, the request-lifecycle tracer,
 //!   latency percentiles, windowed series, JSON/CSV export (DESIGN.md §8).
-//! - [`par`] — deterministic parallel execution: the vendored scoped
-//!   thread pool behind `--jobs N` (DESIGN.md §9).
-//! - [`sim`] — the full-system simulator and the paper's experiment registry.
+//! - [`sim`] — the full-system simulator, the paper's experiment registry
+//!   and `SweepRunner`, which farms a sweep's independent runs to the
+//!   scoped threads behind `--jobs N` (DESIGN.md §9).
 //!
 //! ## Quickstart
 //!
@@ -45,7 +45,6 @@ pub use pcmap_ctrl as ctrl;
 pub use pcmap_device as device;
 pub use pcmap_ecc as ecc;
 pub use pcmap_obs as obs;
-pub use pcmap_par as par;
 pub use pcmap_sim as sim;
 pub use pcmap_types as types;
 pub use pcmap_workloads as workloads;
