@@ -6,9 +6,8 @@ use pcmap_sim::experiments::fig1;
 use pcmap_sim::TableBuilder;
 
 fn main() {
-    // Figure 1 runs serially; `--jobs` is accepted as in every scale binary.
-    let (scale, _) = scale_from_args();
-    let rows = fig1(scale);
+    let (scale, mut runner) = scale_from_args();
+    let rows = fig1(scale, &mut runner);
     let mut t = TableBuilder::new(&["workload", "reads delayed [%]", "norm. read latency (x)"]);
     for r in &rows {
         t.row(&[

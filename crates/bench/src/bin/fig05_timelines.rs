@@ -6,12 +6,11 @@
 
 use pcmap_core::SystemKind;
 use pcmap_ctrl::{ChannelController, Controller, MemRequest, ReqId, ReqKind};
-use pcmap_obs::ChipTrace;
 use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams};
 
 /// Renders the chip-timeline Gantt from a controller's chip-window ring.
 fn gantt(ctrl: &dyn Controller, bank: pcmap_types::BankId) -> String {
-    ChipTrace::from_events(ctrl.events()).render_gantt(bank, 4)
+    ctrl.events().render_gantt(bank, 4)
 }
 
 fn write_req(ctrl: &dyn Controller, id: u64, addr: u64, words: &[usize]) -> MemRequest {

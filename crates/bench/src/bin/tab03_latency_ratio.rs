@@ -1,7 +1,7 @@
 //! Table III: IPC improvement vs the write:read latency ratio.
 
 use pcmap_bench::scale_from_args;
-use pcmap_sim::experiments::tab3_with;
+use pcmap_sim::experiments::tab3;
 use pcmap_sim::TableBuilder;
 use pcmap_workloads::catalog;
 
@@ -12,7 +12,7 @@ fn main() {
         .iter()
         .map(|n| catalog::by_name(n).expect("catalog workload"))
         .collect();
-    let rows = tab3_with(scale, &workloads, &mut runner);
+    let rows = tab3(scale, &workloads, &mut runner);
     println!("Table III — IPC improvement vs write:read latency ratio (write fixed at 120 ns)");
     println!("Paper: RWoW-RDE 16.6→24.3%; RWoW-NR 11.3→24.7% as ratio goes 2x→8x.\n");
     let mut t = TableBuilder::new(&["write:read", "RWoW-RDE [%]", "RWoW-NR [%]"]);

@@ -7,12 +7,12 @@
 
 use pcmap_bench::{scale_from_args, write_csv_result, write_json_result};
 use pcmap_obs::Value;
-use pcmap_sim::experiments::tab4_with;
+use pcmap_sim::experiments::tab4;
 use pcmap_sim::TableBuilder;
 
 fn main() {
     let (scale, mut runner) = scale_from_args();
-    let rows = tab4_with(scale, &mut runner);
+    let rows = tab4(scale, &mut runner);
     println!("Table IV — RoW rollback cost (RWoW-NR vs baseline; fixed layout always defers verification)");
     println!("Paper: canneal 5.8% max rollbacks, 12.18% faulty / 14.87% none-faulty.\n");
     let mut t = TableBuilder::new(&[

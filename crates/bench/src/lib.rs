@@ -15,7 +15,7 @@ pub mod soak;
 
 use pcmap_core::SystemKind;
 use pcmap_obs::Value;
-use pcmap_sim::experiments::{evaluate_matrix_with, EvalScale, WorkloadEval};
+use pcmap_sim::experiments::{evaluate_matrix, EvalScale, WorkloadEval};
 use pcmap_sim::{RunReport, SweepRunner, TableBuilder};
 
 /// Parses the command line of a scale binary: an optional
@@ -217,7 +217,7 @@ pub fn faults_from_env() -> Result<Option<pcmap_types::FaultConfig>, String> {
 /// Runs the Figures 8–11 evaluation matrix on `runner` and appends the
 /// two average rows the paper reports (`Average(MT)`, `Average(MP)`).
 pub fn matrix_with_averages(scale: EvalScale, runner: &mut SweepRunner) -> Vec<WorkloadEval> {
-    let mut rows = evaluate_matrix_with(scale, runner);
+    let mut rows = evaluate_matrix(scale, runner);
     let avg = |rows: &[WorkloadEval], mt: bool, name: &str| -> WorkloadEval {
         let group: Vec<&WorkloadEval> = rows.iter().filter(|r| r.multi_threaded == mt).collect();
         let kinds = SystemKind::all();
@@ -315,17 +315,6 @@ pub fn metric_table_normalized<F: Fn(&RunReport) -> f64>(
         t.row(&cells);
     }
     t
-}
-
-/// Renders one metric of the matrix as a paper-style table: one row per
-/// workload, one column per system.
-pub fn render_metric<F: Fn(&RunReport) -> f64>(
-    rows: &[WorkloadEval],
-    kinds: &[SystemKind],
-    metric: F,
-    decimals: usize,
-) -> String {
-    metric_table(rows, kinds, metric, decimals).render()
 }
 
 /// Renders a metric normalized to the baseline system.

@@ -195,28 +195,3 @@ fn well_formed_fault_env_runs_under_the_storm() {
         .expect("pcmap_run starts");
     assert!(out.status.success(), "{out:?}");
 }
-
-#[test]
-fn probe_bad_input_is_a_usage_error() {
-    let cases: [(&[&str], Option<&str>, &str); 3] = [
-        (&["10", "nosuch"], None, "unknown workload 'nosuch'"),
-        (&["ten"], None, "REQUESTS wants a count, got 'ten'"),
-        (
-            &[],
-            Some("abc"),
-            "PCMAP_MLP wants a positive count, got 'abc'",
-        ),
-    ];
-    for (args, mlp, want) in cases {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_probe"));
-        cmd.args(args).env_remove("PCMAP_MLP");
-        if let Some(m) = mlp {
-            cmd.env("PCMAP_MLP", m);
-        }
-        let out = cmd.output().expect("probe starts");
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(want), "{args:?}: {stderr}");
-        assert!(stderr.contains("usage: probe"), "{stderr}");
-    }
-}

@@ -68,16 +68,6 @@ impl Layout {
         }
     }
 
-    /// Whether data words rotate across chips.
-    pub fn rotates_data(&self) -> bool {
-        self.rotate_data
-    }
-
-    /// Whether the ECC/PCC words rotate across chips.
-    pub fn rotates_ecc(&self) -> bool {
-        self.rotate_ecc
-    }
-
     /// The logical slot (0..10) holding word `w` of `line` before the
     /// ECC/PCC rotation is applied.
     #[inline]

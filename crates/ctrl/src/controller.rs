@@ -153,8 +153,8 @@ pub trait Controller: Send {
     fn rank(&self) -> &PcmRank;
     /// Mutable rank access (fault injection, inspection).
     fn rank_mut(&mut self) -> &mut PcmRank;
-    /// The chip-window ring (the Figure 5 timelines are the
-    /// [`pcmap_obs::ChipTrace`] view over it).
+    /// The chip-window ring (the Figure 5 timelines are its
+    /// [`EventLog::render_gantt`]).
     fn events(&self) -> &EventLog;
     /// Enables or disables chip-window recording.
     fn set_trace(&mut self, enabled: bool);

@@ -244,16 +244,15 @@ fn chip_ring_captures_read_windows() {
 }
 
 #[test]
-fn chip_trace_view_reproduces_occupancy() {
+fn chip_window_gantt_reproduces_occupancy() {
     let mut c = ctrl(SystemKind::Baseline);
     c.set_trace(true);
     let w = write_req(&c, 1, 0, &[3], Cycle(0));
     c.enqueue_write(w, Cycle(0)).unwrap();
     c.step(Cycle(0));
-    let trace = pcmap_obs::ChipTrace::from_events(c.events());
-    assert!(trace.events().iter().any(|e| e.label.starts_with("Wr-")));
+    assert!(c.events().events().any(|e| e.label.starts_with("Wr-")));
     // The gantt glyph is the label's last character: '1' for "Wr-1".
-    let gantt = trace.render_gantt(BankId(0), 8);
+    let gantt = c.events().render_gantt(BankId(0), 8);
     assert!(
         gantt
             .lines()

@@ -1,11 +1,11 @@
-//! PCM device model: chips, banks, ranks, and the DIMM register.
+//! PCM device model: chips, banks and ranks.
 //!
 //! This crate is the simulator's stand-in for the physical PCM DIMM of the
 //! paper (Figure 7): a rank of **ten ×8 chips** — eight data chips, one
 //! SECDED ECC chip, one PCC parity chip — each chip independently
-//! addressable as a one-chip sub-rank, with a DIMM register exposing
-//! per-bank chip busy/idle *status flags* that the memory controller polls
-//! with a `Status` command.
+//! addressable as a one-chip sub-rank. The DIMM register's per-bank chip
+//! busy/idle *status flags* (§IV-D1) are [`RankTiming::busy_set`]; the
+//! memory controller charges the `Status` command that reads them.
 //!
 //! The model is *functional as well as temporal*: ranks store real bytes
 //! ([`storage`]), so differential writes compute their essential-word sets
@@ -33,14 +33,12 @@
 #![warn(missing_docs)]
 #![deny(unused_must_use)]
 
-pub mod dimm;
 pub mod energy;
 pub mod rank;
 pub mod storage;
 pub mod timing;
 pub mod wear;
 
-pub use dimm::DimmRegister;
 pub use energy::{EnergyMeter, EnergyParams};
 pub use rank::{PcmRank, ReadOut, WriteOutcome};
 pub use storage::{RankStorage, StoredLine};

@@ -1,5 +1,5 @@
-//! A PCM rank: ten ×8 chips with functional storage, timing state, a DIMM
-//! register and wear counters.
+//! A PCM rank: ten ×8 chips with functional storage, timing state and wear
+//! counters.
 //!
 //! The rank is the unit PCMap operates on. Functional effects (what bytes
 //! end up stored, which words were essential, whether a word write is
@@ -9,7 +9,6 @@
 
 // pcmap-lint: allow-file(missed-wake, reason = "a controller waiting on this rank's chip reservations relays their end times into its retry hint, which its horizon reads; storage, wear and energy hold no readiness state")
 
-use crate::dimm::DimmRegister;
 use crate::energy::EnergyMeter;
 use crate::storage::{RankStorage, StoredLine};
 use crate::timing::RankTiming;
@@ -74,12 +73,11 @@ impl WriteOutcome {
     }
 }
 
-/// One rank of PCM: functional storage + timing + DIMM register + wear.
+/// One rank of PCM: functional storage + timing + wear.
 #[derive(Debug, Clone)]
 pub struct PcmRank {
     storage: RankStorage,
     timing: RankTiming,
-    dimm: DimmRegister,
     wear: WearTracker,
     energy: EnergyMeter,
 }
@@ -95,7 +93,6 @@ impl PcmRank {
         Self {
             storage: RankStorage::with_seed(org, seed),
             timing: RankTiming::new(&org),
-            dimm: DimmRegister::new(),
             wear: WearTracker::new(),
             energy: EnergyMeter::new(),
         }
@@ -189,17 +186,6 @@ impl PcmRank {
     /// Mutable access to the rank's timing state (driven by the controller).
     pub fn timing_mut(&mut self) -> &mut RankTiming {
         &mut self.timing
-    }
-
-    /// The rank's DIMM register.
-    pub fn dimm_mut(&mut self) -> &mut DimmRegister {
-        &mut self.dimm
-    }
-
-    /// Splits the rank into its DIMM register and timing state so a status
-    /// poll can borrow both at once.
-    pub fn dimm_and_timing(&mut self) -> (&mut DimmRegister, &RankTiming) {
-        (&mut self.dimm, &self.timing)
     }
 
     /// The rank's wear counters.

@@ -77,35 +77,6 @@ impl ReadFault {
     }
 }
 
-/// One rung of the read-recovery ladder (DESIGN.md §11), used by the
-/// controller to attribute recovery-extension cycles in request
-/// lifecycle timelines (DESIGN.md §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RecoveryStage {
-    /// SECDED corrected the error in place (no extra latency).
-    SecdedCorrect,
-    /// PCC erasure reconstruction of one uncorrectable word
-    /// (costs an extra array read).
-    PccReconstruct,
-    /// A bounded retry with exponential backoff.
-    Retry,
-    /// The retry budget is exhausted; the read fails upward.
-    Failed,
-}
-
-impl RecoveryStage {
-    /// Stable label for reports and traces.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            RecoveryStage::SecdedCorrect => "secded_correct",
-            RecoveryStage::PccReconstruct => "pcc_reconstruct",
-            RecoveryStage::Retry => "retry",
-            RecoveryStage::Failed => "failed",
-        }
-    }
-}
-
 /// Outcome of the chip-occupancy draw for one array operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChipFault {

@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 /// Crates linted at reduced ([`CrateScope::Tooling`]) strength.
 const TOOLING_CRATES: [&str; 3] = ["bench", "lint", "xtask"];
 /// Vendored dependency shims, exempt from linting.
-const VENDORED_CRATES: [&str; 2] = ["criterion", "proptest"];
+const VENDORED_CRATES: [&str; 1] = ["proptest"];
 
 /// Result of analyzing the whole workspace.
 #[derive(Debug)]
@@ -182,7 +182,7 @@ mod tests {
             CrateScope::Tooling
         );
         assert_eq!(
-            scope_for(Path::new("crates/criterion/src/lib.rs")),
+            scope_for(Path::new("crates/proptest/src/lib.rs")),
             CrateScope::Vendored
         );
         assert_eq!(

@@ -104,8 +104,7 @@ pub enum CrateScope {
     /// unordered maps into reports, and host timing belongs in the
     /// standalone `perfbench/` package, outside the workspace.
     Tooling,
-    /// Vendored dependency shims (`criterion`, `proptest`): exempt.
-    /// criterion *must* read the wall clock to bench; proptest routes
+    /// Vendored dependency shims (`proptest`): exempt. proptest routes
     /// its RNG through an explicit per-test seed already.
     Vendored,
 }

@@ -2,9 +2,9 @@
 //!
 //! Each entry is one chip reservation a controller committed: bank, chip,
 //! `[start, end)` and a display label ([`TraceEvent`]). This ring is the
-//! only event stream a controller keeps; [`ChipTrace`](crate::trace::ChipTrace)
-//! renders it. Blocked attempts and per-request timelines go to the
-//! controller's counters and to the
+//! only event stream a controller keeps; [`EventLog::render_gantt`] draws
+//! it as the Figure 5 chip-occupancy chart. Blocked attempts and
+//! per-request timelines go to the controller's counters and to the
 //! [`LifecycleTracer`](crate::lifecycle::LifecycleTracer), from one call per
 //! attempt.
 //!
@@ -13,9 +13,23 @@
 
 // pcmap-lint: allow-file(missed-wake, reason = "the chip-window ring is telemetry: no issue decision reads it, so it holds no readiness state for a horizon to track")
 
-use crate::trace::TraceEvent;
 use pcmap_types::{BankId, ChipId, Cycle};
 use std::collections::VecDeque;
+
+/// One chip reservation, labeled for display.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceEvent {
+    /// Bank the operation targeted.
+    pub bank: BankId,
+    /// Chip occupied.
+    pub chip: ChipId,
+    /// Occupation interval start.
+    pub start: Cycle,
+    /// Occupation interval end.
+    pub end: Cycle,
+    /// Display label, e.g. `"Wr-A"`, `"Rd-B"`, `"Upd-PCC-A"`.
+    pub label: String,
+}
 
 /// A bounded in-memory ring of chip windows.
 ///
@@ -111,6 +125,41 @@ impl EventLog {
             label: label(),
         });
     }
+
+    /// Renders the buffered windows of `bank` as an ASCII Gantt chart, one
+    /// row per chip, using `cycles_per_cell` cycles per character cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles_per_cell` is zero.
+    pub fn render_gantt(&self, bank: BankId, cycles_per_cell: u64) -> String {
+        assert!(cycles_per_cell > 0, "cycles_per_cell must be positive");
+        let evs: Vec<&TraceEvent> = self.events.iter().filter(|e| e.bank == bank).collect();
+        let horizon = evs.iter().map(|e| e.end.0).max().unwrap_or(0);
+        let width = (horizon.div_ceil(cycles_per_cell)) as usize;
+        let mut out = String::new();
+        for chip in 0..ChipId::TOTAL_CHIPS {
+            let name = match chip {
+                8 => "ECC ".to_owned(),
+                9 => "PCC ".to_owned(),
+                n => format!("ch{n}  "),
+            };
+            let mut row = vec!['.'; width];
+            for e in evs.iter().filter(|e| e.chip.index() == chip) {
+                let from = (e.start.0 / cycles_per_cell) as usize;
+                let to = ((e.end.0.div_ceil(cycles_per_cell)) as usize).min(width);
+                let glyph = e.label.chars().last().unwrap_or('#');
+                for cell in row.iter_mut().take(to).skip(from) {
+                    *cell = glyph;
+                }
+            }
+            out.push_str(&name);
+            out.push('|');
+            out.extend(row);
+            out.push('\n');
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -180,5 +229,39 @@ mod tests {
         log.set_enabled(true);
         occupy(&mut log, 3);
         assert_eq!(log.events().count(), 2);
+    }
+
+    #[test]
+    fn gantt_draws_the_ring_in_recording_order() {
+        let mut log = EventLog::enabled();
+        log.chip_occupy(BankId(0), ChipId(3), Cycle(0), Cycle(8), || {
+            "Wr-A".to_owned()
+        });
+        log.chip_occupy(BankId(0), ChipId(3), Cycle(4), Cycle(12), || {
+            "Rd-B".to_owned()
+        });
+        // The later window overwrites the cell both occupy.
+        let g = log.render_gantt(BankId(0), 4);
+        assert_eq!(g.lines().nth(3), Some("ch3  |ABB"));
+    }
+
+    #[test]
+    fn gantt_renders_rows_for_all_ten_chips() {
+        let mut log = EventLog::enabled();
+        log.chip_occupy(BankId(0), ChipId(3), Cycle(0), Cycle(8), || {
+            "Wr-A".to_owned()
+        });
+        log.chip_occupy(BankId(0), ChipId(8), Cycle(0), Cycle(8), || {
+            "Upd-E".to_owned()
+        });
+        let g = log.render_gantt(BankId(0), 4);
+        let lines: Vec<&str> = g.lines().collect();
+        assert_eq!(lines.len(), 10);
+        assert!(lines[3].contains("AA"));
+        assert!(lines[8].starts_with("ECC"));
+        assert!(lines[8].contains("EE"));
+        // Other bank filtered out.
+        let empty = log.render_gantt(BankId(1), 4);
+        assert!(!empty.contains('A'));
     }
 }

@@ -5,7 +5,7 @@
 //! histogram cheap enough to run on every request (64 buckets, ~¼-decade
 //! resolution), from which percentiles are interpolated.
 //!
-//! Every layer (and the metric registry) shares this one percentile
+//! Every layer (and every metric snapshot) shares this one percentile
 //! implementation.
 
 use crate::json::Value;

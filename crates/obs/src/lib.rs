@@ -5,13 +5,11 @@
 //! so this crate makes those first-class instead of scattering ad-hoc
 //! recorders through the stack:
 //!
-//! - [`metric`] — a registry with typed counter/gauge/histogram handles,
-//!   near-zero-cost when disabled, and [`MetricsSnapshot`]s that merge
-//!   across the four channels' controllers.
+//! - [`metric`] — by-name [`MetricsSnapshot`]s of counters, gauges and
+//!   histograms that merge across the four channels' controllers.
 //! - [`event`] — the bounded [`EventLog`] ring of chip windows: one
-//!   [`TraceEvent`] per chip reservation a controller commits.
-//! - [`trace`] — the Figure 5 chip-timeline Gantt view, rendered from
-//!   that ring.
+//!   [`TraceEvent`] per chip reservation a controller commits, rendered
+//!   as the Figure 5 chip-timeline Gantt chart.
 //! - [`hist`] — the log-bucketed [`LatencyHistogram`] (p50/p95/p99),
 //!   shared by controllers and reports.
 //! - [`series`] — windowed throughput / IRLP time-series.
@@ -39,16 +37,14 @@ pub mod lifecycle;
 pub mod metric;
 pub mod series;
 pub mod stall;
-pub mod trace;
 
-pub use event::EventLog;
+pub use event::{EventLog, TraceEvent};
 pub use hist::LatencyHistogram;
 pub use json::Value;
 pub use lifecycle::{
     CausalSummary, LifecycleReport, LifecycleTracer, Phase, RecoveryKind, ReqTimeline, Resource,
     Segment, WaitCause,
 };
-pub use metric::{CounterId, GaugeId, GaugeRule, HistogramId, MetricRegistry, MetricsSnapshot};
+pub use metric::{GaugeRule, MetricsSnapshot};
 pub use series::{Window, WindowedSeries};
 pub use stall::StallBreakdown;
-pub use trace::{ChipTrace, TraceEvent};

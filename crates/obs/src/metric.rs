@@ -1,35 +1,17 @@
-//! Metric registry: typed counter/gauge/histogram handles and mergeable
-//! snapshots.
+//! Mergeable metric snapshots.
 //!
-//! Two halves:
-//!
-//! - [`MetricRegistry`] — a live registry a component owns. Registration
-//!   returns an index-based typed handle ([`CounterId`], [`GaugeId`],
-//!   [`HistogramId`]); updates through a handle are one bounds-checked
-//!   array write, and every update is a no-op when the registry is
-//!   disabled, so always-on code paths can carry handles at near-zero cost.
-//! - [`MetricsSnapshot`] — an immutable by-name capture. Snapshots from the
-//!   four channels' controllers [`merge`](MetricsSnapshot::merge) into one
-//!   rank-wide view: counters add, gauges combine per their
-//!   [`GaugeRule`], histograms merge bucket-wise. Merging is commutative
-//!   and associative, so any grouping of per-channel snapshots equals the
-//!   single-stream accumulation (property-tested in `crates/obs/tests`).
+//! A [`MetricsSnapshot`] is an immutable by-name capture of counters,
+//! gauges and histograms. Components keep their live counters as plain
+//! fields and build a snapshot when asked. Snapshots from the four
+//! channels' controllers [`merge`](MetricsSnapshot::merge) into one
+//! rank-wide view: counters add, gauges combine per their [`GaugeRule`],
+//! histograms merge bucket-wise. Merging is commutative and associative,
+//! so any grouping of per-channel snapshots equals the single-stream
+//! accumulation (property-tested in `crates/obs/tests`).
 
 use crate::hist::LatencyHistogram;
 use crate::json::Value;
 use std::collections::BTreeMap;
-
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
 
 /// How a gauge combines across snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,133 +31,6 @@ impl GaugeRule {
             GaugeRule::Min => a.min(b),
             GaugeRule::Sum => a + b,
         }
-    }
-}
-
-/// A live, component-owned metric registry.
-#[derive(Debug, Clone)]
-pub struct MetricRegistry {
-    enabled: bool,
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, GaugeRule, f64)>,
-    hists: Vec<(&'static str, LatencyHistogram)>,
-}
-
-impl Default for MetricRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MetricRegistry {
-    /// An enabled, empty registry.
-    pub fn new() -> Self {
-        Self {
-            enabled: true,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            hists: Vec::new(),
-        }
-    }
-
-    /// A registry whose updates are all no-ops (registration still works,
-    /// so handles stay valid either way).
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::new()
-        }
-    }
-
-    /// Whether updates are applied.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Turns updates on or off without invalidating handles.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Registers (or finds) a counter by name.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| *n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name, 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers (or finds) a gauge by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name exists with a different merge rule.
-    pub fn gauge(&mut self, name: &'static str, rule: GaugeRule) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _, _)| *n == name) {
-            assert_eq!(
-                self.gauges[i].1, rule,
-                "gauge {name} re-registered with another rule"
-            );
-            return GaugeId(i);
-        }
-        self.gauges.push((name, rule, 0.0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Registers (or finds) a histogram by name.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        if let Some(i) = self.hists.iter().position(|(n, _)| *n == name) {
-            return HistogramId(i);
-        }
-        self.hists.push((name, LatencyHistogram::new()));
-        HistogramId(self.hists.len() - 1)
-    }
-
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        if self.enabled {
-            self.counters[id.0].1 += n;
-        }
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-
-    /// Sets a gauge to `v` (the merge rule applies across snapshots, not
-    /// across `set` calls — last set wins locally).
-    #[inline]
-    pub fn set_gauge(&mut self, id: GaugeId, v: f64) {
-        if self.enabled {
-            self.gauges[id.0].2 = v;
-        }
-    }
-
-    /// Records a sample into a histogram.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, v: u64) {
-        if self.enabled {
-            self.hists[id.0].1.record(v);
-        }
-    }
-
-    /// Captures the current values by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new();
-        for (name, v) in &self.counters {
-            snap.set_counter(name, *v);
-        }
-        for (name, rule, v) in &self.gauges {
-            snap.set_gauge(name, *rule, *v);
-        }
-        for (name, h) in &self.hists {
-            snap.set_histogram(name, h.clone());
-        }
-        snap
     }
 }
 
@@ -302,48 +157,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn handles_update_and_snapshot() {
-        let mut r = MetricRegistry::new();
-        let c = r.counter("reads");
-        let g = r.gauge("wear", GaugeRule::Max);
-        let h = r.histogram("latency");
-        r.inc(c);
-        r.add(c, 4);
-        r.set_gauge(g, 1.5);
-        r.observe(h, 100);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("reads"), 5);
-        assert_eq!(snap.gauge("wear"), Some(1.5));
-        assert_eq!(snap.histogram("latency").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn disabled_registry_is_inert() {
-        let mut r = MetricRegistry::disabled();
-        let c = r.counter("reads");
-        let g = r.gauge("wear", GaugeRule::Max);
-        let h = r.histogram("latency");
-        r.inc(c);
-        r.set_gauge(g, 9.0);
-        r.observe(h, 5);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("reads"), 0);
-        assert_eq!(snap.gauge("wear"), Some(0.0));
-        assert_eq!(snap.histogram("latency").unwrap().count(), 0);
-    }
-
-    #[test]
-    fn registration_is_idempotent() {
-        let mut r = MetricRegistry::new();
-        let a = r.counter("x");
-        let b = r.counter("x");
-        assert_eq!(a, b);
-        r.inc(a);
-        r.inc(b);
-        assert_eq!(r.snapshot().counter("x"), 2);
-    }
-
-    #[test]
     fn merge_rules_apply() {
         let mut a = MetricsSnapshot::new();
         a.set_counter("n", 2);
@@ -384,10 +197,9 @@ mod tests {
 
     #[test]
     fn json_export_contains_all_sections() {
-        let mut r = MetricRegistry::new();
-        let c = r.counter("reads");
-        r.inc(c);
-        let j = r.snapshot().to_json();
+        let mut snap = MetricsSnapshot::new();
+        snap.set_counter("reads", 1);
+        let j = snap.to_json();
         assert_eq!(
             j.get("counters").and_then(|c| c.get("reads")),
             Some(&Value::U64(1))

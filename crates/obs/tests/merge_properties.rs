@@ -1,29 +1,33 @@
-//! Cross-snapshot merge properties: accumulating one metric stream through
-//! N per-channel registries and merging their snapshots must equal
-//! accumulating the whole stream in a single registry — in any merge
-//! order. This is what lets the simulator report rank-wide totals from
-//! four independent channel controllers.
+//! Cross-snapshot merge properties: accumulating one metric stream in N
+//! per-channel counter sets and merging their snapshots must equal
+//! accumulating the whole stream in a single set — in any merge order.
+//! This is what lets the simulator report rank-wide totals from four
+//! independent channel controllers.
 
-use pcmap_obs::{GaugeRule, MetricRegistry, MetricsSnapshot, Value};
+use pcmap_obs::{GaugeRule, LatencyHistogram, MetricsSnapshot, Value};
 use proptest::prelude::*;
 
-/// Feeds `samples` into one registry, maintaining the same counters,
-/// histogram, and gauges a channel controller would.
+/// Accumulates `samples` in plain fields and snapshots them, maintaining
+/// the same counters, histogram, and gauges a channel controller would.
 fn accumulate(samples: &[u64]) -> MetricsSnapshot {
-    let mut r = MetricRegistry::new();
-    let n = r.counter("n");
-    let sum = r.counter("sum");
-    let lat = r.histogram("lat");
-    let max = r.gauge("max", GaugeRule::Max);
-    let total = r.gauge("total", GaugeRule::Sum);
+    let mut lat = LatencyHistogram::new();
     for &v in samples {
-        r.inc(n);
-        r.add(sum, v);
-        r.observe(lat, v);
+        lat.record(v);
     }
-    r.set_gauge(max, samples.iter().copied().max().unwrap_or(0) as f64);
-    r.set_gauge(total, samples.iter().map(|&v| v as f64).sum());
-    let mut s = r.snapshot();
+    let mut s = MetricsSnapshot::new();
+    s.set_counter("n", samples.len() as u64);
+    s.set_counter("sum", samples.iter().sum());
+    s.set_histogram("lat", lat);
+    s.set_gauge(
+        "max",
+        GaugeRule::Max,
+        samples.iter().copied().max().unwrap_or(0) as f64,
+    );
+    s.set_gauge(
+        "total",
+        GaugeRule::Sum,
+        samples.iter().map(|&v| v as f64).sum(),
+    );
     s.set_gauge(
         "min",
         GaugeRule::Min,

@@ -6,7 +6,7 @@
 //! the paper reports.
 
 use crate::sweep::{SweepPoint, SweepRunner};
-use crate::system::{RunReport, SimConfig, System};
+use crate::system::{RunReport, SimConfig};
 use pcmap_core::{RollbackMode, SystemKind};
 use pcmap_types::TimingParams;
 use pcmap_workloads::catalog::{self, Workload};
@@ -48,12 +48,6 @@ impl EvalScale {
     }
 }
 
-/// Runs one (workload, kind) simulation.
-pub fn run_one(workload: &Workload, kind: SystemKind, scale: EvalScale) -> RunReport {
-    let cfg = SimConfig::paper_default(kind).with_requests(scale.requests);
-    System::new(cfg, workload.clone()).run()
-}
-
 /// The standard figure row set: the six Table II MT workloads, then the
 /// six MP mixes. (`Average(MT)`/`Average(MP)` rows are computed by the
 /// caller from these.)
@@ -88,15 +82,11 @@ impl WorkloadEval {
     }
 }
 
-/// Runs the full evaluation matrix behind Figures 8, 9, 10 and 11.
-pub fn evaluate_matrix(scale: EvalScale) -> Vec<WorkloadEval> {
-    evaluate_matrix_with(scale, &mut SweepRunner::new(1))
-}
-
-/// [`evaluate_matrix`], with the independent (workload × kind) runs farmed
-/// to `runner`'s workers. Results come back in input order, so the rows are
-/// identical at every job count.
-pub fn evaluate_matrix_with(scale: EvalScale, runner: &mut SweepRunner) -> Vec<WorkloadEval> {
+/// Runs the full evaluation matrix behind Figures 8, 9, 10 and 11, with
+/// the independent (workload × kind) runs farmed to `runner`'s workers.
+/// Results come back in input order, so the rows are identical at every
+/// job count.
+pub fn evaluate_matrix(scale: EvalScale, runner: &mut SweepRunner) -> Vec<WorkloadEval> {
     let workloads = figure_workloads(scale);
     let kinds = SystemKind::all();
     let points: Vec<SweepPoint> = workloads
@@ -115,7 +105,7 @@ pub fn evaluate_matrix_with(scale: EvalScale, runner: &mut SweepRunner) -> Vec<W
 }
 
 /// Figure 1 row: read-delay impact of asymmetric writes in the baseline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Row {
     /// SPEC program (rate mode).
     pub workload: String,
@@ -126,18 +116,33 @@ pub struct Fig1Row {
 }
 
 /// Runs Figure 1: baseline system with asymmetric PCM vs a symmetric-PCM
-/// variant (write latency = read latency).
-pub fn fig1(scale: EvalScale) -> Vec<Fig1Row> {
-    catalog::spec_rate_workloads()
+/// variant (write latency = read latency), with the (workload × timing)
+/// runs farmed to `runner`.
+pub fn fig1(scale: EvalScale, runner: &mut SweepRunner) -> Vec<Fig1Row> {
+    let workloads = catalog::spec_rate_workloads();
+    let symmetric = TimingParams::paper_default().symmetric();
+    let points: Vec<SweepPoint> = workloads
+        .iter()
+        .flat_map(|w| {
+            [
+                SweepPoint::standard(w, SystemKind::Baseline, scale),
+                SweepPoint {
+                    cfg: SimConfig::paper_default(SystemKind::Baseline)
+                        .with_requests(scale.requests)
+                        .with_timing(symmetric),
+                    workload: w.clone(),
+                },
+            ]
+        })
+        .collect();
+    let mut reports = runner.run_points(points).into_iter();
+    workloads
         .into_iter()
         .map(|w| {
-            let asym = run_one(&w, SystemKind::Baseline, scale);
-            let sym_cfg = SimConfig::paper_default(SystemKind::Baseline)
-                .with_requests(scale.requests)
-                .with_timing(TimingParams::paper_default().symmetric());
-            let sym = System::new(sym_cfg, w.clone()).run();
+            let asym = reports.next().expect("asymmetric run");
+            let sym = reports.next().expect("symmetric run");
             Fig1Row {
-                workload: w.name.clone(),
+                workload: w.name,
                 delayed_pct: asym.delayed_read_fraction * 100.0,
                 norm_read_latency: if sym.mean_read_latency == 0.0 {
                     0.0
@@ -199,17 +204,9 @@ pub struct Tab3Row {
 }
 
 /// Runs Table III: sweep the write:read latency ratio with write latency
-/// pinned at 120 ns. Improvements are averaged over `workloads`.
-pub fn tab3(scale: EvalScale, workloads: &[Workload]) -> Vec<Tab3Row> {
-    tab3_with(scale, workloads, &mut SweepRunner::new(1))
-}
-
-/// [`tab3`], with the (ratio × workload × kind) runs farmed to `runner`.
-pub fn tab3_with(
-    scale: EvalScale,
-    workloads: &[Workload],
-    runner: &mut SweepRunner,
-) -> Vec<Tab3Row> {
+/// pinned at 120 ns, with the (ratio × workload × kind) runs farmed to
+/// `runner`. Improvements are averaged over `workloads`.
+pub fn tab3(scale: EvalScale, workloads: &[Workload], runner: &mut SweepRunner) -> Vec<Tab3Row> {
     const RATIOS: [u64; 4] = [2, 4, 6, 8];
     const KINDS: [SystemKind; 3] = [
         SystemKind::Baseline,
@@ -269,20 +266,16 @@ pub struct Tab4Row {
     pub faulty_report: RunReport,
 }
 
-/// Runs Table IV on the paper's four max-rollback workloads.
+/// Runs Table IV on the paper's four max-rollback workloads, with each
+/// workload's three independent runs (baseline, always-faulty,
+/// none-faulty) farmed to `runner`.
 ///
 /// Uses `RWoW-NR`: with the fixed layout the ECC chip is busy during every
 /// write's step 1, so every RoW read defers its SECDED check — the paper's
 /// rollback-exposed configuration. (Under ECC/PCC rotation most RoW reads
 /// validate immediately from their check byte and carry no rollback risk
 /// at all; see DESIGN.md §4b.)
-pub fn tab4(scale: EvalScale) -> Vec<Tab4Row> {
-    tab4_with(scale, &mut SweepRunner::new(1))
-}
-
-/// [`tab4`], with each workload's three independent runs (baseline,
-/// always-faulty, none-faulty) farmed to `runner`.
-pub fn tab4_with(scale: EvalScale, runner: &mut SweepRunner) -> Vec<Tab4Row> {
+pub fn tab4(scale: EvalScale, runner: &mut SweepRunner) -> Vec<Tab4Row> {
     let workloads: Vec<Workload> = ["canneal", "facesim", "MP6", "ferret"]
         .iter()
         .map(|name| catalog::by_name(name).expect("catalog workload"))
@@ -355,13 +348,25 @@ mod tests {
         };
         // Single workload to keep the test fast.
         let w = catalog::by_name("dedup").unwrap();
-        let reports: Vec<_> = SystemKind::all()
+        let points = SystemKind::all()
             .iter()
-            .map(|&k| run_one(&w, k, scale))
+            .map(|&k| SweepPoint::standard(&w, k, scale))
             .collect();
+        let reports = SweepRunner::new(1).run_points(points);
         assert_eq!(reports.len(), 6);
         for r in &reports {
             assert!(r.writes_completed > 0, "{:?} made no progress", r.kind);
         }
+    }
+
+    #[test]
+    fn fig1_rows_do_not_depend_on_the_job_count() {
+        let scale = EvalScale {
+            requests: 300,
+            full_mt: false,
+        };
+        let serial = fig1(scale, &mut SweepRunner::new(1));
+        assert_eq!(serial.len(), catalog::spec_rate_workloads().len());
+        assert_eq!(serial, fig1(scale, &mut SweepRunner::new(3)));
     }
 }

@@ -27,8 +27,7 @@ pub struct SweepPoint {
 
 impl SweepPoint {
     /// The standard experiment point: paper-default config for `kind` at
-    /// `scale`, i.e. exactly what
-    /// [`run_one`](crate::experiments::run_one) simulates.
+    /// `scale`.
     #[must_use]
     pub fn standard(workload: &Workload, kind: SystemKind, scale: EvalScale) -> Self {
         Self {

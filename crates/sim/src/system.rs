@@ -8,8 +8,7 @@ use pcmap_ctrl::stats::SERIES_WINDOW;
 use pcmap_ctrl::{ChannelController, Completion, Controller, MemRequest, ReqId, ReqKind};
 use pcmap_faults::FaultPlan;
 use pcmap_obs::{
-    CounterId, LatencyHistogram, LifecycleReport, MetricRegistry, MetricsSnapshot, StallBreakdown,
-    Value, WindowedSeries,
+    LatencyHistogram, LifecycleReport, MetricsSnapshot, StallBreakdown, Value, WindowedSeries,
 };
 use pcmap_types::{
     CoreId, CpuParams, Cycle, FaultConfig, MemOrg, QueueParams, ServeSummary, TimingParams,
@@ -214,7 +213,7 @@ pub struct RunReport {
     pub channels: Vec<MetricsSnapshot>,
     /// Merged core-side counters (retired, stall cycles, rollbacks).
     pub cores: MetricsSnapshot,
-    /// Simulator-level counters from the injection loop's registry.
+    /// Simulator-level counters from the injection loop.
     pub sim: MetricsSnapshot,
     /// Merged read-latency distribution across channels.
     pub read_latency_hist: LatencyHistogram,
@@ -440,15 +439,18 @@ pub struct System {
     issued_per_core: Vec<u64>,
     deliveries: BinaryHeap<Reverse<Delivery>>,
     crawl_steps: u32,
-    /// Simulator-level metric registry (injection-loop accounting).
-    registry: MetricRegistry,
-    m_requests: CounterId,
-    m_retries: CounterId,
-    m_rollbacks: CounterId,
-    m_failed: CounterId,
     /// Optional serve-tier admission gate on the issue path
     /// (DESIGN.md §16). `None` leaves ingestion exactly as before.
     gate: Option<Box<dyn IngressGate>>,
+    // Injection-loop accounting, reported in `RunReport::sim`.
+    /// Requests accepted by a controller queue.
+    requests_issued: u64,
+    /// Issue attempts bounced by a full queue or deferred by the gate.
+    enqueue_retries: u64,
+    /// Rollbacks charged to a core.
+    rollbacks_charged: u64,
+    /// Failed reads delivered to a core.
+    reads_failed_delivered: u64,
 }
 
 impl System {
@@ -510,11 +512,6 @@ impl System {
             .collect();
         let budget_per_core = (cfg.max_requests / cfg.cpu.cores as u64).max(1);
         let n = cores.len();
-        let mut registry = MetricRegistry::new();
-        let m_requests = registry.counter("requests_issued");
-        let m_retries = registry.counter("enqueue_retries");
-        let m_rollbacks = registry.counter("rollbacks_charged");
-        let m_failed = registry.counter("reads_failed_delivered");
         Self {
             cfg,
             workload_name: workload.name,
@@ -532,12 +529,11 @@ impl System {
             issued_per_core: vec![0; n],
             deliveries: BinaryHeap::new(),
             crawl_steps: 0,
-            registry,
-            m_requests,
-            m_retries,
-            m_rollbacks,
-            m_failed,
             gate: None,
+            requests_issued: 0,
+            enqueue_retries: 0,
+            rollbacks_charged: 0,
+            reads_failed_delivered: 0,
         }
     }
 
@@ -567,11 +563,6 @@ impl System {
         for c in &mut self.ctrls {
             c.set_lifetrace(true);
         }
-    }
-
-    /// Access to the per-channel controllers (inspection, fault injection).
-    pub fn controllers(&self) -> &[Box<dyn Controller>] {
-        &self.ctrls
     }
 
     /// Mutable access to the controllers (fault injection in tests).
@@ -678,7 +669,7 @@ impl System {
         // The returned data may unblock the core immediately.
         self.core_due[d.core] = true;
         if d.failed {
-            self.registry.add(self.m_failed, 1);
+            self.reads_failed_delivered += 1;
         }
         if d.corrupted {
             // The deferred check proved the consumed line bad: squash
@@ -690,7 +681,7 @@ impl System {
             let cpu_at = mem_to_cpu(at, &self.cfg.cpu);
             self.cores[d.core].rollback(cpu_at, penalty);
             self.ctrls[d.chan].note_rollback(at, d.via_row, d.verify_done.is_some());
-            self.registry.add(self.m_rollbacks, 1);
+            self.rollbacks_charged += 1;
             return;
         }
         if d.via_row {
@@ -699,7 +690,7 @@ impl System {
                     let cpu_at = mem_to_cpu(at, &self.cfg.cpu);
                     self.cores[d.core].rollback(cpu_at, penalty);
                     self.ctrls[d.chan].note_rollback(at, d.via_row, d.verify_done.is_some());
-                    self.registry.add(self.m_rollbacks, 1);
+                    self.rollbacks_charged += 1;
                 }
             }
         }
@@ -795,7 +786,7 @@ impl System {
         // the run loop re-polls it at the gate's wake cycle.
         if let Some(gate) = self.gate.as_mut() {
             if let GateDecision::Defer(until) = gate.admit(i, is_read, now) {
-                self.registry.add(self.m_retries, 1);
+                self.enqueue_retries += 1;
                 let retry_cpu = mem_to_cpu(until.max(Cycle(now.0 + 1)), &self.cfg.cpu).max(1);
                 if is_read {
                     self.cores[i].read_blocked(retry_cpu);
@@ -860,7 +851,7 @@ impl System {
                 self.next_req += 1;
                 self.issued_per_core[i] += 1;
                 self.op_details[i] = None;
-                self.registry.add(self.m_requests, 1);
+                self.requests_issued += 1;
                 true
             }
             Err(_) => {
@@ -869,7 +860,7 @@ impl System {
                 if let Some(gate) = self.gate.as_mut() {
                     gate.note_rejected(i, is_read, now);
                 }
-                self.registry.add(self.m_retries, 1);
+                self.enqueue_retries += 1;
                 let retry = self.ctrls[ch]
                     .next_wake(now)
                     .unwrap_or(Cycle(now.0 + 8))
@@ -971,6 +962,11 @@ impl System {
         for c in &self.cores {
             cores.merge(&c.stats().snapshot());
         }
+        let mut sim = MetricsSnapshot::new();
+        sim.set_counter("requests_issued", self.requests_issued);
+        sim.set_counter("enqueue_retries", self.enqueue_retries);
+        sim.set_counter("rollbacks_charged", self.rollbacks_charged);
+        sim.set_counter("reads_failed_delivered", self.reads_failed_delivered);
         let events_dropped: u64 = self.ctrls.iter().map(|c| c.events().dropped()).sum();
         let lifetrace_dropped: u64 = self.ctrls.iter().map(|c| c.lifetrace().dropped()).sum();
         let lifecycle = if self.ctrls.iter().any(|c| c.lifetrace().enabled()) {
@@ -1067,7 +1063,7 @@ impl System {
             serve: self.gate.as_ref().map(|g| g.summary()),
             channels,
             cores,
-            sim: self.registry.snapshot(),
+            sim,
             read_latency_hist: lat_hist,
             write_series,
             irlp_series,

@@ -31,7 +31,7 @@ fn sweep_json(points: Vec<SweepPoint>, jobs: usize) -> Vec<String> {
         .collect()
 }
 
-/// Sweep-level parallelism: farming (workload × kind) `run_one` points to
+/// Sweep-level parallelism: farming (workload × kind) points to
 /// 4 workers must reproduce the serial sweep byte-for-byte, in input
 /// order. The always-faulty rollback point keeps the per-core rollback
 /// RNG streams under the same check.

@@ -6,7 +6,6 @@
 //! 400 MHz memory clock.
 
 use crate::error::{ConfigError, Result};
-use crate::time::Duration;
 
 /// Physical organization of the PCM main memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,19 +135,6 @@ impl TimingParams {
             array_set: 48,   // 120 ns
             status_cmd: 2,
         }
-    }
-
-    /// The worst-case per-chip array write time (a SET-dominated write, as
-    /// the paper assumes for its default 2× write:read ratio).
-    #[inline]
-    pub fn array_write(&self) -> Duration {
-        Duration(self.array_set)
-    }
-
-    /// The array read time as a duration.
-    #[inline]
-    pub fn array_read_dur(&self) -> Duration {
-        Duration(self.array_read)
     }
 
     /// Builds the Table III sensitivity variant: write latency pinned at

@@ -15,7 +15,7 @@
 //! - [`cpu`] — simplified out-of-order cores and a write-back cache
 //!   hierarchy with per-word dirty masks.
 //! - [`workloads`] — calibrated SPEC/PARSEC/STREAM workload models.
-//! - [`obs`] — telemetry: metric registry and mergeable snapshots, the
+//! - [`obs`] — telemetry: mergeable metric snapshots, the
 //!   chip-window ring behind Figure 5, the request-lifecycle tracer,
 //!   latency percentiles, windowed series, JSON/CSV export (DESIGN.md §8).
 //! - [`sim`] — the full-system simulator, the paper's experiment registry
