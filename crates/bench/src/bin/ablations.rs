@@ -2,7 +2,7 @@
 //! status-poll cost, drain watermarks, queue depths, and rotation under
 //! correlated vs uncorrelated write offsets.
 
-use pcmap_bench::count_from_args;
+use pcmap_bench::cli::count_from_args;
 use pcmap_core::{RollbackMode, SystemKind};
 use pcmap_sim::{SimConfig, System, TableBuilder};
 use pcmap_workloads::catalog;
@@ -85,11 +85,13 @@ fn main() {
             let mut c = ChannelController::new(
                 SystemKind::RwowRde,
                 org,
-                TimingParams::paper_default(),
+                TimingParams {
+                    status_cmd: poll,
+                    ..TimingParams::paper_default()
+                },
                 QueueParams::paper_default(),
                 1,
             );
-            c.set_status_poll_cost(poll);
             let mut id = 0u64;
             for k in 0..200u64 {
                 let addr =

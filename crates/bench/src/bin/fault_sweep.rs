@@ -3,7 +3,8 @@
 //! ```text
 //! fault_sweep [--workload NAME] [--system KIND] [--requests N]
 //!             [--rates R1,R2,...] [--fault-rate R] [--fault-seed S]
-//!             [--jobs N] [--json PATH] [--csv PATH] [--soak [PATH]]
+//!             [--jobs N] [--json PATH] [--csv PATH] [--soak]
+//!             [--soak-path PATH]
 //! ```
 //!
 //! Sweeps the headline fault rate over a seeded storm profile
@@ -19,24 +20,34 @@
 //! zero invariant violations, every injected fault visibly accounted
 //! for, and at least one sweep point that both enters *and* exits
 //! degraded mode. The verdict is written to `results/soak.json` (or the
-//! given path) and a failed assertion exits non-zero.
+//! `--soak-path`, which implies `--soak`) and a failed assertion exits
+//! non-zero.
 //!
 //! All sweep points are independent, so `--jobs N` farms them to N
 //! workers: the table, JSON, and CSV are byte-identical at
 //! every job count. `PCMAP_FAULTS=RATE[:SEED]` preseeds a single-rate
 //! sweep, as everywhere else.
 
+use pcmap_bench::cli::{
+    env_jobs, faults_from_env, parse_count, parse_fault_rate, parse_number, parse_system,
+    parse_workload, Flags, DEFAULT_FAULT_SEED,
+};
+use pcmap_bench::write_artifact;
 use pcmap_core::SystemKind;
 use pcmap_obs::Value;
 use pcmap_sim::{RunReport, SimConfig, SweepRunner, System, TableBuilder};
 use pcmap_types::FaultConfig;
-use pcmap_workloads::catalog;
+use pcmap_workloads::Workload;
 
 /// Default rate ladder: fault-free anchor plus four storm intensities.
 const DEFAULT_RATES: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
 
+const USAGE: &str = "[--workload NAME] [--system KIND] [--requests N] \
+                     [--rates R1,R2,...] [--fault-rate R] [--fault-seed S] \
+                     [--jobs N] [--json PATH] [--csv PATH] [--soak] [--soak-path PATH]";
+
 struct Args {
-    workload: String,
+    workload: Workload,
     system: SystemKind,
     requests: u64,
     rates: Vec<f64>,
@@ -47,81 +58,46 @@ struct Args {
     soak: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
-        workload: "canneal".to_owned(),
+        workload: parse_workload("--workload", "canneal")?,
         system: SystemKind::RwowRde,
         requests: 4_000,
         rates: DEFAULT_RATES.to_vec(),
-        fault_seed: pcmap_bench::DEFAULT_FAULT_SEED,
-        jobs: pcmap_bench::env_jobs()?,
+        fault_seed: DEFAULT_FAULT_SEED,
+        jobs: env_jobs()?,
         json: None,
         csv: None,
         soak: None,
     };
-    if let Some(f) = pcmap_bench::faults_from_env()? {
+    if let Some(f) = faults_from_env()? {
         args.rates = vec![f.rate];
         args.fault_seed = f.seed;
     }
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--workload" | "-w" => args.workload = value("--workload")?,
-            "--system" | "-s" => {
-                let v = value("--system")?;
-                args.system = SystemKind::all()
-                    .into_iter()
-                    .find(|k| k.label().eq_ignore_ascii_case(&v))
-                    .or(match v.to_ascii_lowercase().as_str() {
-                        "baseline" => Some(SystemKind::Baseline),
-                        "rwow-nr" => Some(SystemKind::RwowNr),
-                        "rwow-rde" | "pcmap" => Some(SystemKind::RwowRde),
-                        _ => None,
-                    })
-                    .ok_or(format!("unknown system '{v}'"))?;
-            }
-            "--requests" | "-n" => {
-                args.requests = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
+            "--workload" | "-w" => args.workload = flags.parsed(parse_workload)?,
+            "--system" | "-s" => args.system = flags.parsed(parse_system)?,
+            "--requests" | "-n" => args.requests = flags.parsed(parse_count)?,
             "--rates" => {
-                args.rates = value("--rates")?
-                    .split(',')
-                    .map(|r| r.trim().parse().map_err(|e| format!("bad rate: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if args.rates.is_empty() {
-                    return Err("--rates needs at least one rate".into());
-                }
+                args.rates = flags.parsed(|flag, rates| {
+                    rates
+                        .split(',')
+                        .map(|r| parse_fault_rate(flag, r))
+                        .collect()
+                })?;
             }
-            "--fault-rate" => {
-                args.rates = vec![value("--fault-rate")?
-                    .parse()
-                    .map_err(|e| format!("bad fault rate: {e}"))?];
-            }
-            "--fault-seed" => {
-                args.fault_seed = value("--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("bad fault seed: {e}"))?;
-            }
-            "--jobs" | "-j" => args.jobs = pcmap_bench::parse_jobs("--jobs", &value("--jobs")?)?,
-            "--json" => args.json = Some(value("--json")?),
-            "--csv" => args.csv = Some(value("--csv")?),
+            "--fault-rate" => args.rates = vec![flags.parsed(parse_fault_rate)?],
+            "--fault-seed" => args.fault_seed = flags.parsed(parse_number)?,
+            "--jobs" | "-j" => args.jobs = flags.parsed(parse_count)?,
+            "--json" => args.json = Some(flags.value()?),
+            "--csv" => args.csv = Some(flags.value()?),
             "--soak" => {
-                // Optional path operand; default under results/.
-                args.soak = Some("results/soak.json".to_owned());
+                args.soak
+                    .get_or_insert_with(|| "results/soak.json".to_owned());
             }
-            "--soak-path" => args.soak = Some(value("--soak-path")?),
-            "--help" | "-h" => {
-                println!(
-                    "usage: fault_sweep [--workload NAME] [--system KIND] [--requests N] \
-                     [--rates R1,R2,...] [--fault-rate R] [--fault-seed S] \
-                     [--jobs N] [--json PATH] [--csv PATH] [--soak] [--soak-path PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+            "--soak-path" => args.soak = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(args)
@@ -141,14 +117,10 @@ fn storm(rate: f64, seed: u64, soak: bool) -> FaultConfig {
 }
 
 fn run_point(args: &Args, rate: f64, soak: bool) -> RunReport {
-    let wl = catalog::by_name(&args.workload).unwrap_or_else(|| {
-        eprintln!("unknown workload '{}'", args.workload);
-        std::process::exit(2);
-    });
     let cfg = SimConfig::paper_default(args.system)
         .with_requests(args.requests)
         .with_faults(storm(rate, args.fault_seed, soak));
-    System::new(cfg, wl).run()
+    System::new(cfg, args.workload.clone()).run()
 }
 
 fn point_json(rate: f64, seed: u64, r: &RunReport) -> Value {
@@ -196,13 +168,7 @@ fn sweep_table(rates: &[f64], reports: &[RunReport]) -> TableBuilder {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = Flags::parse_or_exit(USAGE, parse_args);
     let soak = args.soak.is_some();
     let rates = args.rates.clone();
     let mut runner = SweepRunner::new(args.jobs);
@@ -210,7 +176,7 @@ fn main() {
 
     println!(
         "fault sweep · {} · {} · {} requests · fault seed {:#x}{}",
-        args.workload,
+        args.workload.name,
         args.system.label(),
         args.requests,
         args.fault_seed,
@@ -227,22 +193,10 @@ fn main() {
                 .map(|(&rate, r)| point_json(rate, args.fault_seed, r))
                 .collect(),
         );
-        match pcmap_bench::write_json_result(path, &arr) {
-            Ok(p) => println!("wrote {p}"),
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_artifact(path, &arr.to_json_pretty());
     }
     if let Some(path) = &args.csv {
-        match pcmap_obs::export::write_text(path, &t.to_csv()) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_artifact(path, &t.to_csv());
     }
 
     if let Some(soak_path) = &args.soak {
@@ -260,7 +214,7 @@ fn main() {
         let gate = pcmap_bench::soak::verdict(&runs);
         let failures = gate.failures.clone();
         let mut verdict = Value::obj();
-        verdict.set("workload", Value::Str(args.workload.clone()));
+        verdict.set("workload", Value::Str(args.workload.name.clone()));
         verdict.set("system", Value::Str(args.system.label().to_owned()));
         verdict.set("requests", Value::U64(args.requests));
         verdict.set("fault_seed", Value::U64(args.fault_seed));
@@ -308,13 +262,7 @@ fn main() {
                     .collect(),
             ),
         );
-        match pcmap_bench::write_json_result(soak_path, &verdict) {
-            Ok(p) => println!("wrote {p}"),
-            Err(e) => {
-                eprintln!("error: writing {soak_path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_artifact(soak_path, &verdict.to_json_pretty());
         if failures.is_empty() {
             println!("soak gate PASSED");
         } else {

@@ -1,7 +1,7 @@
 //! Figure 1: percentage of reads delayed by an ongoing write, and the
 //! effective read latency of asymmetric PCM normalized to symmetric PCM.
 
-use pcmap_bench::scale_from_args;
+use pcmap_bench::cli::scale_from_args;
 use pcmap_sim::experiments::fig1;
 use pcmap_sim::TableBuilder;
 

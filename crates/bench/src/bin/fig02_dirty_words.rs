@@ -5,7 +5,7 @@ use pcmap_sim::experiments::fig2;
 use pcmap_sim::TableBuilder;
 
 fn main() {
-    let (writes, _) = pcmap_bench::count_from_args("WRITES", 50_000, false);
+    let (writes, _) = pcmap_bench::cli::count_from_args("WRITES", 50_000, false);
     let rows = fig2(writes);
     let mut headers = vec!["workload".to_string()];
     headers.extend((0..=8).map(|i| format!("{i}w [%]")));

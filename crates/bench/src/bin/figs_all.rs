@@ -1,14 +1,14 @@
-//! Runs the Figures 8–11 evaluation matrix once and prints all four
-//! figures (convenience for full regeneration; the individual fig*
-//! binaries produce the same rows).
+//! Figures 8–11: runs the evaluation matrix (12 workloads × 6 systems)
+//! once and prints all four figures — IRLP, write throughput and read
+//! latency normalized to the baseline, and IPC improvement.
 //!
 //! Every table also lands as CSV under `results/`, and the full per-run
 //! telemetry (per-channel counters, latency percentiles, IRLP, stall
 //! breakdown) as `results/figs_all.json`.
 
+use pcmap_bench::cli::scale_from_args;
 use pcmap_bench::{
-    matrix_json, matrix_with_averages, metric_table, metric_table_normalized, scale_from_args,
-    write_csv_result, write_json_result,
+    matrix_json, matrix_with_averages, metric_table, metric_table_normalized, write_artifact,
 };
 use pcmap_core::SystemKind;
 use pcmap_obs::Value;
@@ -56,17 +56,14 @@ fn main() {
     out.set("figures", Value::Str("fig08-fig11".into()));
     out.set("rows", matrix_json(&rows));
     println!();
-    for res in [
-        write_json_result("results/figs_all.json", &out),
-        write_csv_result("results/fig08_irlp.csv", &fig8),
-        write_csv_result("results/fig08_irlp_max.csv", &fig8_max),
-        write_csv_result("results/fig09_write_throughput.csv", &fig9),
-        write_csv_result("results/fig10_read_latency.csv", &fig10),
-        write_csv_result("results/fig11_ipc.csv", &fig11),
+    write_artifact("results/figs_all.json", &out.to_json_pretty());
+    for (path, table) in [
+        ("results/fig08_irlp.csv", &fig8),
+        ("results/fig08_irlp_max.csv", &fig8_max),
+        ("results/fig09_write_throughput.csv", &fig9),
+        ("results/fig10_read_latency.csv", &fig10),
+        ("results/fig11_ipc.csv", &fig11),
     ] {
-        match res {
-            Ok(path) => println!("wrote {path}"),
-            Err(e) => eprintln!("error: {e}"),
-        }
+        write_artifact(path, &table.to_csv());
     }
 }

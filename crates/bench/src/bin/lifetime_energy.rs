@@ -6,7 +6,7 @@ use pcmap_sim::{SimConfig, System, TableBuilder};
 use pcmap_workloads::catalog;
 
 fn main() {
-    let (requests, _) = pcmap_bench::count_from_args("REQUESTS", 12_000, false);
+    let (requests, _) = pcmap_bench::cli::count_from_args("REQUESTS", 12_000, false);
     let wl = catalog::by_name("canneal").expect("catalog workload");
     println!("Lifetime & energy (canneal, {requests} requests)\n");
     println!("wear imbalance = hottest chip's writes / mean (1.0 = perfectly level);");

@@ -27,15 +27,23 @@
 //! timeline report travels out-of-band (`--json` sidecar), never inside
 //! the RunReport.
 
-use pcmap_bench::parse_system;
+use pcmap_bench::cli::{
+    env_jobs, faults_from_env, parse_count, parse_fault_rate, parse_number, parse_system,
+    parse_workload, Flags, DEFAULT_FAULT_SEED,
+};
+use pcmap_bench::write_artifact;
 use pcmap_core::SystemKind;
 use pcmap_obs::{LifecycleReport, Value};
 use pcmap_sim::{RunReport, SimConfig, SweepRunner, System};
 use pcmap_types::FaultConfig;
-use pcmap_workloads::catalog;
+use pcmap_workloads::Workload;
+
+const USAGE: &str = "[--workload NAME] [--system KIND] [--requests N] \
+                     [--seed S] [--jobs N] [--top K] [--json PATH] [--diff KIND2] \
+                     [--fault-rate R] [--fault-seed S] [--smoke]";
 
 struct Args {
-    workload: String,
+    workload: Workload,
     system: SystemKind,
     requests: Option<u64>,
     seed: u64,
@@ -48,82 +56,44 @@ struct Args {
     smoke: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
-        workload: "canneal".to_owned(),
+        workload: parse_workload("--workload", "canneal")?,
         system: SystemKind::RwowRde,
         requests: None,
         seed: 0xC0FFEE,
-        jobs: pcmap_bench::env_jobs()?,
+        jobs: env_jobs()?,
         top: 5,
         json: None,
         diff: None,
         fault_rate: 0.0,
-        fault_seed: pcmap_bench::DEFAULT_FAULT_SEED,
+        fault_seed: DEFAULT_FAULT_SEED,
         smoke: false,
     };
-    if let Some(f) = pcmap_bench::faults_from_env()? {
+    if let Some(f) = faults_from_env()? {
         args.fault_rate = f.rate;
         args.fault_seed = f.seed;
     }
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--workload" | "-w" => args.workload = value("--workload")?,
-            "--system" | "-s" => {
-                let v = value("--system")?;
-                args.system = parse_system(&v).ok_or(format!("unknown system '{v}'"))?;
-            }
-            "--requests" | "-n" => {
-                args.requests = Some(
-                    value("--requests")?
-                        .parse()
-                        .map_err(|e| format!("bad count: {e}"))?,
-                );
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--jobs" | "-j" => args.jobs = pcmap_bench::parse_jobs("--jobs", &value("--jobs")?)?,
-            "--top" | "-k" => {
-                args.top = value("--top")?
-                    .parse()
-                    .map_err(|e| format!("bad top count: {e}"))?;
-            }
-            "--json" => args.json = Some(value("--json")?),
-            "--diff" => {
-                let v = value("--diff")?;
-                args.diff = Some(parse_system(&v).ok_or(format!("unknown system '{v}'"))?);
-            }
-            "--fault-rate" => {
-                args.fault_rate = value("--fault-rate")?
-                    .parse()
-                    .map_err(|e| format!("bad fault rate: {e}"))?;
-            }
-            "--fault-seed" => {
-                args.fault_seed = value("--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("bad fault seed: {e}"))?;
-            }
+            "--workload" | "-w" => args.workload = flags.parsed(parse_workload)?,
+            "--system" | "-s" => args.system = flags.parsed(parse_system)?,
+            "--requests" | "-n" => args.requests = Some(flags.parsed(parse_count)?),
+            "--seed" => args.seed = flags.parsed(parse_number)?,
+            "--jobs" | "-j" => args.jobs = flags.parsed(parse_count)?,
+            "--top" | "-k" => args.top = flags.parsed(parse_number)?,
+            "--json" => args.json = Some(flags.value()?),
+            "--diff" => args.diff = Some(flags.parsed(parse_system)?),
+            "--fault-rate" => args.fault_rate = flags.parsed(parse_fault_rate)?,
+            "--fault-seed" => args.fault_seed = flags.parsed(parse_number)?,
             "--smoke" => args.smoke = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: pcmap_explain [--workload NAME] [--system KIND] [--requests N] \
-                     [--seed S] [--jobs N] [--top K] [--json PATH] [--diff KIND2] \
-                     [--fault-rate R] [--fault-seed S] [--smoke]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(args)
 }
 
-fn run_traced(args: &Args, kind: SystemKind, wl: &catalog::Workload) -> RunReport {
+fn run_traced(args: &Args, kind: SystemKind) -> RunReport {
     let mut cfg = SimConfig::paper_default(kind)
         .with_requests(
             args.requests
@@ -133,7 +103,7 @@ fn run_traced(args: &Args, kind: SystemKind, wl: &catalog::Workload) -> RunRepor
     if args.fault_rate > 0.0 {
         cfg = cfg.with_faults(FaultConfig::storm(args.fault_rate, args.fault_seed));
     }
-    let mut sys = System::new(cfg, wl.clone());
+    let mut sys = System::new(cfg, args.workload.clone());
     sys.enable_lifecycle_tracing();
     sys.run()
 }
@@ -322,20 +292,10 @@ fn sidecar(r: &RunReport, lc: &LifecycleReport, top: usize) -> Value {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let wl = catalog::by_name(&args.workload).unwrap_or_else(|| {
-        eprintln!("unknown workload '{}'", args.workload);
-        std::process::exit(2);
-    });
+    let args = Flags::parse_or_exit(USAGE, parse_args);
 
     let kinds: Vec<SystemKind> = std::iter::once(args.system).chain(args.diff).collect();
-    let mut reports = SweepRunner::new(args.jobs).map(kinds, |kind| run_traced(&args, kind, &wl));
+    let mut reports = SweepRunner::new(args.jobs).map(kinds, |kind| run_traced(&args, kind));
     let r = reports.remove(0);
     let lc = r.lifecycle.clone().expect("tracing was enabled");
     pcmap_bench::warn_on_observability_drops(&r);
@@ -356,39 +316,26 @@ fn main() {
             let mut o = Value::obj();
             o.set("base", sidecar(&r, &lc, args.top));
             o.set("other", sidecar(&r2, &lc2, args.top));
-            write_or_die(path, &o);
+            write_artifact(path, &o.to_json_pretty());
         }
     } else {
         render_summary(&r, &lc);
         render_timelines(&lc, args.top);
         if let Some(path) = &args.json {
-            write_or_die(path, &sidecar(&r, &lc, args.top));
+            write_artifact(path, &sidecar(&r, &lc, args.top).to_json_pretty());
         }
     }
 
     if args.smoke {
-        let path = args
-            .json
-            .clone()
-            .unwrap_or_else(|| "results/explain.json".to_owned());
         if args.json.is_none() {
-            write_or_die(&path, &sidecar(&r, &lc, args.top));
+            let report = sidecar(&r, &lc, args.top);
+            write_artifact("results/explain.json", &report.to_json_pretty());
         }
         let n = lc.timelines.len();
         if violations == 0 {
             println!("\nsmoke: conservation holds for all {n} traced requests; totals reconcile");
         } else {
             eprintln!("smoke: {violations} violations across {n} traced requests");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn write_or_die(path: &str, value: &Value) {
-    match pcmap_obs::export::write_json(path, value) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("error: writing {path}: {e}");
             std::process::exit(1);
         }
     }

@@ -22,14 +22,19 @@
 //! env variable as `RATE[:SEED]`) runs under a deterministic fault storm
 //! (DESIGN.md §11). The default rate of 0 leaves every fault hook inert.
 
+use pcmap_bench::cli::{
+    env_jobs, faults_from_env, parse_count, parse_fault_rate, parse_number, parse_system,
+    parse_workload, Flags, DEFAULT_FAULT_SEED,
+};
+use pcmap_bench::write_artifact;
 use pcmap_core::{RollbackMode, SystemKind};
 use pcmap_obs::Value;
 use pcmap_sim::{RunReport, SimConfig, SweepRunner, System, TableBuilder};
 use pcmap_types::{FaultConfig, TimingParams};
-use pcmap_workloads::catalog;
+use pcmap_workloads::Workload;
 
 struct Args {
-    workload: String,
+    workload: Workload,
     system: SystemKind,
     requests: u64,
     ratio: Option<u64>,
@@ -43,91 +48,58 @@ struct Args {
     fault_seed: u64,
 }
 
-use pcmap_bench::parse_system;
-
-const USAGE: &str = "usage: pcmap_run [--workload NAME] [--system KIND] [--requests N] \
+const USAGE: &str = "[--workload NAME] [--system KIND] [--requests N] \
                      [--ratio R] [--seed S] [--rollback faulty|clean] [--all] \
                      [--jobs N] [--json PATH] [--csv PATH] \
                      [--fault-rate R] [--fault-seed S]";
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     let mut args = Args {
-        workload: "canneal".to_owned(),
+        workload: parse_workload("--workload", "canneal")?,
         system: SystemKind::RwowRde,
         requests: 16_000,
         ratio: None,
         seed: 0xC0FFEE,
         rollback: RollbackMode::NeverFaulty,
         all: false,
-        jobs: pcmap_bench::env_jobs()?,
+        jobs: env_jobs()?,
         json: None,
         csv: None,
         fault_rate: 0.0,
-        fault_seed: pcmap_bench::DEFAULT_FAULT_SEED,
+        fault_seed: DEFAULT_FAULT_SEED,
     };
     // `PCMAP_FAULTS=RATE[:SEED]` seeds the defaults; explicit flags win.
-    if let Some(f) = pcmap_bench::faults_from_env()? {
+    if let Some(f) = faults_from_env()? {
         args.fault_rate = f.rate;
         args.fault_seed = f.seed;
     }
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--workload" | "-w" => args.workload = value("--workload")?,
-            "--system" | "-s" => {
-                let v = value("--system")?;
-                args.system = parse_system(&v).ok_or(format!("unknown system '{v}'"))?;
-            }
-            "--requests" | "-n" => {
-                args.requests = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("bad count: {e}"))?;
-            }
-            "--ratio" | "-r" => {
-                args.ratio = Some(
-                    value("--ratio")?
-                        .parse()
-                        .map_err(|e| format!("bad ratio: {e}"))?,
-                );
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?
-            }
+            "--workload" | "-w" => args.workload = flags.parsed(parse_workload)?,
+            "--system" | "-s" => args.system = flags.parsed(parse_system)?,
+            "--requests" | "-n" => args.requests = flags.parsed(parse_count)?,
+            "--ratio" | "-r" => args.ratio = Some(flags.parsed(parse_count)?),
+            "--seed" => args.seed = flags.parsed(parse_number)?,
             "--rollback" => {
-                args.rollback = match value("--rollback")?.as_str() {
-                    "faulty" => RollbackMode::AlwaysFaulty,
-                    "clean" => RollbackMode::NeverFaulty,
-                    other => return Err(format!("unknown rollback mode '{other}'")),
-                };
+                args.rollback = flags.parsed(|flag, mode| match mode {
+                    "faulty" => Ok(RollbackMode::AlwaysFaulty),
+                    "clean" => Ok(RollbackMode::NeverFaulty),
+                    _ => Err(format!("{flag} wants faulty or clean, got '{mode}'")),
+                })?;
             }
             "--all" | "-a" => args.all = true,
-            "--jobs" | "-j" => args.jobs = pcmap_bench::parse_jobs("--jobs", &value("--jobs")?)?,
-            "--json" => args.json = Some(value("--json")?),
-            "--csv" => args.csv = Some(value("--csv")?),
-            "--fault-rate" => {
-                args.fault_rate = value("--fault-rate")?
-                    .parse()
-                    .map_err(|e| format!("bad fault rate: {e}"))?;
-            }
-            "--fault-seed" => {
-                args.fault_seed = value("--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("bad fault seed: {e}"))?;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+            "--jobs" | "-j" => args.jobs = flags.parsed(parse_count)?,
+            "--json" => args.json = Some(flags.value()?),
+            "--csv" => args.csv = Some(flags.value()?),
+            "--fault-rate" => args.fault_rate = flags.parsed(parse_fault_rate)?,
+            "--fault-seed" => args.fault_seed = flags.parsed(parse_number)?,
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(args)
 }
 
-fn build(args: &Args, kind: SystemKind, wl: &catalog::Workload) -> System {
+fn build(args: &Args, kind: SystemKind) -> System {
     let mut cfg = SimConfig::paper_default(kind)
         .with_requests(args.requests)
         .with_seed(args.seed)
@@ -138,31 +110,17 @@ fn build(args: &Args, kind: SystemKind, wl: &catalog::Workload) -> System {
     if args.fault_rate > 0.0 {
         cfg = cfg.with_faults(FaultConfig::storm(args.fault_rate, args.fault_seed));
     }
-    let mut sys = System::new(cfg, wl.clone());
+    let mut sys = System::new(cfg, args.workload.clone());
     // PCMAP_LIFETRACE=1 turns on the (determinism-neutral) request
     // lifecycle tracer; `pcmap_explain` renders the resulting timelines.
-    if pcmap_bench::lifetrace_from_env() {
+    if pcmap_bench::cli::lifetrace_from_env() {
         sys.enable_lifecycle_tracing();
     }
     sys
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-
-    let wl = catalog::by_name(&args.workload).unwrap_or_else(|| {
-        eprintln!(
-            "unknown workload '{}'; known: canneal, dedup, ..., MP1-MP6, SPEC names, stream",
-            args.workload
-        );
-        std::process::exit(2);
-    });
+    let args = Flags::parse_or_exit(USAGE, parse_args);
     let kinds: Vec<SystemKind> = if args.all {
         SystemKind::all().to_vec()
     } else {
@@ -172,7 +130,7 @@ fn main() {
     // Deterministic parallelism (--jobs N): whole runs are farmed to N
     // workers and come back in input order, byte-identical at any N.
     let reports: Vec<RunReport> =
-        SweepRunner::new(args.jobs).map(kinds, |kind| build(&args, kind, &wl).run());
+        SweepRunner::new(args.jobs).map(kinds, |kind| build(&args, kind).run());
 
     let mut t = TableBuilder::new(&[
         "system",
@@ -198,7 +156,7 @@ fn main() {
     }
     println!(
         "workload {} · {} requests · seed {:#x}{}",
-        args.workload,
+        args.workload.name,
         args.requests,
         args.seed,
         args.ratio
@@ -220,21 +178,9 @@ fn main() {
 
     if let Some(path) = &args.json {
         let arr = Value::Arr(reports.iter().map(RunReport::to_json).collect());
-        match pcmap_obs::export::write_json(path, &arr) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_artifact(path, &arr.to_json_pretty());
     }
     if let Some(path) = &args.csv {
-        match pcmap_obs::export::write_text(path, &t.to_csv()) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_artifact(path, &t.to_csv());
     }
 }

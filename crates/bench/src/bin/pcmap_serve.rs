@@ -22,12 +22,16 @@
 //! protocol invariant violated. The verdict is written to
 //! `results/serve_soak.json` and any failure exits non-zero.
 
+use pcmap_bench::cli::{
+    env_jobs, faults_from_env, parse_count, parse_fault_spec, parse_number, Flags,
+};
+use pcmap_bench::write_artifact;
 use pcmap_obs::Value;
 use pcmap_serve::{run_fleet, ServeReport};
 use pcmap_sim::{SweepRunner, TableBuilder};
 use pcmap_types::{ServeConfig, SloSpec};
 
-const USAGE: &str = "usage: pcmap_serve [--tenants N] [--requests N] \
+const USAGE: &str = "[--tenants N] [--requests N] \
                      [--slo TARGET[:GOAL_BP]] [--seed S] [--faults RATE[:SEED]] \
                      [--jobs N] [--json PATH] [--soak] [--soak-path PATH]";
 
@@ -38,7 +42,7 @@ struct Args {
     soak: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     // `--soak` picks the base profile; every explicit flag and
     // `PCMAP_FAULTS` then apply over it, in either mode.
     let soak = std::env::args().any(|a| a == "--soak" || a == "--soak-path");
@@ -48,67 +52,35 @@ fn parse_args() -> Result<Args, String> {
         } else {
             ServeConfig::paper_default()
         },
-        jobs: pcmap_bench::env_jobs()?,
+        jobs: env_jobs()?,
         json: None,
         soak: soak.then(|| "results/serve_soak.json".to_owned()),
     };
-    if let Some(f) = pcmap_bench::faults_from_env()? {
+    if let Some(f) = faults_from_env()? {
         args.cfg.faults = f;
     }
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--tenants" | "-t" => {
-                args.cfg.tenants = value("--tenants")?
-                    .parse()
-                    .map_err(|e| format!("bad tenant count: {e}"))?;
-            }
-            "--requests" | "-n" => {
-                args.cfg.requests = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("bad request count: {e}"))?;
-            }
+            "--tenants" | "-t" => args.cfg.tenants = flags.parsed(parse_number)?,
+            "--requests" | "-n" => args.cfg.requests = flags.parsed(parse_count)?,
             "--slo" => {
-                let v = value("--slo")?;
-                let (target, goal) = match v.split_once(':') {
-                    Some((t, g)) => (
-                        t.trim()
-                            .parse()
-                            .map_err(|e| format!("bad slo target: {e}"))?,
-                        g.trim().parse().map_err(|e| format!("bad slo goal: {e}"))?,
-                    ),
-                    None => (
-                        v.trim()
-                            .parse()
-                            .map_err(|e| format!("bad slo target: {e}"))?,
-                        args.cfg.slo.goal_bp,
-                    ),
-                };
-                args.cfg.slo = SloSpec {
-                    target,
-                    goal_bp: goal,
-                };
+                let goal_bp = args.cfg.slo.goal_bp;
+                args.cfg.slo = flags.parsed(|flag, v| {
+                    let (target, goal_bp) = match v.split_once(':') {
+                        Some((target, goal)) => (target, parse_number(flag, goal.trim())?),
+                        None => (v, goal_bp),
+                    };
+                    let target = parse_number(flag, target.trim())?;
+                    Ok(SloSpec { target, goal_bp })
+                })?;
             }
-            "--seed" => {
-                args.cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--faults" => {
-                let v = value("--faults")?;
-                args.cfg.faults = pcmap_bench::parse_fault_spec(&v)
-                    .ok_or(format!("bad fault spec '{v}' (RATE or RATE:SEED)"))?;
-            }
-            "--jobs" | "-j" => args.jobs = pcmap_bench::parse_jobs("--jobs", &value("--jobs")?)?,
-            "--json" => args.json = Some(value("--json")?),
+            "--seed" => args.cfg.seed = flags.parsed(parse_number)?,
+            "--faults" => args.cfg.faults = flags.parsed(parse_fault_spec)?,
+            "--jobs" | "-j" => args.jobs = flags.parsed(parse_count)?,
+            "--json" => args.json = Some(flags.value()?),
             "--soak" => {}
-            "--soak-path" => args.soak = Some(value("--soak-path")?),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+            "--soak-path" => args.soak = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
         }
     }
     args.cfg.validate().map_err(|e| {
@@ -292,13 +264,7 @@ fn run_soak(cfg: &ServeConfig, soak_path: &str) -> i32 {
     );
     verdict.set("pass", Value::Bool(failures.is_empty()));
 
-    match pcmap_bench::write_json_result(soak_path, &verdict) {
-        Ok(p) => println!("wrote {p}"),
-        Err(e) => {
-            eprintln!("error: writing {soak_path}: {e}");
-            return 1;
-        }
-    }
+    write_artifact(soak_path, &verdict.to_json_pretty());
     print_report(&report);
     if failures.is_empty() {
         println!("serve soak gate PASSED");
@@ -312,13 +278,7 @@ fn run_soak(cfg: &ServeConfig, soak_path: &str) -> i32 {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args = Flags::parse_or_exit(USAGE, parse_args);
 
     if let Some(soak_path) = &args.soak {
         std::process::exit(run_soak(&args.cfg, soak_path));
@@ -328,13 +288,7 @@ fn main() {
     print_report(&report);
     let problems = report.check();
     if let Some(path) = &args.json {
-        match pcmap_bench::write_json_result(path, &report.to_json()) {
-            Ok(p) => println!("wrote {p}"),
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_artifact(path, &report.to_json().to_json_pretty());
     }
     if !problems.is_empty() {
         for p in &problems {

@@ -1,6 +1,6 @@
 //! Table III: IPC improvement vs the write:read latency ratio.
 
-use pcmap_bench::scale_from_args;
+use pcmap_bench::cli::scale_from_args;
 use pcmap_sim::experiments::tab3;
 use pcmap_sim::TableBuilder;
 use pcmap_workloads::catalog;

@@ -5,7 +5,8 @@
 //! of each always-faulty run, including its rollback rate) and
 //! `results/tab04_rollback.csv`.
 
-use pcmap_bench::{scale_from_args, write_csv_result, write_json_result};
+use pcmap_bench::cli::scale_from_args;
+use pcmap_bench::write_artifact;
 use pcmap_obs::Value;
 use pcmap_sim::experiments::tab4;
 use pcmap_sim::TableBuilder;
@@ -49,13 +50,6 @@ fn main() {
                 .collect(),
         ),
     );
-    for res in [
-        write_json_result("results/tab04_rollback.json", &out),
-        write_csv_result("results/tab04_rollback.csv", &t),
-    ] {
-        match res {
-            Ok(path) => println!("wrote {path}"),
-            Err(e) => eprintln!("error: {e}"),
-        }
-    }
+    write_artifact("results/tab04_rollback.json", &out.to_json_pretty());
+    write_artifact("results/tab04_rollback.csv", &t.to_csv());
 }

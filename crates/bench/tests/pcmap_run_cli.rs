@@ -3,18 +3,123 @@
 
 use std::process::Command;
 
-/// The run loop has no alternative to select: `--engine` is an unknown
-/// flag like any other.
+/// Every malformed or out-of-range value and every unknown flag of the
+/// four runners is a usage error: exit 2 (never a panic's 101, never a
+/// silent default), nothing on stdout, the error and the usage line on
+/// stderr — reported before any simulation runs.
 #[test]
-fn engine_flag_is_an_unknown_flag() {
-    let out = Command::new(env!("CARGO_BIN_EXE_pcmap_run"))
-        .args(["--engine", "event"])
+fn bad_runner_input_is_a_usage_error() {
+    let run = env!("CARGO_BIN_EXE_pcmap_run");
+    let explain = env!("CARGO_BIN_EXE_pcmap_explain");
+    let sweep = env!("CARGO_BIN_EXE_fault_sweep");
+    let serve = env!("CARGO_BIN_EXE_pcmap_serve");
+    let mut cases: Vec<(&str, Vec<&str>, String)> = Vec::new();
+    for rate in ["2.0", "nan", "-1"] {
+        let want = |flag: &str| format!("{flag} wants a rate in [0, 1], got '{rate}'");
+        cases.push((run, vec!["--fault-rate", rate], want("--fault-rate")));
+        cases.push((explain, vec!["--fault-rate", rate], want("--fault-rate")));
+        cases.push((sweep, vec!["--fault-rate", rate], want("--fault-rate")));
+        cases.push((sweep, vec!["--rates", rate], want("--rates")));
+        let spec = format!("--faults wants RATE or RATE:SEED (rate in [0, 1]), got '{rate}'");
+        cases.push((serve, vec!["--faults", rate], spec));
+    }
+    cases.push((
+        run,
+        vec!["--ratio", "0"],
+        "--ratio wants a positive count, got '0'".into(),
+    ));
+    cases.push((
+        run,
+        vec!["--rollback", "never"],
+        "--rollback wants faulty or clean, got 'never'".into(),
+    ));
+    for bin in [run, explain, sweep, serve] {
+        cases.push((
+            bin,
+            vec!["--requests", "0"],
+            "--requests wants a positive count, got '0'".into(),
+        ));
+    }
+    for bin in [run, explain, sweep] {
+        let want = "--workload wants a catalog workload";
+        cases.push((bin, vec!["--workload", "bogus"], want.into()));
+    }
+    cases.push((
+        sweep,
+        vec!["--system", "rwow"],
+        "--system wants baseline, row-nr".into(),
+    ));
+    // The run loop has no alternative to select: `--engine` is an unknown
+    // flag like any other.
+    for (bin, flag) in [
+        (run, "--engine"),
+        (explain, "--bogus"),
+        (sweep, "--soak-pth"),
+        (serve, "--fault-rate"),
+    ] {
+        cases.push((bin, vec![flag, "1"], format!("unknown flag '{flag}'")));
+    }
+    for (bin, args, want) in &cases {
+        let out = Command::new(bin)
+            .args(args)
+            .env_remove("PCMAP_JOBS")
+            .env_remove("PCMAP_FAULTS")
+            .output()
+            .expect("binary starts");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} printed results");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {want}")),
+            "{bin} {args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage: "), "{bin} {args:?}: {stderr}");
+    }
+}
+
+/// Every system name `pcmap_run` takes works in `fault_sweep` too: both
+/// read it through the one parser.
+#[test]
+fn fault_sweep_takes_every_system_name() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fault_sweep"))
+        .args(["--system", "row", "--requests", "200", "--rates", "0"])
+        .env_remove("PCMAP_JOBS")
+        .env_remove("PCMAP_FAULTS")
         .output()
-        .expect("pcmap_run starts");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+        .expect("fault_sweep starts");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("canneal · RoW-NR · 200 requests"),
+        "{stdout}"
+    );
+}
+
+/// An artifact that cannot be written fails the run (exit 1) with an
+/// error naming its path, after the results were printed.
+#[test]
+fn unwritable_artifact_fails_naming_its_path() {
+    let dir = std::env::temp_dir().join(format!("pcmap_artifact_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("results"), "").expect("results as a plain file");
+    let out = Command::new(env!("CARGO_BIN_EXE_tab04_rollback"))
+        .arg("quick")
+        .current_dir(&dir)
+        .env_remove("PCMAP_JOBS")
+        .output()
+        .expect("tab04_rollback starts");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag '--engine'"), "{stderr}");
-    assert!(stderr.contains("usage: pcmap_run"), "{stderr}");
+    assert!(
+        stderr.contains("error: writing results/tab04_rollback.json: "),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("Table IV") && !stdout.contains("wrote"),
+        "{stdout}"
+    );
 }
 
 /// A malformed or zero `--jobs`, or a malformed `PCMAP_JOBS`, is a usage
@@ -29,10 +134,6 @@ fn malformed_job_count_is_a_usage_error() {
         env!("CARGO_BIN_EXE_fault_sweep"),
         env!("CARGO_BIN_EXE_ablations"),
         env!("CARGO_BIN_EXE_figs_all"),
-        env!("CARGO_BIN_EXE_fig08_irlp"),
-        env!("CARGO_BIN_EXE_fig09_write_throughput"),
-        env!("CARGO_BIN_EXE_fig10_read_latency"),
-        env!("CARGO_BIN_EXE_fig11_ipc"),
         env!("CARGO_BIN_EXE_tab03_latency_ratio"),
         env!("CARGO_BIN_EXE_tab04_rollback"),
     ];

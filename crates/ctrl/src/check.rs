@@ -114,8 +114,7 @@ pub struct ProtocolChecker {
     /// Strict mode panics on the first violation (debug builds and
     /// `PCMAP_CHECK` runs); collecting mode records for inspection.
     strict: bool,
-    /// Expected `Status` poll cost (tracks the controller's ablation
-    /// setting).
+    /// Expected `Status` poll cost (`TimingParams::status_cmd`).
     status_poll: Duration,
     /// Worst-case step-1 duration after program start (`array_set`).
     array_set: Duration,
@@ -177,12 +176,6 @@ impl ProtocolChecker {
     /// The recorded violations (capped at an internal limit).
     pub fn violations(&self) -> &[Violation] {
         &self.violations
-    }
-
-    /// Keeps the expected `Status` cost in sync with the controller's
-    /// ablation setting.
-    pub fn set_expected_status_poll(&mut self, cycles: u64) {
-        self.status_poll = Duration(cycles);
     }
 
     fn violate(&mut self, kind: InvariantKind, bank: BankId, at: Cycle, detail: String) {

@@ -54,12 +54,10 @@ struct PendingWatchdog {
 /// ([`ChannelController::resolve_read`]).
 #[derive(Debug, Clone, Copy)]
 struct ReadResolution {
-    /// Extra latency spent on PCC reconstruction and bounded retries.
-    extra: Duration,
-    /// Share of `extra` spent on PCC erasure reconstruction (recovery
-    /// ladder attribution for the lifecycle tracer).
+    /// Latency spent on PCC erasure reconstruction (recovery ladder
+    /// attribution for the lifecycle tracer).
     reconstruct_extra: Duration,
-    /// Share of `extra` spent waiting out retry backoff.
+    /// Latency spent waiting out retry backoff.
     retry_extra: Duration,
     /// The read exhausted its retry budget and failed upward.
     failed: bool,
@@ -71,12 +69,16 @@ struct ReadResolution {
 impl ReadResolution {
     /// A clean resolution: no extra latency, no failure, no corruption.
     const CLEAN: Self = Self {
-        extra: Duration::ZERO,
         reconstruct_extra: Duration::ZERO,
         retry_extra: Duration::ZERO,
         failed: false,
         corrupted: false,
     };
+
+    /// Extra latency spent on PCC reconstruction and bounded retries.
+    fn extra(&self) -> Duration {
+        self.reconstruct_extra + self.retry_extra
+    }
 }
 
 /// A channel memory controller.
@@ -289,9 +291,6 @@ pub struct ChannelController {
     /// PCMap writes whose data phase is still running.
     // pcmap-lint: allow(missed-wake, reason = "every site where an in-flight write blocks a candidate feeds the blocker's data_end into note_hint/retry_hint, which compute_wake reads; the pass cannot see that value-level relay")
     inflight: Vec<InflightWrite>,
-    /// Extra cycles charged before any overlapped issue (`Status` command);
-    /// settable to 0 for the status-poll ablation.
-    status_poll: Duration,
     /// §IV-B4 extension (ablation, default off): when reads are waiting,
     /// break multi-word writes into serial single-word partial writes so
     /// every phase stays RoW-compatible — at the cost of write latency.
@@ -327,16 +326,9 @@ impl ChannelController {
             wake: None,
             retry_hint: None,
             inflight: Vec::new(),
-            status_poll: Duration(t.status_cmd),
             split_writes_for_row: false,
             split_in_progress: Vec::new(),
         }
-    }
-
-    /// Overrides the per-overlap `Status` poll cost (ablation hook).
-    pub fn set_status_poll_cost(&mut self, cycles: u64) {
-        self.status_poll = Duration(cycles);
-        self.checker.set_expected_status_poll(cycles);
     }
 
     /// Enables the §IV-B4 extension: split multi-word writes into serial
@@ -563,7 +555,7 @@ impl ChannelController {
         // the resolution flags it so the CPU rolls back at the verify.
         let res = self.resolve_read(bank, req.loc.row, req.loc.col, start, verify.is_some());
         let service_end = data_ready;
-        let data_ready = data_ready + res.extra;
+        let data_ready = data_ready + res.extra();
 
         if self.lifetrace.enabled() {
             self.lifetrace.issue(req.id.0, decided, start, service_end);
@@ -687,9 +679,7 @@ impl ChannelController {
             return ReadResolution::CLEAN;
         };
         let budget = plan.retry_budget();
-        let mut extra = Duration::ZERO;
-        let mut recon = Duration::ZERO;
-        let mut backoff = Duration::ZERO;
+        let mut res = ReadResolution::CLEAN;
         let mut attempt: u32 = 0;
         loop {
             let mut data = stored.data;
@@ -714,25 +704,14 @@ impl ChannelController {
                     self.stats.corruption_rollbacks += 1;
                     plan.record_fault(now);
                     return ReadResolution {
-                        extra,
-                        reconstruct_extra: recon,
-                        retry_extra: backoff,
-                        failed: false,
                         corrupted: true,
+                        ..res
                     };
                 }
                 return ReadResolution::CLEAN;
             }
             match check {
-                LineCheck::Clean => {
-                    return ReadResolution {
-                        extra,
-                        reconstruct_extra: recon,
-                        retry_extra: backoff,
-                        failed: false,
-                        corrupted: false,
-                    };
-                }
+                LineCheck::Clean => return res,
                 LineCheck::Corrected { .. } => {
                     self.stats.ecc_corrected += 1;
                     if fault.is_fault() {
@@ -745,13 +724,7 @@ impl ChannelController {
                         Some(fixed) if codec.verify(&fixed, stored.ecc).is_clean() => {}
                         _ => self.stats.silent_corruptions += 1,
                     }
-                    return ReadResolution {
-                        extra,
-                        reconstruct_extra: recon,
-                        retry_extra: backoff,
-                        failed: false,
-                        corrupted: false,
-                    };
+                    return res;
                 }
                 LineCheck::Uncorrectable { words } => {
                     self.stats.ecc_uncorrectable += 1;
@@ -764,15 +737,8 @@ impl ChannelController {
                         let rebuilt = codec.reconstruct(&data, missing, stored.pcc);
                         if codec.verify(&rebuilt, stored.ecc).is_clean() {
                             self.stats.faults_reconstructed += 1;
-                            extra += Duration(self.t.array_read);
-                            recon += Duration(self.t.array_read);
-                            return ReadResolution {
-                                extra,
-                                reconstruct_extra: recon,
-                                retry_extra: backoff,
-                                failed: false,
-                                corrupted: false,
-                            };
+                            res.reconstruct_extra += Duration(self.t.array_read);
+                            return res;
                         }
                     }
                     // Multi-word damage (or a stale PCC word): bounded
@@ -781,17 +747,13 @@ impl ChannelController {
                     if attempt > budget {
                         self.stats.reads_failed += 1;
                         return ReadResolution {
-                            extra,
-                            reconstruct_extra: recon,
-                            retry_extra: backoff,
                             failed: true,
-                            corrupted: false,
+                            ..res
                         };
                     }
                     self.checker.retry(bank, now, attempt, budget);
                     self.stats.fault_retries += 1;
-                    extra += Duration(plan.retry_delay(attempt - 1));
-                    backoff += Duration(plan.retry_delay(attempt - 1));
+                    res.retry_extra += Duration(plan.retry_delay(attempt - 1));
                 }
             }
         }

@@ -128,7 +128,7 @@ impl ChannelController {
             }
             let polls = if overlapping { self.poll_count() } else { 1 };
             let start = if overlapping {
-                now + Duration(self.status_poll.0 * polls)
+                now + Duration(self.t.status_cmd * polls)
             } else {
                 now
             };
@@ -417,7 +417,7 @@ impl ChannelController {
             }
             let polls = if overlapping { self.poll_count() } else { 1 };
             let start = if overlapping {
-                now + Duration(self.status_poll.0 * polls)
+                now + Duration(self.t.status_cmd * polls)
             } else {
                 now
             };

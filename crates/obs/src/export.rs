@@ -1,14 +1,8 @@
-//! File exporters: write JSON documents and CSV tables under `results/`.
+//! File exporters: write rendered JSON documents and CSV tables under
+//! `results/`.
 
-use crate::json::Value;
 use std::io;
 use std::path::Path;
-
-/// Writes `value` as pretty-printed JSON to `path`, creating parent
-/// directories as needed.
-pub fn write_json(path: impl AsRef<Path>, value: &Value) -> io::Result<()> {
-    write_text(path, &value.to_json_pretty())
-}
 
 /// Writes already-rendered text (e.g. a CSV document) to `path`, creating
 /// parent directories as needed.
@@ -25,6 +19,7 @@ pub fn write_text(path: impl AsRef<Path>, text: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     #[test]
     fn writes_into_fresh_directory() {
@@ -32,7 +27,7 @@ mod tests {
         let path = dir.join("nested/out.json");
         let mut v = Value::obj();
         v.set("ok", Value::Bool(true));
-        write_json(&path, &v).unwrap();
+        write_text(&path, &v.to_json_pretty()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(crate::json::parse(&text).unwrap(), v);
         std::fs::remove_dir_all(&dir).unwrap();

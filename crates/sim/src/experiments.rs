@@ -341,21 +341,34 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_matrix_quick_has_all_kinds() {
+    fn evaluate_matrix_groups_six_reports_per_workload() {
         let scale = EvalScale {
-            requests: 600,
+            requests: 200,
             full_mt: false,
         };
-        // Single workload to keep the test fast.
-        let w = catalog::by_name("dedup").unwrap();
-        let points = SystemKind::all()
-            .iter()
-            .map(|&k| SweepPoint::standard(&w, k, scale))
+        let rows = evaluate_matrix(scale, &mut SweepRunner::new(2));
+        let names: Vec<String> = figure_workloads(scale)
+            .into_iter()
+            .map(|w| w.name)
             .collect();
-        let reports = SweepRunner::new(1).run_points(points);
-        assert_eq!(reports.len(), 6);
-        for r in &reports {
-            assert!(r.writes_completed > 0, "{:?} made no progress", r.kind);
+        assert_eq!(rows.len(), 12);
+        assert_eq!(
+            rows.iter().map(|r| &r.name).collect::<Vec<_>>(),
+            names.iter().collect::<Vec<_>>()
+        );
+        for row in &rows {
+            assert_eq!(row.multi_threaded, !row.name.starts_with("MP"));
+            let kinds: Vec<SystemKind> = row.reports.iter().map(|r| r.kind).collect();
+            assert_eq!(kinds, SystemKind::all(), "{}", row.name);
+            for r in &row.reports {
+                assert_eq!(r.workload, row.name);
+                assert!(
+                    r.writes_completed > 0,
+                    "{} {:?} made no progress",
+                    row.name,
+                    r.kind
+                );
+            }
         }
     }
 

@@ -421,9 +421,6 @@ pub struct System {
     streams: Vec<CoreStream>,
     /// The pending memory op's concrete address/mask per core.
     op_details: Vec<Option<StreamOp>>,
-    /// Cores whose next progress comes from a read delivery, not their
-    /// local clock.
-    awaiting_delivery: Vec<bool>,
     /// Per-core poll horizon: the memory cycle at which polling the core
     /// can next change its state (`None` while it waits on a delivery or
     /// is finished). The run loop polls the core only then, so its clock
@@ -519,7 +516,6 @@ impl System {
             cores,
             streams,
             op_details: vec![None; n],
-            awaiting_delivery: vec![false; n],
             core_next: vec![Some(Cycle::ZERO); n],
             core_due: vec![false; n],
             rollback,
@@ -585,7 +581,7 @@ impl System {
                     break;
                 }
                 self.deliveries.pop();
-                self.deliver(d, now);
+                self.deliver(d);
             }
 
             // 2. Let cores act and enqueue requests.
@@ -600,7 +596,7 @@ impl System {
             }
 
             // 4. Jump to the next event.
-            if self.finished(now) {
+            if self.finished() {
                 break;
             }
             let next = self
@@ -656,7 +652,7 @@ impl System {
         self.run()
     }
 
-    fn deliver(&mut self, d: Delivery, _now: Cycle) {
+    fn deliver(&mut self, d: Delivery) {
         if let Some(gate) = self.gate.as_mut() {
             gate.note_complete(d.core, d.is_read, d.when);
         }
@@ -665,7 +661,6 @@ impl System {
         }
         let cpu_when = mem_to_cpu(d.when, &self.cfg.cpu);
         self.cores[d.core].read_returned(cpu_when);
-        self.awaiting_delivery[d.core] = false;
         // The returned data may unblock the core immediately.
         self.core_due[d.core] = true;
         if d.failed {
@@ -767,14 +762,7 @@ impl System {
                             break;
                         }
                     }
-                    CoreAction::StalledOnRead => {
-                        self.awaiting_delivery[i] = true;
-                        break;
-                    }
-                    CoreAction::Done => {
-                        self.awaiting_delivery[i] = self.cores[i].outstanding_reads() > 0;
-                        break;
-                    }
+                    CoreAction::StalledOnRead | CoreAction::Done => break,
                 }
             }
         }
@@ -880,7 +868,7 @@ impl System {
         }
     }
 
-    fn finished(&self, _now: Cycle) -> bool {
+    fn finished(&self) -> bool {
         self.cores.iter().all(|c| c.is_finished())
             && self.deliveries.is_empty()
             && self.ctrls.iter().all(|c| c.next_tick().is_none())

@@ -37,9 +37,7 @@
 pub mod catalog;
 pub mod generator;
 pub mod profile;
-pub mod trace;
 
 pub use catalog::Workload;
 pub use generator::{CoreStream, StreamOp};
 pub use profile::AppProfile;
-pub use trace::Trace;
