@@ -43,46 +43,60 @@ struct Args {
 }
 
 fn parse_args(flags: &mut Flags) -> Result<Args, String> {
-    // `--soak` picks the base profile; every explicit flag and
-    // `PCMAP_FAULTS` then apply over it, in either mode.
-    let soak = std::env::args().any(|a| a == "--soak" || a == "--soak-path");
-    let mut args = Args {
-        cfg: if soak {
-            ServeConfig::soak()
-        } else {
-            ServeConfig::paper_default()
-        },
-        jobs: env_jobs()?,
-        json: None,
-        soak: soak.then(|| "results/serve_soak.json".to_owned()),
-    };
-    if let Some(f) = faults_from_env()? {
-        args.cfg.faults = f;
-    }
+    let mut jobs = env_jobs()?;
+    let env_faults = faults_from_env()?;
+    let (mut tenants, mut requests, mut slo, mut seed, mut faults) = (None, None, None, None, None);
+    let (mut json, mut soak) = (None, None);
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--tenants" | "-t" => args.cfg.tenants = flags.parsed(parse_number)?,
-            "--requests" | "-n" => args.cfg.requests = flags.parsed(parse_count)?,
+            "--tenants" | "-t" => tenants = Some(flags.parsed(parse_number)?),
+            "--requests" | "-n" => requests = Some(flags.parsed(parse_count)?),
             "--slo" => {
-                let goal_bp = args.cfg.slo.goal_bp;
-                args.cfg.slo = flags.parsed(|flag, v| {
+                slo = Some(flags.parsed(|flag, v| {
                     let (target, goal_bp) = match v.split_once(':') {
-                        Some((target, goal)) => (target, parse_number(flag, goal.trim())?),
-                        None => (v, goal_bp),
+                        Some((target, goal)) => (target, Some(parse_number(flag, goal.trim())?)),
+                        None => (v, None),
                     };
-                    let target = parse_number(flag, target.trim())?;
-                    Ok(SloSpec { target, goal_bp })
-                })?;
+                    Ok((parse_number(flag, target.trim())?, goal_bp))
+                })?);
             }
-            "--seed" => args.cfg.seed = flags.parsed(parse_number)?,
-            "--faults" => args.cfg.faults = flags.parsed(parse_fault_spec)?,
-            "--jobs" | "-j" => args.jobs = flags.parsed(parse_count)?,
-            "--json" => args.json = Some(flags.value()?),
-            "--soak" => {}
-            "--soak-path" => args.soak = Some(flags.value()?),
+            "--seed" => seed = Some(flags.parsed(parse_number)?),
+            "--faults" => faults = Some(flags.parsed(parse_fault_spec)?),
+            "--jobs" | "-j" => jobs = flags.parsed(parse_count)?,
+            "--json" => json = Some(flags.value()?),
+            "--soak" => {
+                soak.get_or_insert_with(|| "results/serve_soak.json".to_owned());
+            }
+            "--soak-path" => soak = Some(flags.value()?),
             _ => return Err(flags.unknown()),
         }
     }
+    // `--soak` picks the base profile; `PCMAP_FAULTS` and then every
+    // explicit flag apply over it, in either mode.
+    let mut cfg = if soak.is_some() {
+        ServeConfig::soak()
+    } else {
+        ServeConfig::paper_default()
+    };
+    if let Some(f) = env_faults {
+        cfg.faults = f;
+    }
+    cfg.tenants = tenants.unwrap_or(cfg.tenants);
+    cfg.requests = requests.unwrap_or(cfg.requests);
+    if let Some((target, goal_bp)) = slo {
+        cfg.slo = SloSpec {
+            target,
+            goal_bp: goal_bp.unwrap_or(cfg.slo.goal_bp),
+        };
+    }
+    cfg.seed = seed.unwrap_or(cfg.seed);
+    cfg.faults = faults.unwrap_or(cfg.faults);
+    let args = Args {
+        cfg,
+        jobs,
+        json,
+        soak,
+    };
     args.cfg.validate().map_err(|e| {
         format!(
             "{e} (--tenants {}, --requests {}; {} cores per shard)",

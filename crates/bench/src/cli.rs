@@ -283,6 +283,10 @@ pub fn parse_fault_spec(source: &str, spec: &str) -> Result<FaultConfig, String>
 
 /// The value of environment variable `name` read by `parse`, or `None`
 /// when it is unset or empty.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the documented PCMAP_* settings of the experiment binaries; each is parsed like a flag and reported with the run"
+)]
 fn env_value<T>(
     name: &str,
     parse: impl FnOnce(&str, &str) -> Result<T, String>,
@@ -322,6 +326,10 @@ pub fn faults_from_env() -> Result<Option<FaultConfig>, String> {
 /// request-lifecycle tracing (set to anything but `0` or empty). Lets any
 /// experiment binary produce causal timelines without new flags; the
 /// tracer is determinism-neutral, so results stay byte-identical.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "PCMAP_LIFETRACE only turns the tracer on, and the tracing differential gate proves it changes no result"
+)]
 pub fn lifetrace_from_env() -> bool {
     std::env::var("PCMAP_LIFETRACE")
         .map(|v| !v.is_empty() && v != "0")

@@ -11,6 +11,10 @@ use std::path::PathBuf;
 use std::process::Command;
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UPDATE_GOLDEN re-blesses the snapshot instead of comparing"
+)]
 fn fig05_timelines_match_golden() {
     let out = Command::new(env!("CARGO_BIN_EXE_fig05_timelines"))
         .output()

@@ -98,6 +98,10 @@ fn fault_sweep_takes_every_system_name() {
 /// An artifact that cannot be written fails the run (exit 1) with an
 /// error naming its path, after the results were printed.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a scratch directory named per process"
+)]
 fn unwritable_artifact_fails_naming_its_path() {
     let dir = std::env::temp_dir().join(format!("pcmap_artifact_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -223,10 +227,44 @@ fn unknown_positional_arguments_are_usage_errors() {
     }
 }
 
+/// Only the `--soak` flag picks the soak profile: a flag value spelled
+/// `--soak` (here a JSON path) runs the default profile.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a scratch directory named per process"
+)]
+fn soak_spelled_as_a_value_is_not_the_soak_flag() {
+    let dir = std::env::temp_dir().join(format!("pcmap_serve_value_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_pcmap_serve"))
+        .args(["--tenants", "16", "--requests", "4096", "--json", "--soak"])
+        .current_dir(&dir)
+        .env_remove("PCMAP_JOBS")
+        .env_remove("PCMAP_FAULTS")
+        .output()
+        .expect("pcmap_serve starts");
+    let report = std::fs::read_to_string(dir.join("--soak"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("serve soak"), "{stdout}");
+    assert!(
+        report
+            .expect("JSON written to ./--soak")
+            .contains("\"tenants\": 16,"),
+        "{stdout}"
+    );
+}
+
 /// `--soak` starts from the soak profile, and explicit scale and seed
 /// flags still apply over it. A reduced soak fails the scale checks by
 /// design (exit 1), and its verdict records what actually ran.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a scratch file named per process"
+)]
 fn soak_keeps_explicit_scale_and_seed() {
     let path = std::env::temp_dir().join(format!("pcmap_serve_soak_{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_pcmap_serve"))

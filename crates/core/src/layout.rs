@@ -81,6 +81,10 @@ impl Layout {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a slot index is taken modulo the 10 chips of a rank"
+    )]
     fn chip_of_slot(&self, line: LineAddr, slot: usize) -> ChipId {
         debug_assert!(slot < 10);
         if self.rotate_ecc {
@@ -147,6 +151,10 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "w is one of the 8 data words"
+    )]
     fn fixed_layout_is_identity() {
         let l = Layout::fixed();
         for w in 0..8 {

@@ -115,6 +115,10 @@ impl Cache {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the index is masked to sets - 1, a usize, so the dropped high bits never reach it"
+    )]
     fn index_tag(&self, addr: PhysAddr) -> (usize, u64) {
         let line = addr.line().0;
         (

@@ -128,11 +128,6 @@ impl CoreModel {
         self.stats
     }
 
-    /// Reads currently in flight.
-    pub fn outstanding_reads(&self) -> usize {
-        self.barriers.len()
-    }
-
     /// `true` once the op stream signalled completion and all work
     /// drained.
     pub fn is_finished(&self) -> bool {
@@ -165,7 +160,8 @@ impl CoreModel {
             let step = (cpu_now - self.now)
                 .min(self.compute_remaining)
                 .min(headroom);
-            // pcmap-lint: allow(manual-time-advance, reason = "the core's local clock retires trace-defined compute bursts; the engine observes it only via BusyUntil horizons")
+            // The core's local clock retires trace-defined compute bursts;
+            // the engine sees it only through BusyUntil horizons.
             self.now += step;
             self.stats.retired += step;
             self.compute_remaining -= step;
@@ -345,7 +341,6 @@ mod tests {
             assert_eq!(c.poll(c.now()), CoreAction::WantRead);
             c.read_issued();
         }
-        assert_eq!(c.outstanding_reads(), 4);
         // Fifth read stalls (mlp = 4).
         c.supply(Some(WorkOp::Read));
         assert_eq!(c.poll(c.now()), CoreAction::StalledOnRead);

@@ -7,8 +7,6 @@
 //! serialized here (§IV-D1 — the bus is physically split into ten logic
 //! buses); only coarse transfers contend.
 
-// pcmap-lint: allow-file(missed-wake, reason = "the bus never holds a request back: a busy bus only moves a transfer later inside the request's own issue window, whose chip conflicts feed the retry hint")
-
 use pcmap_types::{Cycle, Duration, TimingParams};
 
 /// Transfer direction, for turnaround accounting.

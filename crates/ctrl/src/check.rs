@@ -19,8 +19,6 @@
 //! but `0`; `PCMAP_CHECK=0` force-disables it. Release experiment runs
 //! opt in via `PCMAP_CHECK=1` (`cargo xtask check`).
 
-// pcmap-lint: allow-file(missed-wake, reason = "the protocol checker only observes the schedule: it is read-only with respect to the simulation and holds no readiness state")
-
 use pcmap_device::timing::RankTiming;
 use pcmap_types::{BankId, ChipId, ChipSet, Cycle, Duration, TimingParams};
 
@@ -127,7 +125,10 @@ impl ProtocolChecker {
     /// Checker configured from the environment: strict in debug builds
     /// and under `PCMAP_CHECK` (unless `PCMAP_CHECK=0`).
     pub fn from_env(t: &TimingParams) -> Self {
-        // pcmap-lint: allow(nondet-taint, reason = "PCMAP_CHECK only toggles assertion strictness; it gates whether violations panic, never what schedule the controller produces")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "PCMAP_CHECK only toggles assertion strictness; it gates whether violations panic, never what schedule the controller produces"
+        )]
         let on = match std::env::var("PCMAP_CHECK") {
             Ok(v) => v != "0",
             Err(_) => cfg!(debug_assertions),

@@ -94,7 +94,10 @@ impl ReadResolution {
 /// `Send` is a supertrait: a channel's whole state (queues, bus, rank,
 /// wear, RNG stream, chip-window ring, tracer) is channel-private, so a
 /// whole system can be built and run on any sweep worker thread.
-#[allow(clippy::result_large_err)]
+#[expect(
+    clippy::result_large_err,
+    reason = "a refused request goes back to the caller whole, so it can retry it; boxing it would allocate per refusal"
+)]
 pub trait Controller: Send {
     /// Offers a read request at time `now`.
     ///
@@ -236,7 +239,6 @@ pub struct ChannelController {
     /// Timing parameters.
     t: TimingParams,
     /// The channel's rank.
-    // pcmap-lint: allow(missed-wake, reason = "every branch a chip reservation blocks feeds the reservation's end into note_hint/retry_hint, which compute_wake reads; the pass cannot see that value-level relay")
     rank: PcmRank,
     /// Pending reads.
     read_q: RequestQueue,
@@ -261,10 +263,8 @@ pub struct ChannelController {
     lifetrace: LifecycleTracer,
     /// Per-bank completion time of the most recent write (delay
     /// attribution for Figure 1).
-    // pcmap-lint: allow(missed-wake, reason = "delay attribution and wait-cause labels only; no issue decision reads it")
     last_write_end: Vec<Cycle>,
     /// When the controller last left drain mode.
-    // pcmap-lint: allow(missed-wake, reason = "delay attribution only; no issue decision reads it")
     last_drain_exit: Cycle,
     /// Last cycle with read activity, if any: opportunistic writes wait
     /// for a read-idle window rather than leaking out the moment the read
@@ -289,14 +289,12 @@ pub struct ChannelController {
     /// pass's hints survive into [`Self::compute_wake`].
     retry_hint: Option<Cycle>,
     /// PCMap writes whose data phase is still running.
-    // pcmap-lint: allow(missed-wake, reason = "every site where an in-flight write blocks a candidate feeds the blocker's data_end into note_hint/retry_hint, which compute_wake reads; the pass cannot see that value-level relay")
     inflight: Vec<InflightWrite>,
     /// §IV-B4 extension (ablation, default off): when reads are waiting,
     /// break multi-word writes into serial single-word partial writes so
     /// every phase stays RoW-compatible — at the cost of write latency.
     split_writes_for_row: bool,
     /// Writes currently being issued word-by-word under the split mode.
-    // pcmap-lint: allow(missed-wake, reason = "a split write stays resident in its write queue until every partial issues, and compute_wake reads queue occupancy; this list only de-duplicates the split bookkeeping")
     split_in_progress: Vec<ReqId>,
 }
 
@@ -762,6 +760,10 @@ impl ChannelController {
     /// Draws the wear outcome for a completed line write: with a plan
     /// installed, an unlucky write burns out one cell of the line, which
     /// stays frozen at its current value from now on.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "pick(n) is below n: one of WORDS_PER_LINE (8) words"
+    )]
     fn plant_wear_fault(&mut self, bank: BankId, row: RowAddr, col: ColAddr, now: Cycle) {
         let Some(plan) = self.faults.as_mut() else {
             return;
@@ -787,6 +789,10 @@ impl ChannelController {
     /// Returns the (possibly extended) data-ready time. Inert without a
     /// fault plan; an extension that would collide with an existing
     /// reservation is skipped rather than double-booking the chip.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "pick(n) is below n: one of at most 10 chips in the set"
+    )]
     fn apply_chip_fault(
         &mut self,
         bank: BankId,
@@ -1057,7 +1063,7 @@ pub struct BaselineController;
 
 impl BaselineController {
     /// The Baseline [`ChannelController`] for one channel.
-    #[allow(
+    #[expect(
         clippy::new_ret_no_self,
         reason = "a constructor shim kept for callers outside the workspace; it builds the one controller type"
     )]

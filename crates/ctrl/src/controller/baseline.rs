@@ -237,6 +237,10 @@ impl ChannelController {
             let end = program_start + outcome.kinds[i].duration(&self.t);
             done = done.max(end);
             // IRLP + wear for the essential chips (identity layout).
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "an essential word index is below WORDS_PER_LINE (8)"
+            )]
             let chip = ChipId(i as u8);
             self.stats.irlp.record_segment(bank, now, end);
             self.rank.wear_mut().record(chip, outcome.bits_per_word[i]);

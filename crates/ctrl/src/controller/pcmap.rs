@@ -260,7 +260,10 @@ impl ChannelController {
         false
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the pass hands over each decision it already made for this write; a struct would only rename them"
+    )]
     fn issue_fine_write(
         &mut self,
         req: MemRequest,
@@ -578,7 +581,10 @@ impl ChannelController {
     /// when inline checking is impossible (verification is deferred);
     /// `reconstructed` is the busy data chip whose word is rebuilt from the
     /// PCC chip.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the pass hands over each decision it already made for this read; a struct would only rename them"
+    )]
     fn issue_read(
         &mut self,
         req: MemRequest,

@@ -228,6 +228,7 @@ fn read_queue_full_returns_request() {
 }
 
 #[test]
+#[expect(clippy::cast_possible_truncation, reason = "the eight data chips")]
 fn chip_ring_captures_read_windows() {
     let mut c = ctrl(SystemKind::Baseline);
     c.set_trace(true);

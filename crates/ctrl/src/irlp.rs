@@ -286,6 +286,7 @@ mod tests {
 
     proptest! {
         #[test]
+        #[expect(clippy::cast_possible_truncation, reason = "next_below(2) draws one of two banks")]
         fn gated_settle_samples_like_eager_settle(seed: u64) {
             let mut rng = Xoshiro256::new(seed);
             let mut gated = IrlpTracker::new(2);

@@ -32,7 +32,10 @@ impl RequestQueue {
     ///
     /// Returns the request back if the queue is full (by value, so the
     /// caller can retry without cloning).
-    #[allow(clippy::result_large_err)]
+    #[expect(
+        clippy::result_large_err,
+        reason = "a refused request goes back to the caller whole, so it can retry it; boxing it would allocate per refusal"
+    )]
     pub fn push(&mut self, req: MemRequest) -> Result<(), MemRequest> {
         if self.entries.len() >= self.capacity {
             return Err(req);
@@ -126,7 +129,10 @@ impl WriteQueue {
     ///
     /// Returns the request back if its bank already holds `bank_capacity`
     /// writes.
-    #[allow(clippy::result_large_err)]
+    #[expect(
+        clippy::result_large_err,
+        reason = "a refused request goes back to the caller whole, so it can retry it; boxing it would allocate per refusal"
+    )]
     pub fn push(&mut self, req: MemRequest) -> Result<(), MemRequest> {
         let bank = &mut self.per_bank[req.loc.bank.index()];
         if *bank >= self.bank_capacity {
@@ -416,6 +422,7 @@ mod tests {
 
     proptest! {
         #[test]
+        #[expect(clippy::cast_possible_truncation, reason = "next_below(n) is below the pool's length")]
         fn write_store_matches_a_sorted_vec_reference(seed: u64) {
             let mut rng = Xoshiro256::new(seed);
             // A small line pool over both banks makes same-line writes

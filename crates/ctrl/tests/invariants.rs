@@ -264,6 +264,10 @@ fn every_system_validates_clean_end_to_end() {
             now = ctrl.next_wake(now).unwrap_or(Cycle(now.0 + 1));
         }
         assert_eq!(ctrl.invariant_violations(), 0, "{kind}");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "under PCMAP_CHECK=0 the checker is off by request, so it need not have run"
+        )]
         if cfg!(debug_assertions) && std::env::var_os("PCMAP_CHECK").is_none() {
             assert!(ctrl.invariants_checked() > 0, "{kind}: checker never ran");
         }

@@ -15,6 +15,10 @@ use pcmap_types::{
 };
 use std::collections::BTreeMap;
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "next_below(8) draws one of the 8 data words"
+)]
 fn soup(kind: SystemKind, seed: u64, ops: usize) {
     let org = MemOrg::tiny();
     let mut ctrl = ChannelController::new(
@@ -32,7 +36,6 @@ fn soup(kind: SystemKind, seed: u64, ops: usize) {
 
     for next_id in 1..=ops as u64 {
         // Random arrival spacing.
-        // pcmap-lint: allow(manual-time-advance, reason = "fuzz driver models request arrival times, not the engine clock")
         now = Cycle(now.0 + rng.next_below(40));
         let addr = PhysAddr::new(rng.next_below(64) * 64);
         let loc = org.decode(addr);
@@ -117,6 +120,10 @@ fn soup_every_system() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "next_below(8) draws one of the 8 data words"
+)]
 fn rotation_levels_wear() {
     // §IV-C2: rotating ECC/PCC balances the every-write check traffic.
     // Compare the hottest chip's share of word writes with and without
@@ -133,7 +140,6 @@ fn rotation_levels_wear() {
         let mut rng = Xoshiro256::new(7);
         let mut now = Cycle(0);
         for k in 0..600u64 {
-            // pcmap-lint: allow(manual-time-advance, reason = "fuzz driver models request arrival times, not the engine clock")
             now = Cycle(now.0 + rng.next_below(30));
             let addr = PhysAddr::new(rng.next_below(128) * 64);
             let loc = org.decode(addr);

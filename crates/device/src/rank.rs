@@ -7,8 +7,6 @@
 //! effects happen on the bus is decided by the memory controller, which
 //! drives the rank's [`RankTiming`].
 
-// pcmap-lint: allow-file(missed-wake, reason = "a controller waiting on this rank's chip reservations relays their end times into its retry hint, which its horizon reads; storage, wear and energy hold no readiness state")
-
 use crate::energy::EnergyMeter;
 use crate::storage::{RankStorage, StoredLine};
 use crate::timing::RankTiming;

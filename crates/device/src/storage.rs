@@ -148,6 +148,10 @@ impl RankStorage {
     /// # Panics
     ///
     /// Panics if `word >= 8` or `bit >= 64`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the assert above bounds word below 8 and bit below 64"
+    )]
     pub fn stick_bit(&mut self, bank: BankId, row: RowAddr, col: ColAddr, word: usize, bit: u32) {
         assert!(word < 8 && bit < 64, "word/bit out of range");
         let value = self.load(bank, row, col).data.word(word) & (1u64 << bit) != 0;

@@ -170,6 +170,10 @@ impl RankTiming {
     /// The set of chips of `bank` that are busy at `now` — exactly what the
     /// DIMM register's status flags report.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a rank has at most ChipId::TOTAL_CHIPS (10) chips"
+    )]
     pub fn busy_set(&self, bank: BankId, now: Cycle) -> ChipSet {
         let mut set = ChipSet::empty();
         for c in 0..self.chips {
@@ -426,6 +430,7 @@ mod tests {
 
     proptest! {
         #[test]
+        #[expect(clippy::cast_possible_truncation, reason = "draws below the bank and chip counts fit u8; the chip set keeps a random word's low 16 bits on purpose")]
         fn prune_on_reserve_answers_like_eager_prune(seed: u64) {
             let mut rng = Xoshiro256::new(seed);
             let (mut lazy, mut eager) = (timing(), timing());

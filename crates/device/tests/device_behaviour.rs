@@ -140,6 +140,7 @@ proptest! {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "each draw is below a MemOrg dimension of its own type (u8 or u32)")]
     fn prop_storage_isolated_per_coordinate(seed: u64, n in 1usize..20) {
         // Writes to random coordinates never leak into other lines.
         let org = MemOrg::tiny();

@@ -162,6 +162,10 @@ pub fn encode(data: u64) -> u128 {
 
 /// Extracts the data bits of a codeword without any checking.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "each run is masked to at most 64 bits before it moves into the data word"
+)]
 pub fn extract_data(cw: u128) -> u64 {
     RUNS.iter().fold(0, |data, &(first, pos, len)| {
         data | ((cw >> pos & ((1u128 << len) - 1)) as u64) << first

@@ -255,6 +255,10 @@ mod tests {
     }
 
     /// `verify` by the bit-loop reference decoder, one codeword per word.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a word's check byte is the low 8 bits of its lane of the ECC word"
+    )]
     fn reference_verify(line: &CacheLine, ecc_word: u64) -> LineCheck {
         let mut corrected = *line;
         let mut fixed = WordMask::empty();
@@ -283,6 +287,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a word's check byte is the low 8 bits of its lane of the ECC word"
+    )]
     fn verify_matches_reference_on_every_single_and_double_flip() {
         let codec = LineCodec::new();
         let line = CacheLine::from_seed(18);

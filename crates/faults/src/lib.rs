@@ -161,6 +161,10 @@ impl FaultPlan {
     }
 
     /// Draws the transient-flip outcome for one line read.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "next_below(n) is below n: one of 8 words, one of 64 bits"
+    )]
     pub fn on_line_read(&mut self) -> ReadFault {
         if !self.rng.chance(self.cfg.rate) {
             return ReadFault::None;
@@ -179,6 +183,10 @@ impl FaultPlan {
 
     /// Draws the wear outcome for one word write: `Some(bit)` sticks
     /// that cell of the word at its current value.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "next_below(64) is one of a word's 64 bits"
+    )]
     pub fn on_word_write(&mut self) -> Option<u32> {
         if self.rng.chance(self.cfg.stuck_cell_rate) {
             Some((self.rng.next_below(64)) as u32)

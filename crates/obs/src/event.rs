@@ -11,8 +11,6 @@
 //! Recording is off by default, and a disabled ring returns before it
 //! builds a label, so always-on code paths pay one branch.
 
-// pcmap-lint: allow-file(missed-wake, reason = "the chip-window ring is telemetry: no issue decision reads it, so it holds no readiness state for a horizon to track")
-
 use pcmap_types::{BankId, ChipId, Cycle};
 use std::collections::VecDeque;
 
@@ -132,6 +130,10 @@ impl EventLog {
     /// # Panics
     ///
     /// Panics if `cycles_per_cell` is zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a row has one cell per cycles_per_cell cycles of a trace that is held in memory, so it fits usize"
+    )]
     pub fn render_gantt(&self, bank: BankId, cycles_per_cell: u64) -> String {
         assert!(cycles_per_cell > 0, "cycles_per_cell must be positive");
         let evs: Vec<&TraceEvent> = self.events.iter().filter(|e| e.bank == bank).collect();

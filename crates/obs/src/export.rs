@@ -22,6 +22,10 @@ mod tests {
     use crate::json::Value;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a scratch directory named per process"
+    )]
     fn writes_into_fresh_directory() {
         let dir = std::env::temp_dir().join(format!("pcmap-obs-test-{}", std::process::id()));
         let path = dir.join("nested/out.json");

@@ -41,6 +41,10 @@ impl LatencyHistogram {
 
     /// The bucket index `value` falls into (may exceed `BUCKETS - 1` for
     /// huge values; `record` clamps).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the value is below SUB here, a small bucket count"
+    )]
     pub fn bucket_of(value: u64) -> usize {
         if value < SUB {
             return value as usize;
@@ -84,6 +88,10 @@ impl LatencyHistogram {
     /// # Panics
     ///
     /// Panics if `p` is outside `(0, 100]`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "p is at most 100, so the target is at most total, a u64"
+    )]
     pub fn percentile(&self, p: f64) -> u64 {
         assert!(p > 0.0 && p <= 100.0, "percentile out of range");
         if self.total == 0 {
@@ -102,11 +110,18 @@ impl LatencyHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+        // No `..`: a field added to the struct fails to compile until it
+        // is merged here.
+        let LatencyHistogram {
+            counts,
+            total,
+            max_seen,
+        } = other;
+        for (a, b) in self.counts.iter_mut().zip(counts) {
             *a += b;
         }
-        self.total += other.total;
-        self.max_seen = self.max_seen.max(other.max_seen);
+        self.total += total;
+        self.max_seen = self.max_seen.max(*max_seen);
     }
 
     /// Non-empty buckets as `(bucket_floor, count)` pairs, ascending.
@@ -121,10 +136,17 @@ impl LatencyHistogram {
     /// A JSON object summarizing the distribution: count, max, p50/p95/p99,
     /// and the non-empty buckets.
     pub fn to_json(&self) -> Value {
+        // No `..`: a field added to the struct fails to compile until it
+        // is exported here. `counts` exports as the non-empty buckets.
+        let LatencyHistogram {
+            counts: _,
+            total,
+            max_seen,
+        } = *self;
         let mut obj = Value::obj();
-        obj.set("count", Value::U64(self.total));
-        obj.set("max", Value::U64(self.max_seen));
-        if self.total > 0 {
+        obj.set("count", Value::U64(total));
+        obj.set("max", Value::U64(max_seen));
+        if total > 0 {
             obj.set("p50", Value::U64(self.percentile(50.0)));
             obj.set("p95", Value::U64(self.percentile(95.0)));
             obj.set("p99", Value::U64(self.percentile(99.0)));
@@ -211,6 +233,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "v is below SUB, a small bucket count"
+    )]
     fn bucket_edges_first_octaves_are_exact() {
         // Values below SUB are their own buckets: percentile is exact.
         for v in 0..SUB {

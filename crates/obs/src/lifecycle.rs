@@ -664,21 +664,34 @@ impl CausalSummary {
 
     /// Merges another summary into this one.
     pub fn merge(&mut self, other: &Self) {
-        for (k, v) in &other.attributed {
+        // No `..`: a field added to the struct fails to compile until it
+        // is merged here.
+        let Self {
+            attributed,
+            attempts,
+            resources,
+            requests,
+            reads,
+            read_latency_cycles,
+            total_cycles,
+            violations,
+            dropped,
+        } = other;
+        for (k, v) in attributed {
             *self.attributed.entry(k.clone()).or_insert(0) += v;
         }
-        for (k, v) in &other.attempts {
+        for (k, v) in attempts {
             *self.attempts.entry(k.clone()).or_insert(0) += v;
         }
-        for (k, v) in &other.resources {
+        for (k, v) in resources {
             *self.resources.entry(k.clone()).or_insert(0) += v;
         }
-        self.requests += other.requests;
-        self.reads += other.reads;
-        self.read_latency_cycles += other.read_latency_cycles;
-        self.total_cycles += other.total_cycles;
-        self.violations += other.violations;
-        self.dropped += other.dropped;
+        self.requests += requests;
+        self.reads += reads;
+        self.read_latency_cycles += read_latency_cycles;
+        self.total_cycles += total_cycles;
+        self.violations += violations;
+        self.dropped += dropped;
     }
 
     /// Attributed cycles for a phase/cause label (absent reads 0).
@@ -703,16 +716,29 @@ impl CausalSummary {
             }
             o
         };
+        // No `..`: a field added to the struct fails to compile until it
+        // is exported here.
+        let Self {
+            attributed,
+            attempts,
+            resources,
+            requests,
+            reads,
+            read_latency_cycles,
+            total_cycles,
+            violations,
+            dropped,
+        } = self;
         let mut o = Value::obj();
-        o.set("requests", Value::U64(self.requests));
-        o.set("reads", Value::U64(self.reads));
-        o.set("read_latency_cycles", Value::U64(self.read_latency_cycles));
-        o.set("total_cycles", Value::U64(self.total_cycles));
-        o.set("violations", Value::U64(self.violations));
-        o.set("dropped", Value::U64(self.dropped));
-        o.set("attributed_cycles", map(&self.attributed));
-        o.set("blocked_attempts", map(&self.attempts));
-        o.set("resources", map(&self.resources));
+        o.set("requests", Value::U64(*requests));
+        o.set("reads", Value::U64(*reads));
+        o.set("read_latency_cycles", Value::U64(*read_latency_cycles));
+        o.set("total_cycles", Value::U64(*total_cycles));
+        o.set("violations", Value::U64(*violations));
+        o.set("dropped", Value::U64(*dropped));
+        o.set("attributed_cycles", map(attributed));
+        o.set("blocked_attempts", map(attempts));
+        o.set("resources", map(resources));
         o
     }
 }

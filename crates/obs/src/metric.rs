@@ -107,10 +107,17 @@ impl MetricsSnapshot {
     ///
     /// Panics if a gauge name carries different rules in the two snapshots.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, v) in &other.counters {
+        // No `..`: a field added to the struct fails to compile until it
+        // is merged here.
+        let MetricsSnapshot {
+            counters,
+            gauges,
+            hists,
+        } = other;
+        for (name, v) in counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
         }
-        for (name, (rule, v)) in &other.gauges {
+        for (name, (rule, v)) in gauges {
             match self.gauges.entry(name.clone()) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     let (r, cur) = e.get_mut();
@@ -122,7 +129,7 @@ impl MetricsSnapshot {
                 }
             }
         }
-        for (name, h) in &other.hists {
+        for (name, h) in hists {
             self.hists
                 .entry(name.clone())
                 .and_modify(|cur| cur.merge(h))
@@ -132,22 +139,29 @@ impl MetricsSnapshot {
 
     /// JSON object: `{"counters": {..}, "gauges": {..}, "histograms": {..}}`.
     pub fn to_json(&self) -> Value {
-        let mut counters = Value::obj();
-        for (name, v) in &self.counters {
-            counters.set(name, Value::U64(*v));
+        // No `..`: a field added to the struct fails to compile until it
+        // is exported here.
+        let MetricsSnapshot {
+            counters,
+            gauges,
+            hists,
+        } = self;
+        let mut counters_json = Value::obj();
+        for (name, v) in counters {
+            counters_json.set(name, Value::U64(*v));
         }
-        let mut gauges = Value::obj();
-        for (name, (_, v)) in &self.gauges {
-            gauges.set(name, Value::F64(*v));
+        let mut gauges_json = Value::obj();
+        for (name, (_, v)) in gauges {
+            gauges_json.set(name, Value::F64(*v));
         }
-        let mut hists = Value::obj();
-        for (name, h) in &self.hists {
-            hists.set(name, h.to_json());
+        let mut hists_json = Value::obj();
+        for (name, h) in hists {
+            hists_json.set(name, h.to_json());
         }
         let mut obj = Value::obj();
-        obj.set("counters", counters);
-        obj.set("gauges", gauges);
-        obj.set("histograms", hists);
+        obj.set("counters", counters_json);
+        obj.set("gauges", gauges_json);
+        obj.set("histograms", hists_json);
         obj
     }
 }

@@ -90,8 +90,11 @@ impl WindowedSeries {
     ///
     /// Panics if the window widths differ.
     pub fn merge(&mut self, other: &WindowedSeries) {
-        assert_eq!(self.width, other.width, "window widths differ");
-        for (&idx, &(count, sum)) in &other.windows {
+        // No `..`: a field added to the struct fails to compile until it
+        // is merged here.
+        let WindowedSeries { width, windows } = other;
+        assert_eq!(self.width, *width, "window widths differ");
+        for (&idx, &(count, sum)) in windows {
             let e = self.windows.entry(idx).or_insert((0, 0.0));
             e.0 += count;
             e.1 += sum;
@@ -100,6 +103,12 @@ impl WindowedSeries {
 
     /// JSON array of `{"start", "count", "sum", "mean"}` objects.
     pub fn to_json(&self) -> Value {
+        // No `..`: a field added to the struct fails to compile until it
+        // is exported here. The width shows in each window's `start`.
+        let WindowedSeries {
+            width: _,
+            windows: _,
+        } = self;
         Value::Arr(
             self.windows()
                 .map(|w| {

@@ -17,6 +17,11 @@
 //! number of cases per test defaults to [`test_runner::DEFAULT_CASES`] and
 //! can be overridden with the `PROPTEST_CASES` environment variable.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "strategies draw a u64 or i64 and narrow it into the requested range or type on purpose"
+)]
+
 pub mod arbitrary;
 pub mod collection;
 pub mod strategy;
@@ -64,7 +69,10 @@ macro_rules! proptest {
 macro_rules! __proptest_case {
     // Terminal: all arguments bound — run the body.
     ($rng:ident, $body:block $(,)?) => {
-        #[allow(clippy::redundant_closure_call)]
+        #[expect(
+            clippy::redundant_closure_call,
+            reason = "the closure gives prop_assume! an early return out of the case body"
+        )]
         let _: ::core::option::Option<()> = (move || {
             $body
             ::core::option::Option::Some(())

@@ -5,6 +5,10 @@ pub const DEFAULT_CASES: u64 = 96;
 
 /// Number of cases each property test runs, honouring the standard
 /// `PROPTEST_CASES` environment variable.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "PROPTEST_CASES sets how many cases run, never what a case computes"
+)]
 pub fn cases() -> u64 {
     match std::env::var("PROPTEST_CASES") {
         Ok(v) => v.parse().unwrap_or(DEFAULT_CASES),

@@ -235,9 +235,7 @@ pub fn tab3(scale: EvalScale, workloads: &[Workload], runner: &mut SweepRunner) 
             let mut imp_nr = 0.0;
             for _ in workloads {
                 let base = ipcs.next().expect("baseline run");
-                // pcmap-lint: allow(float-accumulation, reason = "report-time mean over a fixed-order workload list, not a per-cycle stat")
                 imp_rde += (ipcs.next().expect("rde run") / base - 1.0) * 100.0;
-                // pcmap-lint: allow(float-accumulation, reason = "report-time mean over a fixed-order workload list, not a per-cycle stat")
                 imp_nr += (ipcs.next().expect("nr run") / base - 1.0) * 100.0;
             }
             let n = workloads.len() as f64;

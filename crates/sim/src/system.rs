@@ -629,7 +629,7 @@ impl System {
                             .collect::<Vec<_>>(),
                     );
                 }
-                // pcmap-lint: allow(manual-time-advance, reason = "the run loop's crawl step itself: when no component publishes a horizon the loop single-steps")
+                // The crawl step: no component published a horizon, so the loop single-steps.
                 now = Cycle(now.0 + 1);
             } else {
                 self.crawl_steps = 0;
@@ -812,6 +812,10 @@ impl System {
             ReqKind::Read
         };
 
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the core index is below cfg.cpu.cores, a u8"
+        )]
         let req = MemRequest {
             id,
             kind,
@@ -941,6 +945,10 @@ impl System {
         let instructions: u64 = self.cores.iter().map(|c| c.stats().retired).sum();
         let cpu_cycles = self.cores.iter().map(|c| c.now()).max().unwrap_or(0);
         let rollbacks: u64 = self.cores.iter().map(|c| c.stats().rollbacks).sum();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a consumed fraction in [0, 1] times row_reads is at most row_reads, a u64"
+        )]
         let consumed: u64 = self
             .rollback
             .iter()

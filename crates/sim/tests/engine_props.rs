@@ -7,10 +7,13 @@
 //!    its published horizon is strictly in the future (never `< now`, and
 //!    never `== now`, else the loop would livelock re-visiting the same
 //!    cycle).
-//! 2. **No missed event** — single-stepping a component through every
-//!    cycle between `now` and its claimed tick observes no state change:
-//!    no completions, no queue movement, no counter drift. This is what
-//!    makes skipping those cycles sound.
+//! 2. **Non-due steps are no-ops** — single-stepping a component through
+//!    every cycle between `now` and its claimed tick observes no state
+//!    change: no completions, no queue movement, no counter drift. This
+//!    pins the definition that lets the loop skip those cycles; it cannot
+//!    catch a horizon that is too late, because `ChannelController::step`
+//!    returns at once unless the horizon is due. Late horizons show in the
+//!    goldens (DESIGN.md §14b).
 //!
 //! Both run for every system kind, with and without a fault storm (whose
 //! recovery retries, watchdog trips and degraded-mode exits publish
@@ -27,6 +30,10 @@ use proptest::prelude::*;
 /// Drives one controller with a random request soup, under a fault storm
 /// when `storm` is set, invoking `check` after every step with
 /// `(ctrl, now)`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "next_below(8) draws one of the 8 data words"
+)]
 fn drive(
     kind: SystemKind,
     storm: bool,
@@ -48,7 +55,6 @@ fn drive(
     let mut rng = Xoshiro256::new(seed);
     let mut now = Cycle(0);
     for next_id in 1..=ops {
-        // pcmap-lint: allow(manual-time-advance, reason = "property driver models request arrival times, not the engine clock")
         now = Cycle(now.0 + rng.next_below(60));
         let addr = PhysAddr::new(rng.next_below(64) * 64);
         let loc = org.decode(addr);

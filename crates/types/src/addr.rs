@@ -38,6 +38,10 @@ impl PhysAddr {
 
     /// Byte offset within the cache line.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the offset is below LINE_BYTES (64)"
+    )]
     pub fn line_offset(self) -> usize {
         (self.0 % LINE_BYTES as u64) as usize
     }
@@ -108,6 +112,10 @@ impl MemOrg {
     /// Bit order (LSB first): line offset, channel, column, bank, rank, row.
     /// Addresses beyond the installed capacity wrap (the simulator treats
     /// the address space as toroidal rather than faulting).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "each coordinate is taken modulo a MemOrg dimension of its own type (u8 or u32), so it fits"
+    )]
     pub fn decode(&self, addr: PhysAddr) -> MemLocation {
         let line = addr.line();
         let mut v = line.0;

@@ -188,7 +188,10 @@ impl Default for TimingParams {
 pub struct QueueParams {
     /// Read queue entries per controller (Table I: 8).
     pub read_q: usize,
-    /// Write queue entries per controller (Table I: 32).
+    /// Write queue entries *per bank*: the controller bounds each bank's
+    /// queued writes by this, so a channel holds up to `write_q × banks`.
+    /// Table I lists 32 per controller; this model reads §V's "separate
+    /// write and read queues … for banks" as 32 per bank (DESIGN.md §4b.7).
     pub write_q: usize,
     /// Fraction of write-queue occupancy that triggers a drain (α = 0.80).
     pub drain_high: f64,
@@ -197,8 +200,8 @@ pub struct QueueParams {
 }
 
 impl QueueParams {
-    /// Table I / §V values: 8-entry read queue, 32-entry write queue,
-    /// α = 80 % high watermark, 20 % low watermark.
+    /// Table I / §V values: 8-entry read queue per controller, 32 write
+    /// entries per bank, α = 80 % high watermark, 20 % low watermark.
     pub fn paper_default() -> Self {
         Self {
             read_q: 8,
@@ -210,12 +213,20 @@ impl QueueParams {
 
     /// Write-queue occupancy (entries) at which draining starts.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "write_q times a watermark in [0, 1] is at most write_q, a usize"
+    )]
     pub fn high_entries(&self) -> usize {
         ((self.write_q as f64 * self.drain_high).ceil() as usize).max(1)
     }
 
     /// Write-queue occupancy (entries) at which draining stops.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "write_q times a watermark in [0, 1] is at most write_q, a usize"
+    )]
     pub fn low_entries(&self) -> usize {
         (self.write_q as f64 * self.drain_low).floor() as usize
     }

@@ -1,6 +1,6 @@
 //! A point-lookup map keyed by line indices or line addresses.
 //!
-//! The determinism lint bans `HashMap` because its iteration order and
+//! The determinism gate (`clippy.toml`) bans `HashMap` because its iteration order and
 //! per-process seed could leak into results. [`LineMap`] is the one
 //! exception: its hasher is fixed, and no caller ever iterates it.
 
@@ -10,7 +10,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// never iterate it, so its order cannot reach a result. Its hasher is
 /// fixed, so no run differs from another. Keys hash through
 /// [`Hasher::write_u64`] (a line index, or a [`crate::LineAddr`]).
-// pcmap-lint: allow(hash-collections, reason = "never iterated (point lookups, inserts, removals and len only) and hashed by the fixed LineKeyHasher, so no iteration order or per-process seed can leak into results")
+#[expect(
+    clippy::disallowed_types,
+    reason = "never iterated (point lookups, inserts, removals and len only) and hashed by the fixed LineKeyHasher, so no iteration order or per-process seed can leak into results"
+)]
 pub type LineMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<LineKeyHasher>>;
 
 /// A fixed multiplicative hash of a line key: the same on every run and

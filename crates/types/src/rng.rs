@@ -134,6 +134,10 @@ impl Xoshiro256 {
 
     /// Geometric-like draw: number of failures before a success with
     /// probability `p` per trial, capped at `cap` to bound tail latency.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-int `as` saturates, and the draw is capped at `cap` on the next line"
+    )]
     pub fn geometric(&mut self, p: f64, cap: u64) -> u64 {
         if p >= 1.0 {
             return 0;

@@ -7,8 +7,8 @@
 //! gate keeps: each generated request ends in exactly one terminal
 //! bucket.
 //!
-//! All knobs are integers (cycles, basis points) so the serve tier stays
-//! inside the determinism lint's no-float-accumulation rule.
+//! All knobs are integers (cycles, basis points), so no float sum can
+//! make a merged ledger depend on shard order.
 
 use crate::config::CpuParams;
 use crate::error::{ConfigError, Result};
@@ -187,6 +187,10 @@ impl ServeSummary {
     /// SLO attainment in basis points of retired requests (full scale
     /// when nothing retired).
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the ratio is clamped to BP_SCALE (10 000) on the same line"
+    )]
     pub fn slo_attainment_bp(&self) -> u32 {
         if self.retired == 0 {
             return BP_SCALE;
@@ -198,18 +202,34 @@ impl ServeSummary {
 
     /// Accumulates another summary: counters add, peaks take the max.
     pub fn merge(&mut self, other: &ServeSummary) {
-        self.generated += other.generated;
-        self.admitted += other.admitted;
-        self.retired += other.retired;
-        self.shed_throttled += other.shed_throttled;
-        self.shed_overflow += other.shed_overflow;
-        self.shed_degraded += other.shed_degraded;
-        self.shed_deadline += other.shed_deadline;
-        self.failed += other.failed;
-        self.retries += other.retries;
-        self.deferrals += other.deferrals;
-        self.slo_ok += other.slo_ok;
-        self.peak_ingress = self.peak_ingress.max(other.peak_ingress);
+        // No `..`: a field added to the struct fails to compile until it
+        // is merged here.
+        let ServeSummary {
+            generated,
+            admitted,
+            retired,
+            shed_throttled,
+            shed_overflow,
+            shed_degraded,
+            shed_deadline,
+            failed,
+            retries,
+            deferrals,
+            slo_ok,
+            peak_ingress,
+        } = *other;
+        self.generated += generated;
+        self.admitted += admitted;
+        self.retired += retired;
+        self.shed_throttled += shed_throttled;
+        self.shed_overflow += shed_overflow;
+        self.shed_degraded += shed_degraded;
+        self.shed_deadline += shed_deadline;
+        self.failed += failed;
+        self.retries += retries;
+        self.deferrals += deferrals;
+        self.slo_ok += slo_ok;
+        self.peak_ingress = self.peak_ingress.max(peak_ingress);
     }
 }
 

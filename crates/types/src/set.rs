@@ -237,6 +237,10 @@ impl ChipSet {
     }
 
     /// Iterates over member chips as [`ChipId`]s.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a ChipSet member is below its 16-bit width"
+    )]
     pub fn chips(self) -> impl Iterator<Item = ChipId> {
         self.iter().map(|i| ChipId(i as u8))
     }

@@ -108,6 +108,10 @@ impl CoreStream {
             base_gap * 4.0
         };
         let p = 1.0 / mean_gap;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a float-to-int `as` saturates; the cap only bounds the tail of a gap"
+        )]
         let gap = self.rng.geometric(p, (mean_gap * 50.0) as u64).max(1);
 
         let is_read = self.rng.next_f64() * per_kilo < self.profile.rpki;
@@ -135,6 +139,10 @@ impl CoreStream {
         PhysAddr::new(self.base + self.cursor * LINE_BYTES as u64)
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "next_below(8) draws one of the 8 data words"
+    )]
     fn next_dirty_mask(&mut self) -> WordMask {
         let count = self.rng.sample_weighted(&self.profile.dirty_hist);
         if count == 0 {

@@ -13,6 +13,10 @@ use pcmap::types::{
     ChipId, CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams, Xoshiro256,
 };
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "next_below(8) draws one of the 8 data words"
+)]
 fn hammer(kind: SystemKind) -> ChannelController {
     let org = MemOrg::tiny();
     let mut ctrl = ChannelController::new(
@@ -25,7 +29,6 @@ fn hammer(kind: SystemKind) -> ChannelController {
     let mut rng = Xoshiro256::new(7);
     let mut now = Cycle(0);
     for k in 0..3_000u64 {
-        // pcmap-lint: allow(manual-time-advance, reason = "example driver models request arrival times, not the engine clock")
         now = Cycle(now.0 + rng.next_below(25));
         let addr = PhysAddr::new(rng.next_below(128) * 64);
         let loc = org.decode(addr);
@@ -53,6 +56,10 @@ fn hammer(kind: SystemKind) -> ChannelController {
     ctrl
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "i is below ChipId::TOTAL_CHIPS (10); n is at most max, so a bar is at most 40 cells"
+)]
 fn report(label: &str, ctrl: &ChannelController) {
     println!("{label}:");
     let wear = ctrl.rank().wear();

@@ -26,6 +26,10 @@ fn drive(ctrl: &mut dyn Controller, mut now: Cycle) -> Vec<pcmap::ctrl::Completi
 /// Writes random data through a controller, reads it back, and checks the
 /// stored ECC/PCC words stay consistent — under both controllers.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "next_below(8) draws one of the 8 data words"
+)]
 fn storage_consistency_under_scheduling() {
     let org = MemOrg::tiny();
     let t = TimingParams::paper_default();

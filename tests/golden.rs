@@ -1,6 +1,6 @@
 //! Golden-number regression tests: the headline scalars behind Figure 8
-//! (IRLP), Figure 10 (read latency), and Table IV (rollback cost) are
-//! snapshotted into `tests/golden/*.json`. A future PR that changes any
+//! (IRLP), Figure 10 (read latency), and Table IV (rollback cost), plus
+//! one fault-storm schedule, are snapshotted into `tests/golden/*.json`. A future PR that changes any
 //! of these numbers — a scheduling tweak, an RNG re-seed, a parallelism
 //! bug — fails here instead of silently shifting the paper's results.
 //!
@@ -12,6 +12,7 @@
 use pcmap::core::{RollbackMode, SystemKind};
 use pcmap::obs::{json, Value};
 use pcmap::sim::{RunReport, SimConfig, System};
+use pcmap::types::FaultConfig;
 use pcmap::workloads::catalog;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -49,6 +50,10 @@ fn as_f64(v: &Value) -> Option<f64> {
 
 /// Compares `got` against the snapshot in `tests/golden/<file>`, or
 /// rewrites the snapshot when `UPDATE_GOLDEN` is set.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UPDATE_GOLDEN re-blesses the snapshot instead of comparing"
+)]
 fn check_golden(file: &str, got: &BTreeMap<String, f64>) {
     let path = golden_path(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -175,4 +180,33 @@ fn golden_tab04_rollback_scalars() {
         "MP6 at {TAB04_REQUESTS} requests must exercise the rollback path"
     );
     check_golden("tab04.json", &got);
+}
+
+/// Fault-storm schedule: every system on canneal under the storm the
+/// tracing differential uses (`FaultConfig::storm(0.02, 77)`). Recovery
+/// retries, watchdog deadlines and degraded-mode exits each publish a
+/// wake horizon of their own, and no other golden runs a storm, so this
+/// is the golden that sees one of those horizons arrive late.
+#[test]
+fn golden_storm_schedule_scalars() {
+    // Long enough that the storm degrades a rank and lets it recover.
+    const STORM_REQUESTS: u64 = 3_000;
+    let wl = catalog::by_name("canneal").expect("catalog workload");
+    let mut got = BTreeMap::new();
+    for kind in SystemKind::all() {
+        let cfg = SimConfig::paper_default(kind)
+            .with_requests(STORM_REQUESTS)
+            .with_faults(FaultConfig::storm(0.02, 77));
+        let r = System::new(cfg, wl.clone()).run();
+        for (name, v) in [
+            ("mem_cycles", r.mem_cycles as f64),
+            ("mean_read_latency", r.mean_read_latency),
+            ("write_throughput", r.write_throughput),
+            ("watchdog_trips", r.watchdog_trips as f64),
+            ("degraded_cycles", r.degraded_cycles as f64),
+        ] {
+            got.insert(format!("canneal/{}/{name}", kind.label()), v);
+        }
+    }
+    check_golden("storm.json", &got);
 }
