@@ -309,7 +309,14 @@ impl ChannelController {
             t,
             rank: PcmRank::with_seed(org, seed),
             read_q: RequestQueue::new(q.read_q),
-            writes: WriteQueue::new(usize::from(org.banks), q.write_q),
+            writes: {
+                let writes = WriteQueue::new(usize::from(org.banks), q.write_q);
+                if kind.is_baseline() {
+                    writes
+                } else {
+                    writes.with_verdicts()
+                }
+            },
             drains: (0..org.banks).map(|_| DrainPolicy::new(&q)).collect(),
             bus: ChannelBus::new(),
             stats: CtrlStats::new(org.banks as usize),

@@ -33,19 +33,42 @@
 //! The write pass decides the write-mode gate once, visits candidates
 //! oldest first by walking the controller's one `(arrival, id)`-ordered
 //! [`WriteQueue`], and skips a write while an older write to its line is
-//! queued. Blocked verdicts are never cached: each evaluation shows in the
-//! report (DESIGN.md §4b item 7).
+//! queued. A blocked evaluation is cached in the write's slot of the store
+//! as a `WriteVerdict`, keyed on the bank's [`RankTiming::generation`] and
+//! the window offset. A later pass reuses it until the first cycle at
+//! which a fresh evaluation could answer otherwise, and counts, traces and
+//! hints the attempt exactly as that evaluation would (DESIGN.md §4b item
+//! 7). Debug builds re-evaluate every reuse and assert the same answer.
 //!
 //! [`WriteQueue`]: crate::WriteQueue
+//!
+//! [`RankTiming::generation`]: pcmap_device::RankTiming::generation
 //!
 //! [`PcmRank::peek_data`]: pcmap_device::PcmRank::peek_data
 
 use super::{ChannelController, InflightWrite, ReadService};
 use crate::bus::BusDir;
 use crate::op;
-use crate::request::{Completion, MemRequest, ReqKind};
+use crate::queues::WriteVerdict;
+use crate::request::{Completion, MemRequest, ReqId, ReqKind};
 use pcmap_obs::{Resource, WaitCause};
-use pcmap_types::{ChipId, ChipSet, Cycle, Duration, WordMask};
+use pcmap_types::{BankId, ChipId, ChipSet, Cycle, Duration, LineAddr, WordMask};
+
+/// What one evaluation of a queued write found.
+enum WritePlan {
+    /// No word changes: a silent store, or the tail of a split write.
+    Silent,
+    /// Every window is free: issue `mask`, programming from
+    /// `program_start`. `split_of` is the full essential-word count when
+    /// the split-write ablation issues one word of it.
+    Issue {
+        mask: WordMask,
+        program_start: Cycle,
+        split_of: Option<usize>,
+    },
+    /// A window conflicts with a reservation.
+    Blocked(WriteVerdict),
+}
 
 impl ChannelController {
     /// Whether this channel's rank is currently demoted to coarse
@@ -87,6 +110,16 @@ impl ChannelController {
         if !write_mode && !self.lifetrace.enabled() {
             return false;
         }
+        // The split-write ablation's mask depends on the read queue, so
+        // its blocked verdicts are not cached.
+        let cache = !self.split_writes_for_row;
+        // Banks with a write in flight, one bit per (u8) bank index. Only
+        // an issue changes `inflight`, and an issue ends the pass.
+        let mut overlapped = [0u64; 4];
+        for w in self.inflight.iter().filter(|w| w.data_end > now) {
+            let b = w.bank.index();
+            overlapped[b / 64] |= 1 << (b % 64);
+        }
         // Visit candidates oldest first: the store is in (arrival, id)
         // order. Only an issue changes it, and an issue ends the pass.
         for pos in 0..self.writes.len() {
@@ -103,7 +136,7 @@ impl ChannelController {
                 });
                 continue;
             }
-            let overlapping = self.inflight_blocker(bank, now).is_some();
+            let overlapping = overlapped[bank.index() / 64] >> (bank.index() % 64) & 1 == 1;
             // A degraded rank loses WoW speculation: overlapped writes
             // wait for the in-flight write like the baseline would.
             if overlapping && (!self.kind.wow_enabled() || degraded) {
@@ -126,6 +159,8 @@ impl ChannelController {
                 self.blocked(id, now, cause, true, |_| Resource::bank(bank));
                 continue;
             }
+            // The poll draw happens on every visit, so a fault plan's
+            // random stream does not depend on the verdict cache.
             let polls = if overlapping { self.poll_count() } else { 1 };
             let start = if overlapping {
                 now + Duration(self.t.status_cmd * polls)
@@ -133,131 +168,213 @@ impl ChannelController {
                 now
             };
 
-            // Peek the essential set without mutating storage. Only data
-            // words are diffed, so the peek computes no ECC or PCC.
-            let old = self.rank.peek_data(bank, loc.row, loc.col);
-            let ReqKind::Write { data } = &self.writes[pos].kind else {
-                unreachable!("write queue held a read")
-            };
-            let mask = old.diff_words(data);
-
-            if mask.is_empty() {
-                // Silent store — or the tail of a split write whose words
-                // have all landed.
-                self.checker
-                    .status_poll_n(bank, now, start, overlapping, polls);
-                let req = self.remove_write(id);
-                let ReqKind::Write { data } = req.kind else {
-                    unreachable!("write queue held a read")
-                };
-                self.rank.write_words(bank, loc.row, loc.col, data, mask);
-                if let Some(pos) = self.split_in_progress.iter().position(|&r| r == id) {
-                    self.split_in_progress.swap_remove(pos);
-                } else {
-                    self.stats.essential_histogram[0] += 1;
-                    self.stats.silent_writes += 1;
-                }
-                let done = start + Duration(self.t.array_read);
-                self.stats.irlp.open_window(bank, start, done);
-                self.lifetrace.issue(id.0, now, start, done);
-                self.complete_write(&req, bank, done, out);
-                return true;
-            }
-
-            // §IV-B4 split mode: with reads waiting, issue one essential
-            // word at a time so the bank stays RoW-compatible.
-            let full_count = mask.count();
-            let mut mask = mask;
-            let splitting = self.split_writes_for_row
-                && self.kind.row_enabled()
-                && (full_count > 1 || self.split_in_progress.contains(&id))
-                && !self.read_q.is_empty();
-            if splitting {
-                mask = WordMask::single(mask.first().expect("non-empty"));
-            }
-
-            // Plan the three phases.
-            let program_start = start + Duration(self.t.t_wl + self.t.burst);
-            let upd = op::check_chip_write_occupancy(&self.t);
-            let worst_end = program_start + Duration(self.t.array_set);
-
-            // Availability: data chips and ECC chip over step 1, PCC chip
-            // right after the data phase (step 2). Per-word SET/RESET
-            // variation is bounded by the worst case.
-            let timing = self.rank.timing();
-            let data_chips = self.layout.chips_of_mask(line, mask);
-            if !timing.set_free_during(bank, data_chips, start, worst_end) {
-                let until = timing.blocked_until(bank, data_chips, start, worst_end);
-                self.blocked(id, now, WaitCause::WowSetConflict, true, |c| {
-                    // Diagnose the first busy chip of the conflicting set.
-                    let timing = c.rank.timing();
-                    match data_chips
-                        .chips()
-                        .find(|&ch| !timing.chip(bank, ch).is_free_during(start, worst_end))
-                    {
-                        Some(ch) => Resource::chip(bank, ch),
-                        None => Resource::bank(bank),
-                    }
-                });
-                // Event horizon: the window [start, worst_end) shifts
-                // rigidly with `now`, so the conflict clears once `start`
-                // reaches the last conflicting reservation end.
-                if let Some(e) = until {
-                    self.note_hint(Cycle(e.0 - (start.0 - now.0)));
-                }
-                continue;
-            }
-            let ecc_chip = self.layout.ecc_chip(line);
-            let ecc_end = start + upd;
-            if !timing.chip(bank, ecc_chip).is_free_during(start, ecc_end) {
-                let until = timing.chip(bank, ecc_chip).blocked_until(start, ecc_end);
-                self.blocked(id, now, WaitCause::EccBusy, true, |_| {
-                    Resource::chip(bank, ecc_chip)
-                });
-                // Event horizon: ECC update window shifts rigidly with now.
-                if let Some(e) = until {
-                    self.note_hint(Cycle(e.0 - (start.0 - now.0)));
-                }
-                continue;
-            }
-            let pcc_chip = self.layout.pcc_chip(line);
-            if !timing
-                .chip(bank, pcc_chip)
-                .is_free_during(worst_end, worst_end + upd)
+            // A verdict an earlier pass cached stands while it holds: the
+            // attempt is counted, traced and hinted as a fresh evaluation
+            // would, without the storage peek and the reservation scans.
+            let generation = self.rank.timing().generation(bank);
+            let offset = start.0 - now.0;
+            if let Some(v) = self
+                .writes
+                .verdict(pos)
+                .filter(|v| v.holds(generation, offset, now))
             {
-                let until = timing
-                    .chip(bank, pcc_chip)
-                    .blocked_until(worst_end, worst_end + upd);
-                self.blocked(id, now, WaitCause::PccBusy, true, |_| {
-                    Resource::chip(bank, pcc_chip)
-                });
-                // Event horizon: PCC window [worst_end, worst_end + upd)
-                // also shifts rigidly with now.
-                if let Some(e) = until {
-                    self.note_hint(Cycle(e.0 - (worst_end.0 - now.0)));
-                }
+                debug_assert!(
+                    self.verdict_agrees(pos, now, start, &v),
+                    "cached verdict {v:?} of write {id:?} is stale at {now:?}"
+                );
+                self.write_blocked(id, line, bank, now, start, v);
                 continue;
             }
-
-            self.checker
-                .status_poll_n(bank, now, start, overlapping, polls);
-            if overlapping {
-                self.checker
-                    .speculative_on_degraded(bank, start, degraded, "WoW write");
+            match self.plan_write(pos, now, start, generation) {
+                WritePlan::Blocked(v) => {
+                    if cache {
+                        self.writes.set_verdict(pos, v);
+                    }
+                    self.write_blocked(id, line, bank, now, start, v);
+                }
+                WritePlan::Silent => {
+                    // Nothing to program: the differential write skips
+                    // every word.
+                    self.checker
+                        .status_poll_n(bank, now, start, overlapping, polls);
+                    let req = self.remove_write(id);
+                    if let Some(pos) = self.split_in_progress.iter().position(|&r| r == id) {
+                        self.split_in_progress.swap_remove(pos);
+                    } else {
+                        self.stats.essential_histogram[0] += 1;
+                        self.stats.silent_writes += 1;
+                    }
+                    let done = start + Duration(self.t.array_read);
+                    self.stats.irlp.open_window(bank, start, done);
+                    self.lifetrace.issue(id.0, now, start, done);
+                    self.complete_write(&req, bank, done, out);
+                    return true;
+                }
+                WritePlan::Issue {
+                    mask,
+                    program_start,
+                    split_of,
+                } => {
+                    self.checker
+                        .status_poll_n(bank, now, start, overlapping, polls);
+                    if overlapping {
+                        self.checker
+                            .speculative_on_degraded(bank, start, degraded, "WoW write");
+                    }
+                    self.issue_fine_write(
+                        self.writes[pos],
+                        now,
+                        mask,
+                        start,
+                        program_start,
+                        overlapping,
+                        split_of,
+                        out,
+                    );
+                    return true;
+                }
             }
-            self.issue_fine_write(
-                self.writes[pos],
-                now,
-                mask,
-                start,
-                program_start,
-                overlapping,
-                splitting.then_some(full_count),
-                out,
-            );
-            return true;
         }
         false
+    }
+
+    /// Evaluates the queued write at `pos` for chip windows starting at
+    /// `start`: the essential words it would program and whether their
+    /// three phases fit the bank's reservations. `generation` is the
+    /// bank's current [`RankTiming::generation`]; a blocked verdict
+    /// carries it.
+    ///
+    /// [`RankTiming::generation`]: pcmap_device::RankTiming::generation
+    fn plan_write(&self, pos: usize, now: Cycle, start: Cycle, generation: u64) -> WritePlan {
+        let MemRequest {
+            id,
+            line,
+            loc,
+            kind,
+            ..
+        } = &self.writes[pos];
+        let bank = loc.bank;
+        let ReqKind::Write { data } = kind else {
+            unreachable!("write queue held a read")
+        };
+        // Peek the essential set without mutating storage. Only data
+        // words are diffed, so the peek computes no ECC or PCC.
+        let mask = self.rank.peek_data(bank, loc.row, loc.col).diff_words(data);
+        if mask.is_empty() {
+            // Silent store — or the tail of a split write whose words
+            // have all landed.
+            return WritePlan::Silent;
+        }
+
+        // §IV-B4 split mode: with reads waiting, issue one essential
+        // word at a time so the bank stays RoW-compatible.
+        let full_count = mask.count();
+        let splitting = self.split_writes_for_row
+            && self.kind.row_enabled()
+            && (full_count > 1 || self.split_in_progress.contains(id))
+            && !self.read_q.is_empty();
+        let mask = if splitting {
+            WordMask::single(mask.first().expect("non-empty"))
+        } else {
+            mask
+        };
+
+        // Plan the three phases: data chips and ECC chip over step 1, PCC
+        // chip right after the data phase (step 2). Per-word SET/RESET
+        // variation is bounded by the worst case.
+        let program_start = start + Duration(self.t.t_wl + self.t.burst);
+        let upd = op::check_chip_write_occupancy(&self.t);
+        let worst_end = program_start + Duration(self.t.array_set);
+        let ecc_end = start + upd;
+        let pcc_end = worst_end + upd;
+        let data_chips = self.layout.chips_of_mask(*line, mask);
+        let ecc = ChipSet::single(self.layout.ecc_chip(*line).index());
+        let pcc = ChipSet::single(self.layout.pcc_chip(*line).index());
+
+        // Each window shifts rigidly with `now`. Event horizon: a
+        // conflict clears once the window start reaches the last
+        // conflicting reservation end, so that is the retry hint.
+        // Validity: every window checked keeps its answer until its end
+        // slides onto the next reservation start on its chips.
+        let timing = self.rank.timing();
+        let offset = start.0 - now.0;
+        let blocked = |cause, hint: Cycle, checked: &[(ChipSet, Cycle)]| {
+            let valid_until = checked.iter().fold(hint, |v, &(set, end)| {
+                match timing.next_start(bank, set, end) {
+                    Some(s) => v.min(Cycle(now.0 + (s.0 - end.0) + 1)),
+                    None => v,
+                }
+            });
+            WritePlan::Blocked(WriteVerdict {
+                generation,
+                offset,
+                valid_until,
+                hint,
+                chips: data_chips,
+                cause,
+            })
+        };
+        let data = (data_chips, worst_end);
+        if let Some(e) = timing.blocked_until(bank, data_chips, start, worst_end) {
+            return blocked(WaitCause::WowSetConflict, Cycle(e.0 - offset), &[data]);
+        }
+        let ecc_window = (ecc, ecc_end);
+        if let Some(e) = timing.blocked_until(bank, ecc, start, ecc_end) {
+            return blocked(WaitCause::EccBusy, Cycle(e.0 - offset), &[data, ecc_window]);
+        }
+        if let Some(e) = timing.blocked_until(bank, pcc, worst_end, pcc_end) {
+            return blocked(
+                WaitCause::PccBusy,
+                Cycle(e.0 - (worst_end.0 - now.0)),
+                &[data, ecc_window, (pcc, pcc_end)],
+            );
+        }
+        WritePlan::Issue {
+            mask,
+            program_start,
+            split_of: splitting.then_some(full_count),
+        }
+    }
+
+    /// Debug-build reference for the verdict cache: a fresh evaluation
+    /// of the write at `pos` is blocked with `v`'s cause, chips and hint.
+    fn verdict_agrees(&self, pos: usize, now: Cycle, start: Cycle, v: &WriteVerdict) -> bool {
+        matches!(
+            self.plan_write(pos, now, start, v.generation),
+            WritePlan::Blocked(f) if (f.cause, f.chips, f.hint) == (v.cause, v.chips, v.hint)
+        )
+    }
+
+    /// One blocked attempt of write `id`, whose windows start at `start`,
+    /// as verdict `v` describes it: the stall counter, the lifecycle
+    /// attempt and the retry hint.
+    fn write_blocked(
+        &mut self,
+        id: ReqId,
+        line: LineAddr,
+        bank: BankId,
+        now: Cycle,
+        start: Cycle,
+        v: WriteVerdict,
+    ) {
+        self.blocked(id, now, v.cause, true, |c| match v.cause {
+            WaitCause::WowSetConflict => {
+                // Diagnose the first busy chip of the conflicting set.
+                let worst_end = start + Duration(c.t.t_wl + c.t.burst) + Duration(c.t.array_set);
+                let timing = c.rank.timing();
+                match v
+                    .chips
+                    .chips()
+                    .find(|&ch| !timing.chip(bank, ch).is_free_during(start, worst_end))
+                {
+                    Some(ch) => Resource::chip(bank, ch),
+                    None => Resource::bank(bank),
+                }
+            }
+            WaitCause::EccBusy => Resource::chip(bank, c.layout.ecc_chip(line)),
+            _ => Resource::chip(bank, c.layout.pcc_chip(line)),
+        });
+        self.note_hint(v.hint);
     }
 
     #[expect(
@@ -624,10 +741,11 @@ impl ChannelController {
             .reserve(bank, read_set, start, data_ready);
         self.rank.timing_mut().open_row(bank, read_set, req.loc.row);
 
-        // Reconstruction check when applicable.
-        let stored = self.rank.read_line(bank, req.loc.row, req.loc.col);
-        let codec = self.rank.storage().codec();
+        // Reconstruction check when applicable. `finish_read` does the
+        // functional read every read needs.
         if let Some(missing_chip) = reconstructed {
+            let stored = self.rank.read_line(bank, req.loc.row, req.loc.col);
+            let codec = self.rank.storage().codec();
             let missing_word = self
                 .layout
                 .word_on_chip(req.line, missing_chip)

@@ -852,6 +852,67 @@ fn read_priority_untraced_pass_issues_nothing_and_notes_no_hint() {
     assert_eq!(c.lifetrace().write_attempts(WaitCause::ReadPriority), 0);
 }
 
+/// A queued single-word write to line 0 whose data chip already holds
+/// `[0, 40)` and, from after the write window's end, `[66, 300)`. The
+/// write's windows are 56 cycles long, so at cycle 0 only the first
+/// reservation conflicts.
+fn sliding_window_scene() -> (ChannelController, MemRequest) {
+    let mut c = ctrl(SystemKind::RwowRde);
+    let w = write_req(&c, 1, 0, &[0], Cycle(0));
+    let t = TimingParams::paper_default();
+    assert_eq!(t.t_wl + t.burst + t.array_set, 56);
+    let chip = ChipSet::single(c.layout.chip_of_word(w.line, 0).index());
+    let timing = c.rank.timing_mut();
+    timing.reserve(w.loc.bank, chip, Cycle(0), Cycle(40));
+    timing.reserve(w.loc.bank, chip, Cycle(66), Cycle(300));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    (c, w)
+}
+
+/// One write pass at `now`; returns the retry hint it leaves.
+fn write_pass_hint(c: &mut ChannelController, now: Cycle) -> Option<Cycle> {
+    let mut out = Vec::new();
+    c.begin_pass();
+    assert!(!c.try_issue_write(now, &mut out));
+    c.retry_hint
+}
+
+#[test]
+fn cached_verdict_expires_when_the_window_reaches_a_later_reservation() {
+    let (mut c, _) = sliding_window_scene();
+    assert_eq!(write_pass_hint(&mut c, Cycle(0)), Some(Cycle(40)));
+    // The blocking reservation ends at 40, but from cycle 11 on the
+    // window [now, now + 56) also covers the one starting at 66.
+    let v = c.writes.verdict(0).expect("blocked verdict cached");
+    assert_eq!(
+        (v.cause, v.valid_until),
+        (WaitCause::WowSetConflict, Cycle(11))
+    );
+    // Inside the validity the pass answers from the cache…
+    assert_eq!(write_pass_hint(&mut c, Cycle(10)), Some(Cycle(40)));
+    // …and past it the write waits for the later reservation's end.
+    assert_eq!(write_pass_hint(&mut c, Cycle(20)), Some(Cycle(300)));
+    assert_eq!(c.stats().wr_blocked_data, 3);
+}
+
+#[test]
+fn cached_verdict_expires_when_storage_changes() {
+    let (mut c, w) = sliding_window_scene();
+    write_pass_hint(&mut c, Cycle(0));
+    // A flipped bit in word 3 makes it essential too: the write now
+    // needs that word's chip as well.
+    c.rank_mut()
+        .storage_mut()
+        .inject_bit_error(w.loc.bank, w.loc.row, w.loc.col, 3, 5);
+    write_pass_hint(&mut c, Cycle(5));
+    let chips = c.writes.verdict(0).expect("blocked verdict cached").chips;
+    let want: ChipSet = [0, 3]
+        .into_iter()
+        .map(|word| c.layout.chip_of_word(w.line, word).index())
+        .collect();
+    assert_eq!(chips, want);
+}
+
 // --------------------------------------------------------- fault ladder --
 //
 // The bounded retry + backoff ladder and the stuck-busy watchdog, pinned

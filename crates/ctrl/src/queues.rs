@@ -7,7 +7,8 @@
 //! buffered writes live in one [`WriteQueue`].
 
 use crate::request::{MemRequest, ReqId};
-use pcmap_types::{BankId, LineAddr, LineMap, QueueParams};
+use pcmap_obs::WaitCause;
+use pcmap_types::{BankId, ChipSet, Cycle, LineAddr, LineMap, QueueParams};
 
 /// A bounded FIFO request queue that supports out-of-order removal
 /// (FR-FCFS picks by row-hit status, not strictly head-of-line).
@@ -102,6 +103,45 @@ pub struct WriteQueue {
     bank_capacity: usize,
     /// Queued writes per line; a line with none has no key.
     lines: LineMap<LineAddr, u32>,
+    /// Whether each entry has a verdict slot ([`Self::with_verdicts`]).
+    keeps_verdicts: bool,
+    /// Each entry's cached blocked verdict, in the order of `entries`;
+    /// empty unless `keeps_verdicts`.
+    verdicts: Vec<Option<WriteVerdict>>,
+}
+
+/// Why the PCMap write pass found a queued write blocked, and how long
+/// that answer holds (DESIGN.md §4b item 7).
+///
+/// The evaluation read only the write's data, its line's stored words and
+/// its bank's reservations, over chip windows that start `offset` cycles
+/// after the pass. While the bank's [`RankTiming::generation`] and the
+/// offset are unchanged, the windows only slide later with `now`, so the
+/// same cause and `hint` come out until `valid_until`.
+///
+/// [`RankTiming::generation`]: pcmap_device::RankTiming::generation
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WriteVerdict {
+    /// The bank's generation when the verdict was made.
+    pub(crate) generation: u64,
+    /// Start of the write's windows minus the pass time: 0, or the
+    /// `Status` polls of an overlapped write.
+    pub(crate) offset: u64,
+    /// The first cycle at which a fresh evaluation may answer otherwise.
+    pub(crate) valid_until: Cycle,
+    /// The retry hint the evaluation noted.
+    pub(crate) hint: Cycle,
+    /// The chips holding the write's essential words.
+    pub(crate) chips: ChipSet,
+    /// `WowSetConflict`, `EccBusy` or `PccBusy`.
+    pub(crate) cause: WaitCause,
+}
+
+impl WriteVerdict {
+    /// Whether a fresh evaluation at `now` would answer as this one did.
+    pub(crate) fn holds(&self, generation: u64, offset: u64, now: Cycle) -> bool {
+        self.generation == generation && self.offset == offset && now < self.valid_until
+    }
 }
 
 /// A queued write and its same-line verdict.
@@ -120,7 +160,17 @@ impl WriteQueue {
             per_bank: vec![0; banks],
             bank_capacity,
             lines: LineMap::default(),
+            keeps_verdicts: false,
+            verdicts: Vec::new(),
         }
+    }
+
+    /// The same store with a verdict slot per entry ([`Self::verdict`]).
+    /// The PCMap write pass caches its blocked verdicts there; the
+    /// Baseline's store keeps none and pays nothing for them.
+    pub(crate) fn with_verdicts(mut self) -> Self {
+        self.keeps_verdicts = true;
+        self
     }
 
     /// Inserts a write at its `(arrival, id)` position.
@@ -154,6 +204,9 @@ impl WriteQueue {
             }
         }
         self.entries.insert(pos, Entry { req, shadowed });
+        if self.keeps_verdicts {
+            self.verdicts.insert(pos, None);
+        }
         Ok(())
     }
 
@@ -161,6 +214,9 @@ impl WriteQueue {
     pub fn remove(&mut self, id: ReqId) -> Option<MemRequest> {
         let pos = self.entries.iter().position(|e| e.req.id == id)?;
         let Entry { req, shadowed } = self.entries.remove(pos);
+        if self.keeps_verdicts {
+            self.verdicts.remove(pos);
+        }
         self.per_bank[req.loc.bank.index()] -= 1;
         let n = self
             .lines
@@ -211,6 +267,19 @@ impl WriteQueue {
     /// newer write to a line never jumps an older one.
     pub fn older_to_same_line(&self, pos: usize) -> bool {
         self.entries[pos].shadowed
+    }
+
+    /// The verdict cached for position `pos`, if any.
+    pub(crate) fn verdict(&self, pos: usize) -> Option<WriteVerdict> {
+        self.verdicts.get(pos).copied().flatten()
+    }
+
+    /// Caches `verdict` for position `pos`; a no-op for a store without
+    /// verdict slots.
+    pub(crate) fn set_verdict(&mut self, pos: usize, verdict: WriteVerdict) {
+        if let Some(slot) = self.verdicts.get_mut(pos) {
+            *slot = Some(verdict);
+        }
     }
 }
 
@@ -384,6 +453,18 @@ mod tests {
         assert!(q.older_to_same_line(2));
     }
 
+    /// A verdict that names write `id` by its generation field.
+    fn tagged(id: u64) -> WriteVerdict {
+        WriteVerdict {
+            generation: id,
+            offset: 0,
+            valid_until: Cycle(1),
+            hint: Cycle(1),
+            chips: ChipSet::empty(),
+            cause: WaitCause::WowSetConflict,
+        }
+    }
+
     /// The reference [`WriteQueue`] is checked against: a plain `Vec`
     /// re-sorted after each push and answered by linear scans.
     struct ReferenceQueue {
@@ -430,13 +511,17 @@ mod tests {
             let mut pool = lines_of_bank(0, 3);
             pool.extend(lines_of_bank(1, 3));
             let absent = PhysAddr::new(lines_of_bank(1, 4)[3]).line();
-            let mut q = WriteQueue::new(2, 3);
+            let mut q = WriteQueue::new(2, 3).with_verdicts();
             let mut r = ReferenceQueue { entries: Vec::new(), bank_capacity: 3 };
             for id in 0..200u64 {
                 if rng.next_below(5) < 3 {
                     let addr = pool[rng.next_below(pool.len() as u64) as usize];
                     let w = req_at(id, addr, rng.next_below(16));
                     prop_assert_eq!(q.push(w).is_ok(), r.push(w));
+                    // Tag the write's verdict slot with its id.
+                    if let Some(pos) = (0..q.len()).find(|&p| q[p].id == w.id) {
+                        q.set_verdict(pos, tagged(id));
+                    }
                 } else {
                     let victim = ReqId(rng.next_below(id + 1));
                     prop_assert_eq!(q.remove(victim).map(|w| w.id), r.remove(victim));
@@ -455,6 +540,8 @@ mod tests {
                 prop_assert!(!q.holds_line(absent));
                 for pos in 0..q.len() {
                     prop_assert_eq!(q.older_to_same_line(pos), r.older_to_same_line(pos));
+                    // Each verdict slot moves with its write.
+                    prop_assert_eq!(q.verdict(pos), Some(tagged(q[pos].id.0)));
                 }
             }
         }

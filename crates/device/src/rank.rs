@@ -166,6 +166,7 @@ impl PcmRank {
             stored.ecc = codec.update_ecc_word(stored.ecc, &stored.data, essential);
             stored.pcc = codec.pcc_word(&stored.data);
             self.storage.store(bank, row, col, stored);
+            self.timing.bump(bank);
         }
 
         WriteOutcome {
@@ -208,7 +209,10 @@ impl PcmRank {
     }
 
     /// Direct access to functional storage (fault injection, inspection).
+    /// The caller may change any line, so every bank's
+    /// [`RankTiming::generation`] moves.
     pub fn storage_mut(&mut self) -> &mut RankStorage {
+        self.timing.bump_all();
         &mut self.storage
     }
 
@@ -314,6 +318,25 @@ mod tests {
         for i in [0usize, 1, 2, 4, 5, 6, 7] {
             assert_eq!(stored.word(i), old.data.word(i));
         }
+    }
+
+    #[test]
+    fn data_changes_move_the_bank_generation() {
+        let mut rank = rank();
+        let other = BankId(B.0 + 1);
+        let old = rank.read_line(B, R, C).data;
+        // A silent store changes nothing.
+        rank.write_line(B, R, C, old);
+        assert_eq!(rank.timing().generation(B), 0);
+        let mut new = old;
+        new.set_word(2, !old.word(2));
+        rank.write_line(B, R, C, new);
+        assert_eq!(rank.timing().generation(B), 1);
+        assert_eq!(rank.timing().generation(other), 0);
+        // Direct storage access may touch any line of any bank.
+        rank.storage_mut();
+        assert_eq!(rank.timing().generation(B), 2);
+        assert_eq!(rank.timing().generation(other), 1);
     }
 
     #[test]

@@ -60,6 +60,16 @@ impl ChipBankState {
             .max()
     }
 
+    /// Earliest reservation start at or after `t`, or `None` when nothing
+    /// starts that late. A window ending at `t` that slides later stays
+    /// clear of every reservation it does not overlap now until its end
+    /// passes this start.
+    #[must_use]
+    pub fn next_start(&self, t: Cycle) -> Option<Cycle> {
+        let pos = self.res.partition_point(|&(s, _)| s < t);
+        self.res.get(pos).map(|&(s, _)| s)
+    }
+
     fn insert(&mut self, start: Cycle, end: Cycle) {
         debug_assert!(
             self.is_free_during(start, end),
@@ -114,6 +124,8 @@ pub struct RankTiming {
     banks: usize,
     chips: usize,
     state: Vec<ChipBankState>,
+    /// Per-bank change counter: see [`Self::generation`].
+    generation: Vec<u64>,
     /// The latest [`Self::prune`] point. A chip drops the reservations
     /// that ended by it when it is next reserved.
     pruned: Cycle,
@@ -129,6 +141,7 @@ impl RankTiming {
             banks,
             chips,
             state: vec![ChipBankState::default(); banks * chips],
+            generation: vec![0; banks],
             pruned: Cycle::ZERO,
         }
     }
@@ -143,6 +156,30 @@ impl RankTiming {
     #[inline]
     pub fn chip(&self, bank: BankId, chip: ChipId) -> &ChipBankState {
         &self.state[self.idx(bank, chip)]
+    }
+
+    /// A counter that moves whenever an answer about `bank` may have
+    /// changed: every [`Self::reserve`] that books something, every
+    /// [`Self::force_free`], and every change to the bank's stored data
+    /// made through [`crate::PcmRank`]. A zero-length reserve and
+    /// [`Self::prune`] leave it alone. Two equal readings mean every query
+    /// about the bank from the later reading's time on answers as it did.
+    #[must_use]
+    #[inline]
+    pub fn generation(&self, bank: BankId) -> u64 {
+        self.generation[bank.index()]
+    }
+
+    /// Moves `bank`'s [`Self::generation`].
+    pub(crate) fn bump(&mut self, bank: BankId) {
+        self.generation[bank.index()] += 1;
+    }
+
+    /// Moves every bank's [`Self::generation`].
+    pub(crate) fn bump_all(&mut self) {
+        for g in &mut self.generation {
+            *g += 1;
+        }
     }
 
     /// Mutable state of one (bank, chip) pair.
@@ -222,6 +259,9 @@ impl RankTiming {
                 end: start,
             };
         }
+        if !set.is_empty() {
+            self.bump(bank);
+        }
         let pruned = self.pruned;
         for chip in set.chips() {
             let state = self.chip_mut(bank, chip);
@@ -260,6 +300,7 @@ impl RankTiming {
     /// action for a stuck-busy chip: its hung reservation is cut short
     /// and anything it had queued later is cancelled.
     pub fn force_free(&mut self, bank: BankId, chip: ChipId, from: Cycle) {
+        self.bump(bank);
         self.chip_mut(bank, chip).release_from(from);
     }
 
@@ -280,6 +321,15 @@ impl RankTiming {
         set.chips()
             .filter_map(|c| self.chip(bank, c).blocked_until(from, until))
             .max()
+    }
+
+    /// Earliest reservation start at or after `t` on `bank` × `set`, or
+    /// `None` when no chip of the set has one.
+    #[must_use]
+    pub fn next_start(&self, bank: BankId, set: ChipSet, t: Cycle) -> Option<Cycle> {
+        set.chips()
+            .filter_map(|c| self.chip(bank, c).next_start(t))
+            .min()
     }
 
     /// Declares that no query will again ask about a cycle before `now`,
@@ -523,6 +573,50 @@ mod tests {
         let mut t = timing();
         t.reserve(BankId(0), ChipSet::single(0), Cycle(5), Cycle(5));
         assert!(t.is_free(BankId(0), ChipId(0), Cycle(5)));
+    }
+
+    #[test]
+    fn generation_moves_only_for_the_changed_bank() {
+        let mut t = timing();
+        let (b0, b1) = (BankId(0), BankId(1));
+        assert_eq!((t.generation(b0), t.generation(b1)), (0, 0));
+        t.reserve(b0, ChipSet::single(3), Cycle(10), Cycle(50));
+        assert_eq!((t.generation(b0), t.generation(b1)), (1, 0));
+        t.force_free(b1, ChipId(2), Cycle(20));
+        assert_eq!((t.generation(b0), t.generation(b1)), (1, 1));
+        t.force_free(b0, ChipId(3), Cycle(30));
+        assert_eq!((t.generation(b0), t.generation(b1)), (2, 1));
+    }
+
+    #[test]
+    fn generation_ignores_bookings_of_nothing_and_prune() {
+        let mut t = timing();
+        t.reserve(BankId(0), ChipSet::single(0), Cycle(5), Cycle(5));
+        t.reserve(BankId(0), ChipSet::empty(), Cycle(5), Cycle(9));
+        t.prune(Cycle(100));
+        assert_eq!(t.generation(BankId(0)), 0);
+    }
+
+    #[test]
+    fn next_start_finds_the_earliest_start_at_or_after() {
+        let mut t = timing();
+        let (bank, chip) = (BankId(0), ChipId(4));
+        assert_eq!(t.chip(bank, chip).next_start(Cycle::ZERO), None);
+        assert_eq!(t.next_start(bank, ChipSet::full(), Cycle::ZERO), None);
+        t.reserve(bank, ChipSet::single(4), Cycle(10), Cycle(20));
+        t.reserve(bank, ChipSet::single(4), Cycle(40), Cycle(60));
+        t.reserve(bank, ChipSet::single(6), Cycle(30), Cycle(35));
+        let c = t.chip(bank, chip);
+        assert_eq!(c.next_start(Cycle(0)), Some(Cycle(10)));
+        assert_eq!(c.next_start(Cycle(10)), Some(Cycle(10)));
+        // A window already under way does not count: only starts at or
+        // after `t` do.
+        assert_eq!(c.next_start(Cycle(11)), Some(Cycle(40)));
+        assert_eq!(c.next_start(Cycle(41)), None);
+        let both: ChipSet = [4usize, 6].into_iter().collect();
+        assert_eq!(t.next_start(bank, both, Cycle(11)), Some(Cycle(30)));
+        assert_eq!(t.next_start(bank, both, Cycle(31)), Some(Cycle(40)));
+        assert_eq!(t.next_start(BankId(1), both, Cycle(0)), None);
     }
 
     #[test]

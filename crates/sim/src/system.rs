@@ -798,14 +798,15 @@ impl System {
 
         let kind = if let Some(mask) = dirty {
             // Fabricate contents differing from storage in exactly `mask`.
-            let stored = self.ctrls[ch].rank().read_line(loc.bank, loc.row, loc.col);
-            let mut data = stored.data;
+            // Only the data words are read, so no ECC or PCC is computed.
+            let old = self.ctrls[ch].rank().peek_data(loc.bank, loc.row, loc.col);
+            let mut data = old;
             for w in mask.iter() {
                 let mut flip = self.data_rng.next_u64();
                 if flip == 0 {
                     flip = 1;
                 }
-                data.set_word(w, stored.data.word(w) ^ flip);
+                data.set_word(w, old.word(w) ^ flip);
             }
             ReqKind::Write { data }
         } else {
