@@ -294,7 +294,7 @@ fn explain() -> Result<(), String> {
 
 /// The experiment record (`results/README.md`): each file is the verbatim
 /// stdout of one `pcmap-bench` binary at the scale the file names.
-const RECORD: [(&str, &str, &[&str]); 9] = [
+const RECORD: [(&str, &str, &[&str]); 11] = [
     ("figs_default.txt", "figs_all", &["default"]),
     ("fig01.txt", "fig01_read_delay", &["default"]),
     ("fig02.txt", "fig02_dirty_words", &[]),
@@ -304,6 +304,34 @@ const RECORD: [(&str, &str, &[&str]); 9] = [
     ("tab04.txt", "tab04_rollback", &["default"]),
     ("ablations.txt", "ablations", &["8000"]),
     ("lifetime.txt", "lifetime_energy", &[]),
+    (
+        "explain_canneal.txt",
+        "pcmap_explain",
+        &[
+            "--workload",
+            "canneal",
+            "--requests",
+            "4000",
+            "--fault-rate",
+            "0.02",
+            "--top",
+            "5",
+        ],
+    ),
+    (
+        "explain_diff.txt",
+        "pcmap_explain",
+        &[
+            "--workload",
+            "MP6",
+            "--requests",
+            "4000",
+            "--diff",
+            "baseline",
+            "--top",
+            "3",
+        ],
+    ),
 ];
 
 /// The record gate: reruns every [`RECORD`] binary in release mode and
