@@ -163,7 +163,7 @@ fn render_timelines(lc: &LifecycleReport, top: usize) {
             if t.forwarded { " · forwarded" } else { "" },
             if t.failed { " · FAILED" } else { "" },
         );
-        for seg in &t.segments {
+        for seg in t.segments {
             let res = seg
                 .resource
                 .as_ref()
@@ -183,12 +183,11 @@ fn render_timelines(lc: &LifecycleReport, top: usize) {
                 seg.cycles()
             );
         }
-        if !t.chip_service.is_empty() {
-            let chips: Vec<String> = t
-                .chip_service
-                .iter()
-                .map(|(c, s, e)| format!("chip{} [{} → {})", c.0, s.0, e.0))
-                .collect();
+        let chips: Vec<String> = t
+            .chip_service()
+            .map(|(c, s, e)| format!("chip{} [{} → {})", c.0, s.0, e.0))
+            .collect();
+        if !chips.is_empty() {
             println!("    service on: {}", chips.join(", "));
         }
         if let Some((vs, ve)) = t.verify {
@@ -241,7 +240,7 @@ fn render_diff(a: &RunReport, b: &RunReport, la: &LifecycleReport, lb: &Lifecycl
 /// traced run; returns the number of violations found (0 = clean).
 fn verify_run(r: &RunReport, lc: &LifecycleReport) -> u64 {
     let mut bad = 0u64;
-    for (ch, t) in &lc.timelines {
+    for (ch, t) in lc.timelines() {
         if !t.conserves() {
             bad += 1;
             eprintln!(
@@ -296,8 +295,8 @@ fn main() {
 
     let kinds: Vec<SystemKind> = std::iter::once(args.system).chain(args.diff).collect();
     let mut reports = SweepRunner::new(args.jobs).map(kinds, |kind| run_traced(&args, kind));
-    let r = reports.remove(0);
-    let lc = r.lifecycle.clone().expect("tracing was enabled");
+    let mut r = reports.remove(0);
+    let lc = r.lifecycle.take().expect("tracing was enabled");
     pcmap_bench::warn_on_observability_drops(&r);
 
     let mut violations = 0u64;
@@ -305,8 +304,8 @@ fn main() {
         violations += verify_run(&r, &lc);
     }
 
-    if let Some(r2) = reports.pop() {
-        let lc2 = r2.lifecycle.clone().expect("tracing was enabled");
+    if let Some(mut r2) = reports.pop() {
+        let lc2 = r2.lifecycle.take().expect("tracing was enabled");
         pcmap_bench::warn_on_observability_drops(&r2);
         if args.smoke {
             violations += verify_run(&r2, &lc2);
@@ -331,7 +330,7 @@ fn main() {
             let report = sidecar(&r, &lc, args.top);
             write_artifact("results/explain.json", &report.to_json_pretty());
         }
-        let n = lc.timelines.len();
+        let n = lc.timeline_count();
         if violations == 0 {
             println!("\nsmoke: conservation holds for all {n} traced requests; totals reconcile");
         } else {

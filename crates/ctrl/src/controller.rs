@@ -533,7 +533,10 @@ impl ChannelController {
         label: impl FnOnce() -> String,
     ) {
         self.events.chip_occupy(bank, chip, start, end, label);
-        self.lifetrace.chip_service(id.0, chip, start, end);
+        if self.lifetrace.enabled() {
+            self.lifetrace
+                .chip_service(id.0, ChipSet::single(chip.index()), start, end);
+        }
     }
 
     /// Retires an issued read: the functional read and its SECDED/recovery
@@ -564,10 +567,8 @@ impl ChannelController {
 
         if self.lifetrace.enabled() {
             self.lifetrace.issue(req.id.0, decided, start, service_end);
-            for chip in read_set.chips() {
-                self.lifetrace
-                    .chip_service(req.id.0, chip, start, service_end);
-            }
+            self.lifetrace
+                .chip_service(req.id.0, read_set, start, service_end);
             if let Some((vs, ve)) = verify {
                 self.lifetrace.verify(req.id.0, vs, ve);
             }

@@ -43,7 +43,7 @@ pub use hist::LatencyHistogram;
 pub use json::Value;
 pub use lifecycle::{
     CausalSummary, LifecycleReport, LifecycleTracer, Phase, RecoveryKind, ReqTimeline, Resource,
-    Segment, WaitCause,
+    Segment, Timelines, WaitCause,
 };
 pub use metric::{GaugeRule, MetricsSnapshot};
 pub use series::{Window, WindowedSeries};

@@ -1182,7 +1182,7 @@ mod tests {
         assert!(lc.merged.requests > 0);
         assert_eq!(lc.merged.violations, 0);
         assert_eq!(r.lifetrace_dropped, 0);
-        for (ch, t) in &lc.timelines {
+        for (ch, t) in lc.timelines() {
             assert!(
                 t.conserves(),
                 "req {} on ch{ch} does not conserve: {t:?}",

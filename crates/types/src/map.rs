@@ -1,4 +1,5 @@
-//! A point-lookup map keyed by line indices or line addresses.
+//! A point-lookup map keyed by line indices, line addresses or request
+//! ids.
 //!
 //! The determinism gate (`clippy.toml`) bans `HashMap` because its iteration order and
 //! per-process seed could leak into results. [`LineMap`] is the one
@@ -9,7 +10,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// A hash map used only for point lookups, inserts, removals and `len`:
 /// never iterate it, so its order cannot reach a result. Its hasher is
 /// fixed, so no run differs from another. Keys hash through
-/// [`Hasher::write_u64`] (a line index, or a [`crate::LineAddr`]).
+/// [`Hasher::write_u64`] (a line index, a [`crate::LineAddr`], or a
+/// request id in the lifecycle tracer's open-request index).
 #[expect(
     clippy::disallowed_types,
     reason = "never iterated (point lookups, inserts, removals and len only) and hashed by the fixed LineKeyHasher, so no iteration order or per-process seed can leak into results"
