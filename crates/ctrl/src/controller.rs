@@ -246,7 +246,8 @@ pub struct ChannelController {
     /// `(arrival, id)` order, bounded per bank (Table I / §V: "separate
     /// write and read queues ... for banks"). Per-bank buffering is what
     /// makes drains produce deep same-bank write bursts — the regime WoW
-    /// consolidates. Both write passes walk it oldest first.
+    /// consolidates. The PCMap write pass walks it oldest first; the
+    /// Baseline's reads only each bank's oldest write.
     writes: WriteQueue,
     /// Write-drain state machine, per bank.
     drains: Vec<DrainPolicy>,
@@ -296,6 +297,13 @@ pub struct ChannelController {
     split_writes_for_row: bool,
     /// Writes currently being issued word-by-word under the split mode.
     split_in_progress: Vec<ReqId>,
+    /// Scratch of the Baseline write pass, per bank: the bank's pick.
+    /// Sized on first use, so building a controller allocates nothing
+    /// for it.
+    bank_heads: Vec<Option<ReqId>>,
+    /// Scratch of the Baseline read pick, per bank: when the coarse set
+    /// frees. Sized on first use.
+    bank_free: Vec<Option<Cycle>>,
 }
 
 impl ChannelController {
@@ -333,6 +341,8 @@ impl ChannelController {
             inflight: Vec::new(),
             split_writes_for_row: false,
             split_in_progress: Vec::new(),
+            bank_heads: Vec::new(),
+            bank_free: Vec::new(),
         }
     }
 

@@ -1,6 +1,11 @@
 //! The Baseline policy: FR-FCFS coarse reads over the whole line, and
 //! writes that reserve every chip of their bank until the slowest
 //! essential chip finishes (no sub-ranking).
+//!
+//! Both passes pay per bank, not per queued request: a bank's coarse set
+//! frees at one time for every request of the bank, so each pass asks
+//! `free_at` once per bank, and the write pass is decided by each bank's
+//! oldest queued write.
 
 use super::{ChannelController, ReadService};
 use crate::bus::BusDir;
@@ -42,13 +47,19 @@ impl ChannelController {
             return None;
         }
         let set = Self::coarse_read_set();
+        // Each bank's coarse set frees at one time for all of its reads;
+        // the pick reserves nothing, so it is computed once per bank.
+        let mut bank_free = std::mem::take(&mut self.bank_free);
+        bank_free.clear();
+        bank_free.resize(usize::from(self.org.banks), None);
         // The queue is in age order, so a younger read displaces the pick
         // only as the first row hit.
         let mut best: Option<(bool, ReqId)> = None; // (row_hit, id)
         for pos in 0..self.read_q.len() {
             let req = &self.read_q[pos];
             let (id, bank, row) = (req.id, req.loc.bank, req.loc.row);
-            let chips_free = self.rank.timing().free_at(bank, set, now);
+            let chips_free = *bank_free[bank.index()]
+                .get_or_insert_with(|| self.rank.timing().free_at(bank, set, now));
             if chips_free > now {
                 // Event horizon: this read becomes issueable once every
                 // chip of the coarse set has drained its reservations.
@@ -72,6 +83,7 @@ impl ChannelController {
                 best = Some((hit, id));
             }
         }
+        self.bank_free = bank_free;
         best.map(|(_, id)| id)
     }
 
@@ -130,14 +142,16 @@ impl ChannelController {
     /// `tag_parked`, the parked writes are attributed to read priority.
     /// Returns `true` if any write issued.
     ///
-    /// One oldest-first walk picks each bank's oldest write that can
-    /// issue, preserving same-address write order (a newer write to a
-    /// line may not jump an older blocked one). A bank's chips are free
-    /// for all of its writes or for none, so the first write the walk
-    /// meets in a bank decides the bank. The picks then issue in bank
-    /// order, because the bus hands out transfer slots in issue order;
-    /// an issue reserves only its own bank, so every verdict of the walk
-    /// still holds when its bank's turn comes.
+    /// Each bank is decided by its oldest queued write: that write is
+    /// never shadowed by an older one to its line (which would sit in the
+    /// same bank), and a bank's chips are free for all of its writes or
+    /// for none. So the pass finds each bank's head
+    /// (`WriteQueue::bank_heads`) and asks when its chips free, once per
+    /// bank. A blocked bank's other line heads record their attempts only
+    /// when the tracer is on: no counter tallies them, and they note the
+    /// same hint. The picks then issue in bank order, because the bus
+    /// hands out transfer slots in issue order; an issue reserves only its
+    /// own bank, so every verdict still holds when its bank's turn comes.
     pub(super) fn issue_baseline_writes(
         &mut self,
         now: Cycle,
@@ -157,52 +171,53 @@ impl ChannelController {
             return false;
         }
         let set = Self::baseline_write_set();
-        // Each visited bank's verdict: its pick, or when its chips free.
-        let mut verdicts: Vec<(BankId, Result<ReqId, Cycle>)> = Vec::new();
-        for pos in 0..self.writes.len() {
-            if self.writes.older_to_same_line(pos) {
+        // Each bank's pick; a blocked bank's head is cleared.
+        let mut picks = std::mem::take(&mut self.bank_heads);
+        picks.resize(usize::from(self.org.banks), None);
+        self.writes.bank_heads(&mut picks);
+        for b in 0..self.org.banks {
+            let bank = BankId(b);
+            if picks[bank.index()].is_none() {
                 continue;
             }
-            let MemRequest { id, loc, .. } = self.writes[pos];
-            let bank = loc.bank;
-            let verdict = match verdicts.iter().find(|v| v.0 == bank) {
-                Some(&(_, v)) => v,
-                None => {
-                    let chips_free = self.rank.timing().free_at(bank, set, now);
-                    let v = if chips_free <= now {
-                        Ok(id)
-                    } else {
-                        Err(chips_free)
-                    };
-                    verdicts.push((bank, v));
-                    v
-                }
-            };
-            if let Err(chips_free) = verdict {
-                // Event horizon: the write becomes issueable once its
-                // bank's chips drain (the bus never blocks issue, only
+            let chips_free = self.rank.timing().free_at(bank, set, now);
+            if chips_free > now {
+                // Event horizon: the bank's writes become issueable once
+                // its chips drain (the bus never blocks issue, only
                 // shifts start).
                 self.note_hint(chips_free);
-                self.blocked(id, now, WaitCause::WriteInFlight, true, |_| {
-                    Resource::bank(bank)
-                });
+                picks[bank.index()] = None;
             }
         }
-        verdicts.sort_unstable_by_key(|v| v.0);
+        if self.lifetrace.enabled() {
+            for pos in 0..self.writes.len() {
+                if self.writes.older_to_same_line(pos) {
+                    continue;
+                }
+                let MemRequest { id, loc, .. } = self.writes[pos];
+                if picks[loc.bank.index()].is_none() {
+                    self.blocked(id, now, WaitCause::WriteInFlight, true, |_| {
+                        Resource::bank(loc.bank)
+                    });
+                }
+            }
+        }
         let mut issued = false;
-        for (bank, verdict) in verdicts {
-            if let Ok(id) = verdict {
+        for b in 0..self.org.banks {
+            let bank = BankId(b);
+            if let Some(id) = picks[bank.index()] {
                 self.issue_baseline_write(bank, id, now, out);
                 issued = true;
             }
         }
+        self.bank_heads = picks;
         issued
     }
 
     /// Issues `bank`'s queued write `id` as a baseline (whole-rank) write
     /// at `now`: every chip of the bank is reserved until the slowest
     /// essential chip finishes.
-    fn issue_baseline_write(
+    pub(super) fn issue_baseline_write(
         &mut self,
         bank: BankId,
         id: ReqId,

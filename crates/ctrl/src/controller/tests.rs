@@ -4,7 +4,7 @@
 use super::*;
 use crate::request::ReqKind;
 use pcmap_obs::WaitCause;
-use pcmap_types::{CoreId, FaultConfig, PhysAddr, WordMask};
+use pcmap_types::{CoreId, FaultConfig, PhysAddr, WordMask, Xoshiro256};
 
 fn ctrl(kind: SystemKind) -> ChannelController {
     ChannelController::new(
@@ -803,6 +803,153 @@ fn write_pass_visits_a_late_enqueued_older_write_first() {
             .collect();
         assert_eq!(ids, want, "{kind:?}");
         assert_eq!(c.write_q_len(), 0);
+    }
+}
+
+/// Test-only reference: the Baseline write arm in write mode as it was
+/// before banks were decided by their heads. One oldest-first walk over
+/// every queued write; the first unshadowed write met in a bank decides
+/// it, and every unshadowed write of a blocked bank notes the hint and
+/// records its attempt. The picks issue in bank order.
+fn reference_baseline_writes(
+    c: &mut ChannelController,
+    now: Cycle,
+    out: &mut Vec<Completion>,
+) -> bool {
+    let set = ChannelController::coarse_read_set();
+    let mut verdicts: Vec<(BankId, Result<ReqId, Cycle>)> = Vec::new();
+    for pos in 0..c.writes.len() {
+        if c.writes.older_to_same_line(pos) {
+            continue;
+        }
+        let MemRequest { id, loc, .. } = c.writes[pos];
+        let bank = loc.bank;
+        let verdict = match verdicts.iter().find(|v| v.0 == bank) {
+            Some(&(_, v)) => v,
+            None => {
+                let chips_free = c.rank.timing().free_at(bank, set, now);
+                let v = if chips_free <= now {
+                    Ok(id)
+                } else {
+                    Err(chips_free)
+                };
+                verdicts.push((bank, v));
+                v
+            }
+        };
+        if let Err(chips_free) = verdict {
+            c.note_hint(chips_free);
+            c.blocked(id, now, WaitCause::WriteInFlight, true, |_| {
+                Resource::bank(bank)
+            });
+        }
+    }
+    verdicts.sort_unstable_by_key(|v| v.0);
+    let mut issued = false;
+    for (bank, verdict) in verdicts {
+        if let Ok(id) = verdict {
+            c.issue_baseline_write(bank, id, now, out);
+            issued = true;
+        }
+    }
+    issued
+}
+
+#[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "next_below(BANKS) draws one of four banks, next_below(9) one of nine chips"
+)]
+fn baseline_bank_head_pass_matches_the_per_write_walk() {
+    const BANKS: u8 = 4;
+    let org = MemOrg {
+        banks: BANKS,
+        ..MemOrg::tiny()
+    };
+    // The first three line addresses of each bank: writes repeat lines,
+    // so some are shadowed by an older write to theirs.
+    let lines: Vec<Vec<PhysAddr>> = (0..BANKS)
+        .map(|b| {
+            (0..4096u64)
+                .map(|k| PhysAddr::new(k * 64))
+                .filter(|&a| org.decode(a).bank == BankId(b))
+                .take(3)
+                .collect()
+        })
+        .collect();
+    for seed in 0..48u64 {
+        for traced in [false, true] {
+            let mut rng = Xoshiro256::new(seed);
+            let make = || {
+                let mut c = ChannelController::new(
+                    SystemKind::Baseline,
+                    org,
+                    TimingParams::paper_default(),
+                    QueueParams::paper_default(),
+                    3,
+                );
+                c.set_lifetrace(traced);
+                c
+            };
+            let (mut heads, mut walk) = (make(), make());
+            let mut now = Cycle(100);
+            let mut next_id = 0;
+            for round in 0..16 {
+                for _ in 0..rng.next_below(7) {
+                    next_id += 1;
+                    let a = lines[rng.next_below(u64::from(BANKS)) as usize]
+                        [rng.next_below(3) as usize];
+                    let loc = org.decode(a);
+                    let mut data = heads.rank().read_line(loc.bank, loc.row, loc.col).data;
+                    let word = rng.next_below(8) as usize;
+                    data.set_word(word, data.word(word) ^ (1 + rng.next_below(255)));
+                    let w = MemRequest {
+                        id: ReqId(next_id),
+                        kind: ReqKind::Write { data },
+                        line: a.line(),
+                        loc,
+                        core: CoreId(0),
+                        // Arrivals out of enqueue order, as across cores.
+                        arrival: Cycle(now.0 - rng.next_below(50)),
+                    };
+                    let queued = heads.enqueue_write(w, now).is_ok();
+                    assert_eq!(queued, walk.enqueue_write(w, now).is_ok());
+                }
+                // Other traffic's reservations on random chips.
+                for _ in 0..rng.next_below(4) {
+                    let bank = BankId(rng.next_below(u64::from(BANKS)) as u8);
+                    let chip = ChipSet::single(rng.next_below(9) as usize);
+                    let start = Cycle(now.0 + rng.next_below(40) - 20);
+                    let end = start + Duration(1 + rng.next_below(120));
+                    if heads.rank.timing().set_free_during(bank, chip, start, end) {
+                        heads.rank.timing_mut().reserve(bank, chip, start, end);
+                        walk.rank.timing_mut().reserve(bank, chip, start, end);
+                    }
+                }
+                assert!(heads.read_idle(now), "no reads: the bus is in write mode");
+                let (mut out_heads, mut out_walk) = (Vec::new(), Vec::new());
+                heads.begin_pass();
+                walk.begin_pass();
+                let issued = heads.issue_baseline_writes(now, true, &mut out_heads);
+                let want = reference_baseline_writes(&mut walk, now, &mut out_walk);
+                let ctx = format!("seed {seed}, traced {traced}, round {round}");
+                assert_eq!(issued, want, "{ctx}");
+                assert_eq!(out_heads, out_walk, "{ctx}");
+                assert_eq!(heads.retry_hint, walk.retry_hint, "{ctx}");
+                assert_eq!(heads.write_q_len(), walk.write_q_len(), "{ctx}");
+                assert_eq!(
+                    heads.lifetrace().write_attempts(WaitCause::WriteInFlight),
+                    walk.lifetrace().write_attempts(WaitCause::WriteInFlight),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    format!("{:?}", heads.lifetrace()),
+                    format!("{:?}", walk.lifetrace()),
+                    "{ctx}"
+                );
+                now += Duration(1 + rng.next_below(60));
+            }
+        }
     }
 }
 

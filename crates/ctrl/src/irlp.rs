@@ -16,16 +16,27 @@
 //! Settling is gated: [`IrlpTracker::settle`] does nothing until the
 //! earliest open window can end (with no window open, until the earliest
 //! segment can be dropped), so a controller may call it on every step.
+//!
+//! The bookkeeping is paid per window, not per chip or per bank:
+//! - a segment equal to its bank's last one is folded into that one's
+//!   multiplicity, so a read's eight word chips log one segment;
+//! - a settle that fires visits only the banks whose earliest window end
+//!   or segment end has passed. The others can neither finalize nor prune
+//!   anything, so the samples and their order are those of a pass over
+//!   every bank;
+//! - the sweep that integrates a window reuses one event buffer.
 
 use pcmap_types::{BankId, Cycle};
 
 /// Cap on concurrently counted chips, per the paper's "out of 8.0".
 const CHIP_CAP: u64 = 8;
 
+/// `n` chips serving data over the same `[start, end)`.
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     start: Cycle,
     end: Cycle,
+    n: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -34,11 +45,31 @@ struct Window {
     end: Cycle,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct BankIrlp {
     windows: Vec<Window>,
     /// Raw segment log; pruned once no open or future window can see it.
     segs: Vec<Segment>,
+    /// Earliest end over `windows` (`Cycle::MAX` when there is none).
+    window_end: Cycle,
+    /// Earliest end over `segs` (`Cycle::MAX` when there is none).
+    seg_end: Cycle,
+}
+
+impl BankIrlp {
+    /// A bank with no window and no segment.
+    const EMPTY: Self = Self {
+        windows: Vec::new(),
+        segs: Vec::new(),
+        window_end: Cycle::MAX,
+        seg_end: Cycle::MAX,
+    };
+
+    /// Whether a settle at `now` can finalize a window or prune a
+    /// segment of this bank.
+    fn due(&self, now: Cycle) -> bool {
+        self.window_end.min(self.seg_end) <= now
+    }
 }
 
 /// Streaming IRLP tracker for one rank.
@@ -53,33 +84,44 @@ pub struct IrlpTracker {
     /// open the earliest segment end. Only `open_window`, `record_segment`
     /// and `settle` move it.
     settle_at: Cycle,
+    /// Scratch for [`window_irlp`]'s sweep, kept across windows.
+    events: Vec<(u64, i64)>,
 }
 
 impl IrlpTracker {
     /// Creates a tracker for `banks` banks.
     pub fn new(banks: usize) -> Self {
         Self {
-            banks: vec![BankIrlp::default(); banks],
+            banks: vec![BankIrlp::EMPTY; banks],
             samples: Vec::new(),
             timed: Vec::new(),
             settle_at: Cycle::MAX,
+            events: Vec::new(),
         }
     }
 
     /// Opens a write window on `bank` spanning `[start, end)`. Zero-length
     /// windows are recorded but produce no sample.
     pub fn open_window(&mut self, bank: BankId, start: Cycle, end: Cycle) {
-        self.banks[bank.index()].windows.push(Window { start, end });
+        let b = &mut self.banks[bank.index()];
+        b.windows.push(Window { start, end });
+        b.window_end = b.window_end.min(end);
         self.settle_at = self.settle_at.min(end);
     }
 
     /// Records one chip's useful data-serving interval `[start, end)` on
-    /// `bank`. Call once per chip involved in serving data words.
+    /// `bank`. Call once per chip involved in serving data words; a call
+    /// repeating the bank's last interval costs a count.
     pub fn record_segment(&mut self, bank: BankId, start: Cycle, end: Cycle) {
         if end <= start {
             return;
         }
-        self.banks[bank.index()].segs.push(Segment { start, end });
+        let b = &mut self.banks[bank.index()];
+        match b.segs.last_mut() {
+            Some(s) if s.start == start && s.end == end => s.n += 1,
+            _ => b.segs.push(Segment { start, end, n: 1 }),
+        }
+        b.seg_end = b.seg_end.min(end);
         self.settle_at = self.settle_at.min(end);
     }
 
@@ -101,15 +143,19 @@ impl IrlpTracker {
         self.settle_all(now);
     }
 
-    /// The ungated settle pass: finalizes, prunes and recomputes the mark.
+    /// The settle pass: finalizes and prunes every due bank, in bank
+    /// order, and recomputes the mark.
     fn settle_all(&mut self, now: Cycle) {
         for b in &mut self.banks {
+            if !b.due(now) {
+                continue;
+            }
             let mut i = 0;
             while i < b.windows.len() {
                 if b.windows[i].end <= now {
                     let w = b.windows.swap_remove(i);
                     if w.end > w.start {
-                        let sample = window_irlp(&w, &b.segs);
+                        let sample = window_irlp(&w, &b.segs, &mut self.events);
                         self.samples.push(sample);
                         self.timed.push((w.end, sample));
                     }
@@ -120,23 +166,18 @@ impl IrlpTracker {
             // A segment is still needed if it can overlap an open window or
             // a window opened in the future (which starts at >= now).
             let keep_after = b.windows.iter().map(|w| w.start).min().unwrap_or(now);
-            let keep_after = keep_after.max(Cycle(0)).min(now);
+            let keep_after = keep_after.min(now);
             b.segs.retain(|s| s.end > keep_after);
+            b.window_end = b.windows.iter().map(|w| w.end).min().unwrap_or(Cycle::MAX);
+            b.seg_end = b.segs.iter().map(|s| s.end).min().unwrap_or(Cycle::MAX);
         }
-        let window_end = self
+        let open = self.banks.iter().any(|b| !b.windows.is_empty());
+        self.settle_at = self
             .banks
             .iter()
-            .flat_map(|b| &b.windows)
-            .map(|w| w.end)
-            .min();
-        self.settle_at = window_end.unwrap_or_else(|| {
-            self.banks
-                .iter()
-                .flat_map(|b| &b.segs)
-                .map(|s| s.end)
-                .min()
-                .unwrap_or(Cycle::MAX)
-        });
+            .map(|b| if open { b.window_end } else { b.seg_end })
+            .min()
+            .unwrap_or(Cycle::MAX);
     }
 
     /// Per-write IRLP samples finalized so far.
@@ -166,13 +207,15 @@ impl IrlpTracker {
 }
 
 /// Sweep-line integration of chip-count over the window, capped at 8.
-fn window_irlp(w: &Window, segs: &[Segment]) -> f64 {
+/// `events` is scratch, cleared first.
+fn window_irlp(w: &Window, segs: &[Segment], events: &mut Vec<(u64, i64)>) -> f64 {
     let span = (w.end.0 - w.start.0) as f64;
-    let mut events: Vec<(u64, i64)> = Vec::new();
+    events.clear();
     for s in segs {
         if s.end > w.start && s.start < w.end {
-            events.push((s.start.0.max(w.start.0), 1));
-            events.push((s.end.0.min(w.end.0), -1));
+            let n = i64::from(s.n);
+            events.push((s.start.0.max(w.start.0), n));
+            events.push((s.end.0.min(w.end.0), -n));
         }
     }
     if events.is_empty() {
@@ -182,7 +225,7 @@ fn window_irlp(w: &Window, segs: &[Segment]) -> f64 {
     let mut area = 0u64;
     let mut count: i64 = 0;
     let mut last = events[0].0;
-    for (t, delta) in events {
+    for &(t, delta) in events.iter() {
         if t > last {
             area += (count as u64).min(CHIP_CAP) * (t - last);
             last = t;
@@ -198,14 +241,89 @@ mod tests {
     use pcmap_types::Xoshiro256;
     use proptest::prelude::*;
 
-    /// Test-only reference: the eager settle the gate replaced, which ran
-    /// the full finalize-and-prune pass on every call.
-    struct EagerTracker(IrlpTracker);
+    /// `[start, end)` intervals.
+    type Spans = Vec<(Cycle, Cycle)>;
 
-    impl EagerTracker {
-        fn settle(&mut self, now: Cycle) {
-            self.0.settle_all(now);
+    /// Test-only oracle: the tracker before segments were folded and
+    /// settles skipped banks. It logs one `[start, end)` per chip and runs
+    /// the full finalize-and-prune pass over every bank on every settle.
+    struct Oracle {
+        /// Per bank: open windows and the segment log.
+        banks: Vec<(Spans, Spans)>,
+        samples: Vec<f64>,
+        timed: Vec<(Cycle, f64)>,
+    }
+
+    impl Oracle {
+        fn new(banks: usize) -> Self {
+            Self {
+                banks: vec![(Vec::new(), Vec::new()); banks],
+                samples: Vec::new(),
+                timed: Vec::new(),
+            }
         }
+
+        fn open_window(&mut self, bank: BankId, start: Cycle, end: Cycle) {
+            self.banks[bank.index()].0.push((start, end));
+        }
+
+        fn record_segment(&mut self, bank: BankId, start: Cycle, end: Cycle) {
+            if end > start {
+                self.banks[bank.index()].1.push((start, end));
+            }
+        }
+
+        fn settle(&mut self, now: Cycle) {
+            for (windows, segs) in &mut self.banks {
+                let mut i = 0;
+                while i < windows.len() {
+                    if windows[i].1 <= now {
+                        let (start, end) = windows.swap_remove(i);
+                        if end > start {
+                            let sample = oracle_irlp(start, end, segs);
+                            self.samples.push(sample);
+                            self.timed.push((end, sample));
+                        }
+                    } else {
+                        i += 1;
+                    }
+                }
+                let keep_after = windows.iter().map(|w| w.0).min().unwrap_or(now);
+                let keep_after = keep_after.min(now);
+                segs.retain(|s| s.1 > keep_after);
+            }
+        }
+    }
+
+    /// The oracle's sweep: one +1/−1 event pair per chip segment.
+    fn oracle_irlp(start: Cycle, end: Cycle, segs: &[(Cycle, Cycle)]) -> f64 {
+        let mut events: Vec<(u64, i64)> = Vec::new();
+        for &(s, e) in segs {
+            if e > start && s < end {
+                events.push((s.0.max(start.0), 1));
+                events.push((e.0.min(end.0), -1));
+            }
+        }
+        events.sort_unstable();
+        let mut area = 0u64;
+        let mut count: i64 = 0;
+        let mut last = events.first().map_or(0, |e| e.0);
+        for (t, delta) in events {
+            if t > last {
+                area += (count as u64).min(CHIP_CAP) * (t - last);
+                last = t;
+            }
+            count += delta;
+        }
+        area as f64 / (end.0 - start.0) as f64
+    }
+
+    /// Samples and timed samples as bits, so equal means byte-identical.
+    fn bits(samples: &[f64], timed: &[(Cycle, f64)]) -> (Vec<u64>, Vec<(Cycle, u64)>) {
+        (
+            samples.iter().map(|x| x.to_bits()).collect(),
+            timed.iter().map(|&(c, x)| (c, x.to_bits())).collect(),
+        )
     }
 
     const B: BankId = BankId(0);
@@ -286,39 +404,48 @@ mod tests {
 
     proptest! {
         #[test]
-        #[expect(clippy::cast_possible_truncation, reason = "next_below(2) draws one of two banks")]
-        fn gated_settle_samples_like_eager_settle(seed: u64) {
+        #[expect(clippy::cast_possible_truncation, reason = "next_below(3) draws one of three banks")]
+        fn tracker_samples_like_the_per_chip_oracle(seed: u64) {
             let mut rng = Xoshiro256::new(seed);
-            let mut gated = IrlpTracker::new(2);
-            let mut eager = EagerTracker(IrlpTracker::new(2));
+            let mut t = IrlpTracker::new(3);
+            let mut oracle = Oracle::new(3);
             let mut settled = Cycle::ZERO;
-            for _ in 0..200 {
-                let bank = BankId(rng.next_below(2) as u8);
-                // Everything starts at or after the last settle point.
+            for _ in 0..300 {
+                let bank = BankId(rng.next_below(3) as u8);
+                // Everything starts at or after the last settle point,
+                // often later than it.
                 let start = Cycle(settled.0 + rng.next_below(30));
                 let end = Cycle(start.0 + rng.next_below(80));
-                match rng.next_below(3) {
+                match rng.next_below(4) {
                     0 => {
-                        gated.open_window(bank, start, end);
-                        eager.0.open_window(bank, start, end);
+                        t.open_window(bank, start, end);
+                        oracle.open_window(bank, start, end);
                     }
-                    1 => {
-                        gated.record_segment(bank, start, end);
-                        eager.0.record_segment(bank, start, end);
+                    // A run of up to 9 identical chip segments, as a read's
+                    // word chips or a write's equal-latency chips log them.
+                    1 | 2 => {
+                        for _ in 0..=rng.next_below(9) {
+                            t.record_segment(bank, start, end);
+                            oracle.record_segment(bank, start, end);
+                        }
                     }
                     _ => {
                         settled = Cycle(settled.0 + rng.next_below(25));
-                        gated.settle(settled);
-                        eager.settle(settled);
-                        prop_assert_eq!(gated.samples(), eager.0.samples());
-                        prop_assert_eq!(gated.timed_samples(), eager.0.timed_samples());
+                        t.settle(settled);
+                        oracle.settle(settled);
+                        prop_assert_eq!(
+                            bits(t.samples(), t.timed_samples()),
+                            bits(&oracle.samples, &oracle.timed)
+                        );
                     }
                 }
             }
-            gated.settle(Cycle::MAX);
-            eager.settle(Cycle::MAX);
-            prop_assert_eq!(gated.samples(), eager.0.samples());
-            prop_assert_eq!(gated.timed_samples(), eager.0.timed_samples());
+            t.settle(Cycle::MAX);
+            oracle.settle(Cycle::MAX);
+            prop_assert_eq!(
+                bits(t.samples(), t.timed_samples()),
+                bits(&oracle.samples, &oracle.timed)
+            );
         }
     }
 

@@ -84,7 +84,9 @@ impl std::ops::Index<usize> for RequestQueue {
 }
 
 /// Every queued write of a channel, in `(arrival, id)` order: the order
-/// the write passes visit candidates in (oldest first, §IV-D2 rule 2).
+/// the PCMap write pass visits candidates in (oldest first, §IV-D2 rule
+/// 2), and the order in which [`Self::bank_heads`] finds each bank's
+/// oldest write for the Baseline's pass.
 ///
 /// Writes are buffered per bank (Table I / §V: "separate write and read
 /// queues ... for banks"), so each bank holds at most `bank_capacity` of
@@ -267,6 +269,26 @@ impl WriteQueue {
     /// newer write to a line never jumps an older one.
     pub fn older_to_same_line(&self, pos: usize) -> bool {
         self.entries[pos].shadowed
+    }
+
+    /// Fills `heads` with each bank's oldest queued write, by bank index
+    /// (`None` for a bank with no backlog). The oldest write of a bank is
+    /// never shadowed: an older one to its line would be in that bank.
+    /// The scan stops once every bank with a backlog has its head.
+    pub(crate) fn bank_heads(&self, heads: &mut [Option<ReqId>]) {
+        heads.fill(None);
+        let mut missing = self.per_bank.iter().filter(|&&n| n > 0).count();
+        for e in &self.entries {
+            if missing == 0 {
+                break;
+            }
+            let head = &mut heads[e.req.loc.bank.index()];
+            if head.is_none() {
+                debug_assert!(!e.shadowed, "a bank's oldest write is never shadowed");
+                *head = Some(e.req.id);
+                missing -= 1;
+            }
+        }
     }
 
     /// The verdict cached for position `pos`, if any.
