@@ -51,7 +51,7 @@ use crate::bus::BusDir;
 use crate::op;
 use crate::queues::WriteVerdict;
 use crate::request::{Completion, MemRequest, ReqId, ReqKind};
-use pcmap_obs::{Resource, WaitCause};
+use pcmap_obs::{Resource, WaitCause, WindowRole};
 use pcmap_types::{BankId, ChipId, ChipSet, Cycle, Duration, LineAddr, WordMask};
 
 /// What one evaluation of a queued write found.
@@ -205,7 +205,7 @@ impl ChannelController {
                         self.stats.silent_writes += 1;
                     }
                     let done = start + Duration(self.t.array_read);
-                    self.stats.irlp.open_window(bank, start, done);
+                    self.write_window(&req, start, done);
                     self.lifetrace.issue(id.0, now, start, done);
                     self.complete_write(&req, bank, done, out);
                     return true;
@@ -427,8 +427,7 @@ impl ChannelController {
             self.stats.wow_overlaps += 1;
         }
 
-        // Step 1: data chips + ECC chip. Each phase's window is recorded
-        // once, for the ring and the tracer alike.
+        // Step 1: data chips + ECC chip, one chip window each.
         let upd = op::check_chip_write_occupancy(&self.t);
         let data_end = program_start + Duration(self.t.array_set);
         for w in outcome.essential.iter() {
@@ -445,11 +444,8 @@ impl ChannelController {
             self.rank
                 .timing_mut()
                 .reserve(bank, ChipSet::single(chip.index()), start, end);
-            self.stats.irlp.record_segment(bank, start, end);
             self.rank.wear_mut().record(chip, outcome.bits_per_word[w]);
-            self.chip_window(req.id, bank, chip, start, end, || {
-                format!("Wr-{}", req.id.0)
-            });
+            self.chip_window(&req, WindowRole::WriteData, chip, start, end);
         }
         let ecc_chip = self.layout.ecc_chip(req.line);
         let ecc_end = start + upd;
@@ -466,7 +462,7 @@ impl ChannelController {
             .reserve(bank, ChipSet::single(ecc_chip.index()), start, ecc_end);
         self.rank.wear_mut().record(ecc_chip, 8);
         self.rank.energy_mut().record_write(4, 4);
-        self.chip_window(req.id, bank, ecc_chip, start, ecc_end, || "E".to_owned());
+        self.chip_window(&req, WindowRole::EccUpdate, ecc_chip, start, ecc_end);
 
         // Step 2: PCC update immediately after the data phase.
         let pcc_chip = self.layout.pcc_chip(req.line);
@@ -485,7 +481,7 @@ impl ChannelController {
             .reserve(bank, ChipSet::single(pcc_chip.index()), data_end, pcc_end);
         self.rank.wear_mut().record(pcc_chip, 8);
         self.rank.energy_mut().record_write(4, 4);
-        self.chip_window(req.id, bank, pcc_chip, data_end, pcc_end, || "P".to_owned());
+        self.chip_window(&req, WindowRole::PccUpdate, pcc_chip, data_end, pcc_end);
 
         // Fault hooks (inert without a plan): this write may burn out a
         // cell, and one essential chip may run slow or hang. A slow chip
@@ -498,7 +494,7 @@ impl ChannelController {
         // Service covers step 1 + step 2 (+ any fault stretch); the chip
         // windows above carry the per-phase detail.
         self.lifetrace.issue(req.id.0, now, start, done);
-        self.stats.irlp.open_window(bank, start, data_end);
+        self.write_window(&req, start, data_end);
         self.inflight.push(InflightWrite {
             bank,
             data_end,
@@ -786,11 +782,10 @@ impl ChannelController {
             );
             self.rank.timing_mut().reserve(bank, verify_set, vs, ve);
             self.stats.row_verifies += 1;
-            // The ring shows each verify chip; the tracer annotates the
-            // window once, in `finish_read`.
+            // One window per verify chip; the tracer annotates the verify
+            // once, in `finish_read`.
             for chip in verify_set.chips() {
-                self.events
-                    .chip_occupy(bank, chip, vs, ve, || "V".to_owned());
+                self.chip_window(&req, WindowRole::Verify, chip, vs, ve);
             }
             Some((vs, ve))
         } else {

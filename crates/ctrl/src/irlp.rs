@@ -13,6 +13,12 @@
 //! definition. Concurrent chips above 8 (write + full RoW read = 9) are
 //! capped at 8.
 //!
+//! One controller method feeds each input. A write's window is opened by
+//! `ChannelController::write_window`. A segment is logged by
+//! `ChannelController::chip_window` for each chip window whose role
+//! serves data (a write's data word, a read's word chip), so the IRLP of
+//! Figure 8 and the Figure 5 chip ring come from the same calls.
+//!
 //! Settling is gated: [`IrlpTracker::settle`] does nothing until the
 //! earliest open window can end (with no window open, until the earliest
 //! segment can be dropped), so a controller may call it on every step.

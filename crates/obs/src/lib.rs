@@ -8,8 +8,9 @@
 //! - [`metric`] — by-name [`MetricsSnapshot`]s of counters, gauges and
 //!   histograms that merge across the four channels' controllers.
 //! - [`event`] — the bounded [`EventLog`] ring of chip windows: one
-//!   [`TraceEvent`] per chip reservation a controller commits, rendered
-//!   as the Figure 5 chip-timeline Gantt chart.
+//!   [`TraceEvent`] per chip reservation a controller commits, tagged
+//!   with its [`WindowRole`] and rendered as the Figure 5 chip-timeline
+//!   Gantt chart.
 //! - [`hist`] — the log-bucketed [`LatencyHistogram`] (p50/p95/p99),
 //!   shared by controllers and reports.
 //! - [`series`] — windowed throughput / IRLP time-series.
@@ -38,7 +39,7 @@ pub mod metric;
 pub mod series;
 pub mod stall;
 
-pub use event::{EventLog, TraceEvent};
+pub use event::{EventLog, TraceEvent, WindowRole};
 pub use hist::LatencyHistogram;
 pub use json::Value;
 pub use lifecycle::{

@@ -1148,6 +1148,33 @@ mod tests {
     }
 
     #[test]
+    fn chip_ring_and_tracer_leave_every_report_byte_identical() {
+        // The ring feeds Figure 5 and the tracer the timelines; neither
+        // may move a reported figure (IRLP included) on any system.
+        let wl = catalog::by_name("streamcluster").unwrap();
+        for kind in SystemKind::all() {
+            let cfg = SimConfig::paper_default(kind).with_requests(600);
+            let off = System::new(cfg.clone(), wl.clone()).run();
+            let mut ring = System::new(cfg.clone(), wl.clone());
+            ring.enable_tracing();
+            let ring = ring.run();
+            let mut both = System::new(cfg, wl.clone());
+            both.enable_tracing();
+            both.enable_lifecycle_tracing();
+            let both = both.run();
+            assert_eq!(ring.events_dropped, 0, "{kind}: the ring truncated");
+            assert_eq!(both.events_dropped, 0, "{kind}: the ring truncated");
+            let off = off.to_json().to_json_string();
+            assert_eq!(off, ring.to_json().to_json_string(), "{kind}: ring on");
+            assert_eq!(
+                off,
+                both.to_json().to_json_string(),
+                "{kind}: ring and tracer on"
+            );
+        }
+    }
+
+    #[test]
     fn lifecycle_tracing_is_determinism_neutral() {
         // ISSUE 7 determinism contract: the lifecycle tracer observes the
         // schedule, it never perturbs it. With tracing enabled the
