@@ -3,12 +3,20 @@
 //! behind a per-core `TokenGate`, the way `pcmap_explain` and the
 //! host-speed benchmark's `storm-gated` workload run it. The other
 //! tracing-neutrality checks run without an ingress gate.
+//!
+//! The traced run's lifecycle report (top 10 timelines) is snapshotted
+//! byte for byte in `tests/golden/storm_gated_lifecycle.json` at the
+//! repository root, so a change to what the tracer records on this
+//! configuration fails here. To re-bless after an *intentional* change:
+//! `UPDATE_GOLDEN=1 cargo test -p pcmap-bench --test storm_gated_tracing`
+//! and commit the diff with the justification.
 
 use pcmap_core::SystemKind;
 use pcmap_serve::TokenGate;
 use pcmap_sim::{RunReport, SimConfig, System};
 use pcmap_types::{FaultConfig, SloSpec};
 use pcmap_workloads::catalog;
+use std::path::PathBuf;
 
 const REQUESTS: u64 = 3_000;
 
@@ -43,6 +51,10 @@ fn run(traced: bool) -> RunReport {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UPDATE_GOLDEN re-blesses the snapshot instead of comparing"
+)]
 fn gated_storm_run_is_tracing_neutral_and_reproducible() {
     let plain = run(false);
     let traced = run(true);
@@ -69,5 +81,25 @@ fn gated_storm_run_is_tracing_neutral_and_reproducible() {
     assert_eq!(
         traced.lifecycle, again.lifecycle,
         "two traced runs of one configuration disagree"
+    );
+
+    let got = lc.to_json(Some(10)).to_json_pretty();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/storm_gated_lifecycle.json");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &got).expect("write golden");
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run UPDATE_GOLDEN=1 cargo test -p pcmap-bench --test storm_gated_tracing",
+            path.display()
+        )
+    });
+    assert!(
+        got == want,
+        "the gated storm's lifecycle report drifted from {}",
+        path.display()
     );
 }
