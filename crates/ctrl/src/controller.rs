@@ -492,7 +492,9 @@ impl ChannelController {
     /// is on, records the attempt against the resource `at` names. Every
     /// blocked branch of both policies reports here, so the
     /// [`pcmap_obs::StallBreakdown`] classes count exactly the attempts the
-    /// tracer sees.
+    /// tracer sees. The one exception, writes parked behind read priority
+    /// ([`Self::trace_parked_writes`]), has no counter and names no
+    /// blocker.
     ///
     /// Chip-level causes name the bank's in-flight PCMap write, if any, as
     /// the blocker; the bus-level ones (`Drain`, `ReadPriority`) name none.
@@ -528,6 +530,26 @@ impl ChannelController {
             }
             self.lifetrace.blocked(id.0, now, cause, Some(r));
         }
+    }
+
+    /// The tracer-only walk of a pass that leaves the writes parked behind
+    /// read priority: one `ReadPriority` attempt per queued line head, the
+    /// same in both policies. A head whose pending tracer attempt is
+    /// already that one would only bump the tally, so those are counted
+    /// and handed over as one bulk tally; the rest are recorded in full
+    /// and marked parked ([`WriteQueue::park_line_heads`]). Any other
+    /// traced attempt of a write clears its mark.
+    fn trace_parked_writes(&mut self, now: Cycle) {
+        let tracer = &mut self.lifetrace;
+        let repeats = self.writes.park_line_heads(|w| {
+            tracer.blocked(
+                w.id.0,
+                now,
+                WaitCause::ReadPriority,
+                Some(Resource::bank(w.loc.bank)),
+            )
+        });
+        tracer.parked_writes(repeats);
     }
 
     /// Records that `chip` serves `req` over `[start, end)` on the
@@ -1066,6 +1088,9 @@ impl Controller for ChannelController {
 
     fn set_lifetrace(&mut self, enabled: bool) {
         self.lifetrace.set_enabled(enabled);
+        // The marks describe what the tracer holds, which changes from
+        // here on without the walks that keep them.
+        self.writes.unpark_all();
     }
 
     fn settle(&mut self, now: Cycle) {

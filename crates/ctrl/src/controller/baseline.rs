@@ -160,17 +160,8 @@ impl ChannelController {
     ) -> bool {
         if !(self.any_draining() || self.read_idle(now)) {
             if self.lifetrace.enabled() && tag_parked {
-                // Tracer-only attempts, as for reads behind a drain: one
-                // per line head, as in the PCMap pass.
-                for pos in 0..self.writes.len() {
-                    if self.writes.older_to_same_line(pos) {
-                        continue;
-                    }
-                    let MemRequest { id, loc, .. } = self.writes[pos];
-                    self.blocked(id, now, WaitCause::ReadPriority, true, |_| {
-                        Resource::bank(loc.bank)
-                    });
-                }
+                // Tracer-only attempts, as for reads behind a drain.
+                self.trace_parked_writes(now);
             }
             return false;
         }
@@ -200,6 +191,7 @@ impl ChannelController {
                 }
                 let MemRequest { id, loc, .. } = self.writes[pos];
                 if picks[loc.bank.index()].is_none() {
+                    self.writes.unpark(pos);
                     self.blocked(id, now, WaitCause::WriteInFlight, true, |_| {
                         Resource::bank(loc.bank)
                     });

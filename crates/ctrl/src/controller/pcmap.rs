@@ -106,10 +106,13 @@ impl ChannelController {
         // or opportunistically after a read-idle window. The verdict holds
         // for the whole pass; under read priority only the lifecycle
         // tracer has anything to record.
-        let write_mode = self.any_draining() || self.read_idle(now);
-        if !write_mode && !self.lifetrace.enabled() {
+        if !(self.any_draining() || self.read_idle(now)) {
+            if self.lifetrace.enabled() {
+                self.trace_parked_writes(now);
+            }
             return false;
         }
+        let traced = self.lifetrace.enabled();
         // The split-write ablation's mask depends on the read queue, so
         // its blocked verdicts are not cached.
         let cache = !self.split_writes_for_row;
@@ -128,14 +131,12 @@ impl ChannelController {
             if self.writes.older_to_same_line(pos) {
                 continue;
             }
+            // Every head visited here records another attempt or issues.
+            if traced {
+                self.writes.unpark(pos);
+            }
             let MemRequest { id, line, loc, .. } = self.writes[pos];
             let bank = loc.bank;
-            if !write_mode {
-                self.blocked(id, now, WaitCause::ReadPriority, true, |_| {
-                    Resource::bank(bank)
-                });
-                continue;
-            }
             let overlapping = overlapped[bank.index() / 64] >> (bank.index() % 64) & 1 == 1;
             // A degraded rank loses WoW speculation: overlapped writes
             // wait for the in-flight write like the baseline would.

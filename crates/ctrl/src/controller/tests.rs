@@ -5,6 +5,7 @@ use super::*;
 use crate::request::ReqKind;
 use pcmap_obs::WaitCause;
 use pcmap_types::{CoreId, FaultConfig, PhysAddr, WordMask, Xoshiro256};
+use proptest::prelude::*;
 
 fn ctrl(kind: SystemKind) -> ChannelController {
     ChannelController::new(
@@ -1141,6 +1142,215 @@ fn read_priority_untraced_pass_issues_nothing_and_notes_no_hint() {
     assert_eq!(c.write_q_len(), 4);
     assert_eq!(c.retry_hint, None);
     assert_eq!(c.lifetrace().write_attempts(WaitCause::ReadPriority), 0);
+}
+
+/// The per-attempt read-priority walk the parked marks replace: one
+/// recorded attempt per line head per pass.
+fn per_attempt_parked_writes(c: &mut ChannelController, now: Cycle) {
+    for pos in 0..c.writes.len() {
+        if c.writes.older_to_same_line(pos) {
+            continue;
+        }
+        let MemRequest { id, loc, .. } = c.writes[pos];
+        c.blocked(id, now, WaitCause::ReadPriority, true, |_| {
+            Resource::bank(loc.bank)
+        });
+    }
+}
+
+/// One write pass at `now` with no reads queued: under read priority
+/// (recent read activity) or in write mode (read-idle). With
+/// `per_attempt`, a read-priority pass runs the reference walk instead.
+fn parking_pass(
+    c: &mut ChannelController,
+    now: Cycle,
+    read_priority: bool,
+    per_attempt: bool,
+    out: &mut Vec<Completion>,
+) -> bool {
+    c.last_read_activity = read_priority.then_some(now);
+    c.begin_pass();
+    if read_priority && per_attempt {
+        per_attempt_parked_writes(c, now);
+        return false;
+    }
+    if c.kind.is_baseline() {
+        c.issue_baseline_writes(now, true, out)
+    } else {
+        c.try_issue_write(now, out)
+    }
+}
+
+/// Every tally of the tracer, by cause and direction.
+fn tallies(c: &ChannelController) -> Vec<(u64, u64)> {
+    use WaitCause::*;
+    let t = c.lifetrace();
+    [
+        WriteInFlight,
+        Drain,
+        PccBusy,
+        MultiBusy,
+        EccBusy,
+        WowSetConflict,
+        RetryBackoff,
+        RankDemoted,
+        ReadPriority,
+    ]
+    .into_iter()
+    .map(|cause| (t.read_attempts(cause), t.write_attempts(cause)))
+    .collect()
+}
+
+/// The tracer's exported report, every timeline included.
+fn report_json(c: &ChannelController) -> String {
+    pcmap_obs::LifecycleReport::gather(std::iter::once(c.lifetrace()))
+        .to_json(None)
+        .to_json_string()
+}
+
+#[test]
+fn a_parked_write_blocked_in_write_mode_is_parked_again_in_full() {
+    // A write parks under read priority, is blocked on a chip in a write
+    // pass, then parks again; the chip frees at 300 and it issues.
+    let mut scenes = vec![(SystemKind::Baseline, WaitCause::WriteInFlight)];
+    for cause in [WaitCause::EccBusy, WaitCause::WowSetConflict] {
+        scenes.push((SystemKind::RwowRde, cause));
+    }
+    for (kind, cause) in scenes {
+        let run = |per_attempt: bool| {
+            let mut c = ctrl(kind);
+            c.set_lifetrace(true);
+            let w = write_req(&c, 1, 0, &[2], Cycle(0));
+            let chip = match cause {
+                WaitCause::EccBusy => c.layout.ecc_chip(w.line),
+                _ => c.layout.chip_of_word(w.line, 2),
+            };
+            c.rank.timing_mut().reserve(
+                w.loc.bank,
+                ChipSet::single(chip.index()),
+                Cycle(0),
+                Cycle(300),
+            );
+            c.enqueue_write(w, Cycle(0)).unwrap();
+            let mut out = Vec::new();
+            let passes = [(10, true), (20, true), (30, false), (40, true), (50, true)];
+            let issued = passes
+                .into_iter()
+                .chain([(300, false)])
+                .map(|(now, rp)| parking_pass(&mut c, Cycle(now), rp, per_attempt, &mut out))
+                .collect::<Vec<_>>();
+            assert_eq!(issued, [false, false, false, false, false, true]);
+            assert_eq!(out.len(), 1);
+            c
+        };
+        let (marked, reference) = (run(false), run(true));
+        let ctx = format!("{kind} {cause:?}");
+        assert_eq!(
+            marked.lifetrace().write_attempts(WaitCause::ReadPriority),
+            4,
+            "{ctx}"
+        );
+        assert_eq!(tallies(&marked), tallies(&reference), "{ctx}");
+        assert_eq!(report_json(&marked), report_json(&reference), "{ctx}");
+        assert_eq!(
+            format!("{:?}", marked.lifetrace()),
+            format!("{:?}", reference.lifetrace()),
+            "{ctx}"
+        );
+        // Queued, parked, blocked on the chip, parked again, then served.
+        let tl = marked.lifetrace().timelines().get(0);
+        let segments: Vec<_> = tl
+            .segments
+            .iter()
+            .map(|s| (s.phase.label(), s.start.0, s.end.0))
+            .collect();
+        assert_eq!(
+            segments[..4],
+            [
+                ("queued", 0, 10),
+                ("read_priority", 10, 30),
+                (cause.label(), 30, 40),
+                ("read_priority", 40, 300),
+            ],
+            "{ctx}"
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "next_below(n) draws an index below a short list's length, or a chip below 10"
+    )]
+    fn parked_marks_match_the_per_attempt_walk(seed: u64) {
+        let mut rng = Xoshiro256::new(seed);
+        let kinds = [SystemKind::Baseline, SystemKind::RowNr, SystemKind::RwowRde];
+        let kind = kinds[rng.next_below(3) as usize];
+        // Three lines per bank: writes repeat lines, so some are shadowed.
+        let lines: Vec<u64> = (0..2).flat_map(|b| (0..3).map(move |k| addr_in_bank(b, k))).collect();
+        let (mut marked, mut reference) = (ctrl(kind), ctrl(kind));
+        // Writes queued before tracing starts are not the tracer's.
+        let trace_from = rng.next_below(4);
+        let mut now = Cycle(100);
+        let mut next_id = 0;
+        for round in 0..24 {
+            if round == trace_from {
+                marked.set_lifetrace(true);
+                reference.set_lifetrace(true);
+            }
+            for _ in 0..rng.next_below(3) {
+                next_id += 1;
+                let addr = lines[rng.next_below(lines.len() as u64) as usize];
+                let words = [rng.next_below(8) as usize];
+                let arrival = Cycle(now.0 - rng.next_below(50));
+                let w = write_req(&marked, next_id, addr, &words, arrival);
+                let queued = marked.enqueue_write(w, now).is_ok();
+                prop_assert_eq!(queued, reference.enqueue_write(w, now).is_ok());
+            }
+            // Other traffic's reservations on random chips.
+            for _ in 0..rng.next_below(3) {
+                let bank = BankId(rng.next_below(2) as u8);
+                let chip = ChipSet::single(rng.next_below(10) as usize);
+                let start = Cycle(now.0 + rng.next_below(40) - 20);
+                let end = start + Duration(1 + rng.next_below(120));
+                if marked.rank.timing().set_free_during(bank, chip, start, end) {
+                    marked.rank.timing_mut().reserve(bank, chip, start, end);
+                    reference.rank.timing_mut().reserve(bank, chip, start, end);
+                }
+            }
+            let read_priority = rng.next_below(3) > 0;
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let issued = parking_pass(&mut marked, now, read_priority, false, &mut got);
+            prop_assert_eq!(
+                issued,
+                parking_pass(&mut reference, now, read_priority, true, &mut want)
+            );
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(tallies(&marked), tallies(&reference));
+            prop_assert_eq!(report_json(&marked), report_json(&reference));
+            now += Duration(1 + rng.next_below(40));
+        }
+        // Drain in write mode: once every traced write has closed, the
+        // tracers' whole state must agree.
+        for _ in 0..4096 {
+            if marked.writes.is_empty() {
+                break;
+            }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            parking_pass(&mut marked, now, false, false, &mut got);
+            parking_pass(&mut reference, now, false, true, &mut want);
+            prop_assert_eq!(got, want);
+            now += Duration(16);
+        }
+        prop_assert!(marked.writes.is_empty() && reference.writes.is_empty());
+        prop_assert_eq!(tallies(&marked), tallies(&reference));
+        prop_assert_eq!(report_json(&marked), report_json(&reference));
+        prop_assert_eq!(
+            format!("{:?}", marked.lifetrace()),
+            format!("{:?}", reference.lifetrace())
+        );
+    }
 }
 
 /// A queued single-word write to line 0 whose data chip already holds

@@ -146,12 +146,15 @@ impl WriteVerdict {
     }
 }
 
-/// A queued write and its same-line verdict.
+/// A queued write, its same-line verdict and its parked bit.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     req: MemRequest,
     /// An older write to the same line is queued.
     shadowed: bool,
+    /// The lifecycle tracer's pending attempt for this write is read
+    /// priority on its bank ([`WriteQueue::park_line_heads`]).
+    parked: bool,
 }
 
 impl WriteQueue {
@@ -205,7 +208,14 @@ impl WriteQueue {
                 e.shadowed |= e.req.line == req.line;
             }
         }
-        self.entries.insert(pos, Entry { req, shadowed });
+        self.entries.insert(
+            pos,
+            Entry {
+                req,
+                shadowed,
+                parked: false,
+            },
+        );
         if self.keeps_verdicts {
             self.verdicts.insert(pos, None);
         }
@@ -215,7 +225,7 @@ impl WriteQueue {
     /// Removes and returns the write with `id`.
     pub fn remove(&mut self, id: ReqId) -> Option<MemRequest> {
         let pos = self.entries.iter().position(|e| e.req.id == id)?;
-        let Entry { req, shadowed } = self.entries.remove(pos);
+        let Entry { req, shadowed, .. } = self.entries.remove(pos);
         if self.keeps_verdicts {
             self.verdicts.remove(pos);
         }
@@ -228,12 +238,14 @@ impl WriteQueue {
         if *n == 0 {
             self.lines.remove(&req.line);
         } else if !shadowed {
-            // The removed write headed its line; the next one now does.
+            // The removed write headed its line; the next one now does,
+            // and its first attempt as a head is recorded in full.
             if let Some(e) = self.entries[pos..]
                 .iter_mut()
                 .find(|e| e.req.line == req.line)
             {
                 e.shadowed = false;
+                e.parked = false;
             }
         }
         Some(req)
@@ -288,6 +300,36 @@ impl WriteQueue {
                 *head = Some(e.req.id);
                 missing -= 1;
             }
+        }
+    }
+
+    /// The traced read-priority walk over the line heads (the writes no
+    /// older write to their line shadows), oldest first. A parked head is
+    /// only counted; any other is handed to `park`, which records its
+    /// attempt and returns whether the tracer holds it, and is parked if
+    /// so. Returns the parked heads counted.
+    pub(crate) fn park_line_heads(&mut self, mut park: impl FnMut(&MemRequest) -> bool) -> u64 {
+        let mut repeats = 0;
+        for e in self.entries.iter_mut().filter(|e| !e.shadowed) {
+            if e.parked {
+                repeats += 1;
+            } else {
+                e.parked = park(&e.req);
+            }
+        }
+        repeats
+    }
+
+    /// Clears the parked bit of position `pos`: the tracer is handed
+    /// another attempt of its write.
+    pub(crate) fn unpark(&mut self, pos: usize) {
+        self.entries[pos].parked = false;
+    }
+
+    /// Clears every parked bit.
+    pub(crate) fn unpark_all(&mut self) {
+        for e in &mut self.entries {
+            e.parked = false;
         }
     }
 
@@ -473,6 +515,37 @@ mod tests {
         assert_eq!(q[1].id, ReqId(3));
         assert!(!q.older_to_same_line(1));
         assert!(q.older_to_same_line(2));
+    }
+
+    #[test]
+    fn park_line_heads_counts_parked_heads_and_skips_shadowed_writes() {
+        let mut q = WriteQueue::new(2, 4);
+        for (id, addr) in [(1, 0), (2, 64), (3, 0), (4, 128)] {
+            q.push(req(id, addr)).unwrap();
+        }
+        // Write 4's attempt is not recorded (the tracer does not hold it).
+        let mut handed = Vec::new();
+        let mut park = |w: &MemRequest| {
+            handed.push(w.id.0);
+            w.id != ReqId(4)
+        };
+        assert_eq!(q.park_line_heads(&mut park), 0);
+        assert_eq!(q.park_line_heads(&mut park), 2);
+        // Write 3 is shadowed by write 1; write 4 is handed over again.
+        assert_eq!(handed, [1, 2, 4, 4]);
+        q.unpark(1);
+        let mut handed = Vec::new();
+        let mut park = |w: &MemRequest| {
+            handed.push(w.id.0);
+            true
+        };
+        assert_eq!(q.park_line_heads(&mut park), 1);
+        // Once write 1 leaves, write 3 heads its line and is handed over.
+        q.remove(ReqId(1));
+        assert_eq!(q.park_line_heads(&mut park), 2);
+        assert_eq!(handed, [2, 4, 3]);
+        q.unpark_all();
+        assert_eq!(q.park_line_heads(|_| true), 0);
     }
 
     /// A verdict that names write `id` by its generation field.

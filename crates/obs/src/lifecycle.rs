@@ -22,6 +22,9 @@
 //!   work, and allocates nothing once the slots' recycled buffers have
 //!   grown; a blocked attempt that repeats the pending cause and resource
 //!   only bumps its tally;
+//! - writes parked behind read priority that repeat their pending attempt
+//!   reach the tracer as one bulk tally per pass
+//!   ([`LifecycleTracer::parked_writes`]), with no lookup at all;
 //! - a completed timeline is appended to flat per-tracer arenas
 //!   ([`Timelines`]: one head per request, one segment vector, one
 //!   chip-window vector), and [`ReqTimeline`] is a borrowed view into
@@ -557,6 +560,9 @@ impl OpenReq {
         };
         let resource = self.pending.and_then(|(_, r)| r);
         self.push(phase, at.max(self.seen), resource);
+        // Nothing is folded in past the close, so the slot's state does
+        // not depend on how many repeats came before it.
+        self.seen = self.cursor;
     }
 }
 
@@ -747,13 +753,20 @@ impl LifecycleTracer {
 
     /// A scheduling attempt at `at` found the request blocked by `cause`.
     /// An attempt that repeats the pending cause and resource only bumps
-    /// the tally: its wait closes with the next event's.
-    pub fn blocked(&mut self, req: u64, at: Cycle, cause: WaitCause, resource: Option<Resource>) {
+    /// the tally: its wait closes with the next event's. Returns whether
+    /// the attempt was recorded, i.e. the request is traced.
+    pub fn blocked(
+        &mut self,
+        req: u64,
+        at: Cycle,
+        cause: WaitCause,
+        resource: Option<Resource>,
+    ) -> bool {
         if !self.enabled {
-            return;
+            return false;
         }
         let Some(&i) = self.open.get(&req) else {
-            return;
+            return false;
         };
         let open = &mut self.slots[i];
         let pending = Some((cause, resource));
@@ -764,6 +777,25 @@ impl LifecycleTracer {
             open.pending = pending;
         }
         self.attempts[cause.index()][usize::from(open.is_write)] += 1;
+        true
+    }
+
+    /// `n` write attempts blocked by read priority, each by a traced write
+    /// whose pending attempt is already `(ReadPriority, its bank)`: the
+    /// tally of `n` [`Self::blocked`] calls that repeat it, without their
+    /// lookups.
+    ///
+    /// The calls this stands for would also have raised each write's
+    /// `seen` to the pass time. Leaving it is exact: the next hook of a
+    /// queued write is another attempt or its issue, at a cycle no
+    /// earlier than the pass, and either closes the wait at least that
+    /// far; writes never take [`Self::recovery`], the one hook that closes
+    /// at `seen` itself. So no segment moves.
+    pub fn parked_writes(&mut self, n: u64) {
+        if !self.enabled {
+            return;
+        }
+        self.attempts[WaitCause::ReadPriority.index()][1] += n;
     }
 
     /// The request issued: decision at `decided`, chips busy from `start`
