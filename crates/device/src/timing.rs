@@ -36,16 +36,12 @@ impl ChipBankState {
     }
 
     /// The time at which this chip is clear of every reservation still
-    /// active or scheduled at/after `now`.
+    /// active or scheduled at/after `now`. Reservations are sorted by
+    /// start and disjoint, so the last one ends latest.
     #[must_use]
+    #[inline]
     pub fn clear_from(&self, now: Cycle) -> Cycle {
-        self.res
-            .iter()
-            .filter(|&&(_, e)| e > now)
-            .map(|&(_, e)| e)
-            .max()
-            .unwrap_or(now)
-            .max(now)
+        self.res.last().map_or(now, |&(_, e)| e.max(now))
     }
 
     /// Latest end over reservations overlapping `[from, until)`, or `None`
@@ -226,9 +222,11 @@ impl RankTiming {
     /// of every reservation still pending on `bank`.
     #[must_use]
     pub fn free_at(&self, bank: BankId, set: ChipSet, now: Cycle) -> Cycle {
+        let first = bank.index() * self.chips;
+        let chips = &self.state[first..first + self.chips];
         let mut t = now;
         for chip in set.chips() {
-            t = t.max(self.chip(bank, chip).clear_from(now));
+            t = t.max(chips[chip.index()].clear_from(now));
         }
         t
     }
@@ -527,6 +525,60 @@ mod tests {
                     eager.blocked_until(bank, set, from, until)
                 );
                 prop_assert_eq!(lazy.free_at(bank, set, from), eager.free_at(bank, set, from));
+            }
+        }
+    }
+
+    /// Test-only reference: the scan [`ChipBankState::clear_from`]
+    /// replaced, over every reservation of the chip.
+    fn clear_from_by_scan(c: &ChipBankState, now: Cycle) -> Cycle {
+        c.res
+            .iter()
+            .filter(|&&(_, e)| e > now)
+            .map(|&(_, e)| e)
+            .max()
+            .unwrap_or(now)
+            .max(now)
+    }
+
+    proptest! {
+        #[test]
+        #[expect(clippy::cast_possible_truncation, reason = "draws below the bank and chip counts fit u8; the chip set keeps a random word's low 16 bits on purpose")]
+        fn clear_time_from_the_last_reservation_matches_the_scan(seed: u64) {
+            let mut rng = Xoshiro256::new(seed);
+            let mut t = timing();
+            let mut pruned = Cycle::ZERO;
+            for _ in 0..300 {
+                let bank = BankId(rng.next_below(t.banks() as u64) as u8);
+                let set = ChipSet::from_bits(rng.next_u64() as u16);
+                match rng.next_below(3) {
+                    0 => {
+                        pruned = Cycle(pruned.0 + rng.next_below(40));
+                        t.prune(pruned);
+                    }
+                    1 => {
+                        let start = Cycle(pruned.0 + rng.next_below(60));
+                        let end = Cycle(start.0 + 1 + rng.next_below(60));
+                        if t.set_free_during(bank, set, start, end) {
+                            t.reserve(bank, set, start, end);
+                        }
+                    }
+                    _ => {
+                        let chip = ChipId(rng.next_below(ChipId::TOTAL_CHIPS as u64) as u8);
+                        t.force_free(bank, chip, Cycle(pruned.0 + rng.next_below(60)));
+                    }
+                }
+                // Any query time, before the prune point too.
+                let now = Cycle(rng.next_below(pruned.0 + 120));
+                let mut want = now;
+                for chip in ChipSet::full().chips() {
+                    let c = t.chip(bank, chip);
+                    prop_assert_eq!(c.clear_from(now), clear_from_by_scan(c, now));
+                    if set.contains_chip(chip) {
+                        want = want.max(clear_from_by_scan(c, now));
+                    }
+                }
+                prop_assert_eq!(t.free_at(bank, set, now), want);
             }
         }
     }
