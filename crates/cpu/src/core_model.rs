@@ -301,17 +301,34 @@ impl CoreModel {
     }
 }
 
-/// Converts a memory-cycle instant to CPU cycles (exact, floor).
-pub fn mem_to_cpu(t: Cycle, params: &CpuParams) -> u64 {
-    let (num, den) = params.cpu_cycles_per_mem_cycle();
-    t.0 * num / den
+/// The CPU-to-memory clock ratio, reduced once from
+/// [`CpuParams::cpu_cycles_per_mem_cycle`] so that converting an instant
+/// is one multiply and one divide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClockRatio {
+    num: u64,
+    den: u64,
 }
 
-/// Converts a CPU-cycle instant to memory cycles (exact, ceiling — the
-/// memory system cannot act mid-cycle).
-pub fn cpu_to_mem(t: u64, params: &CpuParams) -> Cycle {
-    let (num, den) = params.cpu_cycles_per_mem_cycle();
-    Cycle((t * den).div_ceil(num))
+impl ClockRatio {
+    /// The ratio of `params`' CPU clock to the memory clock.
+    pub fn new(params: &CpuParams) -> Self {
+        let (num, den) = params.cpu_cycles_per_mem_cycle();
+        Self { num, den }
+    }
+
+    /// Converts a memory-cycle instant to CPU cycles (exact, floor).
+    #[inline]
+    pub fn mem_to_cpu(self, t: Cycle) -> u64 {
+        t.0 * self.num / self.den
+    }
+
+    /// Converts a CPU-cycle instant to memory cycles (exact, ceiling — the
+    /// memory system cannot act mid-cycle).
+    #[inline]
+    pub fn cpu_to_mem(self, t: u64) -> Cycle {
+        Cycle((t * self.den).div_ceil(self.num))
+    }
 }
 
 #[cfg(test)]
@@ -436,11 +453,41 @@ mod tests {
 
     #[test]
     fn clock_conversions_round_trip() {
-        let p = CpuParams::paper_default();
-        assert_eq!(mem_to_cpu(Cycle(4), &p), 25);
-        assert_eq!(cpu_to_mem(25, &p), Cycle(4));
-        assert_eq!(cpu_to_mem(26, &p), Cycle(5));
-        assert!(mem_to_cpu(cpu_to_mem(123, &p), &p) >= 123);
+        let clock = ClockRatio::new(&CpuParams::paper_default());
+        assert_eq!(clock.mem_to_cpu(Cycle(4)), 25);
+        assert_eq!(clock.cpu_to_mem(25), Cycle(4));
+        assert_eq!(clock.cpu_to_mem(26), Cycle(5));
+        assert!(clock.mem_to_cpu(clock.cpu_to_mem(123)) >= 123);
+    }
+
+    #[test]
+    fn reduced_ratio_converts_like_reducing_per_call() {
+        // 2500 and 3200 reduce against the 400 MHz memory clock; 2999 is
+        // coprime to it, and 400 is the identity.
+        let mut rng = pcmap_types::Xoshiro256::new(7);
+        for mhz in [2500, 3200, 2999, 400, 1] {
+            let p = CpuParams {
+                cpu_clock_mhz: mhz,
+                ..CpuParams::paper_default()
+            };
+            let clock = ClockRatio::new(&p);
+            for _ in 0..1000 {
+                let t = rng.next_below(1 << 40);
+                // The conversions as they were written: the ratio reduced
+                // on every call.
+                let (num, den) = p.cpu_cycles_per_mem_cycle();
+                assert_eq!(
+                    clock.mem_to_cpu(Cycle(t)),
+                    t * num / den,
+                    "{mhz} MHz, t {t}"
+                );
+                assert_eq!(
+                    clock.cpu_to_mem(t),
+                    Cycle((t * den).div_ceil(num)),
+                    "{mhz} MHz, t {t}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::ingest::{GateDecision, IngressGate};
 use pcmap_core::{RollbackMode, SystemKind};
-use pcmap_cpu::core_model::{cpu_to_mem, mem_to_cpu, CoreAction, CoreModel};
+use pcmap_cpu::core_model::{ClockRatio, CoreAction, CoreModel};
 use pcmap_cpu::{RollbackModel, WorkOp};
 use pcmap_ctrl::stats::SERIES_WINDOW;
 use pcmap_ctrl::{ChannelController, Completion, Controller, MemRequest, ReqId, ReqKind};
@@ -415,6 +415,8 @@ pub enum Engine {
 /// The composed 8-core / 4-channel system.
 pub struct System {
     cfg: SimConfig,
+    /// `cfg.cpu`'s clock ratio, reduced once for every conversion.
+    clock: ClockRatio,
     workload_name: String,
     ctrls: Vec<Box<dyn Controller>>,
     cores: Vec<CoreModel>,
@@ -510,6 +512,7 @@ impl System {
         let budget_per_core = (cfg.max_requests / cfg.cpu.cores as u64).max(1);
         let n = cores.len();
         Self {
+            clock: ClockRatio::new(&cfg.cpu),
             cfg,
             workload_name: workload.name,
             ctrls,
@@ -659,7 +662,7 @@ impl System {
         if !d.is_read {
             return;
         }
-        let cpu_when = mem_to_cpu(d.when, &self.cfg.cpu);
+        let cpu_when = self.clock.mem_to_cpu(d.when);
         self.cores[d.core].read_returned(cpu_when);
         // The returned data may unblock the core immediately.
         self.core_due[d.core] = true;
@@ -673,7 +676,7 @@ impl System {
             // accounting below for this delivery — one squash per read.
             let vd = d.verify_done.unwrap_or(d.when);
             let (at, penalty) = self.rollback[d.core].on_corruption(vd);
-            let cpu_at = mem_to_cpu(at, &self.cfg.cpu);
+            let cpu_at = self.clock.mem_to_cpu(at);
             self.cores[d.core].rollback(cpu_at, penalty);
             self.ctrls[d.chan].note_rollback(at, d.via_row, d.verify_done.is_some());
             self.rollbacks_charged += 1;
@@ -682,7 +685,7 @@ impl System {
         if d.via_row {
             if let Some(vd) = d.verify_done {
                 if let Some((at, penalty)) = self.rollback[d.core].on_row_read(vd) {
-                    let cpu_at = mem_to_cpu(at, &self.cfg.cpu);
+                    let cpu_at = self.clock.mem_to_cpu(at);
                     self.cores[d.core].rollback(cpu_at, penalty);
                     self.ctrls[d.chan].note_rollback(at, d.via_row, d.verify_done.is_some());
                     self.rollbacks_charged += 1;
@@ -705,7 +708,7 @@ impl System {
     }
 
     fn poll_cores(&mut self, now: Cycle) {
-        let cpu_now = mem_to_cpu(now, &self.cfg.cpu);
+        let cpu_now = self.clock.mem_to_cpu(now);
         for i in 0..self.cores.len() {
             // Poll only when due: a poll advances the core's local clock
             // (`CoreModel::poll` maxes it with `cpu_now`), so gating it
@@ -752,7 +755,7 @@ impl System {
                             // Next poll that matters: the first memory
                             // cycle at or past the burst's end.
                             self.core_next[i] =
-                                Some(cpu_to_mem(t, &self.cfg.cpu).max(Cycle(now.0 + 1)));
+                                Some(self.clock.cpu_to_mem(t).max(Cycle(now.0 + 1)));
                             break;
                         }
                         // The compute burst ended exactly now; loop to get
@@ -775,14 +778,17 @@ impl System {
         if let Some(gate) = self.gate.as_mut() {
             if let GateDecision::Defer(until) = gate.admit(i, is_read, now) {
                 self.enqueue_retries += 1;
-                let retry_cpu = mem_to_cpu(until.max(Cycle(now.0 + 1)), &self.cfg.cpu).max(1);
+                let retry_cpu = self.clock.mem_to_cpu(until.max(Cycle(now.0 + 1))).max(1);
                 if is_read {
                     self.cores[i].read_blocked(retry_cpu);
                 } else {
                     self.cores[i].write_blocked(retry_cpu);
                 }
-                self.core_next[i] =
-                    Some(cpu_to_mem(self.cores[i].now(), &self.cfg.cpu).max(Cycle(now.0 + 1)));
+                self.core_next[i] = Some(
+                    self.clock
+                        .cpu_to_mem(self.cores[i].now())
+                        .max(Cycle(now.0 + 1)),
+                );
                 return false;
             }
         }
@@ -858,7 +864,7 @@ impl System {
                     .next_wake(now)
                     .unwrap_or(Cycle(now.0 + 8))
                     .max(Cycle(now.0 + 1));
-                let retry_cpu = mem_to_cpu(retry, &self.cfg.cpu).max(1);
+                let retry_cpu = self.clock.mem_to_cpu(retry).max(1);
                 if is_read {
                     self.cores[i].read_blocked(retry_cpu);
                 } else {
@@ -866,8 +872,11 @@ impl System {
                 }
                 // The core's clock just advanced to its retry point; poll
                 // it again at the first memory cycle that reaches it.
-                self.core_next[i] =
-                    Some(cpu_to_mem(self.cores[i].now(), &self.cfg.cpu).max(Cycle(now.0 + 1)));
+                self.core_next[i] = Some(
+                    self.clock
+                        .cpu_to_mem(self.cores[i].now())
+                        .max(Cycle(now.0 + 1)),
+                );
                 false
             }
         }
