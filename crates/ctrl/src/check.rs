@@ -199,7 +199,9 @@ impl ProtocolChecker {
     /// `[start, end)`: every chip must be free for the whole window.
     /// This is the bank/chip legality rule — it also enforces WoW
     /// disjointness, since a second write overlapping an in-flight
-    /// write's chips fails here.
+    /// write's chips fails here. Runs per chip command, so a disabled
+    /// checker costs the caller one inlined branch.
+    #[inline]
     pub fn command(
         &mut self,
         timing: &RankTiming,
@@ -209,9 +211,22 @@ impl ProtocolChecker {
         end: Cycle,
         what: &str,
     ) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.check_command(timing, bank, set, start, end, what);
         }
+    }
+
+    /// The enabled body of [`Self::command`], kept out of line.
+    #[inline(never)]
+    fn check_command(
+        &mut self,
+        timing: &RankTiming,
+        bank: BankId,
+        set: ChipSet,
+        start: Cycle,
+        end: Cycle,
+        what: &str,
+    ) {
         self.checked += 1;
         if !timing.set_free_during(bank, set, start, end) {
             let busy: Vec<u8> = set
