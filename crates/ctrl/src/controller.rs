@@ -304,6 +304,11 @@ pub struct ChannelController {
     /// Scratch of the Baseline read pick, per bank: when the coarse set
     /// frees. Sized on first use.
     bank_free: Vec<Option<Cycle>>,
+    /// A test-only copy of the chip-window ring that drew Figure 5 before
+    /// the tracer did, fed by [`Self::chip_window`]: the reference of the
+    /// Gantt oracle test.
+    #[cfg(test)]
+    ring_oracle: tests::RingOracle,
 }
 
 impl ChannelController {
@@ -343,6 +348,8 @@ impl ChannelController {
             split_in_progress: Vec::new(),
             bank_heads: Vec::new(),
             bank_free: Vec::new(),
+            #[cfg(test)]
+            ring_oracle: tests::RingOracle::default(),
         }
     }
 
@@ -569,6 +576,8 @@ impl ChannelController {
     ) {
         let (id, bank) = (req.id, req.loc.bank);
         self.events.chip_occupy(bank, chip, start, end, id.0, role);
+        #[cfg(test)]
+        self.ring_oracle.occupy(bank, chip, start, end, id.0, role);
         if matches!(role, WindowRole::WriteData | WindowRole::ReadData) {
             self.stats.irlp.record_segment(bank, start, end);
         }

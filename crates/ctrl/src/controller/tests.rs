@@ -1571,3 +1571,113 @@ fn watchdog_fires_exactly_at_its_threshold_cycle() {
         "an on-time watchdog violates nothing"
     );
 }
+
+// ------------------------------------------------------ Figure 5 chart --
+
+/// The chip-window ring as it stood before Figure 5 was drawn from the
+/// lifecycle tracer: every window [`ChannelController::chip_window`]
+/// records, in recording order, and its Gantt chart. The Gantt oracle
+/// test holds the tracer's chart to it.
+#[derive(Debug, Default)]
+pub(super) struct RingOracle {
+    windows: Vec<(BankId, ChipId, Cycle, Cycle, u64, WindowRole)>,
+}
+
+impl RingOracle {
+    pub(super) fn occupy(
+        &mut self,
+        bank: BankId,
+        chip: ChipId,
+        start: Cycle,
+        end: Cycle,
+        req: u64,
+        role: WindowRole,
+    ) {
+        self.windows.push((bank, chip, start, end, req, role));
+    }
+
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a row has one cell per cycles_per_cell cycles of a test scene"
+    )]
+    fn render_gantt(&self, bank: BankId, cycles_per_cell: u64) -> String {
+        let evs: Vec<_> = self.windows.iter().filter(|e| e.0 == bank).collect();
+        let horizon = evs.iter().map(|e| e.3 .0).max().unwrap_or(0);
+        let width = (horizon.div_ceil(cycles_per_cell)) as usize;
+        let mut out = String::new();
+        for chip in 0..ChipId::TOTAL_CHIPS {
+            let name = match chip {
+                8 => "ECC ".to_owned(),
+                9 => "PCC ".to_owned(),
+                n => format!("ch{n}  "),
+            };
+            let mut row = vec!['.'; width];
+            for &&(_, c, start, end, req, role) in &evs {
+                if c.index() != chip {
+                    continue;
+                }
+                let from = (start.0 / cycles_per_cell) as usize;
+                let to = ((end.0.div_ceil(cycles_per_cell)) as usize).min(width);
+                for cell in row.iter_mut().take(to).skip(from) {
+                    *cell = role.glyph(req);
+                }
+            }
+            out.push_str(&name);
+            out.push('|');
+            out.extend(row);
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// Steps `c` through every wake from `now` up to `until`.
+fn advance(c: &mut ChannelController, now: Cycle, until: Cycle) {
+    let mut now = now;
+    c.step(now);
+    while let Some(w) = c.next_wake(now).filter(|&w| w <= until) {
+        now = w;
+        c.step(now);
+    }
+}
+
+proptest! {
+    #[test]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "next_below(n) draws a word index below 8 or a line below 6"
+    )]
+    fn tracer_gantt_matches_the_chip_ring(seed: u64) {
+        // Random fault-free scenes on one bank: reads and one- to
+        // three-word writes to six lines, arriving in bursts.
+        let mut rng = Xoshiro256::new(seed);
+        for kind in SystemKind::all() {
+            let mut c = ctrl(kind);
+            c.set_trace(true);
+            c.set_lifetrace(true);
+            let mut now = Cycle(0);
+            let mut id = 0;
+            for _ in 0..10 {
+                for _ in 0..rng.next_below(4) {
+                    id += 1;
+                    let addr = addr_in_bank(0, rng.next_below(6) as usize);
+                    if rng.next_below(2) == 0 {
+                        let _ = c.enqueue_read(read_req(id, addr, now), now);
+                    } else {
+                        let words: Vec<usize> =
+                            (0..=rng.next_below(3)).map(|_| rng.next_below(8) as usize).collect();
+                        let w = write_req(&c, id, addr, &words, now);
+                        let _ = c.enqueue_write(w, now);
+                    }
+                }
+                let until = now + Duration(rng.next_below(90));
+                advance(&mut c, now, until);
+                now = until;
+            }
+            run_to_idle(&mut c, now);
+            let want = c.ring_oracle.render_gantt(BankId(0), 1);
+            prop_assert!(want.contains(|g: char| g.is_ascii_digit()), "{kind}: empty scene");
+            prop_assert_eq!(c.events().render_gantt(BankId(0), 1), want, "{kind}");
+        }
+    }
+}
