@@ -2,15 +2,16 @@
 //!
 //! Reconstructs the paper's scenarios: (a)/(b) a single-word write A
 //! followed by reads B and C; (c)/(d) three writes with disjoint essential
-//! words. Rendered as ASCII Gantt charts (one row per chip).
+//! words, all on one bank. Rendered as ASCII Gantt charts (one row per
+//! chip) from the chip windows the lifecycle tracer keeps.
 
 use pcmap_core::SystemKind;
 use pcmap_ctrl::{ChannelController, Controller, MemRequest, ReqId, ReqKind};
 use pcmap_types::{CoreId, Cycle, MemOrg, PhysAddr, QueueParams, TimingParams};
 
-/// Renders the chip-timeline Gantt from a controller's chip-window ring.
-fn gantt(ctrl: &dyn Controller, bank: pcmap_types::BankId) -> String {
-    ctrl.events().render_gantt(bank, 4)
+/// Renders the chip-timeline Gantt from a controller's traced timelines.
+fn gantt(ctrl: &dyn Controller) -> String {
+    ctrl.lifetrace().timelines().render_gantt(4)
 }
 
 fn write_req(ctrl: &dyn Controller, id: u64, addr: u64, words: &[usize]) -> MemRequest {
@@ -58,7 +59,7 @@ fn drive(ctrl: &mut dyn Controller, mut now: Cycle) {
 }
 
 fn scenario_row(ctrl: &mut dyn Controller) {
-    ctrl.set_trace(true);
+    ctrl.set_lifetrace(true);
     let w = write_req(ctrl, 1, 0, &[3]);
     ctrl.enqueue_write(w, Cycle(0)).unwrap();
     ctrl.step(Cycle(0));
@@ -70,7 +71,7 @@ fn scenario_row(ctrl: &mut dyn Controller) {
 }
 
 fn scenario_wow(ctrl: &mut dyn Controller) {
-    ctrl.set_trace(true);
+    ctrl.set_lifetrace(true);
     let a = write_req(ctrl, 1, 0, &[2, 5]);
     let b = write_req(ctrl, 2, 1024, &[3, 6]);
     let c = write_req(ctrl, 3, 2048, &[4]);
@@ -84,27 +85,26 @@ fn main() {
     let org = MemOrg::tiny();
     let t = TimingParams::paper_default();
     let q = QueueParams::paper_default();
-    let bank = org.decode(PhysAddr::new(0)).bank;
 
     println!("Figure 5 — scheduling timelines (4 cycles per column; last label char per op)\n");
 
     println!("(a) Baseline: write A then reads B, C (all serialized)");
     let mut base = ChannelController::new(SystemKind::Baseline, org, t, q, 0);
     scenario_row(&mut base);
-    print!("{}", gantt(&base, bank));
+    print!("{}", gantt(&base));
 
     println!("\n(b) RoW: reads B, C reconstructed during write A (verify after)");
     let mut row = ChannelController::new(SystemKind::RowNr, org, t, q, 0);
     scenario_row(&mut row);
-    print!("{}", gantt(&row, bank));
+    print!("{}", gantt(&row));
 
     println!("\n(c) Baseline: three writes serialized");
     let mut base2 = ChannelController::new(SystemKind::Baseline, org, t, q, 0);
     scenario_wow(&mut base2);
-    print!("{}", gantt(&base2, bank));
+    print!("{}", gantt(&base2));
 
     println!("\n(d) WoW (RWoW-RDE): disjoint writes consolidated");
     let mut wow = ChannelController::new(SystemKind::RwowRde, org, t, q, 0);
     scenario_wow(&mut wow);
-    print!("{}", gantt(&wow, bank));
+    print!("{}", gantt(&wow));
 }

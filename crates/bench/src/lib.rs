@@ -14,19 +14,10 @@ use pcmap_obs::Value;
 use pcmap_sim::experiments::{evaluate_matrix, EvalScale, WorkloadEval};
 use pcmap_sim::{RunReport, SweepRunner, TableBuilder};
 
-/// Prints a warning to stderr when a run lost observability data — chip
-/// windows past a channel ring's capacity or lifecycle timelines past the
-/// tracer's. The simulation itself is unaffected; only the observability
-/// record is incomplete.
+/// Prints a warning to stderr when a run lost observability data:
+/// lifecycle timelines past the tracer's capacity. The simulation itself
+/// is unaffected; only the observability record is incomplete.
 pub fn warn_on_observability_drops(r: &RunReport) {
-    if r.events_dropped > 0 {
-        eprintln!(
-            "warning: {} [{}]: chip-window ring overflowed, {} windows dropped",
-            r.workload,
-            r.kind.label(),
-            r.events_dropped
-        );
-    }
     if r.lifetrace_dropped > 0 {
         eprintln!(
             "warning: {} [{}]: lifecycle tracer at capacity, {} timelines dropped",

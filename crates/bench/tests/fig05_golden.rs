@@ -1,7 +1,8 @@
 //! Figure 5 regression gate: the `fig05_timelines` chip-occupancy Gantt
 //! charts are snapshotted byte for byte in `tests/golden/fig05.txt` at the
-//! repository root. A change to what the controllers record in their
-//! chip-window rings, or to how the charts render, fails here.
+//! repository root. A change to the chip windows the controllers record
+//! in their lifecycle tracers, or to how `Timelines::render_gantt` draws
+//! them, fails here.
 //!
 //! To re-bless after an *intentional* change:
 //! `UPDATE_GOLDEN=1 cargo test -p pcmap-bench --test fig05_golden`

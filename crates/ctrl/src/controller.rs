@@ -92,8 +92,8 @@ impl ReadResolution {
 /// payload is intentional (`clippy::result_large_err` is waived).
 ///
 /// `Send` is a supertrait: a channel's whole state (queues, bus, rank,
-/// wear, RNG stream, chip-window ring, tracer) is channel-private, so a
-/// whole system can be built and run on any sweep worker thread.
+/// wear, RNG stream, tracer) is channel-private, so a whole system can be
+/// built and run on any sweep worker thread.
 #[expect(
     clippy::result_large_err,
     reason = "a refused request goes back to the caller whole, so it can retry it; boxing it would allocate per refusal"
@@ -158,13 +158,18 @@ pub trait Controller: Send {
     fn rank(&self) -> &PcmRank;
     /// Mutable rank access (fault injection, inspection).
     fn rank_mut(&mut self) -> &mut PcmRank;
-    /// The chip-window ring (the Figure 5 timelines are its
-    /// [`EventLog::render_gantt`]).
-    fn events(&self) -> &EventLog;
-    /// Enables or disables chip-window recording.
-    fn set_trace(&mut self, enabled: bool);
+    /// Inert: an empty [`EventLog`]. Chip windows live in
+    /// [`Self::lifetrace`], whose timelines draw the Figure 5 chart.
+    /// Kept, with [`Self::set_trace`], only because the timing decorator
+    /// in `perfbench/` forwards both; they go when it is reworked.
+    fn events(&self) -> &EventLog {
+        &EventLog
+    }
+    /// Inert; see [`Self::events`].
+    fn set_trace(&mut self, _enabled: bool) {}
     /// The per-request causal-timeline tracer (disabled by default; see
-    /// [`pcmap_obs::LifecycleTracer`] and DESIGN.md §13).
+    /// [`pcmap_obs::LifecycleTracer`] and DESIGN.md §13). It also holds
+    /// every chip window of a traced request, with its role.
     fn lifetrace(&self) -> &LifecycleTracer;
     /// Enables or disables causal lifecycle tracing.
     fn set_lifetrace(&mut self, enabled: bool);
@@ -217,7 +222,7 @@ struct ReadService {
     data_ready: Cycle,
     /// The chips read.
     read_set: ChipSet,
-    /// The chips the chip-window ring shows busy.
+    /// The chips recorded busy until the data is ready.
     logged: ChipSet,
     /// The line's ECC chip: it serves no word, so IRLP never counts it.
     ecc_chip: ChipId,
@@ -255,12 +260,9 @@ pub struct ChannelController {
     bus: ChannelBus,
     /// Statistics.
     stats: CtrlStats,
-    /// Chip-window ring behind the Figure 5 timelines (disabled by
-    /// default).
-    events: EventLog,
     /// Per-request causal timelines: every simulated cycle of a traced
-    /// request attributed to a wait cause or service phase (disabled by
-    /// default; DESIGN.md §13).
+    /// request attributed to a wait cause or service phase, and its chip
+    /// windows (disabled by default; DESIGN.md §13).
     lifetrace: LifecycleTracer,
     /// Per-bank completion time of the most recent write (delay
     /// attribution for Figure 1).
@@ -333,7 +335,6 @@ impl ChannelController {
             drains: (0..org.banks).map(|_| DrainPolicy::new(&q)).collect(),
             bus: ChannelBus::new(),
             stats: CtrlStats::new(org.banks as usize),
-            events: EventLog::disabled(),
             lifetrace: LifecycleTracer::disabled(),
             last_write_end: vec![Cycle::ZERO; org.banks as usize],
             last_drain_exit: Cycle::ZERO,
@@ -559,37 +560,33 @@ impl ChannelController {
         tracer.parked_writes(repeats);
     }
 
-    /// Records that `chip` serves `req` over `[start, end)` on the
-    /// request's bank: the one place a chip window is recorded. `role`
-    /// decides who sees it (the table is in DESIGN.md §8). Every window
-    /// reaches the Figure 5 ring, the data-serving ones the IRLP segment
-    /// log, and a write's ones the tracer's chip service. A read's tracer
-    /// window is its chip set until base service, recorded in
-    /// [`Self::finish_read`].
+    /// Records that `chips` serve `req` over `[start, end)` on the
+    /// request's bank: the one place a chip window is recorded. Every
+    /// window reaches the lifecycle tracer with its `role`, and the
+    /// data-serving roles also reach the IRLP segment log, once per chip
+    /// (the table is in DESIGN.md §8). A read's base-service window, its
+    /// read set until base service, is the one tracer window recorded
+    /// elsewhere, in [`Self::finish_read`].
     fn chip_window(
         &mut self,
         req: &MemRequest,
         role: WindowRole,
-        chip: ChipId,
+        chips: ChipSet,
         start: Cycle,
         end: Cycle,
     ) {
         let (id, bank) = (req.id, req.loc.bank);
-        self.events.chip_occupy(bank, chip, start, end, id.0, role);
         #[cfg(test)]
-        self.ring_oracle.occupy(bank, chip, start, end, id.0, role);
+        for chip in chips.chips() {
+            self.ring_oracle.occupy(bank, chip, start, end, id.0, role);
+        }
         if matches!(role, WindowRole::WriteData | WindowRole::ReadData) {
-            self.stats.irlp.record_segment(bank, start, end);
+            for _ in 0..chips.count() {
+                self.stats.irlp.record_segment(bank, start, end);
+            }
         }
-        if self.lifetrace.enabled()
-            && matches!(
-                role,
-                WindowRole::WriteData | WindowRole::EccUpdate | WindowRole::PccUpdate
-            )
-        {
-            self.lifetrace
-                .chip_service(id.0, ChipSet::single(chip.index()), start, end);
-        }
+        self.lifetrace
+            .chip_window(id.0, Some(role), chips, start, end);
     }
 
     /// Opens write `req`'s IRLP window over `[start, end)`: the interval
@@ -625,13 +622,19 @@ impl ChannelController {
         let service_end = data_ready;
         let data_ready = data_ready + res.extra();
 
-        // The tracer's own read windows: the set-level chip window ends at
+        // The logged chips stay busy until the data is ready (recovery
+        // included): the line's ECC chip with the data, the rest serving
+        // words.
+        let ecc = logged & ChipSet::single(ecc_chip.index());
+        self.chip_window(req, WindowRole::ReadData, logged & !ecc, start, data_ready);
+        self.chip_window(req, WindowRole::EccWithData, ecc, start, data_ready);
+        // The tracer's own read windows: the base-service window ends at
         // base service, not at `data_ready` like the per-chip windows
-        // below, and the verify is an annotation of the timeline.
+        // above, and the verify is an annotation of the timeline.
         if self.lifetrace.enabled() {
             self.lifetrace.issue(req.id.0, decided, start, service_end);
             self.lifetrace
-                .chip_service(req.id.0, read_set, start, service_end);
+                .chip_window(req.id.0, None, read_set, start, service_end);
             if let Some((vs, ve)) = verify {
                 self.lifetrace.verify(req.id.0, vs, ve);
             }
@@ -656,16 +659,6 @@ impl ChannelController {
             self.stats.reads_delayed_by_write += 1;
         }
         self.stats.record_read_done(req.arrival, data_ready);
-        // The logged chips stay busy until the data is ready (recovery
-        // included).
-        for chip in logged.chips() {
-            let role = if chip == ecc_chip {
-                WindowRole::EccWithData
-            } else {
-                WindowRole::ReadData
-            };
-            self.chip_window(req, role, chip, start, data_ready);
-        }
 
         Completion {
             id: req.id,
@@ -1081,14 +1074,6 @@ impl Controller for ChannelController {
 
     fn rank_mut(&mut self) -> &mut PcmRank {
         &mut self.rank
-    }
-
-    fn events(&self) -> &EventLog {
-        &self.events
-    }
-
-    fn set_trace(&mut self, enabled: bool) {
-        self.events.set_enabled(enabled);
     }
 
     fn lifetrace(&self) -> &LifecycleTracer {

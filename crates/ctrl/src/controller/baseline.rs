@@ -254,7 +254,7 @@ impl ChannelController {
             )]
             let chip = ChipId(i as u8);
             self.rank.wear_mut().record(chip, outcome.bits_per_word[i]);
-            self.chip_window(&req, WindowRole::WriteData, chip, now, end);
+            self.chip_window(&req, WindowRole::WriteData, ChipSet::single(i), now, end);
         }
         if !outcome.silent {
             // The ECC chip is rewritten alongside the data words.
@@ -262,7 +262,8 @@ impl ChannelController {
             done = done.max(ecc_end);
             self.rank.wear_mut().record(ChipId::ECC, 8);
             self.rank.energy_mut().record_write(4, 4);
-            self.chip_window(&req, WindowRole::EccWithData, ChipId::ECC, now, ecc_end);
+            let ecc = ChipSet::single(ChipId::ECC.index());
+            self.chip_window(&req, WindowRole::EccWithData, ecc, now, ecc_end);
         }
 
         let set = Self::baseline_write_set();

@@ -433,56 +433,47 @@ impl ChannelController {
         let data_end = program_start + Duration(self.t.array_set);
         for w in outcome.essential.iter() {
             let chip = self.layout.chip_of_word(req.line, w);
+            let set = ChipSet::single(chip.index());
             let end = program_start + outcome.kinds[w].duration(&self.t);
-            self.checker.command(
-                self.rank.timing(),
-                bank,
-                ChipSet::single(chip.index()),
-                start,
-                end,
-                "write data chip",
-            );
-            self.rank
-                .timing_mut()
-                .reserve(bank, ChipSet::single(chip.index()), start, end);
+            self.checker
+                .command(self.rank.timing(), bank, set, start, end, "write data chip");
+            self.rank.timing_mut().reserve(bank, set, start, end);
             self.rank.wear_mut().record(chip, outcome.bits_per_word[w]);
-            self.chip_window(&req, WindowRole::WriteData, chip, start, end);
+            self.chip_window(&req, WindowRole::WriteData, set, start, end);
         }
         let ecc_chip = self.layout.ecc_chip(req.line);
+        let ecc = ChipSet::single(ecc_chip.index());
         let ecc_end = start + upd;
         self.checker.command(
             self.rank.timing(),
             bank,
-            ChipSet::single(ecc_chip.index()),
+            ecc,
             start,
             ecc_end,
             "write ECC chip",
         );
-        self.rank
-            .timing_mut()
-            .reserve(bank, ChipSet::single(ecc_chip.index()), start, ecc_end);
+        self.rank.timing_mut().reserve(bank, ecc, start, ecc_end);
         self.rank.wear_mut().record(ecc_chip, 8);
         self.rank.energy_mut().record_write(4, 4);
-        self.chip_window(&req, WindowRole::EccUpdate, ecc_chip, start, ecc_end);
+        self.chip_window(&req, WindowRole::EccUpdate, ecc, start, ecc_end);
 
         // Step 2: PCC update immediately after the data phase.
         let pcc_chip = self.layout.pcc_chip(req.line);
+        let pcc = ChipSet::single(pcc_chip.index());
         let pcc_end = data_end + upd;
         self.checker.write_steps(bank, program_start, data_end);
         self.checker.command(
             self.rank.timing(),
             bank,
-            ChipSet::single(pcc_chip.index()),
+            pcc,
             data_end,
             pcc_end,
             "write PCC chip",
         );
-        self.rank
-            .timing_mut()
-            .reserve(bank, ChipSet::single(pcc_chip.index()), data_end, pcc_end);
+        self.rank.timing_mut().reserve(bank, pcc, data_end, pcc_end);
         self.rank.wear_mut().record(pcc_chip, 8);
         self.rank.energy_mut().record_write(4, 4);
-        self.chip_window(&req, WindowRole::PccUpdate, pcc_chip, data_end, pcc_end);
+        self.chip_window(&req, WindowRole::PccUpdate, pcc, data_end, pcc_end);
 
         // Fault hooks (inert without a plan): this write may burn out a
         // cell, and one essential chip may run slow or hang. A slow chip
@@ -783,11 +774,9 @@ impl ChannelController {
             );
             self.rank.timing_mut().reserve(bank, verify_set, vs, ve);
             self.stats.row_verifies += 1;
-            // One window per verify chip; the tracer annotates the verify
-            // once, in `finish_read`.
-            for chip in verify_set.chips() {
-                self.chip_window(&req, WindowRole::Verify, chip, vs, ve);
-            }
+            // The verify's chip window; the tracer also annotates the
+            // verify once, in `finish_read`.
+            self.chip_window(&req, WindowRole::Verify, verify_set, vs, ve);
             Some((vs, ve))
         } else {
             None

@@ -228,36 +228,53 @@ fn read_queue_full_returns_request() {
     assert_eq!(c.read_q_len(), QueueParams::paper_default().read_q);
 }
 
+/// Every chip window the tracer holds as `(req, role, chips, start, end)`,
+/// in completion order.
+type Windows = Vec<(u64, Option<WindowRole>, u16, u64, u64)>;
+
+fn tracer_windows(c: &ChannelController) -> Windows {
+    c.lifetrace()
+        .timelines()
+        .iter()
+        .flat_map(|t| {
+            t.windows()
+                .iter()
+                .map(move |w| (t.req, w.role, w.chips.bits(), w.start.0, w.end.0))
+        })
+        .collect()
+}
+
 #[test]
-#[expect(clippy::cast_possible_truncation, reason = "the eight data chips")]
-fn chip_ring_captures_read_windows() {
+fn tracer_captures_read_windows() {
     let mut c = ctrl(SystemKind::Baseline);
-    c.set_trace(true);
+    c.set_lifetrace(true);
     c.enqueue_read(read_req(1, 0, Cycle(0)), Cycle(0)).unwrap();
-    let done = c.step(Cycle(0))[0].done;
+    let done = c.step(Cycle(0))[0].done.0;
     // The eight word-serving chips, busy from issue until the data is
-    // ready; the ECC chip is read too but not shown.
-    let windows: Vec<_> = c.events().events().collect();
-    assert_eq!(windows.len(), 8);
-    for (i, w) in windows.iter().enumerate() {
-        assert_eq!((w.chip, w.start, w.end), (ChipId(i as u8), Cycle(0), done));
-        assert_eq!((w.req, w.role), (1, WindowRole::ReadData));
-    }
+    // ready, in one window; the ECC chip is read too but shows only in
+    // the base-service window (no role), which the chart does not draw.
+    assert_eq!(
+        tracer_windows(&c),
+        [
+            (1, Some(WindowRole::ReadData), 0xff, 0, done),
+            (1, None, 0x1ff, 0, done),
+        ]
+    );
 }
 
 #[test]
 fn chip_window_gantt_reproduces_occupancy() {
     let mut c = ctrl(SystemKind::Baseline);
-    c.set_trace(true);
+    c.set_lifetrace(true);
     let w = write_req(&c, 1, 0, &[3], Cycle(0));
     c.enqueue_write(w, Cycle(0)).unwrap();
     c.step(Cycle(0));
-    assert!(c
-        .events()
-        .events()
-        .any(|e| (e.req, e.role, e.chip) == (1, WindowRole::WriteData, ChipId(3))));
+    assert!(tracer_windows(&c)
+        .iter()
+        .any(|&(req, role, chips, ..)| (req, role, chips)
+            == (1, Some(WindowRole::WriteData), 1 << 3)));
     // A write's data window shows the id's last digit: '1' for write 1.
-    let gantt = c.events().render_gantt(BankId(0), 8);
+    let gantt = c.lifetrace().timelines().render_gantt(8);
     assert!(
         gantt
             .lines()
@@ -266,24 +283,31 @@ fn chip_window_gantt_reproduces_occupancy() {
     );
 }
 
-/// What the three chip-window recorders saw: the ring's windows as
-/// `(bank, chip, start, end)`, bank 0's Gantt chart, each retired
-/// request's tracer chip windows and the IRLP samples as bits.
+/// What the two chip-window recorders saw: every role's tracer window
+/// as `(chip, start, end)`, one per chip and sorted, the Gantt chart,
+/// each retired request's tracer chip service and the IRLP samples as
+/// bits.
 type Recorded = (
-    Vec<(u8, u8, u64, u64)>,
+    Vec<(u8, u64, u64)>,
     String,
     Vec<(u64, Vec<(u8, u64, u64)>)>,
     Vec<u64>,
 );
 
+#[expect(clippy::cast_possible_truncation, reason = "a chip index below 10")]
 fn recorded(c: &mut ChannelController) -> Recorded {
     c.settle(Cycle::MAX);
-    let ring = c
-        .events()
-        .events()
-        .map(|e| (e.bank.0, e.chip.0, e.start.0, e.end.0))
+    let mut windows: Vec<_> = tracer_windows(c)
+        .into_iter()
+        .filter(|w| w.1.is_some())
+        .flat_map(|(_, _, chips, s, e)| {
+            ChipSet::from_bits(chips)
+                .iter()
+                .map(move |chip| (chip as u8, s, e))
+        })
         .collect();
-    let gantt = c.events().render_gantt(BankId(0), 8);
+    windows.sort_unstable();
+    let gantt = c.lifetrace().timelines().render_gantt(8);
     let tracer = c
         .lifetrace()
         .timelines()
@@ -300,7 +324,7 @@ fn recorded(c: &mut ChannelController) -> Recorded {
         .iter()
         .map(|x| x.to_bits())
         .collect();
-    (ring, gantt, tracer, irlp)
+    (windows, gantt, tracer, irlp)
 }
 
 #[test]
@@ -311,7 +335,6 @@ fn chip_windows_reach_the_recorders_their_role_names() {
     // (ECC in step 1, PCC in step 2); read 40 is checked inline. Ids of
     // two digits show their last one in the chart.
     let mut c = ctrl(SystemKind::RowNr);
-    c.set_trace(true);
     c.set_lifetrace(true);
     let w = write_req(&c, 17, 0, &[3], Cycle(0));
     c.enqueue_write(w, Cycle(0)).unwrap();
@@ -324,15 +347,16 @@ fn chip_windows_reach_the_recorders_their_role_names() {
     let now = run_to_idle(&mut c, now).last().unwrap().done;
     c.enqueue_read(read_req(40, 128, now), now).unwrap();
     run_to_idle(&mut c, now);
-    let (ring, gantt, tracer, irlp) = recorded(&mut c);
-    let read = |chips: &[u8], s, e| chips.iter().map(|&c| (0, c, s, e)).collect::<Vec<_>>();
-    let mut want = vec![(0, 3, 0, 56), (0, 8, 0, 28), (0, 9, 56, 84)];
-    want.extend([(0, 3, 56, 89), (0, 8, 56, 89)]);
+    let (windows, gantt, tracer, irlp) = recorded(&mut c);
+    let read = |chips: &[u8], s, e| chips.iter().map(|&c| (c, s, e)).collect::<Vec<_>>();
+    let mut want = vec![(3, 0, 56), (8, 0, 28), (9, 56, 84)];
+    want.extend([(3, 56, 89), (8, 56, 89)]);
     want.extend(read(&[0, 1, 2, 4, 5, 6, 7, 9], 6, 39));
-    want.extend([(0, 1, 89, 145), (0, 5, 89, 145), (0, 8, 89, 117)]);
-    want.push((0, 9, 145, 173));
+    want.extend([(1, 89, 145), (5, 89, 145), (8, 89, 117)]);
+    want.push((9, 145, 173));
     want.extend(read(&[0, 1, 2, 3, 4, 5, 6, 7, 8], 173, 206));
-    assert_eq!(ring, want);
+    want.sort_unstable();
+    assert_eq!(windows, want);
     assert_eq!(
         gantt,
         "ch0  |88888................00000\n\
@@ -367,17 +391,17 @@ fn chip_windows_reach_the_recorders_their_role_names() {
     // Baseline: read 62 takes the bank first; write 51 then programs
     // chips 2 and 6 and rewrites the ECC chip.
     let mut c = ctrl(SystemKind::Baseline);
-    c.set_trace(true);
     c.set_lifetrace(true);
     let w = write_req(&c, 51, 0, &[2, 6], Cycle(0));
     c.enqueue_write(w, Cycle(0)).unwrap();
     c.enqueue_read(read_req(62, 64, Cycle(0)), Cycle(0))
         .unwrap();
     run_to_idle(&mut c, Cycle(0));
-    let (ring, gantt, tracer, irlp) = recorded(&mut c);
+    let (windows, gantt, tracer, irlp) = recorded(&mut c);
     let mut want = read(&[0, 1, 2, 3, 4, 5, 6, 7], 0, 33);
-    want.extend([(0, 2, 64, 120), (0, 6, 64, 120), (0, 8, 64, 120)]);
-    assert_eq!(ring, want);
+    want.extend([(2, 64, 120), (6, 64, 120), (8, 64, 120)]);
+    want.sort_unstable();
+    assert_eq!(windows, want);
     assert_eq!(
         gantt,
         "ch0  |22222..........\n\
@@ -400,11 +424,15 @@ fn chip_windows_reach_the_recorders_their_role_names() {
 }
 
 #[test]
-fn disabled_event_log_stays_empty() {
+fn an_untraced_controller_holds_no_windows() {
     let mut c = ctrl(SystemKind::Baseline);
-    c.enqueue_read(read_req(1, 0, Cycle(0)), Cycle(0)).unwrap();
-    c.step(Cycle(0));
-    assert!(c.events().is_empty());
+    let w = write_req(&c, 2, 0, &[3], Cycle(0));
+    c.enqueue_write(w, Cycle(0)).unwrap();
+    c.enqueue_read(read_req(1, 64, Cycle(0)), Cycle(0)).unwrap();
+    run_to_idle(&mut c, Cycle(0));
+    assert!(tracer_windows(&c).is_empty());
+    let gantt = c.lifetrace().timelines().render_gantt(8);
+    assert!(gantt.lines().all(|l| l.ends_with('|')), "{gantt}");
 }
 
 #[test]
@@ -1653,7 +1681,6 @@ proptest! {
         let mut rng = Xoshiro256::new(seed);
         for kind in SystemKind::all() {
             let mut c = ctrl(kind);
-            c.set_trace(true);
             c.set_lifetrace(true);
             let mut now = Cycle(0);
             let mut id = 0;
@@ -1677,7 +1704,81 @@ proptest! {
             run_to_idle(&mut c, now);
             let want = c.ring_oracle.render_gantt(BankId(0), 1);
             prop_assert!(want.contains(|g: char| g.is_ascii_digit()), "{kind}: empty scene");
-            prop_assert_eq!(c.events().render_gantt(BankId(0), 1), want, "{kind}");
+            prop_assert_eq!(c.lifetrace().timelines().render_gantt(1), want, "{kind}");
         }
     }
+}
+
+// ------------------------------------- check windows on a read's chips --
+
+/// `(write, read, chip)` for every check-chip window (`EccUpdate` or
+/// `PccUpdate`) of a traced write that lies on a data chip of a traced
+/// read (a chip of its `ReadData` windows) while that read was blocked:
+/// a walk over the tracer's timelines alone.
+fn check_windows_on_blocked_data_chips(c: &ChannelController) -> Vec<(u64, u64, u8)> {
+    let timelines = c.lifetrace().timelines();
+    let checks: Vec<(u64, pcmap_obs::ChipWindow)> = timelines
+        .iter()
+        .filter(|t| t.is_write)
+        .flat_map(|t| t.windows().iter().map(move |w| (t.req, *w)))
+        .filter(|(_, w)| matches!(w.role, Some(WindowRole::EccUpdate | WindowRole::PccUpdate)))
+        .collect();
+    let mut found = Vec::new();
+    for read in timelines.iter().filter(|t| !t.is_write) {
+        let data = read
+            .windows()
+            .iter()
+            .filter(|w| w.role == Some(WindowRole::ReadData))
+            .fold(ChipSet::empty(), |set, w| set | w.chips);
+        let blocked = read
+            .segments
+            .iter()
+            .filter(|s| matches!(s.phase, pcmap_obs::Phase::Blocked(_)));
+        for s in blocked {
+            for (write, w) in &checks {
+                if w.start < s.end && s.start < w.end {
+                    found.extend(
+                        (w.chips & data)
+                            .chips()
+                            .map(|chip| (*write, read.req, chip.0)),
+                    );
+                }
+            }
+        }
+    }
+    found.sort_unstable();
+    found.dedup();
+    found
+}
+
+#[test]
+fn rotated_check_windows_land_on_a_blocked_reads_data_chips() {
+    // Write 1 programs words 0 and 1 of line 2; read 2 of line 0 arrives
+    // while it runs and waits. Under RWoW-RDE line 2's ECC chip is chip
+    // 0, which serves line 0's word 0, so the step-1 ECC update holds a
+    // chip the read needs while it waits. (Its PCC chip, 1, serves word 1,
+    // but that update starts after the read's wait, and the read rebuilds
+    // word 1 from its own PCC chip.) Under RWoW-RD every line's check
+    // chips are 8 and 9, and the read, blocked all the same, reads
+    // neither as a data chip.
+    let scene = |kind| {
+        let mut c = ctrl(kind);
+        c.set_lifetrace(true);
+        let w = write_req(&c, 1, addr_in_bank(0, 2), &[0, 1], Cycle(0));
+        c.enqueue_write(w, Cycle(0)).unwrap();
+        c.step(Cycle(0));
+        c.enqueue_read(read_req(2, addr_in_bank(0, 0), Cycle(4)), Cycle(4))
+            .unwrap();
+        run_to_idle(&mut c, Cycle(4));
+        let read = c.lifetrace().timelines().iter().find(|t| t.req == 2);
+        let waited = read.is_some_and(|t| {
+            t.segments
+                .iter()
+                .any(|s| matches!(s.phase, pcmap_obs::Phase::Blocked(_)))
+        });
+        assert!(waited, "{kind}: read 2 was not blocked");
+        check_windows_on_blocked_data_chips(&c)
+    };
+    assert_eq!(scene(SystemKind::RwowRde), [(1, 2, 0)]);
+    assert_eq!(scene(SystemKind::RwowRd), []);
 }

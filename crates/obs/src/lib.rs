@@ -7,10 +7,8 @@
 //!
 //! - [`metric`] — by-name [`MetricsSnapshot`]s of counters, gauges and
 //!   histograms that merge across the four channels' controllers.
-//! - [`event`] — the bounded [`EventLog`] ring of chip windows: one
-//!   [`TraceEvent`] per chip reservation a controller commits, tagged
-//!   with its [`WindowRole`] and rendered as the Figure 5 chip-timeline
-//!   Gantt chart.
+//! - [`window`] — the [`WindowRole`] of each chip window a controller
+//!   records, and its glyph in the Figure 5 chart.
 //! - [`hist`] — the log-bucketed [`LatencyHistogram`] (p50/p95/p99),
 //!   shared by controllers and reports.
 //! - [`series`] — windowed throughput / IRLP time-series.
@@ -21,7 +19,10 @@
 //!   service phase, with a conservation invariant and a critical-path
 //!   reducer (DESIGN.md §13). A controller records each blocked attempt
 //!   with one call that bumps its stall counter and, when tracing, this
-//!   tracer, so the two views agree by construction.
+//!   tracer, so the two views agree by construction. The tracer is also
+//!   the one store of chip windows, each with its role:
+//!   [`Timelines::render_gantt`] draws them as the Figure 5 chip-timeline
+//!   Gantt chart.
 //! - [`json`] / [`csv`] / [`export`] — machine-readable exporters used by
 //!   the bench binaries to write `results/*.json` and `results/*.csv`.
 //!
@@ -30,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod event;
 pub mod export;
 pub mod hist;
 pub mod json;
@@ -38,14 +38,15 @@ pub mod lifecycle;
 pub mod metric;
 pub mod series;
 pub mod stall;
+pub mod window;
 
-pub use event::{EventLog, TraceEvent, WindowRole};
 pub use hist::LatencyHistogram;
 pub use json::Value;
 pub use lifecycle::{
-    CausalSummary, LifecycleReport, LifecycleTracer, Phase, RecoveryKind, ReqTimeline, Resource,
-    Segment, Timelines, WaitCause,
+    CausalSummary, ChipWindow, LifecycleReport, LifecycleTracer, Phase, RecoveryKind, ReqTimeline,
+    Resource, Segment, Timelines, WaitCause,
 };
 pub use metric::{GaugeRule, MetricsSnapshot};
 pub use series::{Window, WindowedSeries};
 pub use stall::StallBreakdown;
+pub use window::{EventLog, WindowRole};

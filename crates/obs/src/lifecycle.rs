@@ -14,9 +14,13 @@
 //! `ProtocolChecker`-style) and re-checked from the exported structures by
 //! the `pcmap_explain --smoke` CI gate.
 //!
-//! Like the chip-window ring ([`crate::event::EventLog`]), the tracer is
-//! disabled by default and costs one branch per hook when off. When on,
-//! tracing is pay-per-change (DESIGN.md §13f):
+//! Each timeline also keeps the chip windows its request occupied, each
+//! with its [`WindowRole`] ([`ChipWindow`]): the one store of chip
+//! windows. [`ReqTimeline::chip_service`] exports a subset of them, and
+//! [`Timelines::render_gantt`] draws them all as the Figure 5 chart.
+//!
+//! The tracer is disabled by default and costs one branch per hook when
+//! off. When on, tracing is pay-per-change (DESIGN.md §13f):
 //!
 //! - every hook is one point lookup of the request's open slot plus O(1)
 //!   work, and allocates nothing once the slots' recycled buffers have
@@ -51,6 +55,7 @@
 //! simulation (see DESIGN.md §13).
 
 use crate::json::Value;
+use crate::window::WindowRole;
 use pcmap_types::{BankId, ChipId, ChipSet, Cycle, LineMap};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -274,14 +279,32 @@ impl Segment {
     }
 }
 
-/// Chips busy over one window: every chip of `chips` over `[start, end)`.
-/// A read records its whole read set as one window; a write records one
-/// window per chip phase.
+/// Chips busy over one window: every chip of `chips` over `[start, end)`,
+/// doing the job `role` names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ChipWindow {
-    chips: ChipSet,
-    start: Cycle,
-    end: Cycle,
+pub struct ChipWindow {
+    /// The window's job; `None` marks a read's base-service window, its
+    /// whole read set until base service. The read's per-chip windows end
+    /// at `data_ready` instead, recovery included.
+    pub role: Option<WindowRole>,
+    /// The chips busy.
+    pub chips: ChipSet,
+    /// Window start (inclusive).
+    pub start: Cycle,
+    /// Window end (exclusive).
+    pub end: Cycle,
+}
+
+impl ChipWindow {
+    /// `true` for the windows [`ReqTimeline::chip_service`] exports: a
+    /// read's base-service window and a write's data-word, ECC-update and
+    /// PCC-update windows.
+    fn is_service(&self) -> bool {
+        matches!(
+            self.role,
+            None | Some(WindowRole::WriteData | WindowRole::EccUpdate | WindowRole::PccUpdate)
+        )
+    }
 }
 
 /// `true` when `segments` are contiguous from `arrival` to `retire` and
@@ -336,12 +359,21 @@ impl<'a> ReqTimeline<'a> {
         partitions(self.arrival, self.retire, self.segments)
     }
 
+    /// Every chip window of the request, in recording order: annotations
+    /// that overlap, not part of the partition.
+    #[must_use]
+    pub fn windows(&self) -> &'a [ChipWindow] {
+        self.windows
+    }
+
     /// Per-chip service windows `(chip, start, end)` from the reservation
-    /// commit point, in recording order (a read's chips ascending) —
-    /// annotations that overlap, not part of the partition.
+    /// commit point, in recording order (a window's chips ascending): a
+    /// read's base-service window and a write's data-word, ECC-update and
+    /// PCC-update windows, the ones the JSON export shows.
     pub fn chip_service(&self) -> impl Iterator<Item = (ChipId, Cycle, Cycle)> + 'a {
         self.windows
             .iter()
+            .filter(|w| w.is_service())
             .flat_map(|w| w.chips.chips().map(move |c| (c, w.start, w.end)))
     }
 
@@ -378,18 +410,17 @@ impl<'a> ReqTimeline<'a> {
             })
             .collect();
         o.set("segments", Value::Arr(segs));
-        // A window never has an empty chip set, so no windows ⇔ no chips.
-        if !self.windows.is_empty() {
-            let chips: Vec<Value> = self
-                .chip_service()
-                .map(|(chip, s, e)| {
-                    let mut c = Value::obj();
-                    c.set("chip", Value::U64(u64::from(chip.0)));
-                    c.set("start", Value::U64(s.0));
-                    c.set("end", Value::U64(e.0));
-                    c
-                })
-                .collect();
+        let chips: Vec<Value> = self
+            .chip_service()
+            .map(|(chip, s, e)| {
+                let mut c = Value::obj();
+                c.set("chip", Value::U64(u64::from(chip.0)));
+                c.set("start", Value::U64(s.0));
+                c.set("end", Value::U64(e.0));
+                c
+            })
+            .collect();
+        if !chips.is_empty() {
             o.set("chip_service", Value::Arr(chips));
         }
         if let Some((vs, ve)) = self.verify {
@@ -475,6 +506,61 @@ impl Timelines {
     /// Every timeline, in completion order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = ReqTimeline<'_>> + '_ {
         (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// The Figure 5 chip-occupancy chart of these timelines: one row per
+    /// chip (`ch0`..`ch7`, `ECC`, `PCC`), `cycles_per_cell` cycles per
+    /// cell, each window drawn with its role's [`WindowRole::glyph`].
+    ///
+    /// Draw order: timelines in completion order, each one's windows in
+    /// recording order; a later window overwrites a cell it shares with an
+    /// earlier one. Windows on one chip never overlap in a fault-free
+    /// schedule, so only a cell two windows share at its two ends depends
+    /// on the order. A read's base-service window has no role and is not
+    /// drawn: its per-chip windows cover it. The chart overlays every bank
+    /// of the channel, so draw it from a one-bank scene.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles_per_cell` is zero.
+    #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a row has one cell per cycles_per_cell cycles of timelines held in memory, so it fits usize"
+    )]
+    pub fn render_gantt(&self, cycles_per_cell: u64) -> String {
+        assert!(cycles_per_cell > 0, "cycles_per_cell must be positive");
+        let drawn = || {
+            self.iter().flat_map(|t| {
+                t.windows
+                    .iter()
+                    .filter_map(move |w| w.role.map(|role| (role.glyph(t.req), w)))
+            })
+        };
+        let horizon = drawn().map(|(_, w)| w.end.0).max().unwrap_or(0);
+        let width = horizon.div_ceil(cycles_per_cell) as usize;
+        let mut rows = vec![vec!['.'; width]; ChipId::TOTAL_CHIPS];
+        for (glyph, w) in drawn() {
+            let from = (w.start.0 / cycles_per_cell) as usize;
+            let to = (w.end.0.div_ceil(cycles_per_cell) as usize).min(width);
+            for chip in w.chips.iter() {
+                for cell in rows[chip].iter_mut().take(to).skip(from) {
+                    *cell = glyph;
+                }
+            }
+        }
+        let mut out = String::new();
+        for (chip, row) in rows.into_iter().enumerate() {
+            match chip {
+                8 => out.push_str("ECC "),
+                9 => out.push_str("PCC "),
+                n => out.push_str(&format!("ch{n}  ")),
+            }
+            out.push('|');
+            out.extend(row);
+            out.push('\n');
+        }
+        out
     }
 
     /// Appends one timeline; `head`'s arena offsets are set here.
@@ -831,13 +917,35 @@ impl LifecycleTracer {
         }
     }
 
-    /// Service window of `chips` from the reservation commit point.
-    pub fn chip_service(&mut self, req: u64, chips: ChipSet, start: Cycle, end: Cycle) {
+    /// `chips` serve the request over `[start, end)` in `role` (`None`: a
+    /// read's base-service window). A call with the last window's role and
+    /// interval whose chips are all above that window's joins its set, so
+    /// the set expands in call order.
+    pub fn chip_window(
+        &mut self,
+        req: u64,
+        role: Option<WindowRole>,
+        chips: ChipSet,
+        start: Cycle,
+        end: Cycle,
+    ) {
         if !self.enabled || chips.is_empty() {
             return;
         }
-        if let Some(open) = self.slot(req) {
-            open.windows.push(ChipWindow { chips, start, end });
+        let Some(open) = self.slot(req) else {
+            return;
+        };
+        let above = |w: &ChipWindow| chips.first().is_some_and(|lo| w.chips.bits() >> lo == 0);
+        match open.windows.last_mut() {
+            Some(w) if (w.role, w.start, w.end) == (role, start, end) && above(w) => {
+                w.chips = w.chips | chips;
+            }
+            _ => open.windows.push(ChipWindow {
+                role,
+                chips,
+                start,
+                end,
+            }),
         }
     }
 
@@ -1353,9 +1461,9 @@ mod tests {
         for c in [7, 2, 9] {
             set.insert_chip(ChipId(c));
         }
-        t.chip_service(4, ChipSet::single(5), Cycle(0), Cycle(3));
-        t.chip_service(4, set, Cycle(1), Cycle(8));
-        t.chip_service(4, ChipSet::empty(), Cycle(1), Cycle(8));
+        t.chip_window(4, None, ChipSet::single(5), Cycle(0), Cycle(3));
+        t.chip_window(4, None, set, Cycle(1), Cycle(8));
+        t.chip_window(4, None, ChipSet::empty(), Cycle(1), Cycle(8));
         t.issue(4, Cycle(1), Cycle(1), Cycle(8));
         t.complete(4, Cycle(8));
         let got: Vec<(u8, u64, u64)> = t
@@ -1365,6 +1473,78 @@ mod tests {
             .map(|(c, s, e)| (c.0, s.0, e.0))
             .collect();
         assert_eq!(got, [(5, 0, 3), (2, 1, 8), (7, 1, 8), (9, 1, 8)]);
+    }
+
+    #[test]
+    fn a_window_joins_the_last_one_of_its_role_and_interval_above_its_chips() {
+        use WindowRole::*;
+        let mut t = traced();
+        t.arrival(6, Cycle(0), true);
+        let calls = [
+            (Some(WriteData), 1, 0, 56),
+            (Some(WriteData), 4, 0, 56), // joins {1}
+            (Some(WriteData), 2, 0, 56), // below chip 4: a new window
+            (Some(WriteData), 3, 0, 60), // another interval
+            (Some(EccUpdate), 8, 0, 60), // another role
+            (None, 9, 0, 60),
+            (Some(EccUpdate), 9, 0, 60), // not consecutive with chip 8's
+        ];
+        for (role, chip, s, e) in calls {
+            t.chip_window(6, role, ChipSet::single(chip), Cycle(s), Cycle(e));
+        }
+        t.complete(6, Cycle(60));
+        let tl = t.timelines().get(0);
+        let got: Vec<_> = tl
+            .windows()
+            .iter()
+            .map(|w| (w.role, w.chips.bits(), w.start.0, w.end.0))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (Some(WriteData), 0b10010, 0, 56),
+                (Some(WriteData), 0b100, 0, 56),
+                (Some(WriteData), 0b1000, 0, 60),
+                (Some(EccUpdate), 1 << 8, 0, 60),
+                (None, 1 << 9, 0, 60),
+                (Some(EccUpdate), 1 << 9, 0, 60),
+            ]
+        );
+        // Chip service replays the calls of the roles it shows, in order.
+        let service: Vec<u8> = tl.chip_service().map(|(c, _, _)| c.0).collect();
+        assert_eq!(service, [1, 4, 2, 3, 8, 9, 9]);
+    }
+
+    #[test]
+    fn gantt_draws_timelines_in_completion_order_and_skips_base_service() {
+        use WindowRole::*;
+        let mut t = traced();
+        // Write 1 completes after read 2, so read 2 is drawn first and
+        // write 1's window overwrites the cell both occupy.
+        t.arrival(1, Cycle(0), true);
+        t.arrival(2, Cycle(0), false);
+        t.chip_window(1, Some(WriteData), ChipSet::single(3), Cycle(4), Cycle(12));
+        t.chip_window(2, None, ChipSet::single(3), Cycle(0), Cycle(10));
+        t.chip_window(2, Some(ReadData), ChipSet::single(3), Cycle(0), Cycle(6));
+        t.chip_window(2, Some(EccWithData), ChipSet::single(8), Cycle(0), Cycle(6));
+        t.complete(2, Cycle(6));
+        t.complete(1, Cycle(12));
+        let g = t.timelines().render_gantt(4);
+        let lines: Vec<&str> = g.lines().collect();
+        assert_eq!(lines.len(), 10);
+        assert_eq!(lines[3], "ch3  |211");
+        assert_eq!(lines[8], "ECC |22.");
+        assert!(
+            lines
+                .iter()
+                .enumerate()
+                .all(|(i, l)| [3, 8].contains(&i) || l.ends_with("|...")),
+            "{g}"
+        );
+        assert_eq!(
+            Timelines::default().render_gantt(4),
+            "ch0  |\nch1  |\nch2  |\nch3  |\nch4  |\nch5  |\nch6  |\nch7  |\nECC |\nPCC |\n"
+        );
     }
 
     #[test]
@@ -1925,22 +2105,30 @@ mod tests {
     const REQS: usize = 6;
 
     /// Drives one tracer through the hooks; the oracle takes one
-    /// `chip_service` call per chip of a set, ascending, as the
-    /// controller's read path made them before sets were recorded whole.
+    /// `chip_service` call per chip of a window whose role the export
+    /// shows, ascending, as the controller's read path made them before
+    /// sets were recorded whole and before windows carried roles.
     trait Hooks {
         fn arrival(&mut self, req: u64, at: Cycle, is_write: bool);
         fn forwarded(&mut self, req: u64, at: Cycle, done: Cycle);
         fn blocked(&mut self, req: u64, at: Cycle, cause: WaitCause, r: Option<Resource>);
         fn issue(&mut self, req: u64, decided: Cycle, start: Cycle, end: Cycle);
         fn recovery(&mut self, req: u64, kind: RecoveryKind, to: Cycle);
-        fn chip_service(&mut self, req: u64, chips: ChipSet, start: Cycle, end: Cycle);
+        fn chip_window(
+            &mut self,
+            req: u64,
+            role: Option<WindowRole>,
+            chips: ChipSet,
+            start: Cycle,
+            end: Cycle,
+        );
         fn verify(&mut self, req: u64, start: Cycle, end: Cycle);
         fn failed(&mut self, req: u64);
         fn complete(&mut self, req: u64, retire: Cycle);
     }
 
     macro_rules! forward_hooks {
-        ($t:ty, |$s:ident, $req:ident, $chips:ident, $start:ident, $end:ident| $chip:expr) => {
+        ($t:ty, |$s:ident, $req:ident, $role:ident, $chips:ident, $start:ident, $end:ident| $chip:expr) => {
             impl Hooks for $t {
                 fn arrival(&mut self, req: u64, at: Cycle, is_write: bool) {
                     <$t>::arrival(self, req, at, is_write);
@@ -1957,7 +2145,14 @@ mod tests {
                 fn recovery(&mut self, req: u64, kind: RecoveryKind, to: Cycle) {
                     <$t>::recovery(self, req, kind, to);
                 }
-                fn chip_service(&mut self, $req: u64, $chips: ChipSet, $start: Cycle, $end: Cycle) {
+                fn chip_window(
+                    &mut self,
+                    $req: u64,
+                    $role: Option<WindowRole>,
+                    $chips: ChipSet,
+                    $start: Cycle,
+                    $end: Cycle,
+                ) {
                     let $s = self;
                     $chip
                 }
@@ -1974,13 +2169,36 @@ mod tests {
         };
     }
 
-    forward_hooks!(LifecycleTracer, |t, req, chips, start, end| t
-        .chip_service(req, chips, start, end));
-    forward_hooks!(oracle::LifecycleTracer, |t, req, chips, start, end| {
-        for chip in chips.chips() {
-            t.chip_service(req, chip, start, end);
+    forward_hooks!(LifecycleTracer, |t, req, role, chips, start, end| t
+        .chip_window(req, role, chips, start, end));
+    forward_hooks!(
+        oracle::LifecycleTracer,
+        |t, req, role, chips, start, end| {
+            let window = ChipWindow {
+                role,
+                chips,
+                start,
+                end,
+            };
+            if window.is_service() {
+                for chip in chips.chips() {
+                    t.chip_service(req, chip, start, end);
+                }
+            }
         }
-    });
+    );
+
+    /// Window roles drawn by the replay: a read's base-service window and
+    /// every role, half of them hidden from the export.
+    const ROLES: [Option<WindowRole>; 7] = [
+        None,
+        Some(WindowRole::WriteData),
+        Some(WindowRole::EccUpdate),
+        Some(WindowRole::PccUpdate),
+        Some(WindowRole::EccWithData),
+        Some(WindowRole::Verify),
+        Some(WindowRole::ReadData),
+    ];
 
     /// Causes drawn from a short list so attempts repeat often.
     const CAUSES: [WaitCause; 5] = [
@@ -2055,9 +2273,19 @@ mod tests {
                     touch(at + d);
                     t.recovery(req, kind, Cycle(at + d));
                 }
+                // One window, or two calls that split a set at a random
+                // chip (its low part first), which the tracer joins.
                 12 | 13 => {
+                    let role = ROLES[((w >> 36) % 7) as usize];
                     let chips = ChipSet::from_bits(((w >> 20) & 0xffff) as u16);
-                    t.chip_service(req, chips, Cycle(at), Cycle(at + d));
+                    let (at, end) = (Cycle(at), Cycle(at + d));
+                    if w % 20 == 12 {
+                        t.chip_window(req, role, chips, at, end);
+                    } else {
+                        let low = ChipSet::from_bits(chips.bits() & ((1 << ((w >> 44) % 11)) - 1));
+                        t.chip_window(req, role, low, at, end);
+                        t.chip_window(req, role, chips & !low, at, end);
+                    }
                 }
                 14 => t.verify(req, Cycle(at), Cycle(at + d)),
                 15 => t.failed(req),

@@ -163,9 +163,6 @@ pub struct RunReport {
     /// Protocol-invariant violations observed (always 0 on a healthy run;
     /// strict mode panics at the violation site instead of counting).
     pub invariant_violations: u64,
-    /// Chip windows dropped by the channels' bounded rings; nonzero means
-    /// the timelines rendered from them are incomplete.
-    pub events_dropped: u64,
     /// Request timelines dropped by the lifecycle tracers' capacity caps
     /// (always 0 when lifecycle tracing is off).
     pub lifetrace_dropped: u64,
@@ -312,9 +309,8 @@ impl RunReport {
             "invariant_violations",
             Value::U64(self.invariant_violations),
         );
-        // Always present (0 when the logs/tracers are off or never filled),
-        // so enabling tracing cannot perturb the report's byte layout.
-        v.set("events_dropped", Value::U64(self.events_dropped));
+        // Always present (0 when the tracers are off or never filled), so
+        // enabling tracing cannot perturb the report's byte layout.
         v.set("lifetrace_dropped", Value::U64(self.lifetrace_dropped));
         let mut faults = Value::obj();
         faults.set("injected", Value::U64(self.faults_injected));
@@ -545,19 +541,11 @@ impl System {
         self.gate = Some(gate);
     }
 
-    /// Enables chip-window recording on every channel (for timeline
-    /// rendering; keep runs short).
-    pub fn enable_tracing(&mut self) {
-        for c in &mut self.ctrls {
-            c.set_trace(true);
-        }
-    }
-
     /// Enables per-request causal lifecycle tracing on every channel
-    /// (DESIGN.md §13). Independent of [`Self::enable_tracing`]: the
-    /// tracer attributes every simulated cycle of every request to a wait
-    /// cause or service phase, and the resulting [`LifecycleReport`] rides
-    /// on [`RunReport::lifecycle`] without touching the JSON report.
+    /// (DESIGN.md §13): the tracer attributes every simulated cycle of
+    /// every request to a wait cause or service phase and keeps its chip
+    /// windows, and the resulting [`LifecycleReport`] rides on
+    /// [`RunReport::lifecycle`] without touching the JSON report.
     pub fn enable_lifecycle_tracing(&mut self) {
         for c in &mut self.ctrls {
             c.set_lifetrace(true);
@@ -973,7 +961,6 @@ impl System {
         sim.set_counter("enqueue_retries", self.enqueue_retries);
         sim.set_counter("rollbacks_charged", self.rollbacks_charged);
         sim.set_counter("reads_failed_delivered", self.reads_failed_delivered);
-        let events_dropped: u64 = self.ctrls.iter().map(|c| c.events().dropped()).sum();
         let lifetrace_dropped: u64 = self.ctrls.iter().map(|c| c.lifetrace().dropped()).sum();
         let lifecycle = if self.ctrls.iter().any(|c| c.lifetrace().enabled()) {
             Some(LifecycleReport::gather(
@@ -1063,7 +1050,6 @@ impl System {
             wear_imbalance: wear_imb,
             invariants_checked: merged.counter("invariants_checked"),
             invariant_violations: merged.counter("invariant_violations"),
-            events_dropped,
             lifetrace_dropped,
             lifecycle,
             serve: self.gate.as_ref().map(|g| g.summary()),
@@ -1139,69 +1125,27 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_does_not_change_simulation() {
-        let wl = catalog::by_name("streamcluster").unwrap();
-        let cfg = SimConfig::paper_default(SystemKind::RwowRde).with_requests(600);
-        let off = System::new(cfg.clone(), wl.clone()).run();
-        let mut traced = System::new(cfg, wl);
-        traced.enable_tracing();
-        let on = traced.run();
-        assert_eq!(off.mem_cycles, on.mem_cycles);
-        assert_eq!(off.instructions, on.instructions);
-        assert_eq!(off.cpu_cycles, on.cpu_cycles);
-        assert_eq!(off.reads_completed, on.reads_completed);
-        assert_eq!(off.writes_completed, on.writes_completed);
-        assert_eq!(off.essential_histogram, on.essential_histogram);
-        assert_eq!(off.reads_via_row, on.reads_via_row);
-        assert_eq!(off.rollbacks, on.rollbacks);
-    }
-
-    #[test]
-    fn chip_ring_and_tracer_leave_every_report_byte_identical() {
-        // The ring feeds Figure 5 and the tracer the timelines; neither
-        // may move a reported figure (IRLP included) on any system.
+    fn lifecycle_tracing_leaves_every_report_byte_identical() {
+        // The tracer observes the schedule (timelines, chip windows,
+        // Figure 5), it never perturbs it: on every system the report JSON
+        // is byte-identical with it off and on, IRLP included. The timeline
+        // report travels beside the JSON, in `lifecycle`.
         let wl = catalog::by_name("streamcluster").unwrap();
         for kind in SystemKind::all() {
             let cfg = SimConfig::paper_default(kind).with_requests(600);
             let off = System::new(cfg.clone(), wl.clone()).run();
-            let mut ring = System::new(cfg.clone(), wl.clone());
-            ring.enable_tracing();
-            let ring = ring.run();
-            let mut both = System::new(cfg, wl.clone());
-            both.enable_tracing();
-            both.enable_lifecycle_tracing();
-            let both = both.run();
-            assert_eq!(ring.events_dropped, 0, "{kind}: the ring truncated");
-            assert_eq!(both.events_dropped, 0, "{kind}: the ring truncated");
-            let off = off.to_json().to_json_string();
-            assert_eq!(off, ring.to_json().to_json_string(), "{kind}: ring on");
+            let mut traced = System::new(cfg, wl.clone());
+            traced.enable_lifecycle_tracing();
+            let on = traced.run();
+            assert!(off.lifecycle.is_none(), "{kind}: tracing was not enabled");
+            assert!(on.lifecycle.is_some(), "{kind}: tracing was enabled");
+            assert_eq!(on.lifetrace_dropped, 0, "{kind}: the tracer truncated");
             assert_eq!(
-                off,
-                both.to_json().to_json_string(),
-                "{kind}: ring and tracer on"
+                off.to_json().to_json_string(),
+                on.to_json().to_json_string(),
+                "{kind}: tracing moved the report"
             );
         }
-    }
-
-    #[test]
-    fn lifecycle_tracing_is_determinism_neutral() {
-        // ISSUE 7 determinism contract: the lifecycle tracer observes the
-        // schedule, it never perturbs it. With tracing enabled the
-        // RunReport JSON must stay byte-identical (the full timeline
-        // report lives outside `to_json`; `lifetrace_dropped` is 0 here).
-        let wl = catalog::by_name("streamcluster").unwrap();
-        let cfg = SimConfig::paper_default(SystemKind::RwowRde).with_requests(600);
-        let off = System::new(cfg.clone(), wl.clone()).run();
-        let mut traced = System::new(cfg, wl);
-        traced.enable_lifecycle_tracing();
-        let on = traced.run();
-        assert!(on.lifecycle.is_some(), "tracing was enabled");
-        assert!(off.lifecycle.is_none(), "tracing was not enabled");
-        assert_eq!(
-            off.to_json().to_json_string(),
-            on.to_json().to_json_string(),
-            "lifecycle tracing must be determinism-neutral"
-        );
     }
 
     #[test]

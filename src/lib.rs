@@ -16,7 +16,7 @@
 //!   hierarchy with per-word dirty masks.
 //! - [`workloads`] — calibrated SPEC/PARSEC/STREAM workload models.
 //! - [`obs`] — telemetry: mergeable metric snapshots, the
-//!   chip-window ring behind Figure 5, the request-lifecycle tracer,
+//!   request-lifecycle tracer (whose chip windows draw Figure 5),
 //!   latency percentiles, windowed series, JSON/CSV export (DESIGN.md §8).
 //! - [`sim`] — the full-system simulator, the paper's experiment registry
 //!   and `SweepRunner`, which farms a sweep's independent runs to the
