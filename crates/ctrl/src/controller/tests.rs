@@ -239,7 +239,7 @@ fn tracer_windows(c: &ChannelController) -> Windows {
         .flat_map(|t| {
             t.windows()
                 .iter()
-                .map(move |w| (t.req, w.role, w.chips.bits(), w.start.0, w.end.0))
+                .map(move |w| (t.req, w.role(), w.chips().bits(), w.start().0, w.end().0))
         })
         .collect()
 }
@@ -1721,24 +1721,29 @@ fn check_windows_on_blocked_data_chips(c: &ChannelController) -> Vec<(u64, u64, 
         .iter()
         .filter(|t| t.is_write)
         .flat_map(|t| t.windows().iter().map(move |w| (t.req, *w)))
-        .filter(|(_, w)| matches!(w.role, Some(WindowRole::EccUpdate | WindowRole::PccUpdate)))
+        .filter(|(_, w)| {
+            matches!(
+                w.role(),
+                Some(WindowRole::EccUpdate | WindowRole::PccUpdate)
+            )
+        })
         .collect();
     let mut found = Vec::new();
     for read in timelines.iter().filter(|t| !t.is_write) {
         let data = read
             .windows()
             .iter()
-            .filter(|w| w.role == Some(WindowRole::ReadData))
-            .fold(ChipSet::empty(), |set, w| set | w.chips);
+            .filter(|w| w.role() == Some(WindowRole::ReadData))
+            .fold(ChipSet::empty(), |set, w| set | w.chips());
         let blocked = read
             .segments
             .iter()
             .filter(|s| matches!(s.phase, pcmap_obs::Phase::Blocked(_)));
         for s in blocked {
             for (write, w) in &checks {
-                if w.start < s.end && s.start < w.end {
+                if w.start() < s.end && s.start < w.end() {
                     found.extend(
-                        (w.chips & data)
+                        (w.chips() & data)
                             .chips()
                             .map(|chip| (*write, read.req, chip.0)),
                     );

@@ -279,23 +279,56 @@ impl Segment {
     }
 }
 
-/// Chips busy over one window: every chip of `chips` over `[start, end)`,
-/// doing the job `role` names.
+/// Chips busy over one window: every chip of [`Self::chips`] over
+/// `[start, end)`, doing the job [`Self::role`] names. The length is kept
+/// as a `u32`, so a window takes 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChipWindow {
-    /// The window's job; `None` marks a read's base-service window, its
-    /// whole read set until base service. The read's per-chip windows end
-    /// at `data_ready` instead, recovery included.
-    pub role: Option<WindowRole>,
-    /// The chips busy.
-    pub chips: ChipSet,
-    /// Window start (inclusive).
-    pub start: Cycle,
-    /// Window end (exclusive).
-    pub end: Cycle,
+    start: Cycle,
+    len: u32,
+    chips: ChipSet,
+    role: Option<WindowRole>,
 }
 
 impl ChipWindow {
+    /// The window of `chips` over `[start, end)` in `role`; an `end` before
+    /// `start` makes it empty.
+    fn new(role: Option<WindowRole>, chips: ChipSet, start: Cycle, end: Cycle) -> Self {
+        let len = end.0.saturating_sub(start.0);
+        Self {
+            start,
+            len: u32::try_from(len).expect("a chip window lasts under 2^32 cycles"),
+            chips,
+            role,
+        }
+    }
+
+    /// The window's job; `None` marks a read's base-service window, its
+    /// whole read set until base service. The read's per-chip windows end
+    /// at `data_ready` instead, recovery included.
+    #[must_use]
+    pub fn role(&self) -> Option<WindowRole> {
+        self.role
+    }
+
+    /// The chips busy.
+    #[must_use]
+    pub fn chips(&self) -> ChipSet {
+        self.chips
+    }
+
+    /// Window start (inclusive).
+    #[must_use]
+    pub fn start(&self) -> Cycle {
+        self.start
+    }
+
+    /// Window end (exclusive).
+    #[must_use]
+    pub fn end(&self) -> Cycle {
+        Cycle(self.start.0 + u64::from(self.len))
+    }
+
     /// `true` for the windows [`ReqTimeline::chip_service`] exports: a
     /// read's base-service window and a write's data-word, ECC-update and
     /// PCC-update windows.
@@ -374,7 +407,7 @@ impl<'a> ReqTimeline<'a> {
         self.windows
             .iter()
             .filter(|w| w.is_service())
-            .flat_map(|w| w.chips.chips().map(move |c| (c, w.start, w.end)))
+            .flat_map(|w| w.chips.chips().map(move |c| (c, w.start, w.end())))
     }
 
     /// JSON rendering of the full timeline.
@@ -537,12 +570,12 @@ impl Timelines {
                     .filter_map(move |w| w.role.map(|role| (role.glyph(t.req), w)))
             })
         };
-        let horizon = drawn().map(|(_, w)| w.end.0).max().unwrap_or(0);
+        let horizon = drawn().map(|(_, w)| w.end().0).max().unwrap_or(0);
         let width = horizon.div_ceil(cycles_per_cell) as usize;
         let mut rows = vec![vec!['.'; width]; ChipId::TOTAL_CHIPS];
         for (glyph, w) in drawn() {
             let from = (w.start.0 / cycles_per_cell) as usize;
-            let to = (w.end.0.div_ceil(cycles_per_cell) as usize).min(width);
+            let to = (w.end().0.div_ceil(cycles_per_cell) as usize).min(width);
             for chip in w.chips.iter() {
                 for cell in rows[chip].iter_mut().take(to).skip(from) {
                     *cell = glyph;
@@ -935,17 +968,13 @@ impl LifecycleTracer {
         let Some(open) = self.slot(req) else {
             return;
         };
+        let window = ChipWindow::new(role, chips, start, end);
         let above = |w: &ChipWindow| chips.first().is_some_and(|lo| w.chips.bits() >> lo == 0);
         match open.windows.last_mut() {
-            Some(w) if (w.role, w.start, w.end) == (role, start, end) && above(w) => {
+            Some(w) if (w.role, w.start, w.len) == (role, start, window.len) && above(w) => {
                 w.chips = w.chips | chips;
             }
-            _ => open.windows.push(ChipWindow {
-                role,
-                chips,
-                start,
-                end,
-            }),
+            _ => open.windows.push(window),
         }
     }
 
@@ -1497,7 +1526,7 @@ mod tests {
         let got: Vec<_> = tl
             .windows()
             .iter()
-            .map(|w| (w.role, w.chips.bits(), w.start.0, w.end.0))
+            .map(|w| (w.role, w.chips.bits(), w.start.0, w.end().0))
             .collect();
         assert_eq!(
             got,
@@ -1513,6 +1542,21 @@ mod tests {
         // Chip service replays the calls of the roles it shows, in order.
         let service: Vec<u8> = tl.chip_service().map(|(c, _, _)| c.0).collect();
         assert_eq!(service, [1, 4, 2, 3, 8, 9, 9]);
+    }
+
+    #[test]
+    fn a_chip_window_takes_16_bytes() {
+        assert_eq!(std::mem::size_of::<ChipWindow>(), 16);
+        let w = ChipWindow::new(
+            None,
+            ChipSet::single(2),
+            Cycle(7),
+            Cycle(7 + u64::from(u32::MAX)),
+        );
+        assert_eq!(
+            (w.start(), w.end()),
+            (Cycle(7), Cycle(7 + u64::from(u32::MAX)))
+        );
     }
 
     #[test]
@@ -2174,13 +2218,7 @@ mod tests {
     forward_hooks!(
         oracle::LifecycleTracer,
         |t, req, role, chips, start, end| {
-            let window = ChipWindow {
-                role,
-                chips,
-                start,
-                end,
-            };
-            if window.is_service() {
+            if ChipWindow::new(role, chips, start, end).is_service() {
                 for chip in chips.chips() {
                     t.chip_service(req, chip, start, end);
                 }
