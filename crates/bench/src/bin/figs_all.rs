@@ -4,7 +4,8 @@
 //!
 //! Every table also lands as CSV under `results/`, and the full per-run
 //! telemetry (per-channel counters, latency percentiles, IRLP, stall
-//! breakdown) as `results/figs_all.json`.
+//! breakdown) as `results/figs_all.json`. The average rows are not runs:
+//! they appear in the tables and CSVs only.
 
 use pcmap_bench::cli::scale_from_args;
 use pcmap_bench::{

@@ -137,7 +137,7 @@ fn read_blocked_by_ongoing_write_is_counted_delayed() {
     assert_eq!(done.len(), 1);
     assert!(done[0].done > write_done);
     assert_eq!(c.stats().reads_delayed_by_write, 1);
-    assert_eq!(c.stats().delayed_read_fraction(), 1.0);
+    assert_eq!(c.stats().reads_done, 1);
 }
 
 #[test]
@@ -203,11 +203,8 @@ fn irlp_of_baseline_single_word_write_is_one() {
     let samples = c.stats().irlp.samples();
     assert_eq!(samples.len(), 1);
     // One essential chip busy ~86% of the window (transfer preamble).
-    assert!(
-        samples[0] > 0.5 && samples[0] <= 1.0,
-        "irlp = {}",
-        samples[0]
-    );
+    let irlp = samples[0].1;
+    assert!(irlp > 0.5 && irlp <= 1.0, "irlp = {irlp}");
 }
 
 #[test]
@@ -291,7 +288,7 @@ type Recorded = (
     Vec<(u8, u64, u64)>,
     String,
     Vec<(u64, Vec<(u8, u64, u64)>)>,
-    Vec<u64>,
+    Vec<(Cycle, u64)>,
 );
 
 #[expect(clippy::cast_possible_truncation, reason = "a chip index below 10")]
@@ -322,7 +319,7 @@ fn recorded(c: &mut ChannelController) -> Recorded {
         .irlp
         .samples()
         .iter()
-        .map(|x| x.to_bits())
+        .map(|&(end, x)| (end, x.to_bits()))
         .collect();
     (windows, gantt, tracer, irlp)
 }
@@ -386,7 +383,13 @@ fn chip_windows_reach_the_recorders_their_role_names() {
     // Write 17's window holds its chip and, for 33 of its 56 cycles,
     // read 28's eight word chips (nine capped at eight); write 39's holds
     // its two chips. Check-chip updates and read 40 count nowhere.
-    assert_eq!(irlp, [5.125f64.to_bits(), 2.0f64.to_bits()]);
+    assert_eq!(
+        irlp,
+        [
+            (Cycle(56), 5.125f64.to_bits()),
+            (Cycle(145), 2.0f64.to_bits())
+        ]
+    );
 
     // Baseline: read 62 takes the bank first; write 51 then programs
     // chips 2 and 6 and rewrites the ECC chip.
@@ -420,7 +423,7 @@ fn chip_windows_reach_the_recorders_their_role_names() {
         (51, vec![(2, 64, 120), (6, 64, 120)]),
     ];
     assert_eq!(tracer, want);
-    assert_eq!(irlp, [2.0f64.to_bits()]);
+    assert_eq!(irlp, [(Cycle(120), 2.0f64.to_bits())]);
 }
 
 #[test]

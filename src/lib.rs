@@ -34,7 +34,7 @@
 //! let cfg = SimConfig::paper_default(SystemKind::RwowRde).with_requests(2_000);
 //! let report = System::new(cfg, workload).run();
 //! assert!(report.reads_completed > 0);
-//! println!("IRLP = {:.2}", report.irlp());
+//! println!("IRLP = {:.2}", report.irlp_mean);
 //! ```
 
 #![warn(missing_docs)]
