@@ -174,7 +174,9 @@ pub trait Controller: Send {
     /// Enables or disables causal lifecycle tracing.
     fn set_lifetrace(&mut self, enabled: bool);
     /// Finalizes metric windows up to `now` (pass [`Cycle::MAX`] at the end
-    /// of simulation).
+    /// of simulation). Every step already settles at its own `now`, so
+    /// extra calls at or before the current step time leave the
+    /// statistics and the report unchanged, bit for bit.
     fn settle(&mut self, now: Cycle);
 
     /// Number of write-drain episodes started so far.
