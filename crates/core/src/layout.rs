@@ -99,21 +99,25 @@ impl Layout {
     /// # Panics
     ///
     /// Panics in debug builds if `w >= 8`.
+    #[inline]
     pub fn chip_of_word(&self, line: LineAddr, w: usize) -> ChipId {
         self.chip_of_slot(line, self.slot_of_word(line, w))
     }
 
     /// The physical chip holding `line`'s ECC word.
+    #[inline]
     pub fn ecc_chip(&self, line: LineAddr) -> ChipId {
         self.chip_of_slot(line, 8)
     }
 
     /// The physical chip holding `line`'s PCC word.
+    #[inline]
     pub fn pcc_chip(&self, line: LineAddr) -> ChipId {
         self.chip_of_slot(line, 9)
     }
 
     /// The set of chips holding `line`'s eight data words.
+    #[inline]
     pub fn word_chips(&self, line: LineAddr) -> ChipSet {
         let mut s = ChipSet::empty();
         for w in 0..8 {
@@ -124,6 +128,7 @@ impl Layout {
 
     /// Maps a set of logical words to the set of physical chips holding
     /// them.
+    #[inline]
     pub fn chips_of_mask(&self, line: LineAddr, mask: WordMask) -> ChipSet {
         let mut s = ChipSet::empty();
         for w in mask.iter() {

@@ -147,6 +147,7 @@ impl CoreModel {
 
     /// Retires instructions up to `cpu_now`, bounded by the compute burst
     /// and the oldest read's ROB barrier.
+    #[inline]
     fn advance_to(&mut self, cpu_now: u64) {
         while self.now < cpu_now && self.compute_remaining > 0 {
             let headroom = self.barrier_headroom();
@@ -178,6 +179,7 @@ impl CoreModel {
     /// # Panics
     ///
     /// Panics if an op is already pending or a compute burst is running.
+    #[inline]
     pub fn supply(&mut self, op: Option<WorkOp>) {
         assert!(self.needs_op(), "core is not ready for a new op");
         match op {
@@ -188,11 +190,13 @@ impl CoreModel {
     }
 
     /// `true` if the core needs [`CoreModel::supply`] to make progress.
+    #[inline]
     pub fn needs_op(&self) -> bool {
         self.compute_remaining == 0 && self.pending.is_none() && !self.finished
     }
 
     /// Advances local time to `cpu_now` and reports what the core needs.
+    #[inline]
     pub fn poll(&mut self, cpu_now: u64) -> CoreAction {
         let cpu_now = cpu_now.max(self.now);
         self.advance_to(cpu_now);
@@ -267,6 +271,7 @@ impl CoreModel {
     }
 
     /// Delivers the oldest read's completion at CPU cycle `cpu_when`.
+    #[inline]
     pub fn read_returned(&mut self, cpu_when: u64) {
         debug_assert!(
             !self.barriers.is_empty(),

@@ -123,11 +123,20 @@ pub trait Controller: Send {
     /// Makes all issue decisions possible at `now`; returns completions
     /// scheduled during this step (their `done` times are in the future).
     ///
-    /// Run-loop contract (DESIGN.md §14): a call at a `now` before the
-    /// cached [`Self::next_tick`] horizon is a structural no-op — the
-    /// controller returns without mutating any state — so the work done
-    /// does not depend on how many cycles the loop visits.
+    /// Contract (DESIGN.md §14b): a call at a `now` before the cached
+    /// [`Self::next_tick`] horizon is a structural no-op — the controller
+    /// returns without mutating any state — so the work done does not
+    /// depend on how often a caller steps. `System::run` never makes such
+    /// a call; the contract holds for decorators and direct drivers.
     fn step(&mut self, now: Cycle) -> Vec<Completion>;
+
+    /// [`Self::step`], appending the completions to `out` instead of
+    /// returning a fresh vector, so a caller that steps often reuses one
+    /// buffer. The default forwards to [`Self::step`], which keeps a
+    /// decorator that implements only the required methods correct.
+    fn step_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
+        out.extend(self.step(now));
+    }
 
     /// The cached event horizon: the earliest cycle at which the next
     /// [`Self::step`] call can make progress, or `None` when no work is
@@ -258,6 +267,13 @@ pub struct ChannelController {
     writes: WriteQueue,
     /// Write-drain state machine, per bank.
     drains: Vec<DrainPolicy>,
+    /// Banks of `drains` in [`DrainState::Draining`], kept by
+    /// [`Self::update_drain`].
+    draining: usize,
+    /// Banks whose write backlog changed since their drain state was
+    /// last refreshed, one bit per (u8) bank index: set by every push to
+    /// and removal from `writes`, cleared by [`Self::refresh_drains`].
+    drain_dirty: [u64; 4],
     /// The shared channel data bus.
     bus: ChannelBus,
     /// Statistics.
@@ -335,6 +351,8 @@ impl ChannelController {
                 }
             },
             drains: (0..org.banks).map(|_| DrainPolicy::new(&q)).collect(),
+            draining: 0,
+            drain_dirty: [0; 4],
             bus: ChannelBus::new(),
             stats: CtrlStats::new(org.banks as usize),
             lifetrace: LifecycleTracer::disabled(),
@@ -453,29 +471,79 @@ impl ChannelController {
     }
 
     /// Updates one bank's drain state machine, tracking exits for delay
-    /// attribution.
-    fn update_drain(&mut self, bank: BankId, now: Cycle) -> DrainState {
+    /// attribution and the count of draining banks.
+    fn update_drain(&mut self, bank: BankId, now: Cycle) {
         let backlog = self.writes.bank_len(bank);
         let d = &mut self.drains[bank.index()];
         let before = d.state();
         let after = d.update(backlog);
-        if before == DrainState::Draining && after == DrainState::Normal {
-            self.last_drain_exit = now;
+        match (before, after) {
+            (DrainState::Normal, DrainState::Draining) => self.draining += 1,
+            (DrainState::Draining, DrainState::Normal) => {
+                self.draining -= 1;
+                self.last_drain_exit = now;
+            }
+            _ => {}
         }
-        after
+    }
+
+    /// Marks `bank`'s backlog as changed since its last drain refresh.
+    fn mark_drain_dirty(&mut self, bank: BankId) {
+        let b = bank.index();
+        self.drain_dirty[b / 64] |= 1 << (b % 64);
+    }
+
+    /// Refreshes the drain state of every bank whose backlog changed, at
+    /// the top of each scheduling pass. [`DrainPolicy::update`] leaves a
+    /// state unchanged at an unchanged backlog, and every push makes the
+    /// controller due at the push's cycle, so this lands each transition
+    /// on the cycle a refresh of every bank would.
+    fn refresh_drains(&mut self, now: Cycle) {
+        for word in 0..self.drain_dirty.len() {
+            while self.drain_dirty[word] != 0 {
+                let bit = self.drain_dirty[word].trailing_zeros() as usize;
+                self.drain_dirty[word] &= self.drain_dirty[word] - 1;
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a dirty bit stands for a u8 bank index"
+                )]
+                self.update_drain(BankId((word * 64 + bit) as u8), now);
+            }
+        }
+        #[cfg(debug_assertions)]
+        for (b, d) in self.drains.iter().enumerate() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "drains holds one policy per u8 bank index"
+            )]
+            let backlog = self.writes.bank_len(BankId(b as u8));
+            assert_eq!(
+                d.state(),
+                d.clone().update(backlog),
+                "bank {b}'s drain state is stale at a backlog of {backlog}"
+            );
+        }
     }
 
     /// Removes the queued write `id` and returns it.
     fn remove_write(&mut self, id: ReqId) -> MemRequest {
-        self.writes.remove(id).expect("write still queued")
+        let req = self.writes.remove(id).expect("write still queued");
+        self.mark_drain_dirty(req.loc.bank);
+        req
     }
 
     /// `true` while any bank is draining writes — the channel bus is
     /// turned to the write direction (§II-B), so ordinary reads wait.
     fn any_draining(&self) -> bool {
-        self.drains
-            .iter()
-            .any(|d| d.state() == DrainState::Draining)
+        debug_assert_eq!(
+            self.draining,
+            self.drains
+                .iter()
+                .filter(|d| d.state() == DrainState::Draining)
+                .count(),
+            "the draining-bank count disagrees with the per-bank states"
+        );
+        self.draining > 0
     }
 
     /// Whether serving a read *now* that arrived at `arrival` counts as
@@ -995,8 +1063,9 @@ impl Controller for ChannelController {
     }
 
     fn enqueue_write(&mut self, req: MemRequest, _now: Cycle) -> Result<(), MemRequest> {
-        let (at, id) = (req.arrival, req.id.0);
+        let (at, id, bank) = (req.arrival, req.id.0, req.loc.bank);
         self.writes.push(req)?;
+        self.mark_drain_dirty(bank);
         // Fresh work: mark the controller due immediately so the next
         // step body runs and recomputes the event horizon.
         self.wake = Some(Cycle::ZERO);
@@ -1005,22 +1074,24 @@ impl Controller for ChannelController {
     }
 
     fn step(&mut self, now: Cycle) -> Vec<Completion> {
+        let mut out = Vec::new();
+        self.step_into(now, &mut out);
+        out
+    }
+
+    fn step_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
         if !self.step_due(now) {
             // Not due yet: a step here is defined to be a no-op, which is
             // what lets the run loop skip it entirely.
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         self.service_watchdogs(now);
         // Baseline only: writes parked behind read priority are attributed
         // once per step, not once per inner pass.
         let mut tagged_parked = false;
         loop {
             self.begin_pass();
-            // Refresh per-bank drain states before scheduling.
-            for b in 0..self.org.banks {
-                self.update_drain(BankId(b), now);
-            }
+            self.refresh_drains(now);
             // Reads first, then writes. The Baseline serves plain reads by
             // FR-FCFS and whole-bank writes; PCMap adds RoW reads and WoW
             // fine-grained writes (rule 2).
@@ -1033,9 +1104,9 @@ impl Controller for ChannelController {
             let mut issued = read.is_some();
             out.extend(read);
             issued |= if self.kind.is_baseline() {
-                self.issue_baseline_writes(now, !tagged_parked, &mut out)
+                self.issue_baseline_writes(now, !tagged_parked, out)
             } else {
-                self.try_issue_write(now, &mut out)
+                self.try_issue_write(now, out)
             };
             tagged_parked = true;
             if !issued {
@@ -1047,7 +1118,6 @@ impl Controller for ChannelController {
         self.rank.timing_mut().prune(now);
         self.sync_fault_stats(now);
         self.compute_wake(now);
-        out
     }
 
     fn next_tick(&self) -> Option<Cycle> {

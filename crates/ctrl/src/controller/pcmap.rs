@@ -101,7 +101,12 @@ impl ChannelController {
     /// Attempts to issue one write (fine-grained, all phases committed).
     /// Returns `true` on issue.
     pub(super) fn try_issue_write(&mut self, now: Cycle, out: &mut Vec<Completion>) -> bool {
+        // The degradation state machine advances on every pass, queued
+        // writes or not.
         let degraded = self.rank_degraded(now);
+        if self.writes.is_empty() {
+            return false;
+        }
         // Writes issue while the bus is in write mode (any drain active)
         // or opportunistically after a read-idle window. The verdict holds
         // for the whole pass; under read priority only the lifecycle
@@ -505,7 +510,12 @@ impl ChannelController {
     /// mode: §IV-B applies RoW to any read arriving during an ongoing
     /// write, and during drains it is the paper's scheduler rule 1.
     pub(super) fn try_issue_read(&mut self, now: Cycle) -> Option<Completion> {
+        // The degradation state machine advances on every pass, queued
+        // reads or not.
         let degraded = self.rank_degraded(now);
+        if self.read_q.is_empty() {
+            return None;
+        }
         let bus_write_mode = self.any_draining();
         // The queue only changes on issue, which ends the pass.
         for pos in 0..self.read_q.len() {

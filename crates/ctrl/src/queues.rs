@@ -103,8 +103,11 @@ pub struct WriteQueue {
     per_bank: Vec<usize>,
     /// The per-bank bound.
     bank_capacity: usize,
-    /// Queued writes per line; a line with none has no key.
+    /// Queued writes per line; a line with none has no key. So its key
+    /// count is the number of line heads.
     lines: LineMap<LineAddr, u32>,
+    /// Line heads whose parked bit is set ([`Self::park_line_heads`]).
+    parked_heads: usize,
     /// Whether each entry has a verdict slot ([`Self::with_verdicts`]).
     keeps_verdicts: bool,
     /// Each entry's cached blocked verdict, in the order of `entries`;
@@ -165,6 +168,7 @@ impl WriteQueue {
             per_bank: vec![0; banks],
             bank_capacity,
             lines: LineMap::default(),
+            parked_heads: 0,
             keeps_verdicts: false,
             verdicts: Vec::new(),
         }
@@ -205,7 +209,11 @@ impl WriteQueue {
         let shadowed = shared && self.entries[..pos].iter().any(|e| e.req.line == req.line);
         if shared {
             for e in &mut self.entries[pos..] {
-                e.shadowed |= e.req.line == req.line;
+                if e.req.line == req.line {
+                    // A parked head the new write shadows stops counting.
+                    self.parked_heads -= usize::from(!e.shadowed && e.parked);
+                    e.shadowed = true;
+                }
             }
         }
         self.entries.insert(
@@ -225,7 +233,12 @@ impl WriteQueue {
     /// Removes and returns the write with `id`.
     pub fn remove(&mut self, id: ReqId) -> Option<MemRequest> {
         let pos = self.entries.iter().position(|e| e.req.id == id)?;
-        let Entry { req, shadowed, .. } = self.entries.remove(pos);
+        let Entry {
+            req,
+            shadowed,
+            parked,
+        } = self.entries.remove(pos);
+        self.parked_heads -= usize::from(!shadowed && parked);
         if self.keeps_verdicts {
             self.verdicts.remove(pos);
         }
@@ -307,15 +320,25 @@ impl WriteQueue {
     /// older write to their line shadows), oldest first. A parked head is
     /// only counted; any other is handed to `park`, which records its
     /// attempt and returns whether the tracer holds it, and is parked if
-    /// so. Returns the parked heads counted.
+    /// so. Returns the parked heads counted. When every head is parked
+    /// the walk would only count them, so their count is returned
+    /// without it.
     pub(crate) fn park_line_heads(&mut self, mut park: impl FnMut(&MemRequest) -> bool) -> u64 {
-        let mut repeats = 0;
-        for e in self.entries.iter_mut().filter(|e| !e.shadowed) {
-            if e.parked {
-                repeats += 1;
-            } else {
-                e.parked = park(&e.req);
-            }
+        debug_assert_eq!(
+            self.parked_heads,
+            self.entries
+                .iter()
+                .filter(|e| !e.shadowed && e.parked)
+                .count(),
+            "the parked-head count disagrees with the parked bits"
+        );
+        let repeats = self.parked_heads as u64;
+        if self.parked_heads == self.lines.len() {
+            return repeats;
+        }
+        for e in self.entries.iter_mut().filter(|e| !e.shadowed && !e.parked) {
+            e.parked = park(&e.req);
+            self.parked_heads += usize::from(e.parked);
         }
         repeats
     }
@@ -323,7 +346,9 @@ impl WriteQueue {
     /// Clears the parked bit of position `pos`: the tracer is handed
     /// another attempt of its write.
     pub(crate) fn unpark(&mut self, pos: usize) {
-        self.entries[pos].parked = false;
+        let e = &mut self.entries[pos];
+        self.parked_heads -= usize::from(!e.shadowed && e.parked);
+        e.parked = false;
     }
 
     /// Clears every parked bit.
@@ -331,6 +356,7 @@ impl WriteQueue {
         for e in &mut self.entries {
             e.parked = false;
         }
+        self.parked_heads = 0;
     }
 
     /// The verdict cached for position `pos`, if any.

@@ -97,6 +97,7 @@ impl PcmRank {
     }
 
     /// Reads the full line at the given coordinates.
+    #[inline]
     pub fn read_line(&self, bank: BankId, row: RowAddr, col: ColAddr) -> ReadOut {
         let StoredLine { data, ecc, pcc } = self.storage.load(bank, row, col);
         ReadOut { data, ecc, pcc }
@@ -105,6 +106,7 @@ impl PcmRank {
     /// The stored data words of a line, without its ECC and PCC words —
     /// what a scheduler diffs a queued write against. Never-written lines
     /// cost no ECC computation.
+    #[inline]
     pub fn peek_data(&self, bank: BankId, row: RowAddr, col: ColAddr) -> CacheLine {
         self.storage.load_data(bank, row, col)
     }
@@ -127,6 +129,7 @@ impl PcmRank {
     /// words untouched — the fine-grained write primitive. Words in `mask`
     /// that turn out unchanged are still skipped by the differential-write
     /// logic (they come back as [`WriteKind::Silent`]).
+    #[inline]
     pub fn write_words(
         &mut self,
         bank: BankId,

@@ -79,6 +79,7 @@ impl RankStorage {
 
     /// Reads the line at the given coordinates (pristine content if never
     /// written).
+    #[inline]
     pub fn load(&self, bank: BankId, row: RowAddr, col: ColAddr) -> StoredLine {
         let key = self.key(bank, row, col);
         self.lines
@@ -89,6 +90,7 @@ impl RankStorage {
 
     /// The data words [`Self::load`] would return, without computing the
     /// ECC and PCC words of a never-written line.
+    #[inline]
     pub fn load_data(&self, bank: BankId, row: RowAddr, col: ColAddr) -> CacheLine {
         let key = self.key(bank, row, col);
         self.lines
@@ -99,6 +101,7 @@ impl RankStorage {
     /// Overwrites the line and its ECC/PCC words. Stuck-at cells keep
     /// their frozen value, so the stored data can disagree with the
     /// line's own ECC word — exactly the failure SECDED exists to catch.
+    #[inline]
     pub fn store(&mut self, bank: BankId, row: RowAddr, col: ColAddr, mut line: StoredLine) {
         let key = self.key(bank, row, col);
         if let Some(cells) = self.stuck.get(&key) {

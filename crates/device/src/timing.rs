@@ -30,6 +30,7 @@ impl ChipBankState {
     }
 
     /// `true` if `[start, end)` overlaps no reservation.
+    #[inline]
     #[must_use]
     pub fn is_free_during(&self, start: Cycle, end: Cycle) -> bool {
         self.res.iter().all(|&(s, e)| end <= s || start >= e)
@@ -47,6 +48,7 @@ impl ChipBankState {
     /// Latest end over reservations overlapping `[from, until)`, or `None`
     /// when the window is free — i.e. the earliest time a window of the
     /// same length could start clear of every current conflict.
+    #[inline]
     #[must_use]
     pub fn blocked_until(&self, from: Cycle, until: Cycle) -> Option<Cycle> {
         self.res
@@ -60,6 +62,7 @@ impl ChipBankState {
     /// starts that late. A window ending at `t` that slides later stays
     /// clear of every reservation it does not overlap now until its end
     /// passes this start.
+    #[inline]
     #[must_use]
     pub fn next_start(&self, t: Cycle) -> Option<Cycle> {
         let pos = self.res.partition_point(|&(s, _)| s < t);
@@ -220,6 +223,7 @@ impl RankTiming {
 
     /// Earliest time at or after `now` when *all* chips in `set` are clear
     /// of every reservation still pending on `bank`.
+    #[inline]
     #[must_use]
     pub fn free_at(&self, bank: BankId, set: ChipSet, now: Cycle) -> Cycle {
         let first = bank.index() * self.chips;
@@ -242,6 +246,7 @@ impl RankTiming {
     ///
     /// Panics in debug builds if the window overlaps an existing
     /// reservation (double-booking).
+    #[inline]
     pub fn reserve(
         &mut self,
         bank: BankId,
@@ -275,6 +280,7 @@ impl RankTiming {
     }
 
     /// Latches `row` into the row buffers of `set` for `bank`.
+    #[inline]
     pub fn open_row(&mut self, bank: BankId, set: ChipSet, row: RowAddr) {
         for chip in set.chips() {
             self.chip_mut(bank, chip).open_row = Some(row);
@@ -283,6 +289,7 @@ impl RankTiming {
 
     /// The subset of `set` whose row buffer for `bank` does *not* currently
     /// hold `row` (and therefore needs an activate).
+    #[inline]
     #[must_use]
     pub fn chips_needing_activate(&self, bank: BankId, set: ChipSet, row: RowAddr) -> ChipSet {
         let mut need = ChipSet::empty();
@@ -308,6 +315,7 @@ impl RankTiming {
     /// this: a request whose feasibility window `[from, until)` shifts
     /// rigidly with `now` becomes issueable (w.r.t. the *current*
     /// reservations) once the window start reaches the returned cycle.
+    #[inline]
     #[must_use]
     pub fn blocked_until(
         &self,
@@ -323,6 +331,7 @@ impl RankTiming {
 
     /// Earliest reservation start at or after `t` on `bank` × `set`, or
     /// `None` when no chip of the set has one.
+    #[inline]
     #[must_use]
     pub fn next_start(&self, bank: BankId, set: ChipSet, t: Cycle) -> Option<Cycle> {
         set.chips()

@@ -70,6 +70,7 @@ impl LineCodec {
     }
 
     /// The 64-bit ECC word for `line`: check byte of word *i* in byte *i*.
+    #[inline]
     pub fn ecc_word(&self, line: &CacheLine) -> u64 {
         let mut out = 0u64;
         for i in 0..WORDS_PER_LINE {
@@ -79,6 +80,7 @@ impl LineCodec {
     }
 
     /// The 64-bit PCC word for `line` (XOR of the data words).
+    #[inline]
     pub fn pcc_word(&self, line: &CacheLine) -> u64 {
         parity::parity_of(line)
     }
@@ -99,6 +101,7 @@ impl LineCodec {
     /// errors per word. Each word's syndrome is its stored check byte XOR
     /// the one recomputed from its data, so a clean word costs one
     /// [`hamming::check_byte_of`].
+    #[inline]
     pub fn verify(&self, line: &CacheLine, ecc_word: u64) -> LineCheck {
         let mut corrected = *line;
         let mut fixed = WordMask::empty();

@@ -66,6 +66,7 @@ impl LatencyHistogram {
     }
 
     /// Records one latency sample (in cycles).
+    #[inline]
     pub fn record(&mut self, value: u64) {
         let idx = Self::bucket_of(value).min(BUCKETS - 1);
         self.counts[idx] += 1;

@@ -789,6 +789,7 @@ impl LifecycleTracer {
     }
 
     /// `true` when hooks record.
+    #[inline]
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.enabled
@@ -831,6 +832,7 @@ impl LifecycleTracer {
     }
 
     /// A request entered the controller (a repeated arrival restarts it).
+    #[inline]
     pub fn arrival(&mut self, req: u64, at: Cycle, is_write: bool) {
         if !self.enabled {
             return;
@@ -874,6 +876,7 @@ impl LifecycleTracer {
     /// An attempt that repeats the pending cause and resource only bumps
     /// the tally: its wait closes with the next event's. Returns whether
     /// the attempt was recorded, i.e. the request is traced.
+    #[inline]
     pub fn blocked(
         &mut self,
         req: u64,
@@ -910,6 +913,7 @@ impl LifecycleTracer {
     /// earlier than the pass, and either closes the wait at least that
     /// far; writes never take [`Self::recovery`], the one hook that closes
     /// at `seen` itself. So no segment moves.
+    #[inline]
     pub fn parked_writes(&mut self, n: u64) {
         if !self.enabled {
             return;
@@ -919,6 +923,7 @@ impl LifecycleTracer {
 
     /// The request issued: decision at `decided`, chips busy from `start`
     /// (Status-poll pricing fills `[decided, start)`) through `end`.
+    #[inline]
     pub fn issue(&mut self, req: u64, decided: Cycle, start: Cycle, end: Cycle) {
         if !self.enabled {
             return;
@@ -979,6 +984,7 @@ impl LifecycleTracer {
     }
 
     /// Deferred-verify window annotation.
+    #[inline]
     pub fn verify(&mut self, req: u64, start: Cycle, end: Cycle) {
         if !self.enabled {
             return;
@@ -989,6 +995,7 @@ impl LifecycleTracer {
     }
 
     /// Marks the request as visibly failed (retry budget exhausted).
+    #[inline]
     pub fn failed(&mut self, req: u64) {
         if !self.enabled {
             return;

@@ -58,6 +58,7 @@ impl WindowedSeries {
     }
 
     /// Records a valued sample at `cycle`.
+    #[inline]
     pub fn record(&mut self, cycle: u64, value: f64) {
         let e = self.windows.entry(cycle / self.width).or_insert((0, 0.0));
         e.0 += 1;
@@ -66,6 +67,7 @@ impl WindowedSeries {
 
     /// Records an occurrence at `cycle` (value 1.0) — the counting form
     /// used for throughput.
+    #[inline]
     pub fn bump(&mut self, cycle: u64) {
         self.record(cycle, 1.0);
     }

@@ -422,6 +422,11 @@ pub struct System {
     /// Cores that must be polled this epoch regardless of `core_next`
     /// (set by read deliveries).
     core_due: Vec<bool>,
+    /// The earliest `core_next` ([`Cycle::MAX`] when none is set),
+    /// recomputed by every poll: only a poll moves `core_next`.
+    core_min: Cycle,
+    /// Some `core_due` entry is set: a delivery sets it, a poll clears it.
+    any_core_due: bool,
     rollback: Vec<RollbackModel>,
     data_rng: Xoshiro256,
     next_req: u64,
@@ -512,6 +517,8 @@ impl System {
             op_details: vec![None; n],
             core_next: vec![Some(Cycle::ZERO); n],
             core_due: vec![false; n],
+            core_min: Cycle::ZERO,
+            any_core_due: false,
             rollback,
             data_rng: Xoshiro256::new(0xDA7A),
             next_req: 0,
@@ -554,12 +561,16 @@ impl System {
 
     /// Runs to completion and produces the report.
     ///
-    /// Each epoch delivers due completions, polls due cores, steps every
-    /// controller, then jumps to the earliest cached horizon: the
-    /// delivery-heap head, each controller's [`Controller::next_tick`]
-    /// and each core's `core_next` (DESIGN.md §14).
+    /// Each epoch delivers due completions, polls the cores that are due,
+    /// steps the controllers that are due (`next_tick() <= now`), then
+    /// jumps to the earliest cached horizon: the delivery-heap head, each
+    /// controller's [`Controller::next_tick`] and the earliest core
+    /// horizon (DESIGN.md §14). A controller that is not due is not
+    /// called, so an epoch costs in proportion to what is due in it.
     pub fn run(mut self) -> RunReport {
         let mut now = Cycle(0);
+        // One buffer for every step's completions.
+        let mut completions: Vec<Completion> = Vec::new();
         loop {
             // 1. Deliver due completions to cores.
             while let Some(Reverse(d)) = self.deliveries.peek().copied() {
@@ -573,27 +584,44 @@ impl System {
             // 2. Let cores act and enqueue requests.
             self.poll_cores(now);
 
-            // 3. Step controllers in channel order; completions enter the
-            // delivery heap in that order.
+            // 3. Step the due controllers in channel order; completions
+            // enter the delivery heap in that order. The horizons read
+            // here serve the jump and the end test below.
+            let mut ctrl_min = Cycle::MAX;
+            let mut ctrls_idle = true;
             for ch in 0..self.ctrls.len() {
-                for comp in self.ctrls[ch].step(now) {
-                    self.push_completion(ch, comp);
+                let mut tick = self.ctrls[ch].next_tick();
+                if tick.is_some_and(|t| t <= now) {
+                    self.ctrls[ch].step_into(now, &mut completions);
+                    for comp in completions.drain(..) {
+                        self.push_completion(ch, comp);
+                    }
+                    tick = self.ctrls[ch].next_tick();
+                }
+                if let Some(t) = tick {
+                    ctrls_idle = false;
+                    ctrl_min = ctrl_min.min(t);
                 }
             }
 
             // 4. Jump to the next event.
-            if self.finished() {
+            if ctrls_idle
+                && self.deliveries.is_empty()
+                && self.cores.iter().all(CoreModel::is_finished)
+            {
                 break;
             }
+            debug_assert_eq!(
+                self.core_min,
+                self.earliest_core_next(),
+                "the cached core horizon disagrees with core_next"
+            );
             let next = self
                 .deliveries
                 .peek()
-                .map(|Reverse(d)| d.when)
-                .into_iter()
-                .chain(self.ctrls.iter().filter_map(|c| c.next_tick()))
-                .chain(self.core_next.iter().flatten().copied())
-                .min()
-                .unwrap_or(Cycle::MAX);
+                .map_or(Cycle::MAX, |Reverse(d)| d.when)
+                .min(ctrl_min)
+                .min(self.core_min);
             if next == Cycle::MAX || next <= now {
                 self.crawl_steps += 1;
                 if self.crawl_steps > 500_000 {
@@ -649,6 +677,7 @@ impl System {
         self.cores[d.core].read_returned(cpu_when);
         // The returned data may unblock the core immediately.
         self.core_due[d.core] = true;
+        self.any_core_due = true;
         if d.failed {
             self.reads_failed_delivered += 1;
         }
@@ -691,6 +720,10 @@ impl System {
     }
 
     fn poll_cores(&mut self, now: Cycle) {
+        if !self.any_core_due && self.core_min > now {
+            return;
+        }
+        self.any_core_due = false;
         let cpu_now = self.clock.mem_to_cpu(now);
         for i in 0..self.cores.len() {
             // Poll only when due: a poll advances the core's local clock
@@ -752,6 +785,17 @@ impl System {
                 }
             }
         }
+        self.core_min = self.earliest_core_next();
+    }
+
+    /// The earliest `core_next`, or [`Cycle::MAX`] when none is set.
+    fn earliest_core_next(&self) -> Cycle {
+        self.core_next
+            .iter()
+            .flatten()
+            .copied()
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
 
     fn try_issue(&mut self, i: usize, is_read: bool, now: Cycle) -> bool {
@@ -863,12 +907,6 @@ impl System {
                 false
             }
         }
-    }
-
-    fn finished(&self) -> bool {
-        self.cores.iter().all(|c| c.is_finished())
-            && self.deliveries.is_empty()
-            && self.ctrls.iter().all(|c| c.next_tick().is_none())
     }
 
     /// Per-channel metric snapshots, each augmented with the channel's

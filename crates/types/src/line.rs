@@ -53,6 +53,7 @@ impl CacheLine {
 
     /// Builds a deterministic pseudo-random line from a seed; used by tests
     /// and workload generators to fabricate distinct contents cheaply.
+    #[inline]
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = crate::rng::SplitMix64::new(seed);
         let mut words = [0u64; WORDS_PER_LINE];
@@ -92,6 +93,7 @@ impl CacheLine {
     ///
     /// This is exactly the paper's *essential word* computation: in a write
     /// of `other` over `self`, only the returned words need to touch PCM.
+    #[inline]
     pub fn diff_words(&self, other: &CacheLine) -> WordMask {
         let mut mask = WordMask::empty();
         for i in 0..WORDS_PER_LINE {

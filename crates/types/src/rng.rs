@@ -134,6 +134,7 @@ impl Xoshiro256 {
 
     /// Geometric-like draw: number of failures before a success with
     /// probability `p` per trial, capped at `cap` to bound tail latency.
+    #[inline]
     #[expect(
         clippy::cast_possible_truncation,
         reason = "a float-to-int `as` saturates, and the draw is capped at `cap` on the next line"

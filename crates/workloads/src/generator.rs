@@ -86,6 +86,7 @@ impl CoreStream {
 
     /// Produces the next stream event. Alternates `Compute(gap)` events
     /// with memory ops so that the long-run RPKI/WPKI match the profile.
+    #[inline]
     pub fn next_op(&mut self) -> StreamOp {
         if let Some(op) = self.pending_mem.take() {
             self.ops_emitted += 1;
